@@ -202,23 +202,6 @@ func BenchmarkKernelFused(b *testing.B) {
 	b.ReportMetric(float64(cells)*float64(b.N)/b.Elapsed().Seconds()/1e6, "MLUPS")
 }
 
-// BenchmarkKernelFusedParallel measures the goroutine-parallel driver.
-func BenchmarkKernelFusedParallel(b *testing.B) {
-	l, err := core.NewLattice(&lattice.D3Q19, 64, 64, 64, 0.8)
-	if err != nil {
-		b.Fatal(err)
-	}
-	cells := int64(l.NX * l.NY * l.NZ)
-	b.SetBytes(cells * 19 * 8 * 2)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		l.PeriodicAll()
-		l.StepFusedParallel(0)
-	}
-	b.StopTimer()
-	b.ReportMetric(float64(cells)*float64(b.N)/b.Elapsed().Seconds()/1e6, "MLUPS")
-}
-
 // BenchmarkKernelUnfused measures the pre-fusion two-pass baseline — the
 // host-level analogue of the Fig. 8 fusion comparison.
 func BenchmarkKernelUnfused(b *testing.B) {

@@ -78,40 +78,26 @@ func kernelCounters(cells int64, workers int) map[string]int64 {
 	}
 }
 
-// runKernel times the single-rank fused kernel (sequential or parallel).
-// The parallel case always requests ≥ 2 workers — on a single-P runtime
-// StepFusedParallel(0) would silently fall back to the serial path and
-// the case would measure nothing new.
-func runKernel(parallel bool) (CaseResult, error) {
-	name := "kernel-fused"
-	workers := 1
-	if parallel {
-		name = "kernel-parallel"
-		workers = runtime.GOMAXPROCS(0)
-		if workers < 2 {
-			workers = 2
-		}
-	}
+// runKernel times the single-rank double-buffer fused kernel (the
+// reference every AA case is read against).
+func runKernel() (CaseResult, error) {
 	l, err := benchLattice(benchN, benchN, benchN)
 	if err != nil {
 		return CaseResult{}, err
 	}
 	cells := int64(benchN) * benchN * benchN
 	mon := perf.NewMonitor(cells)
+	l.StepFused() // untimed: the second buffer is allocated on first use
 	for s := 0; s < benchSteps; s++ {
 		l.PeriodicAll()
 		mon.StepStart()
-		if parallel {
-			l.StepFusedParallel(workers)
-		} else {
-			l.StepFused()
-		}
+		l.StepFused()
 		mon.StepEnd()
 	}
 	return CaseResult{
-		Name:     name,
+		Name:     "kernel-fused",
 		Summary:  mon.SummaryStats(),
-		Counters: kernelCounters(cells, workers),
+		Counters: kernelCounters(cells, 1),
 	}, nil
 }
 
@@ -448,8 +434,7 @@ func runJSON(path, baselinePath string) error {
 		run  func() (CaseResult, error)
 	}
 	for _, s := range []step{
-		{"kernel-fused", func() (CaseResult, error) { return runKernel(false) }},
-		{"kernel-parallel", func() (CaseResult, error) { return runKernel(true) }},
+		{"kernel-fused", runKernel},
 		{"kernel-aa", func() (CaseResult, error) { return runKernelAA("kernel-aa", 0, 0, 1) }},
 		{"kernel-aa-blocked", func() (CaseResult, error) { return runKernelAA("kernel-aa-blocked", 8, 40, 1) }},
 		{"kernel-aa-pool-4", func() (CaseResult, error) { return runKernelAA("kernel-aa-pool-4", 8, 40, 4) }},

@@ -1,8 +1,8 @@
 // Sunwaylb is the SunwayLB-Go solver front end: it assembles the
 // pre-processing (geometry + boundary conditions), the D3Q19 LBM solver
-// (serial/goroutine-parallel, or distributed over simulated MPI ranks) and
-// the post-processing (PPM slices, checkpoints) into one command — the
-// holistic framework of Fig. 4.
+// (the in-place AA kernel on a worker pool, or distributed over simulated
+// MPI ranks) and the post-processing (PPM slices, checkpoints) into one
+// command — the holistic framework of Fig. 4.
 //
 // Usage:
 //
@@ -485,8 +485,14 @@ func runLocal(ctx context.Context, cs *caseSetup, out, cpPath string, cpEvery in
 	fmt.Printf("%s: %d×%d×%d cells, tau=%.4f, %d steps, %d fluid cells\n",
 		cs.cfg.Name, lat.NX, lat.NY, lat.NZ, lat.Tau, cs.cfg.Steps, lat.FluidCells())
 
+	// One stepping path: the in-place AA kernel behind the persistent pool
+	// (a restored odd-step state is permuted into the odd layout here).
+	pool := core.NewPool(lat, 0)
+	defer pool.Close()
+
 	cells := int64(lat.FluidCells())
 	mon := perf.NewMonitor(cells)
+	var bcTime time.Duration
 	tr := tracer.ForRank(0) // local runs trace as rank 0; nil-safe
 	lastReport := time.Now()
 	for s := startStep + 1; s <= cs.cfg.Steps; s++ {
@@ -505,9 +511,11 @@ func runLocal(ctx context.Context, cs *caseSetup, out, cpPath string, cpEvery in
 		if tr != nil {
 			endStep = tr.Scope(trace.TrackStep, "step")
 		}
-		bcs.Apply(lat)
 		mon.StepStart()
-		lat.StepFusedParallel(0)
+		t0 := time.Now()
+		bcs.Apply(lat)
+		bcTime += time.Since(t0)
+		pool.Step()
 		mon.StepEnd()
 		if endStep != nil {
 			endStep()
@@ -531,8 +539,11 @@ func runLocal(ctx context.Context, cs *caseSetup, out, cpPath string, cpEvery in
 			lastReport = now
 		}
 	}
-	if mon.Steps() > 0 {
+	if n := mon.Steps(); n > 0 {
+		bcMs := bcTime.Seconds() * 1e3 / float64(n)
 		fmt.Printf("completed: %s\n", mon.Summary())
+		fmt.Printf("  kernel %.2f ms/step, boundary %.2f ms/step, path: %s\n",
+			mon.Mean()*1e3-bcMs, bcMs, pool.Kernel())
 	}
 	if cpPath != "" {
 		if err := swio.Checkpoint(cpPath, lat); err != nil {

@@ -1,9 +1,13 @@
 package main
 
 import (
+	"bytes"
+	"context"
+	"errors"
 	"os"
 	"os/exec"
 	"path/filepath"
+	"regexp"
 	"strings"
 	"testing"
 )
@@ -136,4 +140,101 @@ func TestCLISmoke(t *testing.T) {
 		"-patch-tiles", "2x2").CombinedOutput(); err == nil {
 		t.Error("malformed -patch-tiles must exit non-zero")
 	}
+}
+
+// TestCLIKernelPath is the "no silent slow path" oracle for the
+// single-rank path: the channel preset on one core must report the
+// in-place AA kernel through the D3Q19 fast path on a one-worker pool
+// (the row kernel is whichever the host supports), so a dispatch
+// regression fails here instead of showing up as a quiet slowdown.
+func TestCLIKernelPath(t *testing.T) {
+	if testing.Short() {
+		t.Skip("builds and runs the binary")
+	}
+	cmd := exec.Command(buildCLI(t), "-preset", "channel", "-nx", "16", "-ny", "12", "-nz", "8", "-steps", "4")
+	cmd.Env = append(os.Environ(), "GOMAXPROCS=1")
+	out, err := cmd.CombinedOutput()
+	if err != nil {
+		t.Fatalf("%v\n%s", err, out)
+	}
+	if !regexp.MustCompile(`kernel [0-9.]+ ms/step, boundary [0-9.]+ ms/step, path: aa (avx512|scalar) d3q19 pool×1\n`).Match(out) {
+		t.Errorf("summary does not name the expected kernel path:\n%s", out)
+	}
+}
+
+// stepBudget is a context that reports cancellation from its n-th Err
+// poll on. runLocal polls once per step, so the interrupt lands on a
+// chosen step boundary.
+type stepBudget struct {
+	context.Context
+	polls int
+}
+
+func (c *stepBudget) Err() error {
+	if c.polls--; c.polls < 0 {
+		return context.Canceled
+	}
+	return nil
+}
+
+// TestLocalRestoreRejoinsAtOddSteps: a single-rank run stopped at an odd
+// step — by running out of steps or by the interrupt checkpoint after a
+// periodic one — and resumed with -restore must end in exactly the state
+// of the uninterrupted run: same images, same final checkpoint, byte for
+// byte. (The AA storage is in its shifted layout at odd steps; the
+// checkpoint must hold the logical populations regardless.)
+func TestLocalRestoreRejoinsAtOddSteps(t *testing.T) {
+	dir := t.TempDir()
+	run := func(ctx context.Context, name string, steps, every int, restore string) error {
+		cs, err := builtinPreset("cylinder")
+		if err != nil {
+			t.Fatal(err)
+		}
+		cs.cfg.Steps = steps
+		if err := cs.cfg.Validate(); err != nil {
+			t.Fatal(err)
+		}
+		p := filepath.Join(dir, name)
+		return runLocal(ctx, cs, p, p+".cpk", every, restore, 1e9, nil)
+	}
+	same := func(a, b string) {
+		t.Helper()
+		for _, suffix := range []string{"_speed_z.ppm", "_speed_y.ppm", ".cpk"} {
+			x, err := os.ReadFile(filepath.Join(dir, a+suffix))
+			if err != nil {
+				t.Fatal(err)
+			}
+			y, err := os.ReadFile(filepath.Join(dir, b+suffix))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(x, y) {
+				t.Errorf("%s%s differs from %s%s", b, suffix, a, suffix)
+			}
+		}
+	}
+	bg := context.Background()
+	if err := run(bg, "whole", 7, 0, ""); err != nil {
+		t.Fatal(err)
+	}
+
+	// -steps 3 -checkpoint-every 3, then -restore up to step 7.
+	if err := run(bg, "three", 3, 3, ""); err != nil {
+		t.Fatal(err)
+	}
+	if err := run(bg, "resumed", 7, 0, filepath.Join(dir, "three.cpk")); err != nil {
+		t.Fatal(err)
+	}
+	same("whole", "resumed")
+
+	// -steps 7 -checkpoint-every 3, interrupted on the boundary after
+	// step 5: the interrupt checkpoint replaces the periodic one of step 3.
+	err := run(&stepBudget{Context: bg, polls: 5}, "cut", 7, 3, "")
+	if !errors.Is(err, errInterrupted) {
+		t.Fatalf("interrupted run returned %v, want errInterrupted", err)
+	}
+	if err := run(bg, "rejoined", 7, 0, filepath.Join(dir, "cut.cpk")); err != nil {
+		t.Fatal(err)
+	}
+	same("whole", "rejoined")
 }

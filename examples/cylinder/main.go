@@ -92,9 +92,11 @@ func main() {
 		log.Fatalf("cylinder: %v", err)
 	}
 	warmup := *steps / 2
+	pool := core.NewPool(lat, 0)
+	defer pool.Close()
 	for s := 1; s <= *steps; s++ {
 		bcs.Apply(lat)
-		lat.StepFusedParallel(0)
+		pool.Step()
 		if s > warmup {
 			_, fy, _ := lat.WallForce()
 			liftHist = append(liftHist, fy)

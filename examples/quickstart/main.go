@@ -55,9 +55,11 @@ func main() {
 		*n, *re, tau, *steps)
 
 	prev := math.Inf(1)
+	pool := core.NewPool(lat, 0)
+	defer pool.Close()
 	for s := 1; s <= *steps; s++ {
 		bcs.Apply(lat)
-		lat.StepFusedParallel(0)
+		pool.Step()
 		if rep := max(1, *steps/10); s%rep == 0 {
 			// Convergence monitor: change of the centre velocity.
 			m := lat.MacroAt(*n/2, *n/2, *n/2)

@@ -99,15 +99,17 @@ func measureViscosity(n int, tau float64, steps int) (float64, error) {
 	// Equilibrium initialisation lacks the solution's non-equilibrium
 	// part, which perturbs the first few steps; measure the decay rate
 	// between two post-transient times instead of from t=0.
+	pool := core.NewPool(l, 0)
+	defer pool.Close()
 	burnin := steps / 4
 	for s := 0; s < burnin; s++ {
 		l.PeriodicAll()
-		l.StepFused()
+		pool.Step()
 	}
 	e1 := energy()
 	for s := burnin; s < steps; s++ {
 		l.PeriodicAll()
-		l.StepFused()
+		pool.Step()
 	}
 	e2 := energy()
 	// e2/e1 = exp(−4 ν_eff k² Δt)  ⇒  ν_eff = −ln(e2/e1)/(4 k² Δt).

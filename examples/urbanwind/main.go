@@ -85,9 +85,11 @@ func main() {
 	}
 
 	stats := vis.NewStatistics(nx, ny, nz)
+	pool := core.NewPool(lat, 0)
+	defer pool.Close()
 	for s := 1; s <= *steps; s++ {
 		bcs.Apply(lat)
-		lat.StepFusedParallel(0)
+		pool.Step()
 		if s > *steps/2 {
 			if err := stats.Add(lat.ComputeMacro()); err != nil {
 				log.Fatalf("urbanwind: %v", err)

@@ -34,9 +34,24 @@ func TestTrafficEstimatesRepo(t *testing.T) {
 			"stepAAEvenD3Q19":   {Bytes: 0, Budget: 360},
 			"stepAAOddD3Q19":    {Bytes: 0, Budget: 360},
 			"aaRowD3Q19Scalar":  {Bytes: 304, Budget: 360},
-			"PeriodicAxis":      {Bytes: 610, Budget: 616},
-			"PackFace":          {Bytes: 304, Budget: 320},
-			"UnpackFace":        {Bytes: 305, Budget: 320},
+			// Halo layer: population-outer, row-inner sweeps over lines of
+			// cells, priced where the populations move, the same at either
+			// storage phase: gatherPop/scatterPop/copyPop move one
+			// population of the line per call, a read and a write per cell.
+			// The drivers call them 19 times per line (304 of PackFace's
+			// 320 per cell, 608 of a periodic wrap pair's 616) and only
+			// carry the flag bytes themselves.
+			"gatherPop":    {Bytes: 16, Budget: 16},
+			"scatterPop":   {Bytes: 16, Budget: 16},
+			"copyPop":      {Bytes: 16, Budget: 16},
+			"PeriodicAxis": {Bytes: 2, Budget: 616},
+			"PackFace":     {Bytes: 2, Budget: 320},
+			"UnpackFace":   {Bytes: 1, Budget: 320},
+		},
+		// Computed boundary conditions stage each chunk of a line through
+		// core's Gather/ScatterLine; their own loops touch stack scratch.
+		"../boundary": {
+			"Apply": {Bytes: 0, Budget: 320},
 		},
 		"../swlb": {
 			"Step": {Bytes: 4, Budget: 8},
@@ -63,7 +78,11 @@ func TestTrafficEstimatesRepo(t *testing.T) {
 			}
 			got := make(map[string]TrafficEstimate)
 			for _, e := range trafficEstimates(pkg) {
-				got[e.Func] = e
+				// Same-named methods (the conditions' Apply) share a row:
+				// the dearest one is pinned.
+				if prev, ok := got[e.Func]; !ok || e.Bytes > prev.Bytes {
+					got[e.Func] = e
+				}
 			}
 			for fn, w := range kernels {
 				g, ok := got[fn]

@@ -46,42 +46,50 @@ func (s *Set) Apply(l *core.Lattice) {
 // Len reports the number of conditions.
 func (s *Set) Len() int { return len(s.conds) }
 
-// faceHalo iterates over the halo cells of a face, calling fn with the
-// halo cell index and the index of the adjacent cell one step inward
-// (normal direction). The iteration covers the FULL allocated plane,
-// including the halo edges and corners shared with other faces — D3Q19
-// streaming pulls diagonally from those edge cells, so they must be owned
-// by some condition. Where two faces meet, whichever condition is applied
-// later wins; put wall-type conditions last for watertight corners.
-func faceHalo(l *core.Lattice, f core.Face, fn func(halo, inner int)) {
-	ax, ay, az := l.AX, l.AY, l.AZ
-	plane := func(haloOf func(a, b int) int, innerOf func(a, b int) int, na, nb int) {
-		for a := 0; a < na; a++ {
-			for b := 0; b < nb; b++ {
-				fn(haloOf(a, b), innerOf(a, b))
-			}
-		}
+// Every condition streams over the halo layer of its face one core.Line at
+// a time (z-rows on the x and y faces, x-rows on the z faces), facing the
+// interior boundary line one step inward along the normal. The layer
+// covers the FULL allocated plane, including the halo edges and corners
+// shared with other faces — D3Q19 streaming pulls diagonally from those
+// edge cells, so they must be owned by some condition. Where two faces
+// meet, whichever condition is applied later wins; put wall-type
+// conditions last for watertight corners. The storage scheme and phase
+// of the lattice only select the per-population bases inside core's line
+// primitives, so one implementation serves double buffers and AA storage
+// at either parity with the same per-cell arithmetic.
+
+// chunk is the number of cells a computed condition stages at a time.
+const chunk = 64
+
+// block is the stack scratch (≈ 14 KB) that holds the staged cells the way
+// core.GatherLine delivers them at pitch chunk: population i of staged
+// cell c at block[i*chunk+c].
+type block [core.MaxQ * chunk]float64
+
+// load copies the populations of staged cell c into f.
+func (b *block) load(f []float64, c int) {
+	for i := range f {
+		f[i] = b[i*chunk+c]
 	}
-	switch f {
-	case core.FaceXMin:
-		plane(func(y, z int) int { return (y*ax+0)*az + z },
-			func(y, z int) int { return (y*ax+1)*az + z }, ay, az)
-	case core.FaceXMax:
-		plane(func(y, z int) int { return (y*ax+ax-1)*az + z },
-			func(y, z int) int { return (y*ax+ax-2)*az + z }, ay, az)
-	case core.FaceYMin:
-		plane(func(x, z int) int { return (0*ax+x)*az + z },
-			func(x, z int) int { return (1*ax+x)*az + z }, ax, az)
-	case core.FaceYMax:
-		plane(func(x, z int) int { return ((ay-1)*ax+x)*az + z },
-			func(x, z int) int { return ((ay-2)*ax+x)*az + z }, ax, az)
-	case core.FaceZMin:
-		plane(func(y, x int) int { return (y*ax+x)*az + 0 },
-			func(y, x int) int { return (y*ax+x)*az + 1 }, ay, ax)
-	case core.FaceZMax:
-		plane(func(y, x int) int { return (y*ax+x)*az + az - 1 },
-			func(y, x int) int { return (y*ax+x)*az + az - 2 }, ay, ax)
+}
+
+// store copies f into staged cell c.
+func (b *block) store(f []float64, c int) {
+	for i, fi := range f {
+		b[i*chunk+c] = fi
 	}
+}
+
+// setFlags classifies every cell of the line.
+func setFlags(l *core.Lattice, ln core.Line, t core.CellType) {
+	for k := 0; k < ln.Len; k++ {
+		l.Flags[ln.Cell(k)] = t
+	}
+}
+
+// clamp pulls a halo coordinate onto the nearest interior one.
+func clamp(v, n int) int {
+	return max(0, min(v, n-1))
 }
 
 // VelocityInlet imposes a uniform velocity (and density) on a face by
@@ -101,42 +109,39 @@ type VelocityInlet struct {
 func (v *VelocityInlet) Name() string { return fmt.Sprintf("velocity-inlet(%v)", v.Face) }
 
 // Apply implements Condition.
+//
+//lbm:hot traffic budget=320 assume q=19
 func (v *VelocityInlet) Apply(l *core.Lattice) {
 	rho := v.Rho
 	if rho == 0 {
 		rho = 1
 	}
-	src := l.Src()
-	q := l.Desc.Q
-	feq := make([]float64, q)
+	d := l.Desc
+	var buf block
+	var fArr [core.MaxQ]float64
+	f := fArr[:d.Q]
 	if v.Profile == nil {
-		l.Desc.EquilibriumAll(feq, rho, v.U[0], v.U[1], v.U[2])
-		faceHalo(l, v.Face, func(halo, _ int) {
-			for i := 0; i < q; i++ {
-				src[l.PopIndex(i, halo)] = feq[i]
+		d.EquilibriumAll(f, rho, v.U[0], v.U[1], v.U[2])
+		for c := 0; c < chunk; c++ {
+			buf.store(f, c)
+		}
+	}
+	for j, lines := 0, l.FaceLines(v.Face); j < lines; j++ {
+		halo := l.FaceLine(v.Face, 1, j)
+		for k0 := 0; k0 < halo.Len; k0 += chunk {
+			k1 := min(k0+chunk, halo.Len)
+			if v.Profile != nil {
+				for k := k0; k < k1; k++ {
+					x, y, z := l.Coords(halo.Cell(k))
+					u := v.Profile(clamp(x, l.NX), clamp(y, l.NY), clamp(z, l.NZ))
+					d.EquilibriumAll(f, rho, u[0], u[1], u[2])
+					buf.store(f, k-k0)
+				}
 			}
-			l.Flags[halo] = core.Ghost
-		})
-		return
+			l.ScatterLine(halo, k0, k1, buf[:], chunk)
+		}
+		setFlags(l, halo, core.Ghost)
 	}
-	clamp := func(v, n int) int {
-		if v < 0 {
-			return 0
-		}
-		if v >= n {
-			return n - 1
-		}
-		return v
-	}
-	faceHalo(l, v.Face, func(halo, _ int) {
-		x, y, z := l.Coords(halo)
-		u := v.Profile(clamp(x, l.NX), clamp(y, l.NY), clamp(z, l.NZ))
-		l.Desc.EquilibriumAll(feq, rho, u[0], u[1], u[2])
-		for i := 0; i < q; i++ {
-			src[l.PopIndex(i, halo)] = feq[i]
-		}
-		l.Flags[halo] = core.Ghost
-	})
 }
 
 // PressureOutlet imposes a density (pressure p = ρ c_s²) on a face; the
@@ -150,35 +155,47 @@ type PressureOutlet struct {
 func (p *PressureOutlet) Name() string { return fmt.Sprintf("pressure-outlet(%v)", p.Face) }
 
 // Apply implements Condition.
+//
+//lbm:hot traffic budget=320 assume q=19
 func (p *PressureOutlet) Apply(l *core.Lattice) {
 	rho := p.Rho
 	if rho == 0 {
 		rho = 1
 	}
-	src := l.Src()
-	q := l.Desc.Q
 	d := l.Desc
-	feq := make([]float64, q)
-	faceHalo(l, p.Face, func(halo, inner int) {
-		var r, jx, jy, jz float64
-		for i := 0; i < q; i++ {
-			fi := src[l.PopIndex(i, inner)]
-			r += fi
-			c := d.C[i]
-			jx += fi * float64(c[0])
-			jy += fi * float64(c[1])
-			jz += fi * float64(c[2])
+	var buf block
+	var fArr [core.MaxQ]float64
+	f := fArr[:d.Q]
+	for j, lines := 0, l.FaceLines(p.Face); j < lines; j++ {
+		halo, inner := l.FaceLine(p.Face, 1, j), l.FaceLine(p.Face, 0, j)
+		for k0 := 0; k0 < halo.Len; k0 += chunk {
+			k1 := min(k0+chunk, halo.Len)
+			l.GatherLine(inner, k0, k1, buf[:], chunk)
+			for c := 0; c < k1-k0; c++ {
+				buf.load(f, c)
+				r, jx, jy, jz := d.Moments(f)
+				var ux, uy, uz float64
+				if r > 0 {
+					ux, uy, uz = jx/r, jy/r, jz/r
+				}
+				d.EquilibriumAll(f, rho, ux, uy, uz)
+				buf.store(f, c)
+			}
+			l.ScatterLine(halo, k0, k1, buf[:], chunk)
 		}
-		var ux, uy, uz float64
-		if r > 0 {
-			ux, uy, uz = jx/r, jy/r, jz/r
-		}
-		d.EquilibriumAll(feq, rho, ux, uy, uz)
-		for i := 0; i < q; i++ {
-			src[l.PopIndex(i, halo)] = feq[i]
-		}
-		l.Flags[halo] = core.Ghost
-	})
+		setFlags(l, halo, core.Ghost)
+	}
+}
+
+// copyFace fills the halo of a face from the facing interior cells:
+// halo population i takes interior population perm[i] (i when perm is
+// nil).
+func copyFace(l *core.Lattice, f core.Face, perm []int) {
+	for j, n := 0, l.FaceLines(f); j < n; j++ {
+		halo := l.FaceLine(f, 1, j)
+		l.CopyLine(halo, l.FaceLine(f, 0, j), perm)
+		setFlags(l, halo, core.Ghost)
+	}
 }
 
 // Outflow is a zero-gradient (copy) outflow: the halo mirrors the adjacent
@@ -191,16 +208,7 @@ type Outflow struct {
 func (o *Outflow) Name() string { return fmt.Sprintf("outflow(%v)", o.Face) }
 
 // Apply implements Condition.
-func (o *Outflow) Apply(l *core.Lattice) {
-	src := l.Src()
-	q := l.Desc.Q
-	faceHalo(l, o.Face, func(halo, inner int) {
-		for i := 0; i < q; i++ {
-			src[l.PopIndex(i, halo)] = src[l.PopIndex(i, inner)]
-		}
-		l.Flags[halo] = core.Ghost
-	})
-}
+func (o *Outflow) Apply(l *core.Lattice) { copyFace(l, o.Face, nil) }
 
 // NoSlip marks the halo of a face as a solid wall, turning the face into a
 // bounce-back plate positioned half a cell outside the first fluid layer.
@@ -213,9 +221,9 @@ func (w *NoSlip) Name() string { return fmt.Sprintf("no-slip(%v)", w.Face) }
 
 // Apply implements Condition.
 func (w *NoSlip) Apply(l *core.Lattice) {
-	faceHalo(l, w.Face, func(halo, _ int) {
-		l.Flags[halo] = core.Wall
-	})
+	for j, n := 0, l.FaceLines(w.Face); j < n; j++ {
+		setFlags(l, l.FaceLine(w.Face, 1, j), core.Wall)
+	}
 }
 
 // MovingNoSlip is a bounce-back plate moving tangentially with velocity U
@@ -230,12 +238,15 @@ func (w *MovingNoSlip) Name() string { return fmt.Sprintf("moving-no-slip(%v)", 
 
 // Apply implements Condition.
 func (w *MovingNoSlip) Apply(l *core.Lattice) {
-	faceHalo(l, w.Face, func(halo, _ int) {
-		if l.Flags[halo] != core.MovingWall {
-			x, y, z := l.Coords(halo)
-			l.SetMovingWall(x, y, z, w.U[0], w.U[1], w.U[2])
+	for j, n := 0, l.FaceLines(w.Face); j < n; j++ {
+		halo := l.FaceLine(w.Face, 1, j)
+		for k := 0; k < halo.Len; k++ {
+			if idx := halo.Cell(k); l.Flags[idx] != core.MovingWall {
+				x, y, z := l.Coords(idx)
+				l.SetMovingWall(x, y, z, w.U[0], w.U[1], w.U[2])
+			}
 		}
-	})
+	}
 }
 
 // FreeSlip is a specular-reflection plane: the halo receives the interior
@@ -250,22 +261,7 @@ func (fs *FreeSlip) Name() string { return fmt.Sprintf("free-slip(%v)", fs.Face)
 
 // Apply implements Condition.
 func (fs *FreeSlip) Apply(l *core.Lattice) {
-	axis := 0
-	switch fs.Face {
-	case core.FaceYMin, core.FaceYMax:
-		axis = 1
-	case core.FaceZMin, core.FaceZMax:
-		axis = 2
-	}
-	mirror := mirrorTable(l.Desc, axis)
-	src := l.Src()
-	q := l.Desc.Q
-	faceHalo(l, fs.Face, func(halo, inner int) {
-		for i := 0; i < q; i++ {
-			src[l.PopIndex(i, halo)] = src[l.PopIndex(mirror[i], inner)]
-		}
-		l.Flags[halo] = core.Ghost
-	})
+	copyFace(l, fs.Face, mirrorTable(l.Desc, int(fs.Face)/2))
 }
 
 // Periodic wraps one axis (0=x, 1=y, 2=z) periodically each step.

@@ -290,7 +290,8 @@ func stepperBackend(name string, stepper func(l *core.Lattice) (psolve.Stepper, 
 // Backends returns the full conformance matrix (every entry must match
 // the serial reference bit-for-bit):
 //
-//   - serial kernel variants (unfused two-pass, data-parallel fused),
+//   - the unfused two-pass kernel and the default stepping path of every
+//     single-lattice consumer (unblocked AA through a two-worker pool),
 //   - the in-place AA-pattern kernel: plain, cache-blocked and through
 //     the persistent worker pool, plus a distributed run on AA ranks,
 //   - the single-rank distributed solver (validates the mpi plumbing),
@@ -305,8 +306,8 @@ func Backends() []Backend {
 		{Name: "core/unfused", Run: func(c *Case) (*core.MacroField, error) {
 			return c.RunSerial((*core.Lattice).StepUnfused)
 		}},
-		{Name: "core/parallel", Run: func(c *Case) (*core.MacroField, error) {
-			return c.RunSerial(func(l *core.Lattice) { l.StepFusedParallel(0) })
+		{Name: "core/pool", Run: func(c *Case) (*core.MacroField, error) {
+			return c.RunSerialAA(0, 0, 2)
 		}},
 		{Name: "core/aa", Run: func(c *Case) (*core.MacroField, error) {
 			return c.RunSerialAA(0, 0, 1)

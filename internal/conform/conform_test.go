@@ -114,7 +114,7 @@ func TestBackendNamesCoverIssueMatrix(t *testing.T) {
 		have[n] = true
 	}
 	for _, want := range []string{
-		"core/unfused", "core/parallel",
+		"core/unfused", "core/pool",
 		"psolve/1x1", "psolve/2x1", "psolve/1x2", "psolve/4x1",
 		"psolve/2x2", "psolve/2x2-onthefly", "psolve/8x1", "psolve/4x2",
 		"block3d/1x1x2", "block3d/1x2x2", "block3d/2x2x2",

@@ -22,9 +22,10 @@ import "math"
 // slot i of cell y is unused by the shifted rule precisely when y+c_i
 // leaves the allocation, so the combined map is a bijection on the whole
 // q×N slot space and every logical population of every allocated cell has
-// exactly one home at both parities. PopIndex implements the map;
-// phase-dependent code (halo wrap, face pack/unpack, boundary conditions,
-// snapshot capture) goes through it and inherits correctness from the
+// exactly one home at both parities. PopIndex implements the map per
+// slot and lineBase (halo.go) per line of cells; phase-dependent code
+// (halo wrap, face pack/unpack, boundary conditions, checkpoints, snapshot
+// capture) goes through one of them and inherits correctness from the
 // bijection.
 //
 // The even-step kernel gathers exactly like the double-buffer pull kernel
@@ -50,7 +51,7 @@ func (l *Lattice) aaOddPhase() bool { return l.aa && l.step&1 == 1 }
 // step count the populations are permuted into the odd-phase layout so a
 // checkpointed odd-parity state can resume in place. Calling it again is a
 // no-op. AA lattices advance through StepFused / StepRegion+CompleteStep /
-// StepFusedParallel / Pool exactly like double-buffered ones, but
+// Pool exactly like double-buffered ones, but
 // SwapBuffers (an out-of-place-update escape hatch) panics.
 func (l *Lattice) EnableAA() {
 	if l.aa {
@@ -98,19 +99,6 @@ func (l *Lattice) PopIndex(i, idx int) int {
 	return i*l.N + idx
 }
 
-// popSlotAA is PopIndex for callers that already know the interior
-// coordinates (x, y, z) of cell idx (halo coordinates −1 and N{X,Y,Z}
-// included): it skips the div/mod coordinate recovery, which dominates
-// PopIndex's cost in halo-layer loops. Valid at odd AA parity only.
-func (l *Lattice) popSlotAA(i, idx, x, y, z int) int {
-	c := l.Desc.C[i]
-	x, y, z = x+c[0], y+c[1], z+c[2]
-	if x >= -1 && x <= l.NX && y >= -1 && y <= l.NY && z >= -1 && z <= l.NZ {
-		return l.Desc.Opp[i]*l.N + idx + l.offs[i]
-	}
-	return i*l.N + idx
-}
-
 // PopBase returns the base offset b such that Src()[b+idx] is logical
 // population i of cell idx, valid for interior cells only (an interior
 // cell's shifted slot never leaves the allocation, so the base is uniform
@@ -135,7 +123,7 @@ func (l *Lattice) AATiles() (ty, tz int) { return l.aaTileY, l.aaTileZ }
 
 // stepAAYRange applies the current-parity AA kernel to interior rows
 // y0 ≤ y < y1, tiled per SetAATiles. It does not advance the step counter;
-// it is the unit of work for the serial, spawn-parallel and pool drivers.
+// it is the unit of work for the serial and pool drivers.
 func (l *Lattice) stepAAYRange(y0, y1 int) {
 	ty, tz := l.aaTileY, l.aaTileZ
 	if ty <= 0 || ty > y1-y0 {

@@ -145,16 +145,6 @@ func TestAAPoolBitIdentical(t *testing.T) {
 	}
 }
 
-// TestAAParallelBitIdentical checks the spawn-per-step parallel driver's
-// AA path.
-func TestAAParallelBitIdentical(t *testing.T) {
-	ref, aa := buildPair(t, 6, 6, 6, 0.75, true)
-	for s := 1; s <= 4; s++ {
-		stepBoth(ref, aa, func(l *Lattice) { l.StepFusedParallel(3) })
-		compareLogical(t, ref, aa, s)
-	}
-}
-
 // TestAAOnTheFlyRegions drives the AA lattice through the
 // StepRegion/CompleteStep API (the on-the-fly overlap path) and compares
 // against the reference at both parities.

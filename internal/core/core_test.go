@@ -144,40 +144,6 @@ func TestFusedUnfusedEquivalence(t *testing.T) {
 	}
 }
 
-// TestParallelEquivalence: the goroutine-parallel driver must produce
-// bit-identical results to the serial kernel.
-func TestParallelEquivalence(t *testing.T) {
-	build := func() *Lattice {
-		l := newTestLattice(t, 10, 12, 6, 0.65)
-		l.SetWall(5, 6, 3)
-		l.SetMovingWall(2, 2, 2, 0.05, 0, 0)
-		for y := 0; y < l.NY; y++ {
-			for x := 0; x < l.NX; x++ {
-				for z := 0; z < l.NZ; z++ {
-					if l.CellTypeAt(x, y, z) == Fluid {
-						l.SetCell(x, y, z, 1.0,
-							0.02*math.Sin(float64(x)), 0.02*math.Cos(float64(z)), 0)
-					}
-				}
-			}
-		}
-		return l
-	}
-	a, b := build(), build()
-	for s := 0; s < 8; s++ {
-		a.PeriodicAll()
-		a.StepFused()
-		b.PeriodicAll()
-		b.StepFusedParallel(4)
-	}
-	fa, fb := a.Src(), b.Src()
-	for i := range fa {
-		if fa[i] != fb[i] {
-			t.Fatalf("parallel kernel diverged at %d", i)
-		}
-	}
-}
-
 // TestMassMomentumConservationPeriodic: with periodic boundaries and no
 // walls, total mass and momentum are conserved to rounding.
 func TestMassMomentumConservationPeriodic(t *testing.T) {
@@ -490,16 +456,6 @@ func BenchmarkStepFused16(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		l.PeriodicAll()
 		l.StepFused()
-	}
-}
-
-func BenchmarkStepFusedParallel32(b *testing.B) {
-	l := newTestLattice(b, 32, 32, 32, 0.8)
-	b.SetBytes(int64(32 * 32 * 32 * l.Desc.Q * 8 * 2))
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		l.PeriodicAll()
-		l.StepFusedParallel(0)
 	}
 }
 

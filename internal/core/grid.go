@@ -67,7 +67,9 @@ type Lattice struct {
 	// F holds the two population copies of the A–B pattern. Population q
 	// of cell idx lives at F[b][q*N+idx]. F[src] holds the post-collision
 	// values of the previous step; the fused kernel gathers from it and
-	// writes into F[1−src].
+	// writes into F[1−src]. Only F[0] exists until a double-buffer stepper
+	// first asks for Dst(), so a lattice stepped in place (AA) never has
+	// the second array resident.
 	F [2][]float64
 
 	// Flags holds the cell classification for every allocated cell.
@@ -131,7 +133,6 @@ func NewLattice(desc *lattice.Descriptor, nx, ny, nz int, tau float64) (*Lattice
 		Tau:     tau,
 	}
 	lat.F[0] = make([]float64, desc.Q*n)
-	lat.F[1] = make([]float64, desc.Q*n)
 	lat.offs = make([]int, desc.Q)
 	for q := 0; q < desc.Q; q++ {
 		c := desc.C[q]
@@ -180,8 +181,18 @@ func (l *Lattice) SetStep(s int) { l.step = s }
 func (l *Lattice) Src() []float64 { return l.F[l.src] }
 
 // Dst returns the buffer the next fused step will write into (nil for AA
-// lattices, which update in place).
-func (l *Lattice) Dst() []float64 { return l.F[1-l.src] }
+// lattices, which update in place). The second array is allocated here, on
+// first use, as a copy of the current state, so its halo and solid cells
+// start from the same values as the source's.
+func (l *Lattice) Dst() []float64 {
+	if l.aa {
+		return nil
+	}
+	if l.F[1-l.src] == nil {
+		l.F[1-l.src] = append([]float64(nil), l.F[l.src]...)
+	}
+	return l.F[1-l.src]
+}
 
 // SwapBuffers flips the A–B buffers; used by kernels that run the update
 // out-of-place externally (e.g. the Sunway-simulated solver). AA lattices
@@ -194,26 +205,29 @@ func (l *Lattice) SwapBuffers() {
 	l.step++
 }
 
-// InitEquilibrium sets every allocated cell of both buffers (or of the
-// single AA array, phase-aware) to the equilibrium distribution of the
+// InitEquilibrium sets every allocated cell of every resident buffer (the
+// single AA array phase-aware) to the equilibrium distribution of the
 // given uniform state.
 func (l *Lattice) InitEquilibrium(rho, ux, uy, uz float64) {
-	feq := make([]float64, l.Desc.Q)
+	var feqArr [MaxQ]float64
+	feq := feqArr[:l.Desc.Q]
 	l.Desc.EquilibriumAll(feq, rho, ux, uy, uz)
 	if l.aaOddPhase() {
 		for idx := 0; idx < l.N; idx++ {
-			for q := 0; q < l.Desc.Q; q++ {
+			for q := range feq {
 				l.F[0][l.PopIndex(q, idx)] = feq[q]
 			}
 		}
 		return
 	}
-	for q := 0; q < l.Desc.Q; q++ {
-		base := q * l.N
-		for i := 0; i < l.N; i++ {
-			l.F[0][base+i] = feq[q]
-			if l.F[1] != nil {
-				l.F[1][base+i] = feq[q]
+	for _, f := range l.F {
+		if f == nil {
+			continue
+		}
+		for q := range feq {
+			row := f[q*l.N : (q+1)*l.N]
+			for i := range row {
+				row[i] = feq[q]
 			}
 		}
 	}
@@ -222,12 +236,9 @@ func (l *Lattice) InitEquilibrium(rho, ux, uy, uz float64) {
 // SetCell sets the populations of one cell (in the current buffer) to the
 // equilibrium of the given state. Used to impose initial conditions.
 func (l *Lattice) SetCell(x, y, z int, rho, ux, uy, uz float64) {
-	feq := make([]float64, l.Desc.Q)
-	l.Desc.EquilibriumAll(feq, rho, ux, uy, uz)
-	idx := l.Idx(x, y, z)
-	for q := 0; q < l.Desc.Q; q++ {
-		l.F[l.src][l.PopIndex(q, idx)] = feq[q]
-	}
+	var feq [MaxQ]float64
+	l.Desc.EquilibriumAll(feq[:l.Desc.Q], rho, ux, uy, uz)
+	l.SetPopulations(x, y, z, feq[:])
 }
 
 // SetWall marks the cell as a solid no-slip wall.

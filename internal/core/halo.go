@@ -32,6 +32,225 @@ func (f Face) String() string {
 	return "?"
 }
 
+// Line is a full-extent straight run of allocated cells — a z-row at a
+// fixed (x, y) or an x-row at a fixed (y, z) — the unit the halo and
+// boundary layers stream over. Cell k of the line has flat index
+// Idx + k*Stride.
+type Line struct {
+	Idx    int // flat index of the first cell
+	Stride int // 1 along z, AZ along x
+	Len    int // AZ or AX
+	// axis is the running axis (0 or 2); edge[a] is −1 where the line sits
+	// at allocated coordinate 0 of the fixed axis a, +1 at the last one.
+	axis int
+	edge [3]int
+}
+
+// Cell returns the flat index of the line's k-th cell.
+func (ln Line) Cell(k int) int { return ln.Idx + k*ln.Stride }
+
+func edgeOf(a, n int) int {
+	switch a {
+	case 0:
+		return -1
+	case n - 1:
+		return 1
+	}
+	return 0
+}
+
+// ZLine returns the z-row at allocated coordinates (ax, ay).
+func (l *Lattice) ZLine(ax, ay int) Line {
+	return Line{Idx: (ay*l.AX + ax) * l.AZ, Stride: 1, Len: l.AZ, axis: 2,
+		edge: [3]int{edgeOf(ax, l.AX), edgeOf(ay, l.AY), 0}}
+}
+
+func (l *Lattice) xLine(ay, az int) Line {
+	return Line{Idx: ay*l.AX*l.AZ + az, Stride: l.AZ, Len: l.AX, axis: 0,
+		edge: [3]int{0, edgeOf(ay, l.AY), edgeOf(az, l.AZ)}}
+}
+
+// FaceLines returns the number of lines that tile a one-cell-thick layer
+// at face f: z-rows for the x and y faces, x-rows for the z faces. The
+// layers cover the full allocated extent of the tangential axes so that
+// diagonal neighbours are satisfied after the axes run in sequence.
+func (l *Lattice) FaceLines(f Face) int {
+	if f == FaceYMin || f == FaceYMax {
+		return l.AX
+	}
+	return l.AY
+}
+
+// FaceLine returns line j of the layer at face f: layer 0 is the interior
+// boundary layer (what gets sent, and what a boundary condition reads),
+// layer 1 the halo layer (what gets received or imposed). Line j of
+// either layer faces line j of the other across the boundary, and the
+// lines in order enumerate the layer in PackFace's wire order.
+func (l *Lattice) FaceLine(f Face, layer, j int) Line {
+	switch f {
+	case FaceXMin:
+		return l.ZLine(1-layer, j)
+	case FaceXMax:
+		return l.ZLine(l.AX-2+layer, j)
+	case FaceYMin:
+		return l.ZLine(j, 1-layer)
+	case FaceYMax:
+		return l.ZLine(j, l.AY-2+layer)
+	case FaceZMin:
+		return l.xLine(j, 1-layer)
+	}
+	return l.xLine(j, l.AZ-2+layer)
+}
+
+// FaceCells returns the number of cells in one face layer (including the
+// tangential halo extent), i.e. the element count of a packed face buffer
+// divided by Q.
+func (l *Lattice) FaceCells(f Face) int {
+	return l.FaceLines(f) * l.FaceLine(f, 0, 0).Len
+}
+
+// lineBase locates logical population i of the line's cells under the
+// current storage phase: cell k holds it at Src()[b+ln.Cell(k)] for
+// lo ≤ k < hi and in its natural slot i*N+ln.Cell(k) otherwise. Double
+// buffers and the even AA phase are natural throughout. At odd AA phase
+// the base is the shifted one (PopBase) unless c_i points out of the
+// allocation: across a fixed axis that parks the whole line in natural
+// slots (the edge rows), along the running axis only the one end cell.
+func (l *Lattice) lineBase(ln *Line, i int) (b, lo, hi int) {
+	if l.aaOddPhase() {
+		c := &l.Desc.C[i]
+		if c[0]*ln.edge[0] <= 0 && c[1]*ln.edge[1] <= 0 && c[2]*ln.edge[2] <= 0 {
+			lo, hi = 0, ln.Len
+			if c[ln.axis] < 0 {
+				lo = 1
+			} else if c[ln.axis] > 0 {
+				hi--
+			}
+			return l.Desc.Opp[i]*l.N + l.offs[i], lo, hi
+		}
+	}
+	return i * l.N, 0, ln.Len
+}
+
+// GatherLine copies the Q logical populations of cells k0 ≤ k < k1 of the
+// line out of the current buffer into buf, population-major with row pitch
+// pitch ≥ k1−k0: population i of cell k at buf[i*pitch+k−k0]. Each
+// population is one contiguous run, so z-rows move at memmove speed.
+func (l *Lattice) GatherLine(ln Line, k0, k1 int, buf []float64, pitch int) {
+	for i := 0; i < l.Desc.Q; i++ {
+		l.gatherPop(&ln, i, k0, k1, buf[i*pitch:])
+	}
+}
+
+// ScatterLine is the inverse of GatherLine: it writes the population-major
+// block buf into the logical populations of cells k0 ≤ k < k1.
+func (l *Lattice) ScatterLine(ln Line, k0, k1 int, buf []float64, pitch int) {
+	for i := 0; i < l.Desc.Q; i++ {
+		l.scatterPop(&ln, i, k0, k1, buf[i*pitch:])
+	}
+}
+
+// LinePopulation copies logical population i of every cell of the line
+// into out (length ≥ ln.Len), in line order.
+func (l *Lattice) LinePopulation(ln Line, i int, out []float64) {
+	l.gatherPop(&ln, i, 0, ln.Len, out)
+}
+
+// gatherPop copies logical population i of cells k0 ≤ k < k1 into out.
+//
+//lbm:hot traffic budget=16
+func (l *Lattice) gatherPop(ln *Line, i, k0, k1 int, out []float64) {
+	src := l.F[l.src]
+	b, lo, hi := l.lineBase(ln, i)
+	m0, m1 := max(k0, lo), min(k1, hi)
+	if ln.Stride == 1 {
+		copy(out[m0-k0:m1-k0], src[b+ln.Idx+m0:])
+	} else {
+		for k := m0; k < m1; k++ {
+			out[k-k0] = src[b+ln.Cell(k)]
+		}
+	}
+	// The end cells that park in their natural slot.
+	if k0 < m0 {
+		out[0] = src[i*l.N+ln.Cell(k0)]
+	}
+	if m1 < k1 {
+		out[m1-k0] = src[i*l.N+ln.Cell(m1)]
+	}
+}
+
+// scatterPop writes in into logical population i of cells k0 ≤ k < k1.
+//
+//lbm:hot traffic budget=16
+func (l *Lattice) scatterPop(ln *Line, i, k0, k1 int, in []float64) {
+	src := l.F[l.src]
+	b, lo, hi := l.lineBase(ln, i)
+	m0, m1 := max(k0, lo), min(k1, hi)
+	if ln.Stride == 1 {
+		copy(src[b+ln.Idx+m0:b+ln.Idx+m1], in[m0-k0:m1-k0])
+	} else {
+		for k := m0; k < m1; k++ {
+			src[b+ln.Cell(k)] = in[k-k0]
+		}
+	}
+	if k0 < m0 {
+		src[i*l.N+ln.Cell(k0)] = in[0]
+	}
+	if m1 < k1 {
+		src[i*l.N+ln.Cell(m1)] = in[m1-k0]
+	}
+}
+
+// CopyLine sets logical population i of every cell of dst to population
+// perm[i] (i itself when perm is nil) of the facing cell of src, in the
+// current buffer. Distinct (cell, population) pairs never share a slot,
+// so copies between disjoint lines are order-safe in place.
+func (l *Lattice) CopyLine(dst, src Line, perm []int) {
+	for i := 0; i < l.Desc.Q; i++ {
+		j := i
+		if perm != nil {
+			j = perm[i]
+		}
+		l.copyPop(&dst, i, &src, j)
+	}
+}
+
+// copyPop sets population i of every cell of dst to population j of the
+// facing cell of src.
+//
+//lbm:hot traffic budget=16
+func (l *Lattice) copyPop(dst *Line, i int, src *Line, j int) {
+	f := l.F[l.src]
+	last := dst.Len - 1
+	db, dlo, dhi := l.lineBase(dst, i)
+	sb, slo, shi := l.lineBase(src, j)
+	lo, hi := max(dlo, slo), min(dhi, shi)
+	if dst.Stride == 1 && src.Stride == 1 {
+		copy(f[db+dst.Idx+lo:db+dst.Idx+hi], f[sb+src.Idx+lo:])
+	} else {
+		for k := lo; k < hi; k++ {
+			f[db+dst.Cell(k)] = f[sb+src.Cell(k)]
+		}
+	}
+	// The end cells where either side parks in its natural slot.
+	if lo > 0 {
+		f[l.slot(dst, i, 0)] = f[l.slot(src, j, 0)]
+	}
+	if hi <= last {
+		f[l.slot(dst, i, last)] = f[l.slot(src, j, last)]
+	}
+}
+
+// slot returns the index in Src() of logical population i of the line's
+// k-th cell (PopIndex without the coordinate recovery).
+func (l *Lattice) slot(ln *Line, i, k int) int {
+	b, lo, hi := l.lineBase(ln, i)
+	if k < lo || k >= hi {
+		b = i * l.N
+	}
+	return b + ln.Cell(k)
+}
+
 // PeriodicAll copies the interior boundary layers of the current buffer
 // into the opposite halo layers for all three axes, including the edge and
 // corner cells (copied transitively by doing the axes in sequence over the
@@ -47,143 +266,52 @@ func (l *Lattice) PeriodicAll() {
 // PeriodicAxis wraps the halo of one axis (0=x, 1=y, 2=z) periodically.
 // The copy spans the entire allocated extent of the other two axes so that
 // successive calls for different axes fill edges and corners correctly.
+// The sources (interior boundary layers) are never destinations (halo
+// layers), so the in-place copies are order-safe at either storage phase.
 //
-// Each inner iteration copies TWO cells (the low and the high face), so
-// the budget is two cells' worth of copy traffic: 2 × (19 reads + 19
-// writes of float64 + the flag byte).
+// Each iteration wraps one line pair, i.e. per cell pair 2 × (19 reads +
+// 19 writes of float64, priced in copyPop) plus the flag bytes here. The
+// two wraps of a population run back to back: on the z faces they share
+// their cache lines.
 //
 //lbm:hot traffic budget=616 assume q=19
 func (l *Lattice) PeriodicAxis(axis int) {
-	if l.aaOddPhase() {
-		l.periodicAxisAA(axis)
-		return
-	}
-	src := l.F[l.src]
-	n := l.N
-	q := l.Desc.Q
-	copyCell := func(dstIdx, srcIdx int) {
-		for i := 0; i < q; i++ {
-			src[i*n+dstIdx] = src[i*n+srcIdx]
+	lo, hi := Face(2*axis), Face(2*axis+1)
+	for j, n := 0, l.FaceLines(lo); j < n; j++ {
+		loHalo, loIn := l.FaceLine(lo, 1, j), l.FaceLine(lo, 0, j)
+		hiHalo, hiIn := l.FaceLine(hi, 1, j), l.FaceLine(hi, 0, j)
+		for i := 0; i < l.Desc.Q; i++ {
+			l.copyPop(&loHalo, i, &hiIn, i)
+			l.copyPop(&hiHalo, i, &loIn, i)
 		}
-		if l.Flags[srcIdx] != Ghost {
-			l.Flags[dstIdx] = l.Flags[srcIdx]
-		}
-	}
-	switch axis {
-	case 0:
-		for ay := 0; ay < l.AY; ay++ {
-			for az := 0; az < l.AZ; az++ {
-				lo := (ay*l.AX+0)*l.AZ + az
-				hi := (ay*l.AX+l.AX-1)*l.AZ + az
-				loSrc := (ay*l.AX+l.AX-2)*l.AZ + az
-				hiSrc := (ay*l.AX+1)*l.AZ + az
-				copyCell(lo, loSrc)
-				copyCell(hi, hiSrc)
+		for k := 0; k < loHalo.Len; k++ {
+			if f := l.Flags[hiIn.Cell(k)]; f != Ghost {
+				l.Flags[loHalo.Cell(k)] = f
 			}
-		}
-	case 1:
-		for ax := 0; ax < l.AX; ax++ {
-			for az := 0; az < l.AZ; az++ {
-				lo := (0*l.AX+ax)*l.AZ + az
-				hi := ((l.AY-1)*l.AX+ax)*l.AZ + az
-				loSrc := ((l.AY-2)*l.AX+ax)*l.AZ + az
-				hiSrc := (1*l.AX+ax)*l.AZ + az
-				copyCell(lo, loSrc)
-				copyCell(hi, hiSrc)
-			}
-		}
-	case 2:
-		for ay := 0; ay < l.AY; ay++ {
-			for ax := 0; ax < l.AX; ax++ {
-				base := (ay*l.AX + ax) * l.AZ
-				copyCell(base+0, base+l.AZ-2)
-				copyCell(base+l.AZ-1, base+1)
+			if f := l.Flags[loIn.Cell(k)]; f != Ghost {
+				l.Flags[hiHalo.Cell(k)] = f
 			}
 		}
 	}
-}
-
-// faceRange returns the coordinate ranges (in allocated coordinates) of a
-// one-cell-thick layer at the given face. layer=0 selects the interior
-// boundary layer (what gets sent), layer=1 selects the halo layer (what
-// gets received). The ranges cover the full allocated extent of the
-// tangential axes so that diagonal neighbours are satisfied after the x
-// and y exchanges run in sequence.
-func (l *Lattice) faceRange(f Face, layer int) (x0, x1, y0, y1, z0, z1 int) {
-	x0, x1, y0, y1, z0, z1 = 0, l.AX, 0, l.AY, 0, l.AZ
-	switch f {
-	case FaceXMin:
-		x0, x1 = 1, 2
-		if layer == 1 {
-			x0, x1 = 0, 1
-		}
-	case FaceXMax:
-		x0, x1 = l.AX-2, l.AX-1
-		if layer == 1 {
-			x0, x1 = l.AX-1, l.AX
-		}
-	case FaceYMin:
-		y0, y1 = 1, 2
-		if layer == 1 {
-			y0, y1 = 0, 1
-		}
-	case FaceYMax:
-		y0, y1 = l.AY-2, l.AY-1
-		if layer == 1 {
-			y0, y1 = l.AY-1, l.AY
-		}
-	case FaceZMin:
-		z0, z1 = 1, 2
-		if layer == 1 {
-			z0, z1 = 0, 1
-		}
-	case FaceZMax:
-		z0, z1 = l.AZ-2, l.AZ-1
-		if layer == 1 {
-			z0, z1 = l.AZ-1, l.AZ
-		}
-	}
-	return
-}
-
-// FaceCells returns the number of cells in one face layer (including the
-// tangential halo extent), i.e. the element count of a packed face buffer
-// divided by Q.
-func (l *Lattice) FaceCells(f Face) int {
-	x0, x1, y0, y1, z0, z1 := l.faceRange(f, 0)
-	return (x1 - x0) * (y1 - y0) * (z1 - z0)
 }
 
 // PackFace serialises the populations (and flags) of the interior boundary
 // layer at face f from the current buffer into buf, which must have length
 // ≥ Q*FaceCells(f) float64s. It returns the packed flags alongside so the
 // receiver can mirror obstacle cells that touch the subdomain boundary.
-//
-// Per-cell traffic: 19 population reads + 19 buffer writes (the flag
-// copy rides on the nil-guard path).
+// The wire format — one GatherLine block per line of the layer — is the
+// same at either storage phase, so pack/unpack pairs compose across ranks
+// at different parities.
 //
 //lbm:hot traffic budget=320 assume q=19
 func (l *Lattice) PackFace(f Face, buf []float64, flags []CellType) {
-	if l.aaOddPhase() {
-		l.packFaceAA(f, buf, flags)
-		return
-	}
-	x0, x1, y0, y1, z0, z1 := l.faceRange(f, 0)
-	src := l.F[l.src]
 	q := l.Desc.Q
-	n := l.N
-	k := 0
-	for ay := y0; ay < y1; ay++ {
-		for ax := x0; ax < x1; ax++ {
-			for az := z0; az < z1; az++ {
-				idx := (ay*l.AX+ax)*l.AZ + az
-				for i := 0; i < q; i++ {
-					buf[k*q+i] = src[i*n+idx]
-				}
-				if flags != nil {
-					flags[k] = l.Flags[idx]
-				}
-				k++
+	for j, n := 0, l.FaceLines(f); j < n; j++ {
+		ln := l.FaceLine(f, 0, j)
+		l.GatherLine(ln, 0, ln.Len, buf[j*ln.Len*q:], ln.Len)
+		if flags != nil {
+			for k := 0; k < ln.Len; k++ {
+				flags[j*ln.Len+k] = l.Flags[ln.Cell(k)]
 			}
 		}
 	}
@@ -192,142 +320,21 @@ func (l *Lattice) PackFace(f Face, buf []float64, flags []CellType) {
 // UnpackFace writes a packed face buffer into the halo layer at face f of
 // the current buffer. Flags, if non-nil, update the halo cell
 // classification (so walls spanning subdomain boundaries bounce correctly);
-// Ghost flags in the packed data are preserved as Ghost.
-//
-// Per-cell traffic: 19 buffer reads + 19 population writes plus the
-// flag-guard byte.
+// Ghost flags in the packed data are preserved as Ghost. At odd AA phase
+// populations whose shifted home leaves the allocation park in place and
+// feed the next odd-parity pack or capture, never the kernel.
 //
 //lbm:hot traffic budget=320 assume q=19
 func (l *Lattice) UnpackFace(f Face, buf []float64, flags []CellType) {
-	if l.aaOddPhase() {
-		l.unpackFaceAA(f, buf, flags)
-		return
-	}
-	x0, x1, y0, y1, z0, z1 := l.faceRange(f, 1)
-	src := l.F[l.src]
 	q := l.Desc.Q
-	n := l.N
-	k := 0
-	for ay := y0; ay < y1; ay++ {
-		for ax := x0; ax < x1; ax++ {
-			for az := z0; az < z1; az++ {
-				idx := (ay*l.AX+ax)*l.AZ + az
-				for i := 0; i < q; i++ {
-					src[i*n+idx] = buf[k*q+i]
+	for j, n := 0, l.FaceLines(f); j < n; j++ {
+		ln := l.FaceLine(f, 1, j)
+		l.ScatterLine(ln, 0, ln.Len, buf[j*ln.Len*q:], ln.Len)
+		if flags != nil {
+			for k := 0; k < ln.Len; k++ {
+				if fl := flags[j*ln.Len+k]; fl != Ghost {
+					l.Flags[ln.Cell(k)] = fl
 				}
-				if flags != nil && flags[k] != Ghost {
-					l.Flags[idx] = flags[k]
-				}
-				k++
-			}
-		}
-	}
-}
-
-// periodicAxisAA is the odd-phase PeriodicAxis: the same wrap-around cell
-// copies, but addressing logical populations through the reversed-shifted
-// layout. PopIndex is a bijection on the slot space, so the logical
-// semantics (and thus the resumed even-phase state) match the natural
-// wrap exactly; the sources (interior boundary layers) are never earlier
-// destinations (halo layers) within one call, so the in-place copies are
-// order-safe.
-func (l *Lattice) periodicAxisAA(axis int) {
-	src := l.F[l.src]
-	q := l.Desc.Q
-	copyCell := func(dstIdx, srcIdx, dx, dy, dz, sx, sy, sz int) {
-		for i := 0; i < q; i++ {
-			src[l.popSlotAA(i, dstIdx, dx, dy, dz)] = src[l.popSlotAA(i, srcIdx, sx, sy, sz)]
-		}
-		if l.Flags[srcIdx] != Ghost {
-			l.Flags[dstIdx] = l.Flags[srcIdx]
-		}
-	}
-	switch axis {
-	case 0:
-		for ay := 0; ay < l.AY; ay++ {
-			y := ay - 1
-			for az := 0; az < l.AZ; az++ {
-				z := az - 1
-				lo := (ay*l.AX+0)*l.AZ + az
-				hi := (ay*l.AX+l.AX-1)*l.AZ + az
-				loSrc := (ay*l.AX+l.AX-2)*l.AZ + az
-				hiSrc := (ay*l.AX+1)*l.AZ + az
-				copyCell(lo, loSrc, -1, y, z, l.NX-1, y, z)
-				copyCell(hi, hiSrc, l.NX, y, z, 0, y, z)
-			}
-		}
-	case 1:
-		for ax := 0; ax < l.AX; ax++ {
-			x := ax - 1
-			for az := 0; az < l.AZ; az++ {
-				z := az - 1
-				lo := (0*l.AX+ax)*l.AZ + az
-				hi := ((l.AY-1)*l.AX+ax)*l.AZ + az
-				loSrc := ((l.AY-2)*l.AX+ax)*l.AZ + az
-				hiSrc := (1*l.AX+ax)*l.AZ + az
-				copyCell(lo, loSrc, x, -1, z, x, l.NY-1, z)
-				copyCell(hi, hiSrc, x, l.NY, z, x, 0, z)
-			}
-		}
-	case 2:
-		for ay := 0; ay < l.AY; ay++ {
-			y := ay - 1
-			for ax := 0; ax < l.AX; ax++ {
-				x := ax - 1
-				base := (ay*l.AX + ax) * l.AZ
-				copyCell(base+0, base+l.AZ-2, x, y, -1, x, y, l.NZ-1)
-				copyCell(base+l.AZ-1, base+1, x, y, l.NZ, x, y, 0)
-			}
-		}
-	}
-}
-
-// packFaceAA packs the interior boundary layer at odd AA parity: the same
-// logical populations as the natural pack, read through PopIndex, so the
-// wire format is phase-independent and pack/unpack pairs compose across
-// ranks at different storage phases.
-func (l *Lattice) packFaceAA(f Face, buf []float64, flags []CellType) {
-	x0, x1, y0, y1, z0, z1 := l.faceRange(f, 0)
-	src := l.F[l.src]
-	q := l.Desc.Q
-	k := 0
-	for ay := y0; ay < y1; ay++ {
-		for ax := x0; ax < x1; ax++ {
-			for az := z0; az < z1; az++ {
-				idx := (ay*l.AX+ax)*l.AZ + az
-				for i := 0; i < q; i++ {
-					buf[k*q+i] = src[l.popSlotAA(i, idx, ax-1, ay-1, az-1)]
-				}
-				if flags != nil {
-					flags[k] = l.Flags[idx]
-				}
-				k++
-			}
-		}
-	}
-}
-
-// unpackFaceAA writes a packed face buffer into the halo layer at odd AA
-// parity, placing each logical population into its reversed-shifted slot
-// (or the natural fallback slot for populations whose shifted home leaves
-// the allocation — those park in place and feed the next odd-parity pack
-// or capture, never the kernel).
-func (l *Lattice) unpackFaceAA(f Face, buf []float64, flags []CellType) {
-	x0, x1, y0, y1, z0, z1 := l.faceRange(f, 1)
-	src := l.F[l.src]
-	q := l.Desc.Q
-	k := 0
-	for ay := y0; ay < y1; ay++ {
-		for ax := x0; ax < x1; ax++ {
-			for az := z0; az < z1; az++ {
-				idx := (ay*l.AX+ax)*l.AZ + az
-				for i := 0; i < q; i++ {
-					src[l.popSlotAA(i, idx, ax-1, ay-1, az-1)] = buf[k*q+i]
-				}
-				if flags != nil && flags[k] != Ghost {
-					l.Flags[idx] = flags[k]
-				}
-				k++
 			}
 		}
 	}

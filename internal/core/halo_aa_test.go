@@ -41,8 +41,10 @@ func TestPackFaceWireFormatPhaseIndependent(t *testing.T) {
 				if flagsR[k] != Fluid {
 					continue // non-fluid populations are undefined
 				}
+				n := ref.FaceLine(f, 0, 0).Len // cell k = line k/n, position k%n
 				for i := 0; i < q; i++ {
-					r, a := bufR[k*q+i], bufA[k*q+i]
+					o := k/n*n*q + i*n + k%n
+					r, a := bufR[o], bufA[o]
 					if math.Float64bits(r) != math.Float64bits(a) {
 						t.Fatalf("step %d (%s parity) face %v cell %d pop %d: %v (ref) != %v (aa)",
 							step, parity, f, k, i, r, a)
@@ -53,56 +55,101 @@ func TestPackFaceWireFormatPhaseIndependent(t *testing.T) {
 	}
 }
 
-// TestPackUnpackFaceAAOddParity transfers an AA sender's x+ boundary
-// into an AA receiver's x- halo while both sit at odd storage parity
-// (the reversed-shifted layout), then checks the receiver's logical
-// halo populations and flags against the sender's boundary — the
-// odd-parity analogue of TestPackUnpackFaceRoundTrip, exercising
-// packFaceAA and unpackFaceAA including the natural-slot fallback for
-// halo cells whose shifted home leaves the allocation.
-func TestPackUnpackFaceAAOddParity(t *testing.T) {
-	mk := func() *Lattice {
-		l := newTestLattice(t, 6, 5, 4, 0.8)
-		for y := 0; y < l.NY; y++ {
-			for x := 0; x < l.NX; x++ {
-				for z := 0; z < l.NZ; z++ {
-					l.SetCell(x, y, z, 1+0.01*float64(x+2*y+3*z),
-						0.01*float64(x), 0.01*float64(y), 0.01*float64(z))
+// phaseLattice builds a non-cubic lattice whose every allocated cell
+// (halo included) holds distinct populations derived from seed, with
+// walls on the boundary layers, in the given storage: "db" (double
+// buffer), "even" or "odd" (AA at that phase). All three hold the same
+// logical state.
+func phaseLattice(t testing.TB, storage string, seed float64) *Lattice {
+	t.Helper()
+	l := newTestLattice(t, 5, 4, 6, 0.8)
+	f := make([]float64, l.Desc.Q)
+	for y := -1; y <= l.NY; y++ {
+		for x := -1; x <= l.NX; x++ {
+			for z := -1; z <= l.NZ; z++ {
+				for i := range f {
+					f[i] = seed + float64(l.Idx(x, y, z)) + float64(i)/32
 				}
+				l.SetPopulations(x, y, z, f)
 			}
 		}
-		l.SetWall(5, 2, 2) // wall on the x+ boundary layer
+	}
+	l.SetWall(0, 1, 2)
+	l.SetWall(l.NX-1, 2, 0)
+	l.SetWall(2, 0, l.NZ-1)
+	l.SetMovingWall(3, l.NY-1, 3, 0.01, 0, 0)
+	switch storage {
+	case "even":
 		l.EnableAA()
-		l.PeriodicAll()
-		l.StepFused() // step 1: odd parity
-		return l
+	case "odd":
+		l.SetStep(1)
+		l.EnableAA()
 	}
-	a, b := mk(), mk()
-	if !a.aaOddPhase() {
-		t.Fatal("sender must be at odd AA parity")
-	}
-	nc := a.FaceCells(FaceXMax)
-	buf := make([]float64, a.Desc.Q*nc)
-	flags := make([]CellType, nc)
-	a.PackFace(FaceXMax, buf, flags)
-	b.UnpackFace(FaceXMin, buf, flags)
-	var fa []float64
-	for y := 0; y < a.NY; y++ {
-		for z := 0; z < a.NZ; z++ {
-			if a.Flags[a.Idx(a.NX-1, y, z)] != Fluid {
-				continue
+	return l
+}
+
+// TestPackUnpackAcrossPhases sends every face of a sender into the
+// opposite halo of a receiver for every pairing of storage schemes and
+// phases, and requires the receiver to end up — in every allocated cell,
+// populations and flags — exactly like a double-buffer receiver fed by a
+// double-buffer sender. This covers the shifted bases, the natural-slot
+// fallback on the line ends and the edge lines, and the phase-independent
+// wire format.
+func TestPackUnpackAcrossPhases(t *testing.T) {
+	storages := []string{"db", "even", "odd"}
+	for f := FaceXMin; f < numFaces; f++ {
+		opp := f ^ 1
+		want := phaseLattice(t, "db", 1000)
+		snd := phaseLattice(t, "db", 0)
+		buf := make([]float64, snd.Desc.Q*snd.FaceCells(f))
+		flags := make([]CellType, snd.FaceCells(f))
+		snd.PackFace(f, buf, flags)
+		want.UnpackFace(opp, buf, flags)
+		for _, ss := range storages {
+			for _, rs := range storages {
+				snd, rcv := phaseLattice(t, ss, 0), phaseLattice(t, rs, 1000)
+				snd.PackFace(f, buf, flags)
+				rcv.UnpackFace(opp, buf, flags)
+				requireSameCells(t, want, rcv, f.String()+" "+ss+"→"+rs)
 			}
-			fa = a.Populations(a.NX-1, y, z, fa)
-			ib := b.Idx(-1, y, z)
-			for q := 0; q < b.Desc.Q; q++ {
-				got := b.Src()[b.PopIndex(q, ib)]
-				if math.Float64bits(got) != math.Float64bits(fa[q]) {
-					t.Fatalf("halo mismatch at y=%d z=%d q=%d: %v != %v", y, z, q, got, fa[q])
+		}
+	}
+}
+
+// requireSameCells fails unless every allocated cell of got has the
+// logical populations and the flag of the same cell of want.
+func requireSameCells(t *testing.T, want, got *Lattice, what string) {
+	t.Helper()
+	var fw, fg []float64
+	for y := -1; y <= want.NY; y++ {
+		for x := -1; x <= want.NX; x++ {
+			for z := -1; z <= want.NZ; z++ {
+				if w, g := want.CellTypeAt(x, y, z), got.CellTypeAt(x, y, z); w != g {
+					t.Fatalf("%s: cell (%d,%d,%d) flag %v, want %v", what, x, y, z, g, w)
+				}
+				fw = want.Populations(x, y, z, fw)
+				fg = got.Populations(x, y, z, fg)
+				for i := range fw {
+					if math.Float64bits(fw[i]) != math.Float64bits(fg[i]) {
+						t.Fatalf("%s: cell (%d,%d,%d) pop %d = %v, want %v", what, x, y, z, i, fg[i], fw[i])
+					}
 				}
 			}
 		}
 	}
-	if b.Flags[b.Idx(-1, 2, 2)] != Wall {
-		t.Error("wall flag must propagate through odd-parity pack/unpack")
+}
+
+// TestPeriodicAxisAcrossPhases wraps each axis on AA storage at both
+// phases and requires every allocated cell to match the double-buffer
+// wrap of the same logical state.
+func TestPeriodicAxisAcrossPhases(t *testing.T) {
+	for axis := 0; axis < 3; axis++ {
+		want := phaseLattice(t, "db", 0)
+		want.PeriodicAxis(axis)
+		for _, s := range []string{"even", "odd"} {
+			got := phaseLattice(t, s, 0)
+			got.PeriodicAxis(axis)
+			requireSameCells(t, want, got, "axis "+string(rune('x'+axis))+" "+s)
+		}
 	}
 }

@@ -24,7 +24,7 @@ func (l *Lattice) StepFused() {
 		l.step++
 		return
 	}
-	l.stepRange(0, l.NY)
+	l.stepRegion(0, l.NX, 0, l.NY)
 	l.src = 1 - l.src
 	l.step++
 }
@@ -55,12 +55,6 @@ func (l *Lattice) CompleteStep() {
 	l.step++
 }
 
-// stepRange applies the fused kernel to interior rows y0 ≤ y < y1. It is
-// the unit of work for the goroutine-parallel driver.
-func (l *Lattice) stepRange(y0, y1 int) {
-	l.stepRegion(0, l.NX, y0, y1)
-}
-
 // stepRegion dispatches to the unrolled D3Q19 kernel when it applies
 // (bit-identical, faster) and to the generic kernel otherwise.
 func (l *Lattice) stepRegion(x0, x1, y0, y1 int) {
@@ -84,7 +78,7 @@ func (l *Lattice) stepRegionGeneric(x0, x1, y0, y1 int) {
 	q := d.Q
 	n := l.N
 	src := l.F[l.src]
-	dst := l.F[1-l.src]
+	dst := l.Dst()
 	invTau := 1.0 / l.Tau
 	les := l.Smagorinsky > 0
 	fx, fy, fz := l.Force[0], l.Force[1], l.Force[2]
@@ -299,7 +293,7 @@ func (l *Lattice) StreamOnly() {
 	q := d.Q
 	n := l.N
 	src := l.F[l.src]
-	dst := l.F[1-l.src]
+	dst := l.Dst()
 	for y := 0; y < l.NY; y++ {
 		for x := 0; x < l.NX; x++ {
 			rowBase := l.Idx(x, y, 0)

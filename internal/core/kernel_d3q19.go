@@ -47,7 +47,7 @@ func (l *Lattice) useFastPath() bool {
 //lbm:hot traffic budget=380
 func (l *Lattice) stepRegionD3Q19(x0, x1, y0, y1 int) {
 	src := l.F[l.src]
-	dst := l.F[1-l.src]
+	dst := l.Dst()
 	n := l.N
 	nTau := -1.0 / l.Tau
 	flags := l.Flags

@@ -86,26 +86,6 @@ func TestFastPathGating(t *testing.T) {
 	}
 }
 
-// TestUnrolledKernelParallelIdentical: the parallel driver with the fast
-// path matches the serial generic kernel.
-func TestUnrolledKernelParallelIdentical(t *testing.T) {
-	fast := buildKernelTestLattice(t)
-	slow := buildKernelTestLattice(t)
-	slow.noFastPath = true
-	for s := 0; s < 8; s++ {
-		fast.PeriodicAll()
-		fast.StepFusedParallel(3)
-		slow.PeriodicAll()
-		slow.StepFused()
-	}
-	fa, fb := fast.Src(), slow.Src()
-	for i := range fa {
-		if fa[i] != fb[i] {
-			t.Fatalf("parallel fast path diverged at %d", i)
-		}
-	}
-}
-
 func BenchmarkKernelGeneric48(b *testing.B) {
 	l, err := NewLattice(&lattice.D3Q19, 48, 48, 48, 0.8)
 	if err != nil {

@@ -50,7 +50,7 @@ func (e *Engine) SetTrace(tr *trace.RankTracer) {
 // Step advances the lattice one time step (halos must be prepared by the
 // caller) and returns the modelled GPU-node step time.
 func (e *Engine) Step() float64 {
-	e.Lat.StepFusedParallel(0)
+	e.Lat.StepFused()
 	e.LastTime = e.Spec.NodeStepTime(e.Lat.NX, e.Lat.NY, e.Lat.NZ, e.Opt)
 	e.TotalTime += e.LastTime
 	e.traceStep()

@@ -29,6 +29,10 @@ type Descriptor struct {
 	W []float64
 	// Opp[i] is the index j such that C[j] == -C[i].
 	Opp []int
+
+	// cf is C converted to float64 once, for the moment and equilibrium
+	// loops.
+	cf [][3]float64
 }
 
 // CS2 is the squared lattice speed of sound, c_s² = 1/3, shared by all
@@ -72,7 +76,11 @@ func buildOpp(name string, c [][3]int, w []float64) Descriptor {
 	if name[1] == '2' {
 		d = 2
 	}
-	return Descriptor{Name: name, D: d, Q: q, C: c, W: w, Opp: opp}
+	cf := make([][3]float64, q)
+	for i, ci := range c {
+		cf[i] = [3]float64{float64(ci[0]), float64(ci[1]), float64(ci[2])}
+	}
+	return Descriptor{Name: name, D: d, Q: q, C: c, W: w, Opp: opp, cf: cf}
 }
 
 // D3Q19 is the three-dimensional 19-velocity descriptor used throughout the
@@ -172,24 +180,26 @@ func (d *Descriptor) Equilibrium(i int, rho, ux, uy, uz float64) float64 {
 // Equilibrium). It allocates nothing.
 func (d *Descriptor) EquilibriumAll(feq []float64, rho, ux, uy, uz float64) {
 	onem := 1 - 1.5*math.FMA(uz, uz, math.FMA(uy, uy, ux*ux))
-	for i := 0; i < d.Q; i++ {
-		c := d.C[i]
-		cu := float64(c[0])*ux + float64(c[1])*uy + float64(c[2])*uz
+	cs, ws := d.cf[:d.Q], d.W[:d.Q]
+	feq = feq[:d.Q]
+	for i := range feq {
+		c := &cs[i]
+		cu := c[0]*ux + c[1]*uy + c[2]*uz
 		h := 4.5 * cu
-		feq[i] = d.W[i] * rho * (math.FMA(h, cu, onem) + 3*cu)
+		feq[i] = ws[i] * rho * (math.FMA(h, cu, onem) + 3*cu)
 	}
 }
 
 // Moments computes the macroscopic density and momentum from a set of
 // populations f (length Q). The velocity is momentum divided by density.
 func (d *Descriptor) Moments(f []float64) (rho, jx, jy, jz float64) {
-	for i := 0; i < d.Q; i++ {
-		fi := f[i]
+	cs := d.cf[:d.Q]
+	for i, fi := range f[:d.Q] {
 		rho += fi
-		c := d.C[i]
-		jx += fi * float64(c[0])
-		jy += fi * float64(c[1])
-		jz += fi * float64(c[2])
+		c := &cs[i]
+		jx += fi * c[0]
+		jy += fi * c[1]
+		jz += fi * c[2]
 	}
 	return
 }

@@ -215,3 +215,12 @@ func BenchmarkEquilibriumAllD3Q19(b *testing.B) {
 		d.EquilibriumAll(feq, 1.0, 0.05, 0.01, -0.02)
 	}
 }
+
+func BenchmarkMomentsD3Q19(b *testing.B) {
+	d := &D3Q19
+	f := make([]float64, d.Q)
+	d.EquilibriumAll(f, 1.0, 0.05, 0.01, -0.02)
+	for i := 0; i < b.N; i++ {
+		d.Moments(f)
+	}
+}

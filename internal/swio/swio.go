@@ -54,7 +54,10 @@ func corruptf(format string, args ...any) error {
 
 // WriteCheckpoint serialises the full solver state — dimensions, step
 // count, relaxation parameters, cell flags and the current populations —
-// in the V2 record-checksummed format.
+// in the V2 record-checksummed format. Populations are written in the
+// natural layout (population i of cell idx at i*N+idx) whatever the
+// lattice's storage scheme and phase, so an AA lattice checkpointed at an
+// odd step restores to the same logical state.
 func WriteCheckpoint(w io.Writer, l *core.Lattice) error {
 	bw := bufio.NewWriter(w)
 
@@ -96,14 +99,23 @@ func WriteCheckpoint(w io.Writer, l *core.Lattice) error {
 		return fmt.Errorf("swio: writing checkpoint flags CRC: %w", err)
 	}
 
-	// Populations record: the current buffer + CRC32-C.
+	// Populations record: the logical populations, one z-row at a time,
+	// + CRC32-C.
 	crc.Reset()
 	mw = io.MultiWriter(bw, crc)
-	buf := make([]byte, 8)
-	for _, v := range l.Src() {
-		binary.LittleEndian.PutUint64(buf, math.Float64bits(v))
-		if _, err := mw.Write(buf); err != nil {
-			return fmt.Errorf("swio: writing checkpoint populations: %w", err)
+	row := make([]float64, l.AZ)
+	buf := make([]byte, 8*l.AZ)
+	for i := 0; i < l.Desc.Q; i++ {
+		for ay := 0; ay < l.AY; ay++ {
+			for ax := 0; ax < l.AX; ax++ {
+				l.LinePopulation(l.ZLine(ax, ay), i, row)
+				for k, v := range row {
+					binary.LittleEndian.PutUint64(buf[8*k:], math.Float64bits(v))
+				}
+				if _, err := mw.Write(buf); err != nil {
+					return fmt.Errorf("swio: writing checkpoint populations: %w", err)
+				}
+			}
 		}
 	}
 	if err := binary.Write(bw, binary.LittleEndian, crc.Sum32()); err != nil {

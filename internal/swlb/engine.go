@@ -232,9 +232,11 @@ func (e *Engine) Step() float64 {
 		return e.LastTime
 	}
 
-	// CPE cluster handles the clean columns...
+	// CPE cluster handles the clean columns (the kernel binds the lattice
+	// buffers before the MPE loop below can touch them)...
+	kernel := e.cpeKernel()
 	go func() {
-		e.done <- e.CG.Run(e.cpeKernel())
+		e.done <- e.CG.Run(kernel)
 	}()
 	// ...while the MPE concurrently computes the mixed columns
 	// (collaboration scheme, Fig. 9(2)). The column sets are disjoint,

@@ -1,7 +1,10 @@
 #!/usr/bin/env bash
 # CI tiers for SunwayLB-Go.
 #
-#   tier 1  — build + full test suite (the repo's acceptance gate)
+#   tier 1  — build + full test suite (the repo's acceptance gate), then
+#             vet + tests of bench/, a module of its own that compiles
+#             against internal/*: an API break shows here, not only when
+#             the benchmark next runs
 #   tier 2  — gofmt cleanliness + vet + race detector on every package
 #   race    — focused race-detector sweep over the concurrent packages
 #             (mpi transport, psolve rank goroutines, swlb MPE/CPE
@@ -47,8 +50,11 @@
 #             slice (serial/blocked/pool backends MaxULP=0 against the
 #             reference at both storage parities), the race-checked
 #             worker-pool soak plus the AVX-512 row kernel's bitwise
-#             equivalence tests, and the memtraffic/hotalloc/goleak
-#             static budgets over the kernel and resilience code
+#             equivalence tests, the boundary conditions' face plans
+#             against their per-cell definition on both storage schemes
+#             and phases (with a two-worker pool stepping in between),
+#             and the memtraffic/hotalloc/goleak static budgets over the
+#             kernel, boundary and resilience code
 #   bench   — refresh BENCH_results.json from the measured benchmark
 #             cases so every CI run extends the perf trajectory; when a
 #             committed baseline exists, the fused-kernel MLUPS must not
@@ -63,6 +69,8 @@ tier1() {
     echo "== tier 1: build + tests =="
     go build ./...
     go test ./...
+    go vet -C bench ./...
+    go test -C bench ./...
 }
 
 tier2() {
@@ -118,17 +126,23 @@ perf() {
     # AA backends (serial, cache-blocked, worker pool) must stay
     # bit-identical (MaxULP=0) to the serial reference at every storage
     # parity, and the parity metamorphic property must hold.
-    go run ./cmd/conform -seed 1 -cases 10 -run 'core/aa|psolve/2x2-aa|prop/aa-parity'
+    go run ./cmd/conform -seed 1 -cases 10 -run 'core/aa|core/pool|psolve/2x2-aa|prop/aa-parity'
     # Race-checked AA suite: pool soak, step/blocked/pool bit-identity,
     # parity-aware halo pack/unpack, and (on capable hardware) the
     # AVX-512 row kernel's bitwise equivalence to the scalar canon.
     go test -race -count=1 -timeout 600s \
         -run 'TestAA|TestPool|TestPack|TestPeriodic' ./internal/core
+    # Boundary handling on AA storage: every condition on every face
+    # against its per-cell definition at both phases, and seeded condition
+    # sets between the steps of a two-worker pool.
+    go test -race -count=1 -timeout 600s \
+        -run 'TestFacePlans|FuzzAAStepConditions' ./internal/boundary
     # Static budgets over the performance-critical code: per-cell memory
     # traffic of every //lbm:hot kernel, no hot-loop allocations, no
     # leaked worker goroutines.
     go run ./cmd/lbmvet -rules memtraffic,hotalloc,goleak \
         ./internal/core ./internal/resil
+    go run ./cmd/lbmvet -rules memtraffic,hotalloc ./internal/boundary
 }
 
 analyze() {
