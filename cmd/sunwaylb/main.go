@@ -627,6 +627,7 @@ func runDistributed(ctx context.Context, cs *caseSetup, d distOpts) error {
 	start := time.Now()
 	var m *core.MacroField
 	var err error
+	var stats perf.RecoveryStats
 	startStep := 0
 	if d.supervised() {
 		if d.restore != "" {
@@ -654,7 +655,6 @@ func runDistributed(ctx context.Context, cs *caseSetup, d distOpts) error {
 				return err
 			}
 		}
-		var stats perf.RecoveryStats
 		m, stats, err = psolve.Supervise(psolve.SupervisorOptions{
 			Ctx:             ctx,
 			Opts:            opts,
@@ -697,6 +697,9 @@ func runDistributed(ctx context.Context, cs *caseSetup, d distOpts) error {
 	doneSteps := cs.cfg.Steps - startStep
 	fmt.Printf("completed %d steps in %.2f s: %s aggregate\n",
 		doneSteps, elapsed, perf.Rate(cells*int64(doneSteps), elapsed))
+	if stats.SnapshotWaves > 0 {
+		fmt.Println(stats.SnapshotLine())
+	}
 	if d.out != "" {
 		return writeImages(m, d.out)
 	}

@@ -162,6 +162,24 @@ func TestCLIKernelPath(t *testing.T) {
 	}
 }
 
+// TestCLISnapshotLine pins the snapshot accounting a supervised run
+// prints after its "completed" line: 7 steps with a wave every 2 is three
+// waves (never one at the final step), and a 2-rank L1+L2+L3 store ends up
+// holding own+buddy+parity of both generations (12 × 118 KB).
+func TestCLISnapshotLine(t *testing.T) {
+	if testing.Short() {
+		t.Skip("builds and runs the binary")
+	}
+	out, err := exec.Command(buildCLI(t), "-preset", "channel", "-nx", "16", "-ny", "12", "-nz", "8",
+		"-steps", "7", "-decomp", "2x1", "-snapshot-every", "2", "-ckpt-levels", "123", "-ckpt-group", "2").CombinedOutput()
+	if err != nil {
+		t.Fatalf("%v\n%s", err, out)
+	}
+	if !regexp.MustCompile(`completed 7 steps in .*\nsnapshots: 3 waves, [0-9.]+ ms/wave, [0-9.]+ GB/s, 1 MB resident in store\n`).Match(out) {
+		t.Errorf("summary lacks the expected snapshot line:\n%s", out)
+	}
+}
+
 // stepBudget is a context that reports cancellation from its n-th Err
 // poll on. runLocal polls once per step, so the interrupt lands on a
 // chosen step boundary.

@@ -56,12 +56,17 @@ func TestTrafficEstimatesRepo(t *testing.T) {
 		"../swlb": {
 			"Step": {Bytes: 4, Budget: 8},
 		},
+		// Snapshot payloads move row-wise through core's GatherLine /
+		// ScatterLine (16 B per population of a cell, priced there): the
+		// one gather and the one scatter loop carry the flag byte in and
+		// out. The hash reads a word, the fused XOR-and-hash reads two
+		// operands and writes one.
 		"../resil": {
-			"fnvU64":      {Bytes: 0, Budget: -1},
-			"checksum":    {Bytes: 8, Budget: 8},
-			"captureInto": {Bytes: 306, Budget: 320},
-			"xorFloats":   {Bytes: 24, Budget: 24},
-			"xorBytes":    {Bytes: 3, Budget: 3},
+			"captureBox": {Bytes: 2, Budget: 320},
+			"installBox": {Bytes: 2, Budget: 320},
+			"write":      {Bytes: 8, Budget: 8},
+			"xor":        {Bytes: 24, Budget: 24},
+			"writeBytes": {Bytes: 1, Budget: 1},
 		},
 	}
 	l := newTestLoader(t)

@@ -326,3 +326,37 @@ func TestFaultHookDuplicate(t *testing.T) {
 		}
 	})
 }
+
+// TestFaultHookDuplicateIsDistinctCopy: the two deliveries of a duplicated
+// message share no memory, so a receiver that overwrites or recycles the
+// first cannot reach the second. Two goroutines take one copy each, one
+// writes while the other reads: shared payloads are a -race failure.
+func TestFaultHookDuplicateIsDistinctCopy(t *testing.T) {
+	watchdog(t, 5*time.Second, func() {
+		w, err := NewWorld(2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		w.SetFaultHook(dupHook{})
+		var got [2]float64
+		var aux [2]byte
+		RunWorld(w, func(c *Comm) error {
+			if c.Rank() == 1 {
+				c.Send(0, 5, Message{Data: []float64{7, 8}, Aux: []byte{3}})
+				return nil
+			}
+			first, second := c.Recv(1, 5), c.Recv(1, 5)
+			done := make(chan struct{})
+			go func() {
+				defer close(done)
+				first.Data[1], first.Aux[0] = -1, 0
+			}()
+			got[0], got[1], aux[0] = second.Data[0], second.Data[1], second.Aux[0]
+			<-done
+			return nil
+		})
+		if got != [2]float64{7, 8} || aux[0] != 3 {
+			t.Errorf("second delivery reads %v/%v after the first was overwritten, want [7 8]/3", got, aux[0])
+		}
+	})
+}

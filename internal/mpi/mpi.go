@@ -187,10 +187,17 @@ func (w *World) deliver(src, dst, tag int, m Message) {
 	if h := w.faultHook(); h != nil && tag >= 0 {
 		copies = h.OnSend(src, dst, tag, m.Data, m.Aux)
 	}
-	mb := w.box(src, dst, tag)
-	for i := 0; i < copies; i++ {
-		mb.put(m)
+	if copies < 1 {
+		return
 	}
+	mb := w.box(src, dst, tag)
+	// A duplicate is a distinct copy, made before the original is handed
+	// over: the receiver may recycle or overwrite what it gets, and this
+	// is the one place that knows two deliveries share a payload.
+	for i := 1; i < copies; i++ {
+		mb.put(Message{Data: append([]float64(nil), m.Data...), Aux: append([]byte(nil), m.Aux...), flow: m.flow})
+	}
+	mb.put(m)
 }
 
 // SetTracer installs a rank-level tracer (nil removes it): blocking

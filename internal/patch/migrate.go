@@ -2,6 +2,7 @@ package patch
 
 import (
 	"fmt"
+	"slices"
 
 	"sunwaylb/internal/mpi"
 	"sunwaylb/internal/resil"
@@ -26,8 +27,11 @@ func (n *node) migrate(newOwner []int) error {
 		if n.owner[p] != n.me {
 			continue
 		}
+		// The capture buffer itself travels: ownership passes to the
+		// receiver, which keeps it for its own next send.
 		resil.Capture(&n.snap, n.lats[p], n.til.Patches[p].Block, p)
-		data, aux := n.snap.Pack(nil, nil)
+		data, aux := n.snap.Pack(n.snap.Pops, n.snap.Flags)
+		n.snap = resil.Snapshot{}
 		n.c.Send(newOwner[p], n.til.migTag(p), mpi.Message{Data: data, Aux: aux})
 		delete(n.lats, p)
 		delete(n.strs, p)
@@ -41,10 +45,10 @@ func (n *node) migrate(newOwner []int) error {
 			continue
 		}
 		m := n.c.Recv(n.owner[p], n.til.migTag(p))
-		if err := resil.UnpackInto(&n.rsnap, m.Data, m.Aux); err != nil {
+		if err := n.snap.Unpack(m.Data, m.Aux); err != nil {
 			return fmt.Errorf("patch: migrating patch %d to worker %d: %w", p, n.me, err)
 		}
-		if err := n.installPatch(p, &n.rsnap); err != nil {
+		if err := n.installPatch(p, &n.snap); err != nil {
 			return err
 		}
 		if n.tr != nil {
@@ -60,111 +64,115 @@ func (n *node) migrate(newOwner []int) error {
 	return nil
 }
 
-// wave runs one snapshot wave over the owned patches: L1 deposits each
-// patch's own snapshot, L2 places a copy with the patch's ring buddy,
-// L3 folds the XOR parity of each patch's group. The store is keyed by
-// patch ID — a deposit "held by" patch p lives in p's current owner's
-// memory, so the supervisor invalidates exactly the patches a dead
-// worker owned at the wave (see supervise.go).
+// wave runs one snapshot wave over the owned patches: each patch is
+// captured once, straight into its L1 record, and that record feeds the
+// other levels — L2 places a copy with the patch's ring buddy, L3 folds
+// the XOR parity of each patch's group. The store is keyed by patch ID —
+// a record "held by" patch p lives in p's current owner's memory, so the
+// supervisor invalidates exactly the patches a dead worker owned at the
+// wave (see supervise.go).
+//
+// Per owned patch the loop itself moves record headers only; the payload
+// passes are priced in resil and core.
+//
+//lbm:hot traffic budget=80
 func (n *node) wave(done int) error {
 	rc := n.rc
-	if n.tr != nil {
-		defer n.tr.Scope(trace.TrackCkpt, "patch-wave")()
-	}
+	defer n.tr.Scope(trace.TrackCkpt, "patch-wave")()
+	st := rc.store
 	for _, p := range n.mine {
-		resil.Capture(&n.snap, n.lats[p], n.til.Patches[p].Block, p)
+		own := st.Slot(resil.L1, p, done)
+		resil.Capture(own, n.lats[p], n.til.Patches[p].Block, p)
+		n.own[p] = own
 		if rc.levels.Has(resil.L1) {
-			rc.store.DepositOwn(&n.snap)
+			st.Commit(resil.L1, own, done)
 		}
 		if rc.levels.Has(resil.L2) {
-			if b := rc.store.Buddy(p); b != p {
-				rc.store.DepositBuddy(b, &n.snap)
+			if b := st.Buddy(p); b != p {
+				st.DepositBuddy(b, own)
 			}
 		}
 	}
-	if rc.levels.Has(resil.L3) && rc.store.GroupSize() >= 2 {
-		return n.parityWave(done)
+	var err error
+	if rc.levels.Has(resil.L3) && st.GroupSize() >= 2 {
+		err = n.parityWave(done)
 	}
-	return nil
+	if !rc.levels.Has(resil.L1) {
+		for _, p := range n.mine {
+			n.own[p].Step = -1 // fed L2/L3 only: the record stays torn
+		}
+	}
+	return err
 }
 
 // parityWave computes the L3 group XOR for every parity group this
-// worker owns patches in. Group members owned by other workers are
-// exchanged over mpi: each owner sends its members once to every other
-// distinct owner of the group, then folds the full group locally, so
-// every member patch deposits the identical parity record. Groups are
-// processed in ascending order on every rank and sends always precede
-// receives, which keeps the wave deadlock-free.
+// worker owns patches in, from the records wave just captured. Group
+// members owned by other workers are exchanged over mpi: each owner
+// sends its members once to every other distinct owner of the group,
+// folds the full group into the parity record of its first member and
+// copies that record for its other members, so every member patch holds
+// the identical parity. Groups are processed in ascending order on every
+// rank and sends always precede receives, which keeps the wave
+// deadlock-free.
+//
+//lbm:hot traffic budget=16
 func (n *node) parityWave(done int) error {
 	st := n.rc.store
 	P := n.til.P()
 	gs := st.GroupSize()
 	for lo := 0; lo < P; lo += gs {
-		hi := lo + gs
-		if hi > P {
-			hi = P
-		}
-		if hi-lo < 2 {
-			continue // singleton group: no parity algebra
-		}
-		mineIn := 0
-		for p := lo; p < hi; p++ {
+		hi := min(lo+gs, P)
+		first := -1 // my first member of the group
+		for p := hi - 1; p >= lo; p-- {
 			if n.owner[p] == n.me {
-				mineIn++
+				first = p
 			}
 		}
-		if mineIn == 0 {
-			continue
+		if hi-lo < 2 || first < 0 {
+			continue // singleton group (no parity algebra), or none of mine
 		}
 		// Ship my members once to each other distinct owner of the group.
 		for q := lo; q < hi; q++ {
 			if n.owner[q] != n.me {
 				continue
 			}
-			resil.Capture(&n.snap, n.lats[q], n.til.Patches[q].Block, q)
-			n.data, n.aux = n.snap.Pack(n.data, n.aux)
-			sent := make(map[int]bool, hi-lo)
 			for r := lo; r < hi; r++ {
 				t := n.owner[r]
-				if t == n.me || sent[t] {
+				if t == n.me || slices.Contains(n.owner[lo:r], t) {
 					continue
 				}
-				sent[t] = true
-				n.c.Isend(t, n.til.parityTag(q), mpi.Message{
-					Data: append([]float64(nil), n.data...),
-					Aux:  append([]byte(nil), n.aux...),
-				})
+				st.Send(n.c, n.own[q], t, n.til.parityTag(q))
 			}
 		}
-		// Collect the full group: local captures plus one receive per
-		// remote member.
-		for j, r := 0, lo; r < hi; j, r = j+1, r+1 {
-			if n.owner[r] == n.me {
-				resil.Capture(&n.group[j], n.lats[r], n.til.Patches[r].Block, r)
+		// Fold the full group: my records plus one receive per remote
+		// member, the first two operands XORed straight into the record.
+		par := st.Slot(resil.L3, first, done)
+		resil.ParityReset(par, first, -1, len(n.own[first].Pops), len(n.own[first].Flags))
+		pending := n.own[first]
+		for r := lo; r < hi; r++ {
+			if r == first {
 				continue
 			}
-			m, err := n.c.RecvE(n.owner[r], n.til.parityTag(r))
-			if err != nil {
-				return fmt.Errorf("patch: L3 parity wave at step %d: %w", done, err)
+			m := n.own[r]
+			if n.owner[r] != n.me {
+				m = &n.in
+				if err := st.Recv(n.c, m, n.owner[r], n.til.parityTag(r), done); err != nil {
+					return err
+				}
 			}
-			if err := resil.UnpackInto(&n.group[j], m.Data, m.Aux); err != nil {
-				return err
+			if pending != nil {
+				resil.ParityAdd(par, pending, m)
+				pending = nil
+			} else {
+				resil.ParityAdd(par, m)
 			}
+			st.Recycle(&n.in)
 		}
-		// Fold and deposit the identical parity record for each of my
-		// members.
-		for p := lo; p < hi; p++ {
-			if n.owner[p] != n.me {
-				continue
+		st.Commit(resil.L3, par, done)
+		for p := first + 1; p < hi; p++ {
+			if n.owner[p] == n.me {
+				st.DepositParity(p, par)
 			}
-			cells := n.til.Patches[p].Cells()
-			q := n.lats[p].Desc.Q
-			resil.ParityReset(&n.par, p, done, cells*q, cells)
-			for j := 0; j < hi-lo; j++ {
-				resil.ParityAdd(&n.par, &n.group[j])
-			}
-			resil.Seal(&n.par)
-			st.DepositParity(p, &n.par)
 		}
 	}
 	return nil

@@ -333,33 +333,10 @@ func remapOwners(waveOwner []int, dead []int, survivors []int) []int {
 // snapshotsFromGlobal slices a global lattice (an L4 checkpoint) back
 // into per-patch snapshots for re-tiled restore.
 func snapshotsFromGlobal(til *Tiling, g *core.Lattice) map[int]*resil.Snapshot {
-	q := g.Desc.Q
 	out := make(map[int]*resil.Snapshot, til.P())
 	for _, p := range til.Patches {
-		s := &resil.Snapshot{
-			Rank: p.ID, Step: g.Step(),
-			X0: p.X0, Y0: p.Y0, Z0: p.Z0,
-			NX: p.NX, NY: p.NY, NZ: p.NZ,
-			Q:     q,
-			Pops:  make([]float64, p.Cells()*q),
-			Flags: make([]byte, p.Cells()),
-		}
-		src := g.Src()
-		k := 0
-		for y := 0; y < p.NY; y++ {
-			for x := 0; x < p.NX; x++ {
-				for z := 0; z < p.NZ; z++ {
-					idx := g.Idx(p.X0+x, p.Y0+y, p.Z0+z)
-					for i := 0; i < q; i++ {
-						s.Pops[k*q+i] = src[i*g.N+idx]
-					}
-					s.Flags[k] = byte(g.Flags[idx])
-					k++
-				}
-			}
-		}
-		resil.Seal(s)
-		out[p.ID] = s
+		out[p.ID] = &resil.Snapshot{}
+		resil.CaptureAt(out[p.ID], g, p.Block, p.ID)
 	}
 	return out
 }

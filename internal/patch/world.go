@@ -148,13 +148,12 @@ type node struct {
 	flg []core.CellType
 	rfl []core.CellType
 
-	// Snapshot scratch for waves and migrations.
-	snap  resil.Snapshot
-	rsnap resil.Snapshot
-	par   resil.Snapshot
-	group []resil.Snapshot
-	data  []float64
-	aux   []byte
+	// Snapshot state: the migration buffer (handed to the receiver with
+	// every move), this wave's L1 records of the owned patches by patch
+	// ID, and the view a received parity member is unpacked into.
+	snap resil.Snapshot
+	own  []*resil.Snapshot
+	in   resil.Snapshot
 }
 
 func newNode(rc *runConfig, c *mpi.Comm) (*node, error) {
@@ -197,9 +196,7 @@ func newNode(rc *runConfig, c *mpi.Comm) (*node, error) {
 	n.buf = make([]float64, maxFace*q)
 	n.flg = make([]core.CellType, maxFace)
 	n.rfl = make([]core.CellType, maxFace)
-	if rc.store != nil {
-		n.group = make([]resil.Snapshot, rc.store.GroupSize())
-	}
+	n.own = make([]*resil.Snapshot, rc.til.P())
 	for _, p := range n.til.Patches {
 		if n.owner[p.ID] != n.me {
 			continue
@@ -278,10 +275,6 @@ func (n *node) installPatch(id int, s *resil.Snapshot) error {
 		return fmt.Errorf("patch: snapshot of patch %d fails checksum at install", id)
 	}
 	p := n.til.Patches[id]
-	if s.NX != p.NX || s.NY != p.NY || s.NZ != p.NZ {
-		return fmt.Errorf("patch: snapshot of patch %d is %dx%dx%d, tile wants %dx%dx%d",
-			id, s.NX, s.NY, s.NZ, p.NX, p.NY, p.NZ)
-	}
 	opt := n.rc.opt
 	l, err := core.NewLattice(&lattice.D3Q19, p.NX, p.NY, p.NZ, opt.Tau)
 	if err != nil {
@@ -289,22 +282,10 @@ func (n *node) installPatch(id int, s *resil.Snapshot) error {
 	}
 	l.Smagorinsky = opt.Smagorinsky
 	l.Force = opt.Force
-	q := l.Desc.Q
-	dst := l.Src()
-	k := 0
-	for y := 0; y < p.NY; y++ {
-		for x := 0; x < p.NX; x++ {
-			for z := 0; z < p.NZ; z++ {
-				idx := l.Idx(x, y, z)
-				for i := 0; i < q; i++ {
-					dst[i*l.N+idx] = s.Pops[k*q+i]
-				}
-				l.Flags[idx] = core.CellType(s.Flags[k])
-				k++
-			}
-		}
-	}
 	l.SetStep(s.Step)
+	if err := resil.RestoreInto(l, s); err != nil {
+		return fmt.Errorf("patch: installing patch %d: %w", id, err)
+	}
 	return n.adopt(id, l)
 }
 

@@ -54,6 +54,16 @@ type RecoveryStats struct {
 	// progress because of failures: from failure detection to the world
 	// resuming (either recovery path).
 	Downtime time.Duration `json:"downtime_ns"`
+
+	// SnapshotWaves counts the in-memory snapshot waves rank 0 completed
+	// and SnapshotTime the wall-clock time it spent inside them — plain
+	// counters, live with the tracer off.
+	SnapshotWaves int           `json:"snapshot_waves"`
+	SnapshotTime  time.Duration `json:"snapshot_time_ns"`
+	// SnapshotResident is the payload memory the snapshot store held at
+	// the end of the run (its high-water mark: records are reused, never
+	// released).
+	SnapshotResident int64 `json:"snapshot_resident_bytes"`
 }
 
 // Merge accumulates another run's recovery scorecard into r — the
@@ -77,6 +87,23 @@ func (r *RecoveryStats) Merge(o RecoveryStats) {
 		r.SnapshotBytes[i] += o.SnapshotBytes[i]
 	}
 	r.Downtime += o.Downtime
+	r.SnapshotWaves += o.SnapshotWaves
+	r.SnapshotTime += o.SnapshotTime
+	r.SnapshotResident = max(r.SnapshotResident, o.SnapshotResident)
+}
+
+// SnapshotLine renders the snapshot-wave accounting as the one-line
+// summary the CLI prints: wave count, mean wave time, the rate at which
+// the L1–L3 ledger bytes were produced, and the store's resident size.
+func (r RecoveryStats) SnapshotLine() string {
+	bytes := r.SnapshotBytes[0] + r.SnapshotBytes[1] + r.SnapshotBytes[2]
+	sec := r.SnapshotTime.Seconds()
+	gbps := 0.0
+	if sec > 0 {
+		gbps = float64(bytes) / sec / 1e9
+	}
+	return fmt.Sprintf("snapshots: %d waves, %.1f ms/wave, %.2f GB/s, %.0f MB resident in store",
+		r.SnapshotWaves, 1e3*sec/float64(max(r.SnapshotWaves, 1)), gbps, float64(r.SnapshotResident)/1e6)
 }
 
 // Clean reports whether the run needed no recovery at all.

@@ -124,10 +124,6 @@ type Solver struct {
 	sendX, sendY [2][]float64
 	flagX, flagY [2][]core.CellType
 	rflX, rflY   [2][]core.CellType
-
-	// resil is the snapshot-collective scratch (see resil.go), reused
-	// across captures so steady-state waves allocate nothing.
-	resil resilState
 }
 
 type faceBC struct {

@@ -5,13 +5,14 @@ package psolve
 // rank captures its interior block (L1), pushes a copy to its ring buddy
 // (L2) and exchanges snapshots within its parity group to compute the
 // group XOR (L3). The supervisor's Store plays the role of every rank's
-// local memory; after a failure it decides from those deposits whether
-// the loss is repairable without touching the L4 disk checkpoint.
+// local memory and owns every record: a wave fills the records in place,
+// so the payload leaves the lattice once, is packed once per peer into a
+// recycled transport buffer, and costs the receiver nothing for L2 (the
+// record adopts the buffer) and one XOR pass for L3. After a failure the
+// supervisor decides from those records whether the loss is repairable
+// without touching the L4 disk checkpoint.
 
 import (
-	"fmt"
-
-	"sunwaylb/internal/mpi"
 	"sunwaylb/internal/resil"
 	"sunwaylb/internal/trace"
 )
@@ -22,121 +23,107 @@ const (
 	tagSnapParity = tagYMinus + 2
 )
 
-// resilState is the per-rank scratch of the snapshot collective, reused
-// across captures so the steady-state path allocates nothing.
-type resilState struct {
-	own    resil.Snapshot // this rank's L1 capture
-	recv   resil.Snapshot // unpack scratch for buddy/parity messages
-	parity resil.Snapshot // the group XOR this rank computes (L3)
-	data   []float64      // pack scratch
-	aux    []byte
-}
-
-// ResilCapture runs one snapshot wave: L1 capture and deposit, L2 buddy
-// push/receive, L3 parity exchange — the levels selected by the mask.
-// It is a group-wise collective: every rank of a parity group must call
-// it at the same step, like a checkpoint gather. Receive errors (a peer
-// dying mid-wave) are returned, failing the attempt; the store's older
-// double-buffered generation stays intact for recovery.
+// ResilCapture runs one snapshot wave: L1 capture, L2 buddy push/receive,
+// L3 parity exchange — the levels selected by the mask. It is a
+// group-wise collective: every rank of a parity group must call it at
+// the same step, like a checkpoint gather. Receive errors (a peer dying
+// mid-wave) are returned, failing the attempt; the records being filled
+// stay torn and the store's older generation stays intact for recovery.
+//
+//lbm:hot
 func (s *Solver) ResilCapture(st *resil.Store, levels resil.Levels) error {
 	if st == nil || !levels.Memory() {
 		return nil
 	}
-	me := s.Comm.Rank()
-	rs := &s.resil
+	me, step := s.Comm.Rank(), s.Lat.Step()
 
-	// L1: capture the interior block and deposit it as this rank's own
-	// snapshot.
-	func() {
-		if s.tr != nil {
-			defer s.tr.Scope(trace.TrackCkpt, "snap-l1")()
-		}
-		resil.Capture(&rs.own, s.Lat, s.Block, me)
-	}()
+	// L1: gather the interior block straight into this rank's record. With
+	// L1 off the payload still feeds this wave's L2/L3, but the record is
+	// never committed and ends the wave torn.
+	own := st.Slot(resil.L1, me, step)
+	end := s.tr.Scope(trace.TrackCkpt, "snap-l1")
+	resil.Capture(own, s.Lat, s.Block, me)
+	end()
 	if levels.Has(resil.L1) {
-		st.DepositOwn(&rs.own)
+		st.Commit(resil.L1, own, step)
 	}
+	err := s.groupExchange(st, levels, own, step)
+	if !levels.Has(resil.L1) {
+		own.Step = -1
+	}
+	return err
+}
 
+// groupExchange runs the L2 and L3 halves of a wave inside the rank's
+// parity group.
+//
+//lbm:hot
+func (s *Solver) groupExchange(st *resil.Store, levels resil.Levels, own *resil.Snapshot, step int) error {
+	me := s.Comm.Rank()
 	lo, hi := st.Group(me)
 	if hi-lo < 2 {
 		return nil // singleton group: no buddy, no parity algebra
 	}
-
-	// L2: push my snapshot to the ring-next member; receive ring-prev's.
+	// L2: a ring shift inside the parity group. The record adopts the
+	// received buffer, so its previous payload goes back to the pool
+	// first — that is the buffer this wave's sends pack into.
+	var buddy *resil.Snapshot
 	if levels.Has(resil.L2) {
-		if err := s.buddyExchange(st, rs, me); err != nil {
+		end := s.tr.Scope(trace.TrackCkpt, "snap-l2")
+		buddy = st.Slot(resil.L2, me, step)
+		st.Recycle(buddy)
+		st.Send(s.Comm, own, st.Buddy(me), tagSnapBuddy)
+		err := st.Recv(s.Comm, buddy, st.BuddySource(me), tagSnapBuddy, step)
+		end()
+		if err != nil {
 			return err
 		}
+		st.Commit(resil.L2, buddy, step)
 	}
-
-	// L3: exchange snapshots within the group and fold them into the
-	// replicated parity record (every member computes the same XOR, so
-	// any single survivor can serve the reconstruction).
 	if levels.Has(resil.L3) {
-		if err := s.parityExchange(st, rs, me, lo, hi); err != nil {
-			return err
-		}
+		return s.parityExchange(st, own, buddy, step, lo, hi)
 	}
 	return nil
 }
 
-// buddyExchange is the L2 wave: a ring shift of snapshots inside the
-// parity group.
-func (s *Solver) buddyExchange(st *resil.Store, rs *resilState, me int) error {
-	if s.tr != nil {
-		defer s.tr.Scope(trace.TrackCkpt, "snap-l2")()
-	}
-	rs.data, rs.aux = rs.own.Pack(rs.data, rs.aux)
-	s.Comm.Isend(st.Buddy(me), tagSnapBuddy, cloneSnapMsg(rs.data, rs.aux))
-	m, err := s.Comm.RecvE(st.BuddySource(me), tagSnapBuddy)
-	if err != nil {
-		return fmt.Errorf("psolve: L2 buddy wave at step %d: %w", s.Lat.Step(), err)
-	}
-	if err := resil.UnpackInto(&rs.recv, m.Data, m.Aux); err != nil {
-		return err
-	}
-	st.DepositBuddy(me, &rs.recv)
-	return nil
-}
-
-// parityExchange is the L3 wave: an all-to-all of snapshots within the
-// group, folded locally into the XOR parity record.
-func (s *Solver) parityExchange(st *resil.Store, rs *resilState, me, lo, hi int) error {
-	if s.tr != nil {
-		defer s.tr.Scope(trace.TrackCkpt, "snap-l3")()
-	}
-	rs.data, rs.aux = rs.own.Pack(rs.data, rs.aux)
+// parityExchange is the L3 wave: every member XORs own ⊕ every other
+// member straight into its own parity replica (every member computes the
+// same XOR, so any single survivor can serve the reconstruction). The
+// ring neighbours already hold each other's payload when L2 ran (buddy
+// != nil): one pack serves both levels. The loops here walk group
+// members; the payload passes are priced in resil.
+//
+//lbm:hot traffic budget=0
+func (s *Solver) parityExchange(st *resil.Store, own, buddy *resil.Snapshot, step, lo, hi int) error {
+	defer s.tr.Scope(trace.TrackCkpt, "snap-l3")()
+	me := s.Comm.Rank()
 	for r := lo; r < hi; r++ {
-		if r != me {
-			s.Comm.Isend(r, tagSnapParity, cloneSnapMsg(rs.data, rs.aux))
+		if r != me && (buddy == nil || r != st.Buddy(me)) {
+			st.Send(s.Comm, own, r, tagSnapParity)
 		}
 	}
-	resil.ParityReset(&rs.parity, me, rs.own.Step, len(rs.own.Pops), len(rs.own.Flags))
-	resil.ParityAdd(&rs.parity, &rs.own)
+	p := st.Slot(resil.L3, me, step)
+	resil.ParityReset(p, me, -1, len(own.Pops), len(own.Flags))
+	first := own // folded together with the first other member
 	for r := lo; r < hi; r++ {
 		if r == me {
 			continue
 		}
-		m, err := s.Comm.RecvE(r, tagSnapParity)
-		if err != nil {
-			return fmt.Errorf("psolve: L3 parity wave at step %d: %w", s.Lat.Step(), err)
-		}
-		if err := resil.UnpackInto(&rs.recv, m.Data, m.Aux); err != nil {
+		var in resil.Snapshot
+		m := &in
+		if buddy != nil && r == st.BuddySource(me) {
+			m = buddy
+		} else if err := st.Recv(s.Comm, m, r, tagSnapParity, step); err != nil {
 			return err
 		}
-		resil.ParityAdd(&rs.parity, &rs.recv)
+		if first != nil {
+			resil.ParityAdd(p, first, m)
+			first = nil
+		} else {
+			resil.ParityAdd(p, m)
+		}
+		st.Recycle(&in)
 	}
-	resil.Seal(&rs.parity)
-	st.DepositParity(me, &rs.parity)
+	st.Commit(resil.L3, p, step)
 	return nil
-}
-
-// cloneSnapMsg copies the pack scratch into a fresh message: the scratch
-// is reused every wave and the transport passes references (and the
-// fault hook may mutate payloads in place).
-func cloneSnapMsg(data []float64, aux []byte) mpi.Message {
-	return mpi.Message{
-		Data: append([]float64(nil), data...),
-		Aux:  append([]byte(nil), aux...),
-	}
 }

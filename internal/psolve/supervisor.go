@@ -177,6 +177,7 @@ func Supervise(o SupervisorOptions) (field *core.MacroField, stats perf.Recovery
 	defer func() {
 		if store != nil {
 			stats.SnapshotBytes = store.Bytes()
+			stats.SnapshotResident = store.Resident()
 		}
 	}()
 	if o.Injector != nil {
@@ -278,8 +279,13 @@ func Supervise(o SupervisorOptions) (field *core.MacroField, stats perf.Recovery
 					}
 				}
 				if store != nil && s.Lat.Step()%o.SnapshotEvery == 0 && s.Lat.Step() < o.Steps {
+					t0 := time.Now()
 					if serr := s.ResilCapture(store, levels); serr != nil {
 						return serr
+					}
+					if c.Rank() == 0 {
+						stats.SnapshotWaves++
+						stats.SnapshotTime += time.Since(t0)
 					}
 				}
 				if levels.Has(resil.L4) && o.CheckpointEvery > 0 &&

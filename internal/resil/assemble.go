@@ -20,32 +20,12 @@ func Assemble(rec *Recovery, gnx, gny, gnz int, tau, smag float64, force [3]floa
 	}
 	g.Smagorinsky = smag
 	g.Force = force
-	dst := g.Src()
 	for _, s := range rec.Blocks {
-		if s.Q != g.Desc.Q {
-			return nil, fmt.Errorf("resil: rank %d snapshot has q=%d, lattice wants %d", s.Rank, s.Q, g.Desc.Q)
-		}
 		if !s.Verify() {
 			return nil, fmt.Errorf("resil: rank %d snapshot fails checksum at assembly", s.Rank)
 		}
-		if s.X0 < 0 || s.Y0 < 0 || s.Z0 < 0 ||
-			s.X0+s.NX > gnx || s.Y0+s.NY > gny || s.Z0+s.NZ > gnz {
-			return nil, fmt.Errorf("resil: rank %d block %d,%d,%d+%d×%d×%d outside %d×%d×%d",
-				s.Rank, s.X0, s.Y0, s.Z0, s.NX, s.NY, s.NZ, gnx, gny, gnz)
-		}
-		q := s.Q
-		k := 0
-		for y := 0; y < s.NY; y++ {
-			for x := 0; x < s.NX; x++ {
-				for z := 0; z < s.NZ; z++ {
-					idx := g.Idx(s.X0+x, s.Y0+y, s.Z0+z)
-					for i := 0; i < q; i++ {
-						dst[i*g.N+idx] = s.Pops[k*q+i]
-					}
-					g.Flags[idx] = core.CellType(s.Flags[k])
-					k++
-				}
-			}
+		if err := installBox(g, s, s.X0, s.Y0, s.Z0); err != nil {
+			return nil, err
 		}
 	}
 	g.SetStep(rec.Step)

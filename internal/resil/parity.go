@@ -14,91 +14,76 @@ import (
 // surviving member — one unknown per group, exactly the RAID-5
 // guarantee.
 
-// xorFloats XORs src's float bit patterns into dst[:len(src)].
-//
-// Per-element traffic: read dst and src, write dst — three float64s.
-//
-//lbm:hot traffic budget=24
-func xorFloats(dst, src []float64) {
-	for i, v := range src {
-		dst[i] = math.Float64frombits(math.Float64bits(dst[i]) ^ math.Float64bits(v))
-	}
-}
-
-// xorBytes XORs src into dst[:len(src)].
-//
-// Per-element traffic: read dst and src, write dst — three bytes.
-//
-//lbm:hot traffic budget=3
-func xorBytes(dst, src []byte) {
-	for i, b := range src {
-		dst[i] ^= b
-	}
-}
-
 // ParityReset initialises p as an empty parity record for the given
 // computing rank and step, with capacity for payloads up to n
-// populations and m flags.
+// populations and m flags. The payload memory is not touched: the first
+// members folded in overwrite it.
 func ParityReset(p *Snapshot, rank, step, n, m int) {
-	p.Rank, p.Step = rank, step
-	p.X0, p.Y0, p.Z0 = 0, 0, 0
-	p.NX, p.NY, p.NZ = 0, 0, 0
-	p.Q = 0
+	pops, flags := p.Pops, p.Flags
+	*p = Snapshot{Rank: rank, Step: step, Pops: pops, Flags: flags}
 	p.ensure(n, m)
-	for i := range p.Pops {
-		p.Pops[i] = 0
-	}
-	for i := range p.Flags {
-		p.Flags[i] = 0
-	}
+	p.Pops, p.Flags = p.Pops[:0], p.Flags[:0]
 }
 
-// ParityAdd folds one member snapshot into the parity record, growing
-// the record if the member's payload is longer than anything seen so
-// far. Call Seal once every member has been added.
-func ParityAdd(p *Snapshot, member *Snapshot) {
-	if len(member.Pops) > len(p.Pops) || len(member.Flags) > len(p.Flags) {
-		growParity(p, len(member.Pops), len(member.Flags))
-	}
-	xorFloats(p.Pops, member.Pops)
-	xorBytes(p.Flags, member.Flags)
-}
-
-// growParity extends the parity payload with zero padding, preserving
-// the accumulated prefix.
-func growParity(p *Snapshot, n, m int) {
-	if n < len(p.Pops) {
-		n = len(p.Pops)
-	}
-	if m < len(p.Flags) {
-		m = len(p.Flags)
-	}
-	pops := p.Pops
-	flags := p.Flags
-	if cap(pops) < n {
-		pops = make([]float64, n)
-		copy(pops, p.Pops)
-	} else {
-		old := len(pops)
-		pops = pops[:n]
-		for i := old; i < n; i++ {
-			pops[i] = 0
+// ParityAdd folds member snapshots into the parity record, growing the
+// record to the longest payload seen, and stamps the record's checksum
+// in the same pass — a record is sealed after every call. Into a freshly
+// reset record the first two members are XORed directly (two reads and
+// one write of the payload for a group of two); every further member
+// costs one more such pass.
+func ParityAdd(p *Snapshot, members ...*Snapshot) {
+	for len(members) > 0 {
+		a := p
+		if len(p.Pops) == 0 && len(p.Flags) == 0 && len(members) > 1 {
+			a, members = members[0], members[1:]
 		}
-	}
-	if cap(flags) < m {
-		flags = make([]byte, m)
-		copy(flags, p.Flags)
-	} else {
-		old := len(flags)
-		flags = flags[:m]
-		for i := old; i < m; i++ {
-			flags[i] = 0
+		b := members[0]
+		members = members[1:]
+		if a != p {
+			p.members ^= a.Sum
 		}
+		p.members ^= b.Sum
+		// a may be p itself: keep its payload reachable across the resize.
+		aPops, aFlags := a.Pops, a.Flags
+		p.ensure(max(len(aPops), len(b.Pops)), max(len(aFlags), len(b.Flags)))
+		d := newDigest()
+		xorPadded(&d.pops, p.Pops, aPops, b.Pops)
+		xorPaddedBytes(&d.flags, p.Flags, aFlags, b.Flags)
+		p.Sum = d.sum(len(p.Pops), len(p.Flags))
 	}
-	p.Pops, p.Flags = pops, flags
 }
 
-// Seal stamps the parity record's checksum after the last ParityAdd.
+// xorPadded sets dst (as long as the longer operand) to a ⊕ b with the
+// shorter one zero-extended, hashing dst as it goes; dst may alias a.
+// The unpaired tail is copied and hashed a cache-sized block at a time.
+func xorPadded(h *lanes, dst, a, b []float64) {
+	if len(a) < len(b) {
+		a, b = b, a
+	}
+	n := len(b)
+	h.xor(dst[:n], a[:n], b)
+	for n < len(dst) {
+		e := min(n+2048, len(dst))
+		copy(dst[n:e], a[n:e])
+		h.write(dst[n:e])
+		n = e
+	}
+}
+
+// xorPaddedBytes is xorPadded for the flags (a 150th of the payload).
+func xorPaddedBytes(h *lanes, dst, a, b []byte) {
+	if len(a) < len(b) {
+		a, b = b, a
+	}
+	copy(dst[len(b):], a[len(b):])
+	for i, v := range b {
+		dst[i] = a[i] ^ v
+	}
+	h.writeBytes(dst)
+}
+
+// Seal stamps the checksum of a record whose payload was written
+// directly. ParityAdd seals on its own.
 func Seal(p *Snapshot) { p.Sum = checksum(p.Pops, p.Flags) }
 
 // Reconstruct recovers the snapshot of the missing rank from a sealed
@@ -116,11 +101,6 @@ func Reconstruct(dst *Snapshot, parity *Snapshot, survivors []*Snapshot,
 		return fmt.Errorf("resil: parity payload (%d pops) shorter than missing block (%d)",
 			len(parity.Pops), n)
 	}
-	// Accumulate parity ⊕ survivors into a full-width scratch, then
-	// truncate to the missing block's size.
-	dst.ensure(len(parity.Pops), len(parity.Flags))
-	copy(dst.Pops, parity.Pops)
-	copy(dst.Flags, parity.Flags)
 	for _, s := range survivors {
 		if s.Step != step {
 			return fmt.Errorf("resil: survivor rank %d snapshot at step %d, want %d", s.Rank, s.Step, step)
@@ -128,9 +108,15 @@ func Reconstruct(dst *Snapshot, parity *Snapshot, survivors []*Snapshot,
 		if !s.Verify() {
 			return fmt.Errorf("resil: survivor rank %d snapshot fails checksum", s.Rank)
 		}
-		xorFloats(dst.Pops, s.Pops)
-		xorBytes(dst.Flags, s.Flags)
 	}
+	// parity ⊕ survivors at full width, then truncate to the missing
+	// block's size.
+	want := parity.members
+	for _, s := range survivors {
+		want ^= s.Sum
+	}
+	ParityReset(dst, missing, step, len(parity.Pops), len(parity.Flags))
+	ParityAdd(dst, append([]*Snapshot{parity}, survivors...)...)
 	// Beyond the missing block's extent the XOR must cancel to zero;
 	// a nonzero tail means the equation had more than one unknown.
 	for _, v := range dst.Pops[n:] {
@@ -144,6 +130,9 @@ func Reconstruct(dst *Snapshot, parity *Snapshot, survivors []*Snapshot,
 	dst.X0, dst.Y0, dst.Z0 = b.X0, b.Y0, b.Z0
 	dst.NX, dst.NY, dst.NZ = b.NX, b.NY, b.NZ
 	dst.Q = q
-	dst.Sum = checksum(dst.Pops, dst.Flags)
+	Seal(dst)
+	if dst.Sum != want {
+		return fmt.Errorf("resil: reconstruction of rank %d does not match the checksum its owner sent (a member was corrupted in flight)", missing)
+	}
 	return nil
 }

@@ -31,10 +31,12 @@
 // resolving buddy chains and cross-feeding L2-recovered blocks into the
 // parity equations — or whether the failure must escalate to L4.
 //
-// Every snapshot carries an FNV-1a checksum so a bit-flipped buddy push
-// (the fault injector corrupts user-tag messages) is detected at use
-// time and falls through to the next level instead of silently
-// restoring garbage.
+// Every snapshot carries a checksum that detects any single flipped bit
+// (checksum.go), so a bit-flipped buddy push (the fault injector
+// corrupts user-tag messages) is detected at use time and falls through
+// to the next level instead of silently restoring garbage; a parity
+// record also remembers its members' checksums, so a member corrupted on
+// its way into the XOR is caught at reconstruction.
 package resil
 
 import (

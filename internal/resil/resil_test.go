@@ -74,7 +74,7 @@ func TestCapturePackUnpackRoundTrip(t *testing.T) {
 
 	data, aux := s.Pack(nil, nil)
 	var u Snapshot
-	if err := UnpackInto(&u, data, aux); err != nil {
+	if err := u.Unpack(data, aux); err != nil {
 		t.Fatal(err)
 	}
 	if u.Rank != s.Rank || u.Step != s.Step || u.X0 != s.X0 || u.NX != s.NX || u.Sum != s.Sum {
@@ -248,8 +248,8 @@ func TestStoreParityRecoveryWhenBuddyCorrupt(t *testing.T) {
 	// Corrupt the buddy copy of rank 1 (held by rank 0): the plan must
 	// detect the checksum failure and fall through to parity.
 	st.mu.Lock()
-	g := &st.gen[st.cur]
-	g.buddy[0].Pops[0] = math.Float64frombits(math.Float64bits(g.buddy[0].Pops[0]) ^ 4)
+	g := &st.gen[0]
+	g.recs[1][0].Pops[0] = math.Float64frombits(math.Float64bits(g.recs[1][0].Pops[0]) ^ 4)
 	st.mu.Unlock()
 
 	rec, ok := st.RecoveryPlan([]int{1})
@@ -295,7 +295,7 @@ func TestStoreTornGenerationFallsBack(t *testing.T) {
 	newer := make([]*Snapshot, len(snaps))
 	for r, s := range snaps {
 		c := &Snapshot{}
-		copyInto(c, s)
+		c.CopyFrom(s)
 		c.Step = s.Step + 5
 		c.Sum = checksum(c.Pops, c.Flags)
 		newer[r] = c

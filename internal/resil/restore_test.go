@@ -57,7 +57,8 @@ func TestCaptureAAPhaseIndependent(t *testing.T) {
 		for k := range sr.Pops {
 			// Fluid-cell payload must match bitwise; wall-cell slots are
 			// semantically undefined in both schemes, so skip them.
-			if sr.Flags[k/sr.Q] != byte(core.Fluid) {
+			row, z := k/(sr.Q*sr.NZ), k%sr.NZ
+			if sr.Flags[row*sr.NZ+z] != byte(core.Fluid) {
 				continue
 			}
 			if math.Float64bits(sr.Pops[k]) != math.Float64bits(sa.Pops[k]) {

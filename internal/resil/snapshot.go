@@ -1,8 +1,8 @@
 package resil
 
 import (
+	"errors"
 	"fmt"
-	"math"
 
 	"sunwaylb/internal/core"
 	"sunwaylb/internal/decomp"
@@ -18,21 +18,31 @@ type Snapshot struct {
 	// Rank is the owner (for L1), the original owner of a buddy copy
 	// (for L2), or the computing member (for parity).
 	Rank int
-	// Step is the completed-step count the state belongs to.
+	// Step is the completed-step count the state belongs to; −1 marks a
+	// store record that is empty or still being filled.
 	Step int
 	// X0, Y0, Z0, NX, NY, NZ locate the block in the global domain.
 	X0, Y0, Z0 int
 	NX, NY, NZ int
 	// Q is the descriptor population count.
 	Q int
-	// Pops holds the interior populations in (y, x, z) block order with
-	// q innermost — the same order GatherLattice serialises.
+	// Pops holds the interior populations as one population-major block
+	// per z-row, rows in (y, x) order: population i of cell (x, y, z) is
+	// Pops[((y*NX+x)*Q+i)*NZ+z] — core.GatherLine's layout, the one
+	// PackFace and swio use, so every row moves as Q memmoves. The
+	// payload lives in memory only and is the logical state: identical
+	// at both AA storage phases and on the double buffer.
 	Pops []float64
-	// Flags holds the interior cell flags in the same order.
+	// Flags holds the interior cell flags, z innermost, rows in the
+	// same order.
 	Flags []byte
-	// Sum is the FNV-1a checksum of Pops and Flags, so a corrupted
+	// Sum is the checksum of Pops and Flags (see digest), so a corrupted
 	// buddy push or parity replica is detected at use time.
 	Sum uint64
+	// members is, on a parity record, the XOR of the checksums its
+	// members carried: a reconstruction must hash to what is left after
+	// XORing out the survivors', or a member was corrupted in flight.
+	members uint64
 }
 
 // PayloadBytes returns the in-memory size of the snapshot payload.
@@ -40,50 +50,15 @@ func (s *Snapshot) PayloadBytes() int64 {
 	return int64(8*len(s.Pops) + len(s.Flags))
 }
 
-// fnv-1a 64-bit constants.
-const (
-	fnvOffset = 0xcbf29ce484222325
-	fnvPrime  = 0x100000001b3
-)
-
-// fnvU64 folds one 64-bit word into an FNV-1a hash, byte by byte.
-//
-//lbm:hot
-func fnvU64(h, v uint64) uint64 {
-	for i := 0; i < 8; i++ {
-		h ^= v & 0xff
-		h *= fnvPrime
-		v >>= 8
-	}
-	return h
-}
-
-// checksum computes the snapshot payload checksum.
-//
-// Per-element traffic: one float64 read (the flag pass reads a byte).
-//
-//lbm:hot traffic budget=8
-func checksum(pops []float64, flags []byte) uint64 {
-	h := uint64(fnvOffset)
-	for _, v := range pops {
-		h = fnvU64(h, math.Float64bits(v))
-	}
-	for _, f := range flags {
-		h ^= uint64(f)
-		h *= fnvPrime
-	}
-	return h
-}
-
 // Verify reports whether the payload still matches the checksum.
 func (s *Snapshot) Verify() bool { return checksum(s.Pops, s.Flags) == s.Sum }
 
-// ensure grows the snapshot's payload buffers to hold n populations and
-// m flags. Kept out of the hot capture path so the per-step capture
-// stays allocation-free in steady state.
+// ensure sizes the payload for n populations and m flags, reusing the
+// buffers when they are large enough. Contents are not preserved and
+// fresh memory is not touched.
 func (s *Snapshot) ensure(n, m int) {
 	if cap(s.Pops) < n {
-		s.Pops = make([]float64, n)
+		s.Pops = make([]float64, n, n+packTrailer)
 	}
 	s.Pops = s.Pops[:n]
 	if cap(s.Flags) < m {
@@ -92,104 +67,170 @@ func (s *Snapshot) ensure(n, m int) {
 	s.Flags = s.Flags[:m]
 }
 
+// CopyFrom makes s a deep copy of src, reusing s's buffers.
+func (s *Snapshot) CopyFrom(src *Snapshot) {
+	pops, flags := s.Pops, s.Flags
+	*s = *src
+	s.Pops, s.Flags = pops, flags
+	s.ensure(len(src.Pops), len(src.Flags))
+	copy(s.Pops, src.Pops)
+	copy(s.Flags, src.Flags)
+}
+
 // Capture records the lattice's interior block state into the snapshot,
 // reusing the snapshot's buffers (steady-state allocation-free; the
 // first capture sizes them). The lattice holds the rank's local block
 // (interior NX×NY×NZ); b locates that block globally.
 func Capture(s *Snapshot, lat *core.Lattice, b decomp.Block, rank int) {
-	q := lat.Desc.Q
-	cells := b.NX * b.NY * b.NZ
-	s.Rank, s.Step = rank, lat.Step()
+	captureBox(s, lat, b, rank, 0, 0, 0)
+}
+
+// CaptureAt is Capture for a lattice that holds more than the block:
+// b's own origin locates the block inside lat's interior (slicing a
+// global checkpoint back into per-patch snapshots).
+func CaptureAt(s *Snapshot, lat *core.Lattice, b decomp.Block, rank int) {
+	captureBox(s, lat, b, rank, b.X0, b.Y0, b.Z0)
+}
+
+// captureBox gathers the b-sized box at interior origin (ox, oy, oz) of
+// lat, one z-row at a time, hashing each row while it is still in cache.
+// The header is stamped last: Step and Sum describe a complete payload
+// or nothing.
+//
+// Per cell the loop itself moves the flag byte in and out; the Q
+// population moves are priced in core's gatherPop (16 B each), the hash
+// in lanes.write.
+//
+//lbm:hot traffic budget=320 assume q=19
+func captureBox(s *Snapshot, lat *core.Lattice, b decomp.Block, rank, ox, oy, oz int) {
+	q, nz := lat.Desc.Q, b.NZ
+	s.Rank = rank
 	s.X0, s.Y0, s.Z0 = b.X0, b.Y0, b.Z0
 	s.NX, s.NY, s.NZ = b.NX, b.NY, b.NZ
 	s.Q = q
-	s.ensure(cells*q, cells)
-	s.Sum = captureInto(s.Pops, s.Flags, lat, q)
+	s.ensure(b.NX*b.NY*nz*q, b.NX*b.NY*nz)
+	d := newDigest()
+	for row := 0; row < b.NX*b.NY; row++ {
+		ln := lat.ZLine(ox+row%b.NX+1, oy+row/b.NX+1)
+		pops := s.Pops[row*q*nz : (row+1)*q*nz]
+		lat.GatherLine(ln, oz+1, oz+1+nz, pops, nz)
+		d.pops.write(pops)
+		flags := s.Flags[row*nz : (row+1)*nz]
+		for z := range flags {
+			flags[z] = byte(lat.Flags[ln.Cell(oz+1+z)])
+		}
+		d.flags.writeBytes(flags)
+	}
+	s.Step, s.Sum = lat.Step(), d.sum(len(s.Pops), len(s.Flags))
 }
 
-// captureInto copies the interior populations and flags into the
-// pre-sized buffers and returns the payload checksum (computed in the
-// same canonical pops-then-flags order Verify uses). This is the
-// per-step L1 capture loop: no allocation, no formatting, leaf calls
-// only. Population slots are resolved through the lattice's per-pop
-// bases, so the serialised logical state is identical at both AA
-// storage phases (and on non-AA lattices).
-//
-// Per-cell traffic: 19 population reads + 19 buffer writes plus the
-// flag byte in and out.
+// ErrPhaseMismatch is returned by RestoreInto when a snapshot's step
+// parity disagrees with the target lattice's AA storage phase. An
+// AA-pattern lattice stores populations in one of two layouts selected by
+// the parity of its step counter; writing an odd-parity snapshot into an
+// even-phase lattice (or vice versa) would scatter the payload into the
+// wrong slots. Callers must SetStep to the snapshot's step (or one with
+// the same parity) before restoring.
+var ErrPhaseMismatch = errors.New("resil: snapshot step parity does not match lattice AA phase")
+
+// RestoreInto writes a snapshot's interior state back into a lattice
+// whose interior dimensions match the snapshot block. It validates the
+// geometry and, for AA lattices, the storage phase — the lattice's step
+// counter must already carry the snapshot's parity (SetStep first, then
+// restore). The step counter itself is NOT modified: restore placement
+// is the caller's contract, phase correctness is this function's.
+func RestoreInto(lat *core.Lattice, s *Snapshot) error {
+	if s.NX != lat.NX || s.NY != lat.NY || s.NZ != lat.NZ {
+		return fmt.Errorf("resil: snapshot block %dx%dx%d does not fit lattice interior %dx%dx%d",
+			s.NX, s.NY, s.NZ, lat.NX, lat.NY, lat.NZ)
+	}
+	return installBox(lat, s, 0, 0, 0)
+}
+
+// installBox is the inverse of captureBox: it validates the snapshot
+// against the lattice and scatters it row by row at interior origin
+// (ox, oy, oz).
 //
 //lbm:hot traffic budget=320 assume q=19
-func captureInto(pops []float64, flags []byte, lat *core.Lattice, q int) uint64 {
-	src := lat.Src()
-	var baseArr [core.MaxQ]int
-	base := baseArr[:q]
-	for i := range base {
-		base[i] = lat.PopBase(i)
+func installBox(lat *core.Lattice, s *Snapshot, ox, oy, oz int) error {
+	if err := s.fits(lat, ox, oy, oz); err != nil {
+		return err
 	}
-	k := 0
-	for y := 0; y < lat.NY; y++ {
-		for x := 0; x < lat.NX; x++ {
-			for z := 0; z < lat.NZ; z++ {
-				idx := lat.Idx(x, y, z)
-				for i := 0; i < q; i++ {
-					pops[k*q+i] = src[base[i]+idx]
-				}
-				flags[k] = byte(lat.Flags[idx])
-				k++
-			}
+	q, nz := s.Q, s.NZ
+	for row := 0; row < s.NX*s.NY; row++ {
+		ln := lat.ZLine(ox+row%s.NX+1, oy+row/s.NX+1)
+		lat.ScatterLine(ln, oz+1, oz+1+nz, s.Pops[row*q*nz:(row+1)*q*nz], nz)
+		for z, f := range s.Flags[row*nz : (row+1)*nz] {
+			lat.Flags[ln.Cell(oz+1+z)] = core.CellType(f)
 		}
 	}
-	return checksum(pops, flags)
+	return nil
 }
 
-// copyInto deep-copies src into dst, reusing dst's buffers.
-func copyInto(dst, src *Snapshot) {
-	*dst = Snapshot{
-		Rank: src.Rank, Step: src.Step,
-		X0: src.X0, Y0: src.Y0, Z0: src.Z0,
-		NX: src.NX, NY: src.NY, NZ: src.NZ,
-		Q: src.Q, Sum: src.Sum,
-		Pops:  dst.Pops,
-		Flags: dst.Flags,
+// fits checks everything installBox relies on: descriptor, payload
+// size, placement inside the lattice interior and the AA storage phase.
+func (s *Snapshot) fits(lat *core.Lattice, ox, oy, oz int) error {
+	if s.Q != lat.Desc.Q {
+		return fmt.Errorf("resil: snapshot has %d populations, lattice descriptor %s has %d",
+			s.Q, lat.Desc.Name, lat.Desc.Q)
 	}
-	dst.ensure(len(src.Pops), len(src.Flags))
-	copy(dst.Pops, src.Pops)
-	copy(dst.Flags, src.Flags)
+	if want := s.NX * s.NY * s.NZ; len(s.Pops) != want*s.Q || len(s.Flags) != want {
+		return fmt.Errorf("resil: snapshot payload sized for %d pops / %d flags, got %d / %d",
+			want*s.Q, want, len(s.Pops), len(s.Flags))
+	}
+	if ox < 0 || oy < 0 || oz < 0 || s.NX < 0 || s.NY < 0 || s.NZ < 0 ||
+		ox+s.NX > lat.NX || oy+s.NY > lat.NY || oz+s.NZ > lat.NZ {
+		return fmt.Errorf("resil: rank %d block %d,%d,%d+%d×%d×%d outside %d×%d×%d",
+			s.Rank, ox, oy, oz, s.NX, s.NY, s.NZ, lat.NX, lat.NY, lat.NZ)
+	}
+	if lat.AA() && lat.Step()&1 != s.Step&1 {
+		return fmt.Errorf("%w (snapshot step %d, lattice step %d)",
+			ErrPhaseMismatch, s.Step, lat.Step())
+	}
+	return nil
 }
 
-// packHeader is the number of float64 header words of a packed snapshot.
-const packHeader = 11
+// packTrailer is the number of float64 header words a packed snapshot
+// carries after its populations.
+const packTrailer = 11
 
-// Pack serialises the snapshot for an mpi transfer, appending to the
-// provided buffers (pass nil-or-reused slices; the returned slices are
-// the message payload). The checksum travels split across two words so
-// it survives the float64 payload type exactly.
+// Pack serialises the snapshot for an mpi transfer into the provided
+// buffers and returns the message payload. Pass nil or recycled slices
+// for a copy a fault in flight cannot trace back to the snapshot, or the
+// snapshot's own Pops and Flags to pack in place when the snapshot is
+// given up with the message. The header travels as a trailer, which lets
+// the receiver adopt the body in place; the checksum is split across two
+// words so it survives the float64 payload type exactly.
 func (s *Snapshot) Pack(data []float64, aux []byte) ([]float64, []byte) {
-	data = data[:0]
-	data = append(data,
+	n := len(s.Pops)
+	if cap(data) < n+packTrailer {
+		data = make([]float64, n+packTrailer)
+	}
+	data = data[:n+packTrailer]
+	copy(data, s.Pops)
+	copy(data[n:], []float64{
 		float64(s.Rank), float64(s.Step),
 		float64(s.X0), float64(s.Y0), float64(s.Z0),
 		float64(s.NX), float64(s.NY), float64(s.NZ),
 		float64(s.Q),
-		float64(s.Sum>>32), float64(s.Sum&0xffffffff))
-	data = append(data, s.Pops...)
-	aux = append(aux[:0], s.Flags...)
-	return data, aux
+		float64(s.Sum >> 32), float64(s.Sum & 0xffffffff)})
+	return data, append(aux[:0], s.Flags...)
 }
 
-// UnpackInto decodes a packed snapshot into dst, reusing dst's buffers.
-func UnpackInto(dst *Snapshot, data []float64, aux []byte) error {
-	if len(data) < packHeader {
+// Unpack decodes a packed snapshot into s without copying: s adopts
+// data and aux as its payload (whatever it held before is dropped), so
+// the caller must not reuse the message buffers while s is live.
+func (s *Snapshot) Unpack(data []float64, aux []byte) error {
+	n := len(data) - packTrailer
+	if n < 0 {
 		return fmt.Errorf("resil: packed snapshot too short (%d words)", len(data))
 	}
-	dst.Rank, dst.Step = int(data[0]), int(data[1])
-	dst.X0, dst.Y0, dst.Z0 = int(data[2]), int(data[3]), int(data[4])
-	dst.NX, dst.NY, dst.NZ = int(data[5]), int(data[6]), int(data[7])
-	dst.Q = int(data[8])
-	dst.Sum = uint64(data[9])<<32 | uint64(data[10])
-	body := data[packHeader:]
-	dst.ensure(len(body), len(aux))
-	copy(dst.Pops, body)
-	copy(dst.Flags, aux)
+	h := data[n:]
+	s.Rank, s.Step = int(h[0]), int(h[1])
+	s.X0, s.Y0, s.Z0 = int(h[2]), int(h[3]), int(h[4])
+	s.NX, s.NY, s.NZ = int(h[5]), int(h[6]), int(h[7])
+	s.Q = int(h[8])
+	s.Sum = uint64(h[9])<<32 | uint64(h[10])
+	s.Pops, s.Flags = data[:n], aux
 	return nil
 }

@@ -2,49 +2,66 @@ package resil
 
 import (
 	"fmt"
-	"sort"
+	"math/bits"
 	"sync"
 
 	"sunwaylb/internal/decomp"
+	"sunwaylb/internal/mpi"
 )
 
 // Store is the supervisor-side ledger of the in-memory checkpoint
 // hierarchy: it models each rank's local memory in the simulated
-// machine. Ranks deposit their own L1 snapshots, the L2 buddy copies
-// they received, and the L3 parity replicas they computed; the
-// supervisor consults RecoveryPlan after a failure to decide whether
-// the dead set is repairable from memory or must escalate to the disk
-// path. Two generations are double-buffered so a failure mid-capture
-// still finds the previous complete generation.
+// machine and owns the memory of every record. Ranks fill their own L1
+// records, the L2 buddy copies they received and the L3 parity replicas
+// they computed in place (Slot, then Commit); the supervisor consults
+// RecoveryPlan after a failure to decide whether the dead set is
+// repairable from memory or must escalate to the disk path. Two
+// generations are double-buffered so a failure mid-capture still finds
+// the previous complete generation.
 //
-// All methods are safe for concurrent use by rank goroutines; the
-// returned recovery snapshots are read only after the world has been
-// torn down (no rank goroutine is running).
+// All methods are safe for concurrent use by rank goroutines. The mutex
+// covers record lookup and the ledger, not the payloads: between Slot
+// and Commit a record belongs to the one rank that holds it, and
+// recovery plans read records only when no rank is writing their
+// generation — after the world has been torn down, or behind a barrier
+// while the next wave fills the other generation.
 type Store struct {
 	mu        sync.Mutex
 	ranks     int
 	groupSize int
 	blocks    []decomp.Block
 
-	// Two double-buffered generations; cur receives deposits for the
-	// newest step.
-	gen [2]generation
-	cur int
+	gen [2]generation // double-buffered: a new step overwrites the older
 
-	bytes    [4]int64 // cumulative deposited bytes per level (L1..L4)
-	deposits [4]int64
+	// wire holds transport buffers between waves: what one receiver
+	// hands back is what the next sender packs into.
+	wire []wireBuf
+
+	bytes [4]int64 // cumulative deposited bytes per level (L1..L4)
 }
 
-// generation is one snapshot wave at a single step boundary.
+// generation is one snapshot wave at a single step boundary. Every
+// holder has one record per in-memory level: recs[0] is L1 (rank → its own
+// snapshot), recs[1] L2 (holder → copy of ring-prev's snapshot), recs[2]
+// L3 (holder → group parity replica). A record whose Step differs from
+// the generation's is empty, stale or torn.
 type generation struct {
-	step   int               // -1 = empty
-	own    map[int]*Snapshot // L1: rank → its own snapshot
-	buddy  map[int]*Snapshot // L2: holder rank → copy of ring-prev's snapshot
-	parity map[int]*Snapshot // L3: holder rank → group parity replica
+	step int // -1 = empty
+	recs [3][]Snapshot
+}
+
+// index maps an in-memory level to its record and ledger slot.
+func (l Levels) index() int { return bits.TrailingZeros8(uint8(l)) }
+
+type wireBuf struct {
+	data []float64
+	aux  []byte
 }
 
 // NewStore builds a store for a world of the given size, parity-group
-// size and decomposition table (blocks[r] is rank r's subdomain).
+// size and decomposition table (blocks[r] is rank r's subdomain). It
+// allocates the record headers only; payload memory is sized by the
+// first wave that fills a record and reused from then on.
 func NewStore(ranks, groupSize int, blocks []decomp.Block) (*Store, error) {
 	if ranks < 1 {
 		return nil, fmt.Errorf("resil: store needs ≥ 1 rank, got %d", ranks)
@@ -57,18 +74,17 @@ func NewStore(ranks, groupSize int, blocks []decomp.Block) (*Store, error) {
 	}
 	st := &Store{ranks: ranks, groupSize: groupSize, blocks: blocks}
 	for i := range st.gen {
-		st.gen[i] = generation{
-			step:   -1,
-			own:    make(map[int]*Snapshot),
-			buddy:  make(map[int]*Snapshot),
-			parity: make(map[int]*Snapshot),
+		st.gen[i].step = -1
+		for lv := range st.gen[i].recs {
+			recs := make([]Snapshot, ranks)
+			for r := range recs {
+				recs[r].Step = -1
+			}
+			st.gen[i].recs[lv] = recs
 		}
 	}
 	return st, nil
 }
-
-// Ranks returns the world size the store was built for.
-func (st *Store) Ranks() int { return st.ranks }
 
 // GroupSize returns the parity-group size.
 func (st *Store) GroupSize() int { return st.groupSize }
@@ -77,94 +93,143 @@ func (st *Store) GroupSize() int { return st.groupSize }
 // containing rank r.
 func (st *Store) Group(r int) (lo, hi int) {
 	lo = (r / st.groupSize) * st.groupSize
-	hi = lo + st.groupSize
-	if hi > st.ranks {
-		hi = st.ranks
-	}
-	return lo, hi
+	return lo, min(lo+st.groupSize, st.ranks)
 }
-
-// GroupOf returns the parity-group index of rank r.
-func (st *Store) GroupOf(r int) int { return r / st.groupSize }
 
 // Buddy returns the ring-next member of r's group — the rank that holds
 // r's L2 copy. Returns r itself for a singleton group (no buddy).
-func (st *Store) Buddy(r int) int {
-	lo, hi := st.Group(r)
-	if hi-lo < 2 {
-		return r
-	}
-	n := hi - lo
-	return lo + (r-lo+1)%n
-}
+func (st *Store) Buddy(r int) int { return st.ring(r, 1) }
 
 // BuddySource returns the rank whose L2 copy rank r holds (ring-prev).
-func (st *Store) BuddySource(r int) int {
+func (st *Store) BuddySource(r int) int { return st.ring(r, -1) }
+
+func (st *Store) ring(r, d int) int {
 	lo, hi := st.Group(r)
-	if hi-lo < 2 {
-		return r
-	}
-	n := hi - lo
-	return lo + (r-lo+n-1)%n
+	return lo + (r-lo+d+hi-lo)%(hi-lo)
 }
 
-// genFor returns the generation receiving deposits for step, flipping
-// the double buffer when a new step arrives. Callers hold st.mu.
+// genFor returns the generation receiving deposits for step: the one
+// already at that step, else the older of the two, which the new step
+// overwrites. Callers hold st.mu.
 func (st *Store) genFor(step int) *generation {
-	if st.gen[st.cur].step == step {
-		return &st.gen[st.cur]
+	older := &st.gen[0]
+	for i := range st.gen {
+		if st.gen[i].step == step {
+			return &st.gen[i]
+		}
+		if st.gen[i].step < older.step {
+			older = &st.gen[i]
+		}
 	}
-	if st.gen[1-st.cur].step == step {
-		return &st.gen[1-st.cur]
-	}
-	// A new step: overwrite the older buffer.
-	if st.gen[1-st.cur].step < st.gen[st.cur].step {
-		st.cur = 1 - st.cur
-	}
-	st.gen[st.cur].step = step
-	return &st.gen[st.cur]
+	older.step = step
+	return older
 }
 
-// slot returns (lazily creating) the reusable snapshot slot of a rank
-// in one of a generation's maps. Callers hold st.mu.
-func slot(m map[int]*Snapshot, rank int) *Snapshot {
-	s, ok := m[rank]
-	if !ok {
-		s = &Snapshot{}
-		m[rank] = s
-	}
+// Slot returns holder's record at one in-memory level (L1, L2 or L3) in
+// the generation receiving step, marked torn (Step −1) until Commit. The
+// caller fills the record's payload in place, outside the store's lock:
+// a rank that dies mid-fill leaves a record no recovery plan accepts.
+func (st *Store) Slot(lv Levels, holder, step int) *Snapshot {
+	st.mu.Lock()
+	defer st.mu.Unlock()
+	s := &st.genFor(step).recs[lv.index()][holder]
+	s.Step = -1
 	return s
 }
 
-// DepositOwn records rank's L1 snapshot (copied into the store's
-// double-buffered slot, so the caller may keep reusing s).
-func (st *Store) DepositOwn(s *Snapshot) {
+// Commit publishes a filled record: it stamps the step — the header
+// word plans check first, written last — and enters the payload in the
+// byte ledger.
+func (st *Store) Commit(lv Levels, s *Snapshot, step int) {
 	st.mu.Lock()
 	defer st.mu.Unlock()
-	g := st.genFor(s.Step)
-	copyInto(slot(g.own, s.Rank), s)
-	st.bytes[0] += s.PayloadBytes()
-	st.deposits[0]++
+	s.Step = step
+	st.bytes[lv.index()] += s.PayloadBytes()
 }
+
+// deposit copies src into holder's record of src's generation.
+func (st *Store) deposit(lv Levels, holder int, src *Snapshot) {
+	step := src.Step
+	dst := st.Slot(lv, holder, step)
+	if dst != src { // Reseed hands the store its own records back
+		dst.CopyFrom(src)
+	}
+	st.Commit(lv, dst, step)
+}
+
+// DepositOwn records a copy of rank's L1 snapshot.
+func (st *Store) DepositOwn(s *Snapshot) { st.deposit(L1, s.Rank, s) }
 
 // DepositBuddy records the L2 copy of s held by holder.
-func (st *Store) DepositBuddy(holder int, s *Snapshot) {
+func (st *Store) DepositBuddy(holder int, s *Snapshot) { st.deposit(L2, holder, s) }
+
+// DepositParity records a copy of the L3 parity replica held by holder.
+func (st *Store) DepositParity(holder int, p *Snapshot) { st.deposit(L3, holder, p) }
+
+// Send ships a packed copy of s to dst. The transport passes references
+// and the fault hook may flip bits in place, so what travels is never the
+// record itself but a recycled transport buffer.
+func (st *Store) Send(c *mpi.Comm, s *Snapshot, dst, tag int) {
 	st.mu.Lock()
-	defer st.mu.Unlock()
-	g := st.genFor(s.Step)
-	copyInto(slot(g.buddy, holder), s)
-	st.bytes[1] += s.PayloadBytes()
-	st.deposits[1]++
+	var w wireBuf
+	if n := len(st.wire) - 1; n >= 0 {
+		w, st.wire = st.wire[n], st.wire[:n]
+	}
+	st.mu.Unlock()
+	data, aux := s.Pack(w.data, w.aux)
+	c.Send(dst, tag, mpi.Message{Data: data, Aux: aux})
 }
 
-// DepositParity records the L3 parity replica computed by holder.
-func (st *Store) DepositParity(holder int, p *Snapshot) {
+// Recv receives src's snapshot of the wave at step into dst, which adopts
+// the transport buffer (hand it back with Recycle, unless dst is a record
+// that keeps it). A duplicated message of an earlier wave is still queued
+// ahead of this wave's: anything older than step is discarded.
+func (st *Store) Recv(c *mpi.Comm, dst *Snapshot, src, tag, step int) error {
+	for {
+		m, err := c.RecvE(src, tag)
+		if err != nil {
+			return fmt.Errorf("resil: snapshot wave at step %d: %w", step, err)
+		}
+		if err := dst.Unpack(m.Data, m.Aux); err != nil {
+			return err
+		}
+		if dst.Step >= step {
+			return nil
+		}
+		st.Recycle(dst)
+	}
+}
+
+// Recycle takes back the transport buffer a snapshot adopted — after a
+// receiver folded it, or before a record adopts the next one — and leaves
+// the snapshot without payload.
+func (st *Store) Recycle(s *Snapshot) {
+	if cap(s.Pops) > 0 {
+		st.mu.Lock()
+		st.wire = append(st.wire, wireBuf{s.Pops, s.Flags})
+		st.mu.Unlock()
+	}
+	s.Pops, s.Flags = nil, nil
+}
+
+// Resident returns the payload memory the store holds: every record of
+// both generations plus the free transport buffers. Nothing is released
+// before the store itself, so this is also its high-water mark.
+func (st *Store) Resident() int64 {
 	st.mu.Lock()
 	defer st.mu.Unlock()
-	g := st.genFor(p.Step)
-	copyInto(slot(g.parity, holder), p)
-	st.bytes[2] += p.PayloadBytes()
-	st.deposits[2]++
+	var n int64
+	for i := range st.gen {
+		for _, recs := range st.gen[i].recs {
+			for j := range recs {
+				n += int64(8*cap(recs[j].Pops) + cap(recs[j].Flags))
+			}
+		}
+	}
+	for _, w := range st.wire {
+		n += int64(8*cap(w.data) + cap(w.aux))
+	}
+	return n
 }
 
 // AccountDisk adds an L4 (disk) checkpoint write to the byte ledger.
@@ -172,7 +237,6 @@ func (st *Store) AccountDisk(n int64) {
 	st.mu.Lock()
 	defer st.mu.Unlock()
 	st.bytes[3] += n
-	st.deposits[3]++
 }
 
 // Bytes returns the cumulative deposited bytes per level (L1..L4).
@@ -184,15 +248,16 @@ func (st *Store) Bytes() [4]int64 {
 
 // Invalidate wipes every entry held by the given ranks — called after a
 // hot swap, when the dead ranks' memory (their own L1, the buddy copies
-// and parity replicas they stored) is gone for good.
+// and parity replicas they stored) is gone for good. The buffers stay
+// with the store for the replacement rank's next wave.
 func (st *Store) Invalidate(ranks []int) {
 	st.mu.Lock()
 	defer st.mu.Unlock()
 	for _, r := range ranks {
 		for i := range st.gen {
-			delete(st.gen[i].own, r)
-			delete(st.gen[i].buddy, r)
-			delete(st.gen[i].parity, r)
+			for _, recs := range st.gen[i].recs {
+				recs[r].Step = -1
+			}
 		}
 	}
 }
@@ -242,12 +307,11 @@ func (st *Store) RecoveryPlan(dead []int) (*Recovery, bool) {
 		isDead[d] = true
 	}
 	// Try generations newest-first.
-	order := []int{st.cur, 1 - st.cur}
-	if st.gen[1-st.cur].step > st.gen[st.cur].step {
-		order = []int{1 - st.cur, st.cur}
+	newest := 0
+	if st.gen[1].step > st.gen[0].step {
+		newest = 1
 	}
-	for _, gi := range order {
-		g := &st.gen[gi]
+	for _, g := range [...]*generation{&st.gen[newest], &st.gen[1-newest]} {
 		if g.step < 0 {
 			continue
 		}
@@ -282,8 +346,8 @@ func (st *Store) planFromGen(g *generation, isDead map[int]bool) (*Recovery, boo
 			unresolved = append(unresolved, r)
 			continue
 		}
-		s, ok := g.own[r]
-		if !ok || s.Step != step || !s.Verify() {
+		s := &g.recs[0][r]
+		if s.Step != step || !s.Verify() {
 			unresolved = append(unresolved, r)
 			continue
 		}
@@ -292,12 +356,11 @@ func (st *Store) planFromGen(g *generation, isDead map[int]bool) (*Recovery, boo
 	rec := &Recovery{Step: step, Blocks: blocks}
 	// Pass 1: buddy copies. The holder of d's copy is Buddy(d); it must
 	// be alive and its copy must be d's state at this step.
-	sort.Ints(unresolved)
 	remaining := unresolved[:0]
 	for _, d := range unresolved {
 		h := st.Buddy(d)
 		if h != d && !isDead[h] {
-			if c, ok := g.buddy[h]; ok && c.Rank == d && c.Step == step && c.Verify() {
+			if c := &g.recs[1][h]; c.Rank == d && c.Step == step && c.Verify() {
 				blocks[d] = c
 				rec.BuddyRestores++
 				continue
@@ -342,32 +405,18 @@ func (st *Store) reconstructLocked(g *generation, blocks map[int]*Snapshot,
 		}
 		survivors = append(survivors, s)
 	}
-	// Any live member's parity replica will do.
-	for r := lo; r < hi; r++ {
-		if r == d || isDead[r] {
-			continue
-		}
-		p, ok := g.parity[r]
-		if !ok || p.Step != step || !p.Verify() {
+	// Any live member's parity replica will do (Reconstruct verifies it).
+	for r := lo; r < hi && len(survivors) > 0; r++ {
+		p := &g.recs[2][r]
+		if r == d || isDead[r] || p.Step != step {
 			continue
 		}
 		out := &Snapshot{}
-		if err := Reconstruct(out, p, survivors, d, st.blocks[d], st.blockQ(survivors), step); err != nil {
-			continue
+		if Reconstruct(out, p, survivors, d, st.blocks[d], survivors[0].Q, step) == nil {
+			blocks[d] = out
+			rec.Reconstructions++
+			return true
 		}
-		blocks[d] = out
-		rec.Reconstructions++
-		return true
 	}
 	return false
-}
-
-// blockQ infers the descriptor population count from any survivor.
-func (st *Store) blockQ(survivors []*Snapshot) int {
-	for _, s := range survivors {
-		if s.Q > 0 {
-			return s.Q
-		}
-	}
-	return 0
 }

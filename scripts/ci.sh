@@ -27,7 +27,10 @@
 #             flaps under the phi detector, multi-loss escalation to
 #             the disk tier, checkpoint corruption and straggler skew —
 #             hot-swapping from the in-memory L2/L3 snapshot hierarchy
-#             where the loss pattern allows it
+#             where the loss pattern allows it; plus the snapshot-wave
+#             contracts (third wave allocation-free, a stale duplicate
+#             never taken for a wave's payload, a bit flipped in flight
+#             neither reaching the sender's record nor a recovery)
 #   trace   — observability smoke: a traced distributed chaos run must
 #             export a Chrome trace that round-trips through
 #             postproc -tracestat (ReadChrome + Validate + Analyze)
@@ -170,8 +173,13 @@ chaos() {
     go test -race -timeout 300s -run \
         'TestChaosMatrix|TestSupervisorRecovers|TestSupervisorHotSwap|TestSupervisorMultiLoss|TestSupervisorSpareBudget|TestSupervisorPhi|TestSupervisorSnapshotCadence|TestSupervisorShrinkingRecovery' \
         ./internal/psolve
+    # Snapshot-wave contracts: steady-state waves allocate no payload
+    # memory, a duplicated message of an earlier wave is discarded, and
+    # in-flight corruption reaches neither the sender's own record nor a
+    # recovery plan. -count=3: the wave tests exercise rank interleavings.
+    go test -race -count=3 -timeout 300s -run 'TestWave' ./internal/psolve
     go test -race -timeout 120s -run \
-        'TestRecvFromExitedRank|TestAbortUnblocksEveryone|TestRecvSuspectsSilentPeer|TestRecvNoFalseSuspicionUnderLoad' \
+        'TestRecvFromExitedRank|TestAbortUnblocksEveryone|TestRecvSuspectsSilentPeer|TestRecvNoFalseSuspicionUnderLoad|TestFaultHookDuplicate' \
         ./internal/mpi
     go test -race -timeout 120s ./internal/fault ./internal/resil
     # CLI-level smoke: a group kill must hot-swap with zero disk rollbacks.
@@ -212,7 +220,10 @@ serve() {
 patch() {
     echo "== patch: patch decomposition + measured-throughput balancing =="
     # The whole patch suite — including the migration chaos tests that
-    # kill an owner mid-step — must hold under the race detector.
+    # kill an owner mid-step and the patch-wave contracts (records reused
+    # from the third wave on, stale parity duplicates discarded, in-flight
+    # corruption refused at reconstruction) — must hold under the race
+    # detector.
     go test -race -count=1 -timeout 600s ./internal/patch
     # Mixed-backend stitched oracles: homogeneous, core+swlb+gpu, and
     # core+swlb+gpu with a forced migration after every step, all
