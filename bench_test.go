@@ -251,7 +251,6 @@ func BenchmarkDistributedHaloExchange(b *testing.B) {
 		PX: 2, PY: 2,
 		Tau:       0.8,
 		PeriodicX: true, PeriodicY: true, PeriodicZ: true,
-		OnTheFly: true,
 	}
 	err := mpi.Run(4, func(c *mpi.Comm) error {
 		s, err := psolve.New(c, opts)

@@ -220,8 +220,7 @@ func runSupervisedHotswap() (CaseResult, error) {
 		Init: func(gx, gy, gz int) (rho, ux, uy, uz float64) {
 			return 1, 0.02, 0.01, 0.005
 		},
-		OnTheFly: true,
-		Trace:    tracer,
+		Trace: tracer,
 	}
 	plan := fault.Plan{
 		Seed:         11,

@@ -75,13 +75,16 @@ func main() {
 		log.Fatalf("lbmserve: %v", err)
 	}
 
+	// Catch signals before the listener answers /healthz: a supervisor that
+	// sees "healthy" may send SIGTERM at once, and that must drain, not kill.
+	sig := make(chan os.Signal, 2)
+	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
+
 	httpSrv := &http.Server{Addr: *addr, Handler: s.Handler()}
 	httpErr := make(chan error, 1)
 	go func() { httpErr <- httpSrv.ListenAndServe() }()
 	log.Printf("lbmserve: serving on %s (data %s)", *addr, *dataDir)
 
-	sig := make(chan os.Signal, 2)
-	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
 	select {
 	case err := <-httpErr:
 		log.Fatalf("lbmserve: http: %v", err)

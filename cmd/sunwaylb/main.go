@@ -37,6 +37,7 @@ import (
 	"sunwaylb/internal/fault"
 	"sunwaylb/internal/geometry"
 	"sunwaylb/internal/lattice"
+	"sunwaylb/internal/mpi"
 	"sunwaylb/internal/patch"
 	"sunwaylb/internal/perf"
 	"sunwaylb/internal/psolve"
@@ -609,11 +610,9 @@ func runDistributed(ctx context.Context, cs *caseSetup, d distOpts) error {
 		PeriodicZ:   cs.periodicZ,
 		Walls:       cs.walls,
 		Init:        cs.init,
-		OnTheFly:    true,
 		Trace:       d.tracer,
 	}
 	if d.useSunway {
-		opts.OnTheFly = false
 		opts.Stepper = func(lat *core.Lattice) (psolve.Stepper, error) {
 			return swlb.New(lat, sunway.SW26010, swlb.DefaultOptions())
 		}
@@ -628,6 +627,7 @@ func runDistributed(ctx context.Context, cs *caseSetup, d distOpts) error {
 	var m *core.MacroField
 	var err error
 	var stats perf.RecoveryStats
+	var path string // the kernel rank 0 ran (unsupervised runs)
 	startStep := 0
 	if d.supervised() {
 		if d.restore != "" {
@@ -687,9 +687,31 @@ func runDistributed(ctx context.Context, cs *caseSetup, d distOpts) error {
 			fmt.Printf("recovery: %s\n", stats)
 		}
 	} else {
-		m, err = psolve.Run(opts, cs.cfg.Steps)
+		// psolve.Run, kept here so rank 0 can say which kernel it ran.
+		w, werr := mpi.NewWorld(px * py)
+		if werr != nil {
+			return werr
+		}
+		w.SetTracer(opts.Trace)
+		err = mpi.RunWorld(w, func(c *mpi.Comm) error {
+			s, err := psolve.New(c, opts)
+			if err != nil {
+				return err
+			}
+			for i := 0; i < cs.cfg.Steps; i++ {
+				s.Step()
+			}
+			if g := s.GatherMacro(0); g != nil {
+				m, path = g, s.Lat.KernelPath()
+			}
+			return nil
+		})
 		if err != nil {
 			return err
+		}
+		if d.useSunway {
+			// The custom stepper installed above, not the lattice's own.
+			path = "swlb " + strings.ToLower(sunway.SW26010.Name)
 		}
 	}
 	elapsed := time.Since(start).Seconds()
@@ -697,6 +719,9 @@ func runDistributed(ctx context.Context, cs *caseSetup, d distOpts) error {
 	doneSteps := cs.cfg.Steps - startStep
 	fmt.Printf("completed %d steps in %.2f s: %s aggregate\n",
 		doneSteps, elapsed, perf.Rate(cells*int64(doneSteps), elapsed))
+	if path != "" {
+		fmt.Printf("  path: %s ranks×%d\n", path, px*py)
+	}
 	if stats.SnapshotWaves > 0 {
 		fmt.Println(stats.SnapshotLine())
 	}
@@ -797,6 +822,7 @@ func runPatch(ctx context.Context, cs *caseSetup, d distOpts) error {
 	fmt.Printf("completed %d steps in %.2f s: %s aggregate\n",
 		cs.cfg.Steps, elapsed, perf.Rate(cells*int64(cs.cfg.Steps), elapsed))
 	if stats != nil {
+		fmt.Printf("  path: %s patches×%d on %d workers\n", stats.Kernel, stats.Patches, stats.Workers)
 		fmt.Printf("patches: %d over %d workers, %d migrations in %d rebalances",
 			stats.Patches, stats.Workers, stats.Migrations, stats.Rebalances)
 		if stats.ImbalancePre > 0 {

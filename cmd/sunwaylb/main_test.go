@@ -142,23 +142,83 @@ func TestCLISmoke(t *testing.T) {
 	}
 }
 
-// TestCLIKernelPath is the "no silent slow path" oracle for the
-// single-rank path: the channel preset on one core must report the
-// in-place AA kernel through the D3Q19 fast path on a one-worker pool
-// (the row kernel is whichever the host supports), so a dispatch
-// regression fails here instead of showing up as a quiet slowdown.
+// TestCLIKernelPath is the "no silent slow path" oracle: on every default
+// path the channel preset must report the in-place AA kernel through the
+// D3Q19 fast path (the row kernel is whichever the host supports) — on a
+// one-worker pool, on ranks and on patches — and a custom stepper must
+// name itself, so a dispatch regression fails here instead of showing up
+// as a quiet slowdown.
 func TestCLIKernelPath(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builds and runs the binary")
 	}
-	cmd := exec.Command(buildCLI(t), "-preset", "channel", "-nx", "16", "-ny", "12", "-nz", "8", "-steps", "4")
-	cmd.Env = append(os.Environ(), "GOMAXPROCS=1")
-	out, err := cmd.CombinedOutput()
-	if err != nil {
-		t.Fatalf("%v\n%s", err, out)
+	bin := buildCLI(t)
+	const aa = `path: aa (avx512|scalar) d3q19 `
+	for _, tc := range []struct {
+		args []string
+		want string
+	}{
+		{nil, `kernel [0-9.]+ ms/step, boundary [0-9.]+ ms/step, ` + aa + `pool×1\n`},
+		{[]string{"-decomp", "2x1"}, aa + `ranks×2\n`},
+		{[]string{"-decomp", "patch"}, aa + `patches×4 on 2 workers\n`},
+		{[]string{"-decomp", "2x1", "-sunway"}, `path: swlb sw26010 ranks×2\n`},
+	} {
+		cmd := exec.Command(bin, append([]string{"-preset", "channel", "-nx", "16", "-ny", "12", "-nz", "8", "-steps", "4"}, tc.args...)...)
+		cmd.Env = append(os.Environ(), "GOMAXPROCS=1")
+		out, err := cmd.CombinedOutput()
+		if err != nil {
+			t.Fatalf("%v: %v\n%s", tc.args, err, out)
+		}
+		if !regexp.MustCompile(tc.want).Match(out) {
+			t.Errorf("%v: summary does not name the expected kernel path %q:\n%s", tc.args, tc.want, out)
+		}
 	}
-	if !regexp.MustCompile(`kernel [0-9.]+ ms/step, boundary [0-9.]+ ms/step, path: aa (avx512|scalar) d3q19 pool×1\n`).Match(out) {
-		t.Errorf("summary does not name the expected kernel path:\n%s", out)
+}
+
+// TestCLIPathsAgree: the same case writes the same bytes on every default
+// path. Each preset, stopped at an odd and at an even step, must produce
+// byte-identical PPM sets on one rank, on a 2×2 rank grid and on the patch
+// world. (Cropped to 24 cells in x, urban's buildings are cut by the x-max
+// face, so its PressureOutlet extrapolates from solid cells — whose
+// populations differ between storage schemes; one storage on every default
+// path is what makes this hold.)
+func TestCLIPathsAgree(t *testing.T) {
+	if testing.Short() {
+		t.Skip("builds and runs the binary")
+	}
+	bin := buildCLI(t)
+	dir := t.TempDir()
+	paths := []struct {
+		name string
+		args []string
+	}{
+		{"single", nil},
+		{"2x2", []string{"-decomp", "2x2"}},
+		{"patch", []string{"-decomp", "patch"}},
+	}
+	for _, preset := range []string{"cavity", "channel", "cylinder", "urban", "suboff"} {
+		for _, steps := range []string{"7", "8"} {
+			var want [2][]byte
+			for i, p := range paths {
+				prefix := filepath.Join(dir, preset+steps+p.name)
+				args := append([]string{"-preset", preset, "-nx", "24", "-ny", "20", "-nz", "12",
+					"-steps", steps, "-out", prefix}, p.args...)
+				if out, err := exec.Command(bin, args...).CombinedOutput(); err != nil {
+					t.Fatalf("%v: %v\n%s", args, err, out)
+				}
+				for j, suffix := range []string{"_speed_z.ppm", "_speed_y.ppm"} {
+					got, err := os.ReadFile(prefix + suffix)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if i == 0 {
+						want[j] = got
+					} else if !bytes.Equal(got, want[j]) {
+						t.Errorf("%s, %s steps: %s%s differs from the single-rank run", preset, steps, p.name, suffix)
+					}
+				}
+			}
+		}
 	}
 }
 

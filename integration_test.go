@@ -52,9 +52,8 @@ func TestPipelineSTLToDistributedSolve(t *testing.T) {
 			core.FaceXMax: &boundary.PressureOutlet{Face: core.FaceXMax, Rho: 1},
 		},
 		PeriodicY: true, PeriodicZ: true,
-		Walls:    walls,
-		Init:     func(x, y, z int) (float64, float64, float64, float64) { return 1, 0.04, 0, 0 },
-		OnTheFly: true,
+		Walls: walls,
+		Init:  func(x, y, z int) (float64, float64, float64, float64) { return 1, 0.04, 0, 0 },
 	}
 	run := func(px, py int) *core.MacroField {
 		o := opts

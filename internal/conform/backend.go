@@ -92,7 +92,7 @@ func (c *Case) faceBC() map[core.Face]boundary.Condition {
 
 // Options derives the distributed-solver configuration for the case on a
 // px×py rank grid.
-func (c *Case) Options(px, py int, onTheFly bool) psolve.Options {
+func (c *Case) Options(px, py int) psolve.Options {
 	perX, perY, perZ := c.periodic()
 	return psolve.Options{
 		GNX: c.NX, GNY: c.NY, GNZ: c.NZ,
@@ -101,10 +101,9 @@ func (c *Case) Options(px, py int, onTheFly bool) psolve.Options {
 		Smagorinsky: c.Smagorinsky,
 		Force:       c.Force,
 		PeriodicX:   perX, PeriodicY: perY, PeriodicZ: perZ,
-		FaceBC:   c.faceBC(),
-		Walls:    c.Walls(),
-		Init:     c.Init(),
-		OnTheFly: onTheFly,
+		FaceBC: c.faceBC(),
+		Walls:  c.Walls(),
+		Init:   c.Init(),
 	}
 }
 
@@ -265,15 +264,14 @@ func swlbStages() []struct {
 }
 
 // psolveBackend runs the case on a px×py rank grid through the in-process
-// mpi world. kernel selects the local compute kernel ("" = fused).
-func psolveBackend(name string, px, py int, onTheFly bool, kernel string) Backend {
+// mpi world: AA ranks under the overlapped exchange.
+func psolveBackend(px, py int) Backend {
+	name := fmt.Sprintf("psolve/%dx%d", px, py)
 	return Backend{Name: name, Run: func(c *Case) (*core.MacroField, error) {
 		if c.NX < px || c.NY < py {
 			return nil, fmt.Errorf("conform: %s needs nx≥%d, ny≥%d", name, px, py)
 		}
-		opts := c.Options(px, py, onTheFly)
-		opts.Kernel = kernel
-		return psolve.Run(opts, c.Steps)
+		return psolve.Run(c.Options(px, py), c.Steps)
 	}}
 }
 
@@ -281,7 +279,7 @@ func psolveBackend(name string, px, py int, onTheFly bool, kernel string) Backen
 // kernel driver (swlb stage, gpu node model, or plain kernel adapter).
 func stepperBackend(name string, stepper func(l *core.Lattice) (psolve.Stepper, error)) Backend {
 	return Backend{Name: name, Run: func(c *Case) (*core.MacroField, error) {
-		opts := c.Options(1, 1, false)
+		opts := c.Options(1, 1)
 		opts.Stepper = stepper
 		return psolve.Run(opts, c.Steps)
 	}}
@@ -293,14 +291,15 @@ func stepperBackend(name string, stepper func(l *core.Lattice) (psolve.Stepper, 
 //   - the unfused two-pass kernel and the default stepping path of every
 //     single-lattice consumer (unblocked AA through a two-worker pool),
 //   - the in-place AA-pattern kernel: plain, cache-blocked and through
-//     the persistent worker pool, plus a distributed run on AA ranks,
+//     the persistent worker pool,
 //   - the single-rank distributed solver (validates the mpi plumbing),
 //   - every swlb optimization stage on a simulated Sunway core group,
 //   - the GPU node model,
-//   - multi-rank 1-D and 2-D decompositions at 2, 4 and 8 ranks,
-//     sequential and on-the-fly, plus stitched 3-D block decompositions,
-//   - the patch-decomposed world: homogeneous, mixed core/swlb/gpu
-//     owners, and mixed owners with a forced migration after every step.
+//   - multi-rank 1-D and 2-D decompositions at 2, 4 and 8 ranks (AA
+//     ranks, overlapped exchange), plus stitched 3-D block decompositions,
+//   - the patch-decomposed world: homogeneous (AA patches), mixed
+//     core/swlb/gpu owners, and mixed owners with a forced migration
+//     after every step, so patches change storage at both parities.
 func Backends() []Backend {
 	bs := []Backend{
 		{Name: "core/unfused", Run: func(c *Case) (*core.MacroField, error) {
@@ -318,15 +317,13 @@ func Backends() []Backend {
 		{Name: "core/aa-pool", Run: func(c *Case) (*core.MacroField, error) {
 			return c.RunSerialAA(2, 4, 3)
 		}},
-		psolveBackend("psolve/1x1", 1, 1, false, ""),
-		psolveBackend("psolve/2x1", 2, 1, false, ""),
-		psolveBackend("psolve/1x2", 1, 2, false, ""),
-		psolveBackend("psolve/4x1", 4, 1, false, ""),
-		psolveBackend("psolve/2x2", 2, 2, false, ""),
-		psolveBackend("psolve/2x2-onthefly", 2, 2, true, ""),
-		psolveBackend("psolve/2x2-aa", 2, 2, false, "aa"),
-		psolveBackend("psolve/8x1", 8, 1, false, ""),
-		psolveBackend("psolve/4x2", 4, 2, false, ""),
+		psolveBackend(1, 1),
+		psolveBackend(2, 1),
+		psolveBackend(1, 2),
+		psolveBackend(4, 1),
+		psolveBackend(2, 2),
+		psolveBackend(8, 1),
+		psolveBackend(4, 2),
 		{Name: "block3d/1x1x2", Run: func(c *Case) (*core.MacroField, error) { return c.RunBlocks3D(1, 1, 2) }},
 		{Name: "block3d/1x2x2", Run: func(c *Case) (*core.MacroField, error) { return c.RunBlocks3D(1, 2, 2) }},
 		{Name: "block3d/2x2x2", Run: func(c *Case) (*core.MacroField, error) { return c.RunBlocks3D(2, 2, 2) }},

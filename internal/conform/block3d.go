@@ -138,26 +138,11 @@ func (g *blockGrid) at(bx, by, bz int) int { return (bz*g.py+by)*g.px + bx }
 // are order-independent (reads and writes never alias), reproducing the
 // simultaneous semantics of the mpi exchange.
 func (g *blockGrid) transfer(src, dst int, face core.Face) {
-	var opp core.Face
-	switch face {
-	case core.FaceXMin:
-		opp = core.FaceXMax
-	case core.FaceXMax:
-		opp = core.FaceXMin
-	case core.FaceYMin:
-		opp = core.FaceYMax
-	case core.FaceYMax:
-		opp = core.FaceYMin
-	case core.FaceZMin:
-		opp = core.FaceZMax
-	case core.FaceZMax:
-		opp = core.FaceZMin
-	}
 	ls, ld := g.lats[src], g.lats[dst]
 	n := ls.FaceCells(face)
 	q := ls.Desc.Q
 	ls.PackFace(face, g.buf[:n*q], g.flags[:n])
-	ld.UnpackFace(opp, g.buf[:n*q], g.flags[:n])
+	ld.UnpackFace(face.Opposite(), g.buf[:n*q], g.flags[:n])
 }
 
 // exchangeAxis runs one axis phase over all block pairs (plus the

@@ -1,6 +1,7 @@
 package conform
 
 import (
+	"math/rand"
 	"strings"
 	"testing"
 )
@@ -116,7 +117,7 @@ func TestBackendNamesCoverIssueMatrix(t *testing.T) {
 	for _, want := range []string{
 		"core/unfused", "core/pool",
 		"psolve/1x1", "psolve/2x1", "psolve/1x2", "psolve/4x1",
-		"psolve/2x2", "psolve/2x2-onthefly", "psolve/8x1", "psolve/4x2",
+		"psolve/2x2", "psolve/8x1", "psolve/4x2",
 		"block3d/1x1x2", "block3d/1x2x2", "block3d/2x2x2",
 		"gpu/node",
 		"swlb/mpe-baseline", "swlb/cpe-unfused", "swlb/cpe-fused",
@@ -124,6 +125,39 @@ func TestBackendNamesCoverIssueMatrix(t *testing.T) {
 	} {
 		if !have[want] {
 			t.Errorf("backend matrix lacks %s", want)
+		}
+	}
+}
+
+// TestRestartOraclesResumeAtBothParities: AA ranks hold their state in a
+// different layout after an odd number of steps, so the restart net is
+// only as good as the parities it resumes at. Across the default suite
+// (cmd/conform's seed 1, 25 cases) each restart property must pick a run
+// back up at least once at an odd and once at an even step.
+func TestRestartOraclesResumeAtBothParities(t *testing.T) {
+	props := map[string]bool{"prop/checkpoint": true, "prop/faultplan": true, "prop/recover-hotswap": true}
+	seen := map[string]*[2]bool{}
+	rng := rand.New(rand.NewSource(1))
+	for i := 0; i < 25; i++ {
+		x := &Ctx{Case: GenerateCase(rng)}
+		for _, o := range Oracles() {
+			if !props[o.Name] {
+				continue
+			}
+			if err := safeCheck(o, x); err != nil && !IsSkip(err) {
+				t.Errorf("%s on %s: %v", o.Name, x.Case, err)
+			}
+		}
+		for prop, step := range x.Resumed {
+			if seen[prop] == nil {
+				seen[prop] = new([2]bool)
+			}
+			seen[prop][step&1] = true
+		}
+	}
+	for prop := range props {
+		if p := seen[prop]; p == nil || !p[0] || !p[1] {
+			t.Errorf("%s never resumed at both parities over the default suite: even/odd = %v", prop, p)
 		}
 	}
 }

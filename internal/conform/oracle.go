@@ -36,6 +36,18 @@ type Ctx struct {
 	refDone bool
 	ref     *core.MacroField
 	refErr  error
+
+	// Resumed maps a restart property to the step its interrupted run
+	// actually resumed from on this case.
+	Resumed map[string]int
+}
+
+// resumed records where a restart property picked the run back up.
+func (x *Ctx) resumed(prop string, step int) {
+	if x.Resumed == nil {
+		x.Resumed = make(map[string]int)
+	}
+	x.Resumed[prop] = step
 }
 
 // Reference returns the memoized serial fused-kernel solution.
@@ -385,7 +397,7 @@ func checkCheckpoint(x *Ctx) error {
 	if k < 1 {
 		return skipf("checkpoint property needs ≥ 2 steps")
 	}
-	opts := c.Options(ckptPX, ckptPY, false)
+	opts := c.Options(ckptPX, ckptPY)
 	full, err := psolve.Run(opts, c.Steps)
 	if err != nil {
 		return skipf("distributed run: %v", err)
@@ -403,6 +415,7 @@ func checkCheckpoint(x *Ctx) error {
 		return fmt.Errorf("deserialize at step %d: %w", k, err)
 	}
 	opts.Restore = restored
+	x.resumed("prop/checkpoint", restored.Step())
 	resumed, err := psolve.Run(opts, c.Steps-k)
 	if err != nil {
 		return fmt.Errorf("resume after restore: %w", err)
@@ -478,7 +491,7 @@ func checkFaultPlan(x *Ctx) error {
 	if c.Steps < 2 {
 		return skipf("fault-plan property needs ≥ 2 steps")
 	}
-	opts := c.Options(ckptPX, ckptPY, false)
+	opts := c.Options(ckptPX, ckptPY)
 	clean, err := psolve.Run(opts, c.Steps)
 	if err != nil {
 		return skipf("distributed run: %v", err)
@@ -487,7 +500,7 @@ func checkFaultPlan(x *Ctx) error {
 		Seed:    c.Seed,
 		Crashes: []fault.Crash{{Rank: 1, Step: c.Steps / 2}},
 	}
-	supervised, _, err := psolve.Supervise(psolve.SupervisorOptions{
+	supervised, stats, err := psolve.Supervise(psolve.SupervisorOptions{
 		Opts:            opts,
 		Steps:           c.Steps,
 		CheckpointEvery: 1,
@@ -497,6 +510,9 @@ func checkFaultPlan(x *Ctx) error {
 	if err != nil {
 		return fmt.Errorf("supervised run failed to recover: %w", err)
 	}
+	// The world stops at the crash step; LostSteps is how far behind it
+	// the rollback target lay.
+	x.resumed("prop/faultplan", c.Steps/2-stats.LostSteps)
 	if err := Compare(clean, supervised, Exact); err != nil {
 		return fmt.Errorf("recovery from crash@step %d diverges: %w", c.Steps/2, err)
 	}
@@ -513,7 +529,7 @@ func checkRecoverHotswap(x *Ctx) error {
 	if c.Steps < 2 {
 		return skipf("hot-swap property needs ≥ 2 steps")
 	}
-	opts := c.Options(ckptPX, ckptPY, false)
+	opts := c.Options(ckptPX, ckptPY)
 	clean, err := psolve.Run(opts, c.Steps)
 	if err != nil {
 		return skipf("distributed run: %v", err)
@@ -550,6 +566,7 @@ func checkRecoverHotswap(x *Ctx) error {
 	if stats.HotSwaps < 1 {
 		return fmt.Errorf("no hot swap recorded (restarts %d)", stats.Restarts)
 	}
+	x.resumed("prop/recover-hotswap", k-stats.LostSteps)
 	if err := Compare(clean, supervised, Exact); err != nil {
 		return fmt.Errorf("hot-swap recovery at step %d diverges: %w", k, err)
 	}

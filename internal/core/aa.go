@@ -41,6 +41,24 @@ import "math"
 // AA reports whether the lattice uses single-array AA-pattern storage.
 func (l *Lattice) AA() bool { return l.aa }
 
+// KernelPath names the code path a step of this lattice dispatches to —
+// storage scheme, row kernel, descriptor specialisation, e.g. "aa avx512
+// d3q19" — so a run can say which kernel it used and a dispatch regression
+// is not just a quiet slowdown.
+func (l *Lattice) KernelPath() string {
+	storage, row, desc := "db", "scalar", "generic"
+	if l.aa {
+		storage = "aa"
+	}
+	if l.useFastPath() {
+		desc = "d3q19"
+		if l.aa && useAVX512 && l.NZ >= 8 {
+			row = "avx512"
+		}
+	}
+	return storage + " " + row + " " + desc
+}
+
 // aaOddPhase reports whether the storage is currently in the odd
 // (reversed-shifted) layout.
 func (l *Lattice) aaOddPhase() bool { return l.aa && l.step&1 == 1 }

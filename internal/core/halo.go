@@ -13,6 +13,10 @@ const (
 	numFaces
 )
 
+// Opposite returns the face across the block on the same axis — the halo
+// side a neighbour unpacks this face into.
+func (f Face) Opposite() Face { return f ^ 1 }
+
 // String implements fmt.Stringer.
 func (f Face) String() string {
 	switch f {

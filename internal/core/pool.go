@@ -61,19 +61,10 @@ func NewPool(l *Lattice, workers int) *Pool {
 // Workers returns the number of live worker goroutines.
 func (p *Pool) Workers() int { return len(p.start) }
 
-// Kernel names the code path Step dispatches to — storage scheme, row
-// kernel, descriptor specialisation, pool width, e.g. "aa avx512 d3q19
-// pool×1" — so a run can say which kernel it used and a dispatch
-// regression is not just a quiet slowdown.
+// Kernel names the code path Step dispatches to — the lattice's
+// KernelPath plus the pool width, e.g. "aa avx512 d3q19 pool×1".
 func (p *Pool) Kernel() string {
-	row, desc := "scalar", "generic"
-	if p.l.useFastPath() {
-		desc = "d3q19"
-		if useAVX512 && p.l.NZ >= 8 {
-			row = "avx512"
-		}
-	}
-	return fmt.Sprintf("aa %s %s pool×%d", row, desc, p.Workers())
+	return fmt.Sprintf("%s pool×%d", p.l.KernelPath(), p.Workers())
 }
 
 // worker processes its fixed row band every time it is released, until

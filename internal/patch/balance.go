@@ -33,6 +33,11 @@ type Stats struct {
 	// L4 checkpoint or from scratch.
 	Recoveries int `json:"recoveries"`
 	Restarts   int `json:"restarts"`
+	// Kernel names the code path worker 0 stepped its patches through at
+	// the end of the run — its lattices' core.KernelPath on the core
+	// kernel, its backend's name otherwise — so a default (all-core)
+	// roster cannot fall onto a slow path silently.
+	Kernel string `json:"kernel"`
 }
 
 // rebalanceDue reports whether a balance boundary falls after `done`
@@ -214,6 +219,11 @@ func (n *node) finishStats() error {
 		return nil
 	}
 	st := n.rc.stats
+	if w := n.rc.opt.Workers[0]; !w.coreKernel() {
+		st.Kernel = w.Backend.String()
+	} else if len(n.mine) > 0 {
+		st.Kernel = n.lats[n.mine[0]].KernelPath()
+	}
 	_, imbalance := n.workerLoads(merged)
 	if st.ImbalancePre == 0 {
 		st.ImbalancePre = imbalance

@@ -17,7 +17,7 @@ import (
 type Backend uint8
 
 const (
-	// BackendCore steps patches with the serial fused core kernel.
+	// BackendCore steps patches with the in-place (AA) core kernel.
 	BackendCore Backend = iota
 	// BackendSunway steps patches with the internal/swlb CPE-group engine.
 	BackendSunway
@@ -52,8 +52,12 @@ type Worker struct {
 	Stepper func(*core.Lattice) (psolve.Stepper, error)
 }
 
-// coreStepper adapts the serial fused kernel to the psolve.Stepper
-// contract (zero sim-time: the wall clock is the measurement).
+// coreKernel reports whether the worker steps its patches with the
+// default core kernel — the case whose patch lattices use AA storage.
+func (w Worker) coreKernel() bool { return w.Stepper == nil && w.Backend == BackendCore }
+
+// coreStepper adapts the core kernel to the psolve.Stepper contract (zero
+// sim-time: the wall clock is the measurement).
 type coreStepper struct{ l *core.Lattice }
 
 func (s coreStepper) Step() float64 { s.l.StepFused(); return 0 }

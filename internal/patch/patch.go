@@ -3,7 +3,7 @@
 // Patch-Based Lattice Boltzmann Parallelization for Heterogeneous
 // GPU–CPU Clusters"): the global lattice is tiled into uniform patches —
 // the unit of ownership — and an owner map assigns each patch to a
-// worker backed by a heterogeneous executor (serial core kernel,
+// worker backed by a heterogeneous executor (in-place AA core kernel,
 // internal/swlb, internal/gpu). A balancer samples per-patch step cost
 // through internal/trace counters and migrates patches between workers
 // when measurements (or the straggler model) skew step times beyond a

@@ -215,16 +215,35 @@ func newNode(rc *runConfig, c *mpi.Comm) (*node, error) {
 	return n, nil
 }
 
+// newLattice allocates patch p's lattice on this worker at the given step.
+// A worker on the default core kernel stores it in place (AA) from birth —
+// before any restore, so the phase-aware writes land in the layout the
+// kernel reads; swlb, gpu and custom executors own their double-buffer
+// layout. A migrating patch therefore changes storage with its owner: it
+// travels as a phase-independent snapshot.
+func (n *node) newLattice(p Patch, step int) (*core.Lattice, error) {
+	opt := n.rc.opt
+	l, err := core.NewLattice(&lattice.D3Q19, p.NX, p.NY, p.NZ, opt.Tau)
+	if err != nil {
+		return nil, err
+	}
+	l.Smagorinsky = opt.Smagorinsky
+	l.Force = opt.Force
+	if opt.Workers[n.me].coreKernel() {
+		l.EnableAA()
+	}
+	l.SetStep(step)
+	return l, nil
+}
+
 // buildFresh constructs a patch lattice from the case's walls and initial
 // state, exactly as the stitched conform driver builds its blocks.
 func (n *node) buildFresh(p Patch) error {
 	opt := n.rc.opt
-	l, err := core.NewLattice(&lattice.D3Q19, p.NX, p.NY, p.NZ, opt.Tau)
+	l, err := n.newLattice(p, n.rc.start)
 	if err != nil {
 		return err
 	}
-	l.Smagorinsky = opt.Smagorinsky
-	l.Force = opt.Force
 	for y := 0; y < p.NY; y++ {
 		for x := 0; x < p.NX; x++ {
 			for z := 0; z < p.NZ; z++ {
@@ -245,7 +264,6 @@ func (n *node) buildFresh(p Patch) error {
 			}
 		}
 	}
-	l.SetStep(n.rc.start)
 	return n.adopt(p.ID, l)
 }
 
@@ -274,15 +292,10 @@ func (n *node) installPatch(id int, s *resil.Snapshot) error {
 	if !s.Verify() {
 		return fmt.Errorf("patch: snapshot of patch %d fails checksum at install", id)
 	}
-	p := n.til.Patches[id]
-	opt := n.rc.opt
-	l, err := core.NewLattice(&lattice.D3Q19, p.NX, p.NY, p.NZ, opt.Tau)
+	l, err := n.newLattice(n.til.Patches[id], s.Step)
 	if err != nil {
 		return err
 	}
-	l.Smagorinsky = opt.Smagorinsky
-	l.Force = opt.Force
-	l.SetStep(s.Step)
 	if err := resil.RestoreInto(l, s); err != nil {
 		return fmt.Errorf("patch: installing patch %d: %w", id, err)
 	}
@@ -388,23 +401,6 @@ func (n *node) compute() {
 	}
 }
 
-func opposite(f core.Face) core.Face {
-	switch f {
-	case core.FaceXMin:
-		return core.FaceXMax
-	case core.FaceXMax:
-		return core.FaceXMin
-	case core.FaceYMin:
-		return core.FaceYMax
-	case core.FaceYMax:
-		return core.FaceYMin
-	case core.FaceZMin:
-		return core.FaceZMax
-	default:
-		return core.FaceZMin
-	}
-}
-
 // eachPair enumerates the face-adjacent patch pairs of one axis in the
 // deterministic order the conform stitcher uses: for every tile (plus
 // the periodic wrap), the pair (a, a's +axis neighbour).
@@ -473,10 +469,10 @@ func (n *node) ship(src, dst int, face core.Face) {
 	q := ls.Desc.Q
 	ls.PackFace(face, n.buf[:cells*q], n.flg[:cells])
 	if n.owner[dst] == n.me {
-		n.lats[dst].UnpackFace(opposite(face), n.buf[:cells*q], n.flg[:cells])
+		n.lats[dst].UnpackFace(face.Opposite(), n.buf[:cells*q], n.flg[:cells])
 		return
 	}
-	n.c.Send(n.owner[dst], haloTag(dst, face), cloneFaceMsg(n.buf[:cells*q], n.flg[:cells]))
+	n.c.Send(n.owner[dst], haloTag(dst, face), psolve.EncodeFace(n.buf[:cells*q], n.flg[:cells]))
 }
 
 // absorb receives the face of patch src into patch dst's halo when dst
@@ -487,24 +483,8 @@ func (n *node) absorb(src, dst int, face core.Face) {
 	}
 	m := n.c.Recv(n.owner[src], haloTag(dst, face))
 	ld := n.lats[dst]
-	cells := ld.FaceCells(opposite(face))
-	ld.UnpackFace(opposite(face), m.Data, decodeFlags(m.Aux, n.rfl[:cells]))
-}
-
-func cloneFaceMsg(data []float64, flags []core.CellType) mpi.Message {
-	d := append([]float64(nil), data...)
-	a := make([]byte, len(flags))
-	for i, f := range flags {
-		a[i] = byte(f)
-	}
-	return mpi.Message{Data: d, Aux: a}
-}
-
-func decodeFlags(aux []byte, out []core.CellType) []core.CellType {
-	for i := range out {
-		out[i] = core.CellType(aux[i])
-	}
-	return out
+	cells := ld.FaceCells(face.Opposite())
+	ld.UnpackFace(face.Opposite(), m.Data, psolve.DecodeFlags(m.Aux, n.rfl[:cells]))
 }
 
 // gather stitches every patch's macroscopic field into the global field

@@ -1,11 +1,20 @@
 // Package psolve is the distributed LBM solver: it combines the core
 // kernel, the 2-D domain decomposition and the mpi runtime into multi-rank
-// simulations with halo exchange, in both the sequential scheme (exchange,
-// then compute — Fig. 6(1)) and the paper's on-the-fly scheme (overlap the
-// inner-region computation with communication, then finish the boundary
-// strips — Fig. 6(2)). Both schemes produce bit-identical states; they
-// differ only in when communication happens relative to computation, which
-// is what the performance model in internal/scaling charges for.
+// simulations with halo exchange.
+//
+// There is one way to step a rank, the paper's on-the-fly scheme of
+// Fig. 6(2) (§IV-C-1): post the x faces, compute the inner region (which
+// reads no x/y halo) while they travel, collect them, exchange the y faces
+// (whose corners carry the x halo just received), then finish the boundary
+// strips. Each rank's lattice uses the in-place AA storage of the
+// single-rank path, so a case gives the same bits on one rank and on many.
+//
+// A custom Options.Stepper (the simulated Sunway core group, the GPU node
+// model) is a whole-lattice device model that owns its double-buffer
+// layout: its lattice stays double-buffered, its inner phase is empty and
+// its Step runs where the boundary strips would — after both exchanges.
+// The sequential scheme of Fig. 6(1) survives only as the ablation of the
+// performance model in internal/scaling.
 package psolve
 
 import (
@@ -50,22 +59,20 @@ type Options struct {
 	// Init supplies the initial macroscopic state per global cell;
 	// nil means ρ=1, u=0.
 	Init func(gx, gy, gz int) (rho, ux, uy, uz float64)
-	// OnTheFly selects the overlapped halo-exchange scheme.
+	// Deprecated: OnTheFly is ignored — the overlapped exchange is the only
+	// schedule. The field exists only because bench/layers.go sets it and
+	// bench/ is frozen between benchmark PRs; the next one drops both.
 	OnTheFly bool
-	// Kernel selects the local compute kernel: "" or "fused" is the
-	// double-buffer pull kernel, "aa" the in-place AA-pattern kernel
-	// (single distribution array, both storage phases handled
-	// transparently by the halo exchange and checkpoint paths).
-	Kernel string
 	// Restore, if non-nil, initialises each rank's sub-block from this
 	// global lattice (e.g. one read back by swio.ReadCheckpoint),
 	// overriding Walls and Init.
 	Restore *core.Lattice
-	// Stepper, if non-nil, builds a custom kernel driver per rank (e.g.
-	// the simulated Sunway engine from internal/swlb), reproducing the
-	// paper's full MPI+Athread stack. The sequential halo-exchange
-	// scheme is used around it. Rebuild is called once after the first
-	// halo exchange so the driver sees the final wall flags.
+	// Stepper, if non-nil, builds a custom whole-lattice kernel driver per
+	// rank (e.g. the simulated Sunway engine from internal/swlb),
+	// reproducing the paper's full MPI+Athread stack. Its lattice stays
+	// double-buffered and it steps after both halo exchanges. Rebuild is
+	// called once after the first exchange so the driver sees the final
+	// wall flags.
 	Stepper func(lat *core.Lattice) (Stepper, error)
 	// Trace, if non-nil, records per-rank timelines (steps, halo
 	// exchange, compute phases). Run installs it on the world it
@@ -97,7 +104,7 @@ type Solver struct {
 	Block decomp.Block
 	Lat   *core.Lattice
 
-	bcs []faceBC
+	bcs []boundary.Condition
 
 	stepper      Stepper
 	stepperFresh bool
@@ -119,15 +126,36 @@ type Solver struct {
 	simCursor float64
 	lastSimDt float64
 
-	// Scratch exchange buffers, reused across steps (messages are
-	// cloned before handing to the transport).
-	sendX, sendY [2][]float64
-	flagX, flagY [2][]core.CellType
-	rflX, rflY   [2][]core.CellType
+	// The step's fixed shape, derived once in New: the halo plan of the
+	// two decomposed axes, the inner region computed while the x faces
+	// travel (empty for a custom stepper and for blocks too thin to have
+	// one) and the boundary strips that finish the interior.
+	axes   [2]axisPlan
+	inner  region
+	strips []region
 }
 
-type faceBC struct {
-	cond boundary.Condition
+// region is an x/y sub-block of the interior, x0 ≤ x < x1, y0 ≤ y < y1.
+type region struct{ x0, x1, y0, y1 int }
+
+// halo is one neighbour's half of an axis exchange: the face this rank
+// packs for it and unpacks from it, the tags of the two directions, and
+// the pack/unpack scratch reused across steps (messages are cloned before
+// they are handed to the transport).
+type halo struct {
+	face             core.Face
+	peer             int // neighbour rank; < 0 at a non-periodic edge
+	sendTag, recvTag int
+	send             []float64
+	flags, rflags    []core.CellType
+}
+
+// axisPlan is the halo exchange of one decomposed axis. wrap marks a
+// periodic axis with a single rank along it: the neighbour is this rank,
+// so the exchange is a local periodic wrap.
+type axisPlan struct {
+	wrap        bool
+	minus, plus halo
 }
 
 // New builds the per-rank solver: decomposes the domain, allocates the
@@ -151,14 +179,10 @@ func New(c *mpi.Comm, opts Options) (*Solver, error) {
 	}
 	lat.Smagorinsky = opts.Smagorinsky
 	lat.Force = opts.Force
-	switch opts.Kernel {
-	case "", "fused":
-	case "aa":
-		// Convert before any restore so the phase-aware writes land in
-		// the layout the stepper will read.
+	if opts.Stepper == nil {
+		// Before any restore, so the phase-aware writes land in the layout
+		// the kernel will read.
 		lat.EnableAA()
-	default:
-		return nil, fmt.Errorf("psolve: unknown kernel %q (want \"fused\" or \"aa\")", opts.Kernel)
 	}
 
 	s := &Solver{Opts: opts, Comm: c, Cart: cart, Block: blk, Lat: lat, tr: c.Trace()}
@@ -174,7 +198,10 @@ func New(c *mpi.Comm, opts Options) (*Solver, error) {
 		s.applyInit()
 	}
 	s.collectBCs()
-	s.allocBuffers()
+	s.axes[0] = s.planAxis(core.FaceXMin, core.FaceXMax, tagXMinus, tagXPlus,
+		cart.Neighbor(-1, 0), cart.Neighbor(1, 0))
+	s.axes[1] = s.planAxis(core.FaceYMin, core.FaceYMax, tagYMinus, tagYPlus,
+		cart.Neighbor(0, -1), cart.Neighbor(0, 1))
 	if opts.Stepper != nil {
 		st, err := opts.Stepper(lat)
 		if err != nil {
@@ -185,6 +212,14 @@ func New(c *mpi.Comm, opts Options) (*Solver, error) {
 		if ts, ok := st.(traceSetter); ok {
 			ts.SetTrace(s.tr)
 		}
+	} else if nx, ny := lat.NX, lat.NY; nx > 2 && ny > 2 {
+		// Inner cells are those whose 1-neighbourhood stays inside the
+		// interior; the strips are the west and east columns over the full
+		// y extent, then the south and north rows between them.
+		s.inner = region{1, nx - 1, 1, ny - 1}
+		s.strips = []region{{0, 1, 0, ny}, {nx - 1, nx, 0, ny}, {1, nx - 1, 0, 1}, {1, nx - 1, ny - 1, ny}}
+	} else {
+		s.strips = []region{{0, nx, 0, ny}}
 	}
 	return s, nil
 }
@@ -240,22 +275,28 @@ func (s *Solver) collectBCs() {
 			continue
 		}
 		if cond, ok := s.Opts.FaceBC[f]; ok && cond != nil {
-			s.bcs = append(s.bcs, faceBC{cond: cond})
+			s.bcs = append(s.bcs, cond)
 		}
 	}
 }
 
-func (s *Solver) allocBuffers() {
-	q := s.Lat.Desc.Q
-	nx := s.Lat.FaceCells(core.FaceXMin)
-	ny := s.Lat.FaceCells(core.FaceYMin)
-	for i := 0; i < 2; i++ {
-		s.sendX[i] = make([]float64, q*nx)
-		s.flagX[i] = make([]core.CellType, nx)
-		s.rflX[i] = make([]core.CellType, nx)
-		s.sendY[i] = make([]float64, q*ny)
-		s.flagY[i] = make([]core.CellType, ny)
-		s.rflY[i] = make([]core.CellType, ny)
+// planAxis derives one axis' exchange: a message sent towards plus carries
+// tagPlus, so the minus neighbour's face arrives under tagPlus and the
+// plus neighbour's under tagMinus.
+func (s *Solver) planAxis(minusFace, plusFace core.Face, tagMinus, tagPlus, dm, dp int) axisPlan {
+	side := func(face core.Face, peer, sendTag, recvTag int) halo {
+		n := s.Lat.FaceCells(face)
+		return halo{
+			face: face, peer: peer, sendTag: sendTag, recvTag: recvTag,
+			send:  make([]float64, s.Lat.Desc.Q*n),
+			flags: make([]core.CellType, n), rflags: make([]core.CellType, n),
+		}
+	}
+	me := s.Comm.Rank()
+	return axisPlan{
+		wrap:  dm == me && dp == me,
+		minus: side(minusFace, dm, tagMinus, tagPlus),
+		plus:  side(plusFace, dp, tagPlus, tagMinus),
 	}
 }
 
@@ -263,74 +304,53 @@ func (s *Solver) allocBuffers() {
 // (periodic or face conditions) and the global-face conditions of edge
 // ranks.
 func (s *Solver) applyLocalBCs() {
+	defer s.tr.Scope(trace.TrackStep, "bc")()
 	if s.Opts.PeriodicZ {
 		s.Lat.PeriodicAxis(2)
 	}
 	for _, bc := range s.bcs {
-		bc.cond.Apply(s.Lat)
+		bc.Apply(s.Lat)
 	}
 }
 
-// exchangeAxis swaps one axis' face layers with the two neighbours. When
-// the neighbour is this rank itself (periodic with one rank along the
-// axis), it short-circuits to a local periodic wrap.
-func (s *Solver) exchangeAxis(axis int) {
-	var minusFace, plusFace core.Face
-	var send [2][]float64
-	var flg, rfl [2][]core.CellType
-	var tagToPlus, tagToMinus int
-	var dm, dp int
-	if axis == 0 {
-		minusFace, plusFace = core.FaceXMin, core.FaceXMax
-		send, flg, rfl = s.sendX, s.flagX, s.rflX
-		tagToPlus, tagToMinus = tagXPlus, tagXMinus
-		dm, dp = s.Cart.Neighbor(-1, 0), s.Cart.Neighbor(1, 0)
-	} else {
-		minusFace, plusFace = core.FaceYMin, core.FaceYMax
-		send, flg, rfl = s.sendY, s.flagY, s.rflY
-		tagToPlus, tagToMinus = tagYPlus, tagYMinus
-		dm, dp = s.Cart.Neighbor(0, -1), s.Cart.Neighbor(0, 1)
-	}
-	me := s.Comm.Rank()
-	if dm == me && dp == me {
-		// Single rank along this axis with periodic wrap.
+// post packs one axis' two faces and hands them to the transport (sends
+// are eager and never block), under the given MPI-track span.
+func (s *Solver) post(axis int, span string) {
+	p := &s.axes[axis]
+	if p.wrap {
 		s.Lat.PeriodicAxis(axis)
 		return
 	}
-	if s.tr != nil {
-		defer s.tr.Scope(trace.TrackMPI, haloName(axis))()
+	defer s.tr.Scope(trace.TrackMPI, span)()
+	for _, h := range [2]*halo{&p.plus, &p.minus} {
+		if h.peer >= 0 {
+			s.Lat.PackFace(h.face, h.send, h.flags)
+			s.Comm.Send(h.peer, h.sendTag, EncodeFace(h.send, h.flags))
+		}
 	}
-	var reqs []*mpi.Request
-	if dp >= 0 {
-		s.Lat.PackFace(plusFace, send[1], flg[1])
-		reqs = append(reqs, s.Comm.Isend(dp, tagToPlus, cloneMsg(send[1], flg[1])))
-	}
-	if dm >= 0 {
-		s.Lat.PackFace(minusFace, send[0], flg[0])
-		reqs = append(reqs, s.Comm.Isend(dm, tagToMinus, cloneMsg(send[0], flg[0])))
-	}
-	if dm >= 0 {
-		m := s.Comm.Recv(dm, tagToPlus)
-		s.Lat.UnpackFace(minusFace, m.Data, decodeFlags(m.Aux, rfl[0]))
-	}
-	if dp >= 0 {
-		m := s.Comm.Recv(dp, tagToMinus)
-		s.Lat.UnpackFace(plusFace, m.Data, decodeFlags(m.Aux, rfl[1]))
-	}
-	mpi.WaitAll(reqs...)
 }
 
-// haloName labels a halo-exchange span by decomposed axis.
-func haloName(axis int) string {
-	if axis == 0 {
-		return "halo-x"
+// collect receives the two faces the neighbours posted on this axis and
+// unpacks them into the halo. The span is closed by defer so a rank
+// aborted inside Recv (a peer died) still nests.
+func (s *Solver) collect(axis int, span string) {
+	p := &s.axes[axis]
+	if p.wrap {
+		return
 	}
-	return "halo-y"
+	defer s.tr.Scope(trace.TrackMPI, span)()
+	for _, h := range [2]*halo{&p.minus, &p.plus} {
+		if h.peer >= 0 {
+			m := s.Comm.Recv(h.peer, h.recvTag)
+			s.Lat.UnpackFace(h.face, m.Data, DecodeFlags(m.Aux, h.rflags))
+		}
+	}
 }
 
-// cloneMsg copies the pack buffers into a fresh message (the scratch
-// buffers are reused every step, and the transport passes references).
-func cloneMsg(data []float64, flags []core.CellType) mpi.Message {
+// EncodeFace copies a packed face — populations and cell flags — into a
+// fresh message (pack buffers are reused every step, and the transport
+// passes references). It is the wire format of every halo layer.
+func EncodeFace(data []float64, flags []core.CellType) mpi.Message {
 	d := append([]float64(nil), data...)
 	a := make([]byte, len(flags))
 	for i, f := range flags {
@@ -339,70 +359,17 @@ func cloneMsg(data []float64, flags []core.CellType) mpi.Message {
 	return mpi.Message{Data: d, Aux: a}
 }
 
-func decodeFlags(aux []byte, out []core.CellType) []core.CellType {
+// DecodeFlags unpacks a face message's cell flags into out.
+func DecodeFlags(aux []byte, out []core.CellType) []core.CellType {
 	for i := range out {
 		out[i] = core.CellType(aux[i])
 	}
 	return out
 }
 
-// exchangeAsync starts the sends of one axis and returns the pending
-// receives; used by the on-the-fly scheme to overlap with computation.
-func (s *Solver) exchangeAsyncStart(axis int) (recvM, recvP *mpi.Request, dm, dp int) {
-	var minusFace, plusFace core.Face
-	var send [2][]float64
-	var flg [2][]core.CellType
-	var tagToPlus, tagToMinus int
-	if axis == 0 {
-		minusFace, plusFace = core.FaceXMin, core.FaceXMax
-		send, flg = s.sendX, s.flagX
-		tagToPlus, tagToMinus = tagXPlus, tagXMinus
-		dm, dp = s.Cart.Neighbor(-1, 0), s.Cart.Neighbor(1, 0)
-	} else {
-		minusFace, plusFace = core.FaceYMin, core.FaceYMax
-		send, flg = s.sendY, s.flagY
-		tagToPlus, tagToMinus = tagYPlus, tagYMinus
-		dm, dp = s.Cart.Neighbor(0, -1), s.Cart.Neighbor(0, 1)
-	}
-	me := s.Comm.Rank()
-	if dm == me && dp == me {
-		s.Lat.PeriodicAxis(axis)
-		return nil, nil, -1, -1
-	}
-	if dp >= 0 {
-		s.Lat.PackFace(plusFace, send[1], flg[1])
-		s.Comm.Isend(dp, tagToPlus, cloneMsg(send[1], flg[1]))
-		recvP = s.Comm.Irecv(dp, tagToMinus)
-	}
-	if dm >= 0 {
-		s.Lat.PackFace(minusFace, send[0], flg[0])
-		s.Comm.Isend(dm, tagToMinus, cloneMsg(send[0], flg[0]))
-		recvM = s.Comm.Irecv(dm, tagToPlus)
-	}
-	return recvM, recvP, dm, dp
-}
-
-func (s *Solver) exchangeAsyncFinish(axis int, recvM, recvP *mpi.Request) {
-	var minusFace, plusFace core.Face
-	var rfl [2][]core.CellType
-	if axis == 0 {
-		minusFace, plusFace = core.FaceXMin, core.FaceXMax
-		rfl = s.rflX
-	} else {
-		minusFace, plusFace = core.FaceYMin, core.FaceYMax
-		rfl = s.rflY
-	}
-	if recvM != nil {
-		m := recvM.Wait()
-		s.Lat.UnpackFace(minusFace, m.Data, decodeFlags(m.Aux, rfl[0]))
-	}
-	if recvP != nil {
-		m := recvP.Wait()
-		s.Lat.UnpackFace(plusFace, m.Data, decodeFlags(m.Aux, rfl[1]))
-	}
-}
-
-// Step advances the distributed simulation by one time step.
+// Step advances the distributed simulation by one time step:
+// bc → post x → inner region → collect x → post y, collect y → boundary
+// strips (or the custom stepper's whole-lattice step).
 //
 // With tracing on, each step records a wall-clock "step" span plus a
 // modelled Sim-clock "step" span: the stepper-reported device time when
@@ -429,21 +396,32 @@ func (s *Solver) Step() {
 			s.simCursor += dt
 		}()
 	}
-	if s.stepper != nil {
-		s.stepWithStepper()
-	} else if s.Opts.OnTheFly {
-		s.stepOnTheFly()
-	} else {
-		s.stepSequential()
+	l := s.Lat
+	s.applyLocalBCs()
+	s.post(0, "halo-x")
+	if r := s.inner; r.x1 > r.x0 {
+		end := s.tr.Scope(trace.TrackStep, "compute-inner")
+		l.StepRegion(r.x0, r.x1, r.y0, r.y1)
+		end()
 	}
+	s.collect(0, "halo-x-wait")
+	// The y faces pack their corners from the x halo just received.
+	s.post(1, "halo-y")
+	s.collect(1, "halo-y")
+	end := s.tr.Scope(trace.TrackStep, "compute-boundary")
+	if s.stepper != nil {
+		s.stepCustom()
+	} else {
+		for _, r := range s.strips {
+			l.StepRegion(r.x0, r.x1, r.y0, r.y1)
+		}
+		l.CompleteStep()
+	}
+	end()
 }
 
-// stepWithStepper runs the sequential exchange around a custom kernel
-// driver (the simulated Sunway core group).
-func (s *Solver) stepWithStepper() {
-	s.tracedBCs()
-	s.exchangeAxis(0)
-	s.exchangeAxis(1)
+// stepCustom runs the custom kernel driver over the whole lattice.
+func (s *Solver) stepCustom() {
 	if s.stepperFresh {
 		// The first exchange may have imported wall flags from the
 		// neighbours and the boundary conditions; refresh the
@@ -451,89 +429,9 @@ func (s *Solver) stepWithStepper() {
 		s.stepper.Rebuild()
 		s.stepperFresh = false
 	}
-	var done func()
-	if s.tr != nil {
-		done = s.tr.Scope(trace.TrackStep, "compute")
-	}
 	dt := s.stepper.Step()
-	if done != nil {
-		done()
-	}
 	s.SimTime += dt
 	s.lastSimDt = dt
-}
-
-// tracedBCs applies the local boundary conditions under a span.
-func (s *Solver) tracedBCs() {
-	if s.tr != nil {
-		defer s.tr.Scope(trace.TrackStep, "bc")()
-	}
-	s.applyLocalBCs()
-}
-
-// stepSequential is the original scheme of Fig. 6(1): halo exchange fully
-// completes, then the whole subdomain is computed.
-func (s *Solver) stepSequential() {
-	s.tracedBCs()
-	s.exchangeAxis(0)
-	s.exchangeAxis(1)
-	var done func()
-	if s.tr != nil {
-		done = s.tr.Scope(trace.TrackStep, "compute")
-	}
-	s.Lat.StepFused()
-	if done != nil {
-		done()
-	}
-}
-
-// stepOnTheFly is the overlapped scheme of Fig. 6(2): the inner region
-// (which depends on no x/y halo) is computed while the halo exchange is in
-// flight; the boundary strips follow once the halo has arrived. The final
-// state is bit-identical to stepSequential.
-func (s *Solver) stepOnTheFly() {
-	s.tracedBCs()
-	l := s.Lat
-	// Start the x exchange.
-	rxm, rxp, _, _ := s.exchangeAsyncStart(0)
-	// Inner region: cells whose 1-neighbourhood stays inside the
-	// interior, i.e. x∈[1,NX-1), y∈[1,NY-1).
-	if l.NX > 2 && l.NY > 2 {
-		var done func()
-		if s.tr != nil {
-			done = s.tr.Scope(trace.TrackStep, "compute-inner")
-		}
-		l.StepRegion(1, l.NX-1, 1, l.NY-1)
-		if done != nil {
-			done()
-		}
-	}
-	// Finish x; then the y exchange can pack its corners. The span is
-	// closed by defer so an abort inside Wait still nests.
-	func() {
-		if s.tr != nil {
-			defer s.tr.Scope(trace.TrackMPI, "halo-x-wait")()
-		}
-		s.exchangeAsyncFinish(0, rxm, rxp)
-	}()
-	s.exchangeAxis(1)
-	// Boundary strips.
-	var done func()
-	if s.tr != nil {
-		done = s.tr.Scope(trace.TrackStep, "compute-boundary")
-	}
-	if l.NX > 2 && l.NY > 2 {
-		l.StepRegion(0, 1, 0, l.NY)         // west column, full y
-		l.StepRegion(l.NX-1, l.NX, 0, l.NY) // east column, full y
-		l.StepRegion(1, l.NX-1, 0, 1)       // south strip
-		l.StepRegion(1, l.NX-1, l.NY-1, l.NY)
-	} else {
-		l.StepRegion(0, l.NX, 0, l.NY)
-	}
-	l.CompleteStep()
-	if done != nil {
-		done()
-	}
 }
 
 // GatherMacro assembles the global macroscopic fields on rank root;

@@ -7,6 +7,7 @@ import (
 
 	"sunwaylb/internal/boundary"
 	"sunwaylb/internal/core"
+	"sunwaylb/internal/lattice"
 	"sunwaylb/internal/mpi"
 )
 
@@ -93,22 +94,86 @@ func TestParallelMatchesSerialWithObstacle(t *testing.T) {
 	}
 }
 
-// TestOnTheFlyMatchesSequential: the overlapped halo-exchange scheme is
-// bit-identical to the sequential scheme (the paper's correctness claim
-// for Fig. 6).
-func TestOnTheFlyMatchesSequential(t *testing.T) {
-	base := Options{
-		GNX: 20, GNY: 12, GNZ: 6,
-		Tau:       0.65,
-		PeriodicX: true, PeriodicY: true, PeriodicZ: true,
-		Init: shearInit,
+// serialReference runs the problem on one standalone double-buffer lattice
+// — no ranks, no exchange, no AA storage: z wrap, face conditions, then the
+// x and y wraps that stand in for the halo exchange, then StepFused.
+func serialReference(t *testing.T, o Options, steps int) *core.MacroField {
+	t.Helper()
+	l, err := core.NewLattice(&lattice.D3Q19, o.GNX, o.GNY, o.GNZ, o.Tau)
+	if err != nil {
+		t.Fatal(err)
 	}
-	seq := runCase(t, base, 2, 2, 15)
-	otf := base
-	otf.OnTheFly = true
-	over := runCase(t, otf, 2, 2, 15)
-	if n, worst := fieldsEqual(seq, over); n != 0 {
-		t.Fatalf("on-the-fly differs from sequential in %d values (worst %g)", n, worst)
+	for y := 0; y < o.GNY; y++ {
+		for x := 0; x < o.GNX; x++ {
+			for z := 0; z < o.GNZ; z++ {
+				if o.Walls != nil && o.Walls(x, y, z) {
+					l.SetWall(x, y, z)
+				} else if o.Init != nil {
+					rho, ux, uy, uz := o.Init(x, y, z)
+					l.SetCell(x, y, z, rho, ux, uy, uz)
+				}
+			}
+		}
+	}
+	for s := 0; s < steps; s++ {
+		if o.PeriodicZ {
+			l.PeriodicAxis(2)
+		}
+		for _, f := range []core.Face{core.FaceXMin, core.FaceXMax} {
+			if bc := o.FaceBC[f]; bc != nil {
+				bc.Apply(l)
+			}
+		}
+		if o.PeriodicX {
+			l.PeriodicAxis(0)
+		}
+		if o.PeriodicY {
+			l.PeriodicAxis(1)
+		}
+		l.StepFused()
+	}
+	return l.ComputeMacro()
+}
+
+// TestOverlapMatchesSerial: AA ranks under the overlapped exchange are
+// bit-identical to the single-lattice double-buffer reference (the paper's
+// correctness claim for Fig. 6(2)) at odd and even step counts — over
+// uneven decompositions, an obstacle straddling both cuts, open faces on
+// edge ranks, and blocks too thin to have an inner region.
+func TestOverlapMatchesSerial(t *testing.T) {
+	periodic := Options{Tau: 0.65, PeriodicX: true, PeriodicY: true, PeriodicZ: true, Init: shearInit}
+	sized := func(o Options, nx, ny, nz int) Options {
+		o.GNX, o.GNY, o.GNZ = nx, ny, nz
+		return o
+	}
+	straddle := sized(periodic, 16, 16, 8)
+	straddle.Walls = func(gx, gy, gz int) bool {
+		return gx >= 6 && gx <= 10 && gy >= 6 && gy <= 10 && gz >= 2 && gz <= 5
+	}
+	channel := sized(Options{Tau: 0.8, PeriodicY: true, PeriodicZ: true,
+		FaceBC: map[core.Face]boundary.Condition{
+			core.FaceXMin: &boundary.VelocityInlet{Face: core.FaceXMin, U: [3]float64{0.04, 0, 0}},
+			core.FaceXMax: &boundary.PressureOutlet{Face: core.FaceXMax, Rho: 1},
+		}}, 13, 9, 6)
+	for _, tc := range []struct {
+		name   string
+		opts   Options
+		px, py int
+	}{
+		{"uneven-3x2", sized(periodic, 17, 13, 5), 3, 2},
+		{"obstacle-on-cuts-2x2", straddle, 2, 2},
+		{"channel-3x2", channel, 3, 2},
+		{"thin-x-nx2", sized(periodic, 4, 12, 6), 2, 1},
+		{"thin-y-ny1", sized(periodic, 12, 3, 6), 1, 3},
+	} {
+		for _, steps := range []int{8, 9} {
+			want := serialReference(t, tc.opts, steps)
+			got := runCase(t, tc.opts, tc.px, tc.py, steps)
+			if n, worst := fieldsEqual(want, got); n != 0 {
+				t.Errorf("%s, %d steps: ranks differ from the serial lattice in %d values (worst %g)",
+					tc.name, steps, n, worst)
+			}
+		}
 	}
 }
 

@@ -359,7 +359,6 @@ func BuildOptions(spec JobSpec) (psolve.Options, error) {
 		Tau:         spec.Case.Tau,
 		Smagorinsky: spec.Case.Smagorinsky,
 		PeriodicX:   true, PeriodicY: true, PeriodicZ: true,
-		Init:     ShearInit,
-		OnTheFly: true,
+		Init: ShearInit,
 	}, nil
 }

@@ -10,6 +10,7 @@ import (
 	"sunwaylb/internal/config"
 	"sunwaylb/internal/conform"
 	"sunwaylb/internal/core"
+	"sunwaylb/internal/mpi"
 	"sunwaylb/internal/psolve"
 )
 
@@ -59,6 +60,29 @@ func soloField(t *testing.T, spec JobSpec) *core.MacroField {
 		t.Fatal(err)
 	}
 	return ref
+}
+
+// TestJobRanksStepAA is the service's "no silent slow path" pin: every rank
+// a job's options build steps the in-place AA kernel through the D3Q19
+// fast path, not the double-buffer reference.
+func TestJobRanksStepAA(t *testing.T) {
+	opts, err := BuildOptions(JobSpec{Tenant: "t", Case: smallCase("aa", 2), Decomp: "2x1"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	err = mpi.Run(opts.PX*opts.PY, func(c *mpi.Comm) error {
+		s, err := psolve.New(c, opts)
+		if err != nil {
+			return err
+		}
+		if path := s.Lat.KernelPath(); !s.Lat.AA() || !strings.HasSuffix(path, " d3q19") {
+			t.Errorf("rank %d steps %q, want an aa … d3q19 path", c.Rank(), path)
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
 }
 
 // TestChaosIsolation is the acceptance scenario for per-job fault

@@ -12,8 +12,10 @@
 #             conform's in-process multi-rank matrix), run twice to
 #             shake schedule-dependent interleavings
 #   conform — differential + metamorphic conformance suite: ≥25 seeded
-#             cases through every backend (serial core, all swlb stages,
-#             gpu model, 1-D/2-D/3-D decompositions at 1..8 ranks) plus
+#             cases through all 24 backends (serial core and its AA
+#             variants, all swlb stages, gpu model, AA ranks under the
+#             overlapped exchange in 1-D/2-D at 1..8 ranks, stitched 3-D
+#             blocks, the patch world) and 10 properties, plus
 #             the mutation self-test proving the oracles catch injected
 #             numerical bugs; any violation exits non-zero with a
 #             minimal replay string
@@ -50,8 +52,10 @@
 #             with mid-run migrations, and the hotalloc/spanpair static
 #             rules over the patch code
 #   perf    — AA-kernel performance-critical contracts: the AA conform
-#             slice (serial/blocked/pool backends MaxULP=0 against the
-#             reference at both storage parities), the race-checked
+#             slice (serial/blocked/pool backends and AA ranks MaxULP=0
+#             against the reference at both storage parities), the CLI
+#             pins (every default path names the AA kernel and writes
+#             the same bytes), the race-checked
 #             worker-pool soak plus the AVX-512 row kernel's bitwise
 #             equivalence tests, the boundary conditions' face plans
 #             against their per-cell definition on both storage schemes
@@ -129,7 +133,10 @@ perf() {
     # AA backends (serial, cache-blocked, worker pool) must stay
     # bit-identical (MaxULP=0) to the serial reference at every storage
     # parity, and the parity metamorphic property must hold.
-    go run ./cmd/conform -seed 1 -cases 10 -run 'core/aa|core/pool|psolve/2x2-aa|prop/aa-parity'
+    go run ./cmd/conform -seed 1 -cases 10 -run 'core/aa|core/pool|psolve/2x2|prop/aa-parity'
+    # No silent slow path, no path-dependent answer: single rank, ranks
+    # and patches all report the AA kernel and write identical images.
+    go test -count=1 -run 'TestCLIKernelPath|TestCLIPathsAgree' ./cmd/sunwaylb
     # Race-checked AA suite: pool soak, step/blocked/pool bit-identity,
     # parity-aware halo pack/unpack, and (on capable hardware) the
     # AVX-512 row kernel's bitwise equivalence to the scalar canon.
