@@ -78,8 +78,9 @@ func kernelCounters(cells int64, workers int) map[string]int64 {
 	}
 }
 
-// runKernel times the single-rank double-buffer fused kernel (the
-// reference every AA case is read against).
+// runKernel times the single-rank double-buffer fused step: the
+// descriptor-generic sweep, the reference every AA case is read against
+// and no default path's kernel.
 func runKernel() (CaseResult, error) {
 	l, err := benchLattice(benchN, benchN, benchN)
 	if err != nil {
@@ -101,17 +102,14 @@ func runKernel() (CaseResult, error) {
 	}, nil
 }
 
-// runKernelAA times the in-place AA-pattern kernel: unblocked, with
-// cache-blocked tiles, or through the persistent worker pool.
-func runKernelAA(name string, ty, tz, workers int) (CaseResult, error) {
+// runKernelAA times the in-place AA-pattern kernel, serially or through
+// the persistent worker pool.
+func runKernelAA(name string, workers int) (CaseResult, error) {
 	l, err := benchLattice(benchN, benchN, benchN)
 	if err != nil {
 		return CaseResult{}, err
 	}
 	l.EnableAA()
-	if ty > 0 || tz > 0 {
-		l.SetAATiles(ty, tz)
-	}
 	var pool *core.Pool
 	if workers > 1 {
 		pool = core.NewPool(l, workers)
@@ -377,11 +375,11 @@ func sampleGoroutines() (stop func() int) {
 	}
 }
 
-// checkBaseline compares the fused-kernel throughput of this run against
-// a committed baseline document and fails on a regression of more than
-// 10%. Only the serial fused kernel is gated: it is the one deterministic,
-// machine-independent-ish case, whereas the concurrent and modelled cases
-// are too noisy for a hard threshold.
+// checkBaseline compares the AA-kernel throughput of this run against a
+// committed baseline document and fails on a regression of more than 10%.
+// Only the serial AA kernel is gated: it is the kernel every default path
+// runs and the one deterministic, machine-independent-ish case, whereas
+// the concurrent and modelled cases are too noisy for a hard threshold.
 func checkBaseline(res *BenchResults, baselinePath string) error {
 	raw, err := os.ReadFile(baselinePath)
 	if err != nil {
@@ -399,7 +397,7 @@ func checkBaseline(res *BenchResults, baselinePath string) error {
 		}
 		return nil
 	}
-	const gated = "kernel-fused"
+	const gated = "kernel-aa"
 	b, n := find(&base, gated), find(res, gated)
 	if b == nil || b.Summary.MLUPS <= 0 {
 		fmt.Printf("baseline %s has no %s case; skipping regression gate\n", baselinePath, gated)
@@ -419,7 +417,7 @@ func checkBaseline(res *BenchResults, baselinePath string) error {
 }
 
 // runJSON executes every measured case and writes the results document.
-// If baselinePath is non-empty the fused-kernel throughput is additionally
+// If baselinePath is non-empty the AA-kernel throughput is additionally
 // gated against that committed document.
 func runJSON(path, baselinePath string) error {
 	res := BenchResults{
@@ -434,9 +432,8 @@ func runJSON(path, baselinePath string) error {
 	}
 	for _, s := range []step{
 		{"kernel-fused", runKernel},
-		{"kernel-aa", func() (CaseResult, error) { return runKernelAA("kernel-aa", 0, 0, 1) }},
-		{"kernel-aa-blocked", func() (CaseResult, error) { return runKernelAA("kernel-aa-blocked", 8, 40, 1) }},
-		{"kernel-aa-pool-4", func() (CaseResult, error) { return runKernelAA("kernel-aa-pool-4", 8, 40, 4) }},
+		{"kernel-aa", func() (CaseResult, error) { return runKernelAA("kernel-aa", 1) }},
+		{"kernel-aa-pool-4", func() (CaseResult, error) { return runKernelAA("kernel-aa-pool-4", 4) }},
 		{"sunway-sim-cg", runSunwayCG},
 		{"distributed-2x2", runDistributed},
 		{"supervised-hotswap", runSupervisedHotswap},

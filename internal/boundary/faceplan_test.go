@@ -223,10 +223,10 @@ func requireSameCells(t *testing.T, want, got *core.Lattice, what string) {
 // FuzzAAStepConditions is core's FuzzAAStep with boundary handling in the
 // loop: random small grids run a seeded condition set (one kind per axis)
 // for a random number of steps through the double-buffer kernel and
-// through AA storage on a two-worker pool, randomly cache-blocked, and
-// every fluid cell must agree bit for bit at the stopping parity. Run
-// under -race it also checks that the conditions and the pool workers
-// never touch the lattice at the same time.
+// through AA storage on a two-worker pool, and every fluid cell must
+// agree bit for bit at the stopping parity. Run under -race it also checks
+// that the conditions and the pool workers never touch the lattice at the
+// same time.
 //
 // Populations of solid cells are undefined in both schemes (the double
 // buffer leaves stale values there, AA parks bounced ones), so the cases
@@ -285,9 +285,6 @@ func FuzzAAStepConditions(f *testing.F) {
 		ref, aa := mk(), mk()
 		pool := core.NewPool(aa, 2)
 		defer pool.Close()
-		if rng.Intn(2) == 0 {
-			aa.SetAATiles(1+rng.Intn(4), 1+rng.Intn(8))
-		}
 		for s := 0; s < nsteps; s++ {
 			set.Apply(ref)
 			set.Apply(aa)

@@ -204,19 +204,15 @@ func (c *Case) Reference() (*core.MacroField, error) {
 }
 
 // RunSerialAA executes the case on a standalone AA-pattern (in-place)
-// lattice: tile sizes ty/tz select cache blocking (0,0 = unblocked) and
-// workers > 1 drives the steps through a persistent worker pool instead
-// of the serial sweep. All variants must match the double-buffer
+// lattice: workers > 1 drives the steps through a persistent worker pool
+// instead of the serial sweep. All variants must match the double-buffer
 // reference bit-for-bit at every step parity.
-func (c *Case) RunSerialAA(ty, tz, workers int) (*core.MacroField, error) {
+func (c *Case) RunSerialAA(workers int) (*core.MacroField, error) {
 	l, err := c.newLattice()
 	if err != nil {
 		return nil, err
 	}
 	l.EnableAA()
-	if ty > 0 || tz > 0 {
-		l.SetAATiles(ty, tz)
-	}
 	if workers > 1 {
 		p := core.NewPool(l, workers)
 		defer p.Close()
@@ -289,9 +285,9 @@ func stepperBackend(name string, stepper func(l *core.Lattice) (psolve.Stepper, 
 // the serial reference bit-for-bit):
 //
 //   - the unfused two-pass kernel and the default stepping path of every
-//     single-lattice consumer (unblocked AA through a two-worker pool),
-//   - the in-place AA-pattern kernel: plain, cache-blocked and through
-//     the persistent worker pool,
+//     single-lattice consumer (AA through a two-worker pool),
+//   - the in-place AA-pattern kernel: serial, and through a three-worker
+//     pool whose row bands come out uneven,
 //   - the single-rank distributed solver (validates the mpi plumbing),
 //   - every swlb optimization stage on a simulated Sunway core group,
 //   - the GPU node model,
@@ -306,16 +302,13 @@ func Backends() []Backend {
 			return c.RunSerial((*core.Lattice).StepUnfused)
 		}},
 		{Name: "core/pool", Run: func(c *Case) (*core.MacroField, error) {
-			return c.RunSerialAA(0, 0, 2)
+			return c.RunSerialAA(2)
 		}},
 		{Name: "core/aa", Run: func(c *Case) (*core.MacroField, error) {
-			return c.RunSerialAA(0, 0, 1)
-		}},
-		{Name: "core/aa-blocked", Run: func(c *Case) (*core.MacroField, error) {
-			return c.RunSerialAA(4, 8, 1)
+			return c.RunSerialAA(1)
 		}},
 		{Name: "core/aa-pool", Run: func(c *Case) (*core.MacroField, error) {
-			return c.RunSerialAA(2, 4, 3)
+			return c.RunSerialAA(3)
 		}},
 		psolveBackend(1, 1),
 		psolveBackend(2, 1),

@@ -85,8 +85,8 @@ const (
 
 // shadowStep is the shadow kernel: a plain descriptor-generic BGK pull
 // collide–stream step (no forcing, no LES, resting-wall bounce-back
-// only), written independently of core.stepRegionGeneric so a bug in one
-// cannot mask the same bug in the other.
+// only), written independently of core.Collider and its sweep so a bug in
+// one cannot mask the same bug in the other.
 func shadowStep(l *core.Lattice, bug shadowBug) {
 	d := l.Desc
 	q := d.Q

@@ -1,7 +1,5 @@
 package core
 
-import "math"
-
 // AA-pattern in-place streaming (Bailey et al.; miniLB): one distribution
 // array instead of the A–B pair, with the storage layout alternating
 // between two phases keyed off the step-count parity.
@@ -28,14 +26,15 @@ import "math"
 // capture) goes through one of them and inherits correctness from the
 // bijection.
 //
-// The even-step kernel gathers exactly like the double-buffer pull kernel
+// The even step gathers exactly like the double-buffer pull kernel
 // and scatters each post-collision population i into slot Opp[i] of the
 // downwind neighbour y+c_i (writes into wall and halo cells deliberately
 // park outbound populations where the odd step and the halo exchange
-// expect them). The odd-step kernel gathers from the cell's own slots and
-// writes back in natural order, restoring the even layout. Both steps read
+// expect them). The odd step gathers from the cell's own slots and
+// writes back in natural order, restoring the even layout (stepGeneric in
+// collide.go, and the unrolled row drivers in aa_d3q19.go). Both steps read
 // and write disjoint slot sets across cells (only the owning cell reads
-// what it writes), so rows, tiles and worker pools may process cells in
+// what it writes), so rows, regions and worker pools may process cells in
 // any order and remain bit-identical to the serial kernel.
 
 // AA reports whether the lattice uses single-array AA-pattern storage.
@@ -52,7 +51,7 @@ func (l *Lattice) KernelPath() string {
 	}
 	if l.useFastPath() {
 		desc = "d3q19"
-		if l.aa && useAVX512 && l.NZ >= 8 {
+		if useAVX512 && l.NZ >= 8 {
 			row = "avx512"
 		}
 	}
@@ -127,259 +126,4 @@ func (l *Lattice) PopBase(i int) int {
 		return l.Desc.Opp[i]*l.N + l.offs[i]
 	}
 	return i * l.N
-}
-
-// SetAATiles sets the cache-blocking tile extents of the AA stepper: the
-// y and z loops are processed in ty×tz blocks so a tile's populations stay
-// resident across the gather and scatter of neighbouring rows. Values ≤ 0
-// (the default) disable blocking along that axis. Cells never interact
-// within a step, so any tiling is bit-identical to the unblocked sweep.
-func (l *Lattice) SetAATiles(ty, tz int) { l.aaTileY, l.aaTileZ = ty, tz }
-
-// AATiles returns the configured tile extents (0 meaning unblocked).
-func (l *Lattice) AATiles() (ty, tz int) { return l.aaTileY, l.aaTileZ }
-
-// stepAAYRange applies the current-parity AA kernel to interior rows
-// y0 ≤ y < y1, tiled per SetAATiles. It does not advance the step counter;
-// it is the unit of work for the serial and pool drivers.
-func (l *Lattice) stepAAYRange(y0, y1 int) {
-	ty, tz := l.aaTileY, l.aaTileZ
-	if ty <= 0 || ty > y1-y0 {
-		ty = y1 - y0
-	}
-	if tz <= 0 || tz > l.NZ {
-		tz = l.NZ
-	}
-	for yt := y0; yt < y1; yt += ty {
-		ye := yt + ty
-		if ye > y1 {
-			ye = y1
-		}
-		for zt := 0; zt < l.NZ; zt += tz {
-			ze := zt + tz
-			if ze > l.NZ {
-				ze = l.NZ
-			}
-			l.stepAARegionZ(0, l.NX, yt, ye, zt, ze)
-		}
-	}
-}
-
-// stepAARegionZ dispatches one sub-block to the unrolled D3Q19 AA kernel
-// of the current parity when the fast path applies, and to the generic
-// kernel otherwise.
-func (l *Lattice) stepAARegionZ(x0, x1, y0, y1, z0, z1 int) {
-	even := l.step&1 == 0
-	if l.useFastPath() {
-		if even {
-			l.stepAAEvenD3Q19(x0, x1, y0, y1, z0, z1)
-		} else {
-			l.stepAAOddD3Q19(x0, x1, y0, y1, z0, z1)
-		}
-		return
-	}
-	if even {
-		l.stepAAEvenGeneric(x0, x1, y0, y1, z0, z1)
-	} else {
-		l.stepAAOddGeneric(x0, x1, y0, y1, z0, z1)
-	}
-}
-
-// stepAAEvenGeneric is the descriptor-generic even-phase AA kernel over an
-// x/y/z sub-block: gather exactly as the double-buffer pull kernel (the
-// even layout is the natural one), collide with the same operation order,
-// then scatter population i into slot Opp[i] of the downwind neighbour.
-//
-// Per-cell traffic: 19 pulls + 19 pushes of float64 into a single array
-// plus ~20 flag bytes; the single array is what drops the fused step
-// below the paper's two-buffer 380 B/cell budget, since the scatter hits
-// lines the neighbouring gathers already own instead of a second buffer.
-//
-//lbm:hot traffic budget=360 assume q=19
-func (l *Lattice) stepAAEvenGeneric(x0, x1, y0, y1, z0, z1 int) {
-	d := l.Desc
-	q := d.Q
-	n := l.N
-	src := l.F[l.src]
-	invTau := 1.0 / l.Tau
-	les := l.Smagorinsky > 0
-	fx, fy, fz := l.Force[0], l.Force[1], l.Force[2]
-	forced := fx != 0 || fy != 0 || fz != 0
-
-	var fArr, feqArr, outArr [MaxQ]float64
-	f, feq, out := fArr[:q], feqArr[:q], outArr[:q]
-
-	for y := y0; y < y1; y++ {
-		for x := x0; x < x1; x++ {
-			rowBase := l.Idx(x, y, 0)
-			for z := z0; z < z1; z++ {
-				idx := rowBase + z
-				if l.Flags[idx] != Fluid {
-					continue
-				}
-				// Gather (pull streaming) with bounce-back — identical
-				// to the double-buffer kernel at even parity.
-				for i := 0; i < q; i++ {
-					from := idx - l.offs[i]
-					switch l.Flags[from] {
-					case Wall:
-						f[i] = src[d.Opp[i]*n+idx]
-					case MovingWall:
-						uw := l.WallVel[from]
-						c := d.C[i]
-						cu := float64(c[0])*uw[0] + float64(c[1])*uw[1] + float64(c[2])*uw[2]
-						f[i] = src[d.Opp[i]*n+idx] + 6*d.W[i]*cu
-					default:
-						f[i] = src[i*n+from]
-					}
-				}
-				// Moments.
-				var rho, jx, jy, jz float64
-				for i := 0; i < q; i++ {
-					fi := f[i]
-					rho += fi
-					c := d.C[i]
-					jx += fi * float64(c[0])
-					jy += fi * float64(c[1])
-					jz += fi * float64(c[2])
-				}
-				invRho := 1.0 / rho
-				ux, uy, uz := jx*invRho, jy*invRho, jz*invRho
-				if forced {
-					half := 0.5 * invRho
-					ux += half * fx
-					uy += half * fy
-					uz += half * fz
-				}
-				// Canonical FMA evaluation order (lattice.Equilibrium).
-				onem := 1 - 1.5*math.FMA(uz, uz, math.FMA(uy, uy, ux*ux))
-				for i := 0; i < q; i++ {
-					c := d.C[i]
-					cu := float64(c[0])*ux + float64(c[1])*uy + float64(c[2])*uz
-					h := 4.5 * cu
-					feq[i] = d.W[i] * rho * (math.FMA(h, cu, onem) + 3*cu)
-				}
-				omega := invTau
-				if les {
-					omega = 1.0 / l.smagorinskyTau(f, feq, rho)
-				}
-				if forced {
-					fw := 1 - 0.5*omega
-					for i := 0; i < q; i++ {
-						c := d.C[i]
-						cx, cy, cz := float64(c[0]), float64(c[1]), float64(c[2])
-						cu := cx*ux + cy*uy + cz*uz
-						si := d.W[i] * (3*((cx-ux)*fx+(cy-uy)*fy+(cz-uz)*fz) +
-							9*cu*(cx*fx+cy*fy+cz*fz))
-						out[i] = math.FMA(-omega, f[i]-feq[i], f[i]) + fw*si
-					}
-				} else {
-					for i := 0; i < q; i++ {
-						out[i] = math.FMA(-omega, f[i]-feq[i], f[i])
-					}
-				}
-				// Reversed-shifted scatter: population i parks in slot
-				// Opp[i] of cell idx+c_i (wall and halo cells included).
-				for i := 0; i < q; i++ {
-					src[d.Opp[i]*n+idx+l.offs[i]] = out[i]
-				}
-			}
-		}
-	}
-}
-
-// stepAAOddGeneric is the descriptor-generic odd-phase AA kernel: gather
-// each population from the cell's own reversed-shifted slots (where the
-// even step parked the upwind neighbours' outbound populations), collide,
-// and write back in natural order, restoring the even layout. A wall
-// neighbour's reflection reads the wall cell's natural slot i — exactly
-// where the even scatter of this same cell parked the outbound population.
-//
-//lbm:hot traffic budget=360 assume q=19
-func (l *Lattice) stepAAOddGeneric(x0, x1, y0, y1, z0, z1 int) {
-	d := l.Desc
-	q := d.Q
-	n := l.N
-	src := l.F[l.src]
-	invTau := 1.0 / l.Tau
-	les := l.Smagorinsky > 0
-	fx, fy, fz := l.Force[0], l.Force[1], l.Force[2]
-	forced := fx != 0 || fy != 0 || fz != 0
-
-	var fArr, feqArr, outArr [MaxQ]float64
-	f, feq, out := fArr[:q], feqArr[:q], outArr[:q]
-
-	for y := y0; y < y1; y++ {
-		for x := x0; x < x1; x++ {
-			rowBase := l.Idx(x, y, 0)
-			for z := z0; z < z1; z++ {
-				idx := rowBase + z
-				if l.Flags[idx] != Fluid {
-					continue
-				}
-				for i := 0; i < q; i++ {
-					from := idx - l.offs[i]
-					switch l.Flags[from] {
-					case Wall:
-						f[i] = src[i*n+from]
-					case MovingWall:
-						uw := l.WallVel[from]
-						c := d.C[i]
-						cu := float64(c[0])*uw[0] + float64(c[1])*uw[1] + float64(c[2])*uw[2]
-						f[i] = src[i*n+from] + 6*d.W[i]*cu
-					default:
-						f[i] = src[d.Opp[i]*n+idx]
-					}
-				}
-				var rho, jx, jy, jz float64
-				for i := 0; i < q; i++ {
-					fi := f[i]
-					rho += fi
-					c := d.C[i]
-					jx += fi * float64(c[0])
-					jy += fi * float64(c[1])
-					jz += fi * float64(c[2])
-				}
-				invRho := 1.0 / rho
-				ux, uy, uz := jx*invRho, jy*invRho, jz*invRho
-				if forced {
-					half := 0.5 * invRho
-					ux += half * fx
-					uy += half * fy
-					uz += half * fz
-				}
-				// Canonical FMA evaluation order (lattice.Equilibrium).
-				onem := 1 - 1.5*math.FMA(uz, uz, math.FMA(uy, uy, ux*ux))
-				for i := 0; i < q; i++ {
-					c := d.C[i]
-					cu := float64(c[0])*ux + float64(c[1])*uy + float64(c[2])*uz
-					h := 4.5 * cu
-					feq[i] = d.W[i] * rho * (math.FMA(h, cu, onem) + 3*cu)
-				}
-				omega := invTau
-				if les {
-					omega = 1.0 / l.smagorinskyTau(f, feq, rho)
-				}
-				if forced {
-					fw := 1 - 0.5*omega
-					for i := 0; i < q; i++ {
-						c := d.C[i]
-						cx, cy, cz := float64(c[0]), float64(c[1]), float64(c[2])
-						cu := cx*ux + cy*uy + cz*uz
-						si := d.W[i] * (3*((cx-ux)*fx+(cy-uy)*fy+(cz-uz)*fz) +
-							9*cu*(cx*fx+cy*fy+cz*fz))
-						out[i] = math.FMA(-omega, f[i]-feq[i], f[i]) + fw*si
-					}
-				} else {
-					for i := 0; i < q; i++ {
-						out[i] = math.FMA(-omega, f[i]-feq[i], f[i])
-					}
-				}
-				// Natural write-back: the even layout is restored.
-				for i := 0; i < q; i++ {
-					src[i*n+idx] = out[i]
-				}
-			}
-		}
-	}
 }

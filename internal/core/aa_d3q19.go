@@ -1,10 +1,27 @@
 package core
 
-import "math"
+import (
+	"math"
 
-// D3Q19-specialised AA kernels. The key structural trick: at both
-// parities, the scatter slot of population i for a row of cells is
-// exactly the gather slice of population Opp[i] for the same row —
+	"sunwaylb/internal/lattice"
+)
+
+// D3Q19-specialised AA kernels: the host-level analogue of the paper's
+// assembly-code optimization (§IV-C-4: "manual loop unroll and instruction
+// scheduling"), and the one hand-tuned copy of the collide order beside
+// Collider.Relax. The direction loops are unrolled, the ±1/0 velocity
+// components folded into the address arithmetic and the moment sums, and
+// the per-direction equilibrium expressions expanded — arranged so every
+// floating-point operation happens in exactly the order of the operator
+// (terms multiplied by zero are exact no-ops and may be dropped; ±1
+// multiplications are exact), so the results are bit-identical to
+// stepGeneric, which tests verify through the noFastPath hook. The
+// unrolled row covers the common DNS configuration (AA storage, no LES, no
+// body force); every other configuration steps the generic sweep.
+//
+// The key structural trick: at both parities, the scatter slot of
+// population i for a row of cells is exactly the gather slice of
+// population Opp[i] for the same row —
 //
 //	even: gather_i    = src[i*n + idx − off[i]]
 //	      scatter_i   = src[Opp[i]*n + idx + off[i]] = gather_{Opp[i]}
@@ -21,10 +38,28 @@ import "math"
 //
 // Hoisting each direction's row into a slice gives the inner z loop
 // constant-bound indexing (bounds checks hoisted), contiguous streaming
-// loads/stores, and none of the per-cell neighbour-flag probing of the
-// double-buffer fast path: mixed rows — any wall in the 3×3 neighbouring
-// rows or a non-fluid cell in the row itself — fall back to the generic
-// AA kernel for exactly that row segment, preserving bit-identity.
+// loads/stores, and no per-cell neighbour-flag probing: mixed rows — any
+// wall in the 3×3 neighbouring rows or a non-fluid cell in the row itself —
+// fall back to stepGeneric for exactly that row, preserving bit-identity.
+
+// D3Q19 direction index map (see lattice.D3Q19):
+//
+//	 0: ( 0, 0, 0)   1: (+1, 0, 0)   2: (−1, 0, 0)   3: ( 0,+1, 0)
+//	 4: ( 0,−1, 0)   5: ( 0, 0,+1)   6: ( 0, 0,−1)   7: (+1,+1, 0)
+//	 8: (−1,−1, 0)   9: (+1,−1, 0)  10: (−1,+1, 0)  11: (+1, 0,+1)
+//	12: (−1, 0,−1)  13: (+1, 0,−1)  14: (−1, 0,+1)  15: ( 0,+1,+1)
+//	16: ( 0,−1,−1)  17: ( 0,+1,−1)  18: ( 0,−1,+1)
+const (
+	w0 = 1.0 / 3.0
+	w1 = 1.0 / 18.0
+	w2 = 1.0 / 36.0
+)
+
+// useFastPath reports whether the unrolled D3Q19 AA row applies.
+func (l *Lattice) useFastPath() bool {
+	return l.aa && l.Desc == &lattice.D3Q19 && l.Smagorinsky == 0 &&
+		l.Force == [3]float64{} && !l.noFastPath
+}
 
 // aaRowMixed reports whether the row of nz cells starting at rowBase
 // needs the flag-aware generic path: a non-fluid cell in the row, or a
@@ -63,22 +98,19 @@ func (l *Lattice) aaRowMixed(rowBase, nz int) bool {
 // write-allocated destination lines is gone.
 //
 //lbm:hot traffic budget=360
-func (l *Lattice) stepAAEvenD3Q19(x0, x1, y0, y1, z0, z1 int) {
+func (l *Lattice) stepAAEvenD3Q19(x0, x1, y0, y1 int) {
 	src := l.F[l.src]
 	n := l.N
 	nTau := -1.0 / l.Tau
-	nz := z1 - z0
-	if nz <= 0 {
-		return
-	}
+	nz := l.NZ
 	var off [19]int
 	copy(off[:], l.offs)
 	var g [19][]float64
 	for y := y0; y < y1; y++ {
 		for x := x0; x < x1; x++ {
-			rowBase := l.Idx(x, y, z0)
+			rowBase := l.Idx(x, y, 0)
 			if l.aaRowMixed(rowBase, nz) {
-				l.stepAAEvenGeneric(x, x+1, y, y+1, z0, z1)
+				l.stepGeneric(x, x+1, y, y+1)
 				continue
 			}
 			for i := 0; i < 19; i++ {
@@ -94,21 +126,18 @@ func (l *Lattice) stepAAEvenD3Q19(x0, x1, y0, y1, z0, z1 int) {
 // cell's own reversed-shifted slots, natural write-back.
 //
 //lbm:hot traffic budget=360
-func (l *Lattice) stepAAOddD3Q19(x0, x1, y0, y1, z0, z1 int) {
+func (l *Lattice) stepAAOddD3Q19(x0, x1, y0, y1 int) {
 	src := l.F[l.src]
 	n := l.N
 	nTau := -1.0 / l.Tau
 	d := l.Desc
-	nz := z1 - z0
-	if nz <= 0 {
-		return
-	}
+	nz := l.NZ
 	var g [19][]float64
 	for y := y0; y < y1; y++ {
 		for x := x0; x < x1; x++ {
-			rowBase := l.Idx(x, y, z0)
+			rowBase := l.Idx(x, y, 0)
 			if l.aaRowMixed(rowBase, nz) {
-				l.stepAAOddGeneric(x, x+1, y, y+1, z0, z1)
+				l.stepGeneric(x, x+1, y, y+1)
 				continue
 			}
 			for i := 0; i < 19; i++ {
@@ -140,9 +169,8 @@ func aaRowD3Q19(g *[19][]float64, nz int, nTau float64) {
 }
 
 // aaRowD3Q19Scalar is the scalar row body for cells [lo, hi). The
-// floating-point operation order is exactly that of stepRegionD3Q19
-// (itself exactly the generic kernel's), so the results are
-// bit-identical to the double-buffer reference.
+// floating-point operation order is exactly that of Collider.Relax, so
+// the results are bit-identical to the double-buffer reference.
 //
 // Per-cell traffic: 19 float64 loads + 19 float64 stores in one array.
 //

@@ -9,14 +9,20 @@ import (
 	"sunwaylb/internal/lattice"
 )
 
-// buildPair returns two identically-prepared lattices: a double-buffer
-// reference and an AA twin (converted by EnableAA at step 0). A perturbed
-// non-uniform initial state, a couple of wall cells and a moving-wall cell
-// exercise every gather branch.
+// buildPair returns two identically-prepared D3Q19 lattices: a
+// double-buffer reference and an AA twin (converted by EnableAA at step 0).
 func buildPair(t testing.TB, nx, ny, nz int, tau float64, walls bool) (ref, aa *Lattice) {
 	t.Helper()
+	return buildPairDesc(t, &lattice.D3Q19, nx, ny, nz, tau, walls)
+}
+
+// buildPairDesc is buildPair for any descriptor. A perturbed non-uniform
+// initial state, a couple of wall cells and a moving-wall cell exercise
+// every gather branch.
+func buildPairDesc(t testing.TB, desc *lattice.Descriptor, nx, ny, nz int, tau float64, walls bool) (ref, aa *Lattice) {
+	t.Helper()
 	mk := func() *Lattice {
-		l, err := NewLattice(&lattice.D3Q19, nx, ny, nz, tau)
+		l, err := NewLattice(desc, nx, ny, nz, tau)
 		if err != nil {
 			t.Fatalf("NewLattice: %v", err)
 		}
@@ -27,14 +33,17 @@ func buildPair(t testing.TB, nx, ny, nz int, tau float64, walls bool) (ref, aa *
 					ux := 0.02 * math.Cos(float64(x-z))
 					uy := 0.01 * math.Sin(float64(y+z))
 					uz := 0.015 * math.Cos(float64(x+y))
+					if desc.D == 2 {
+						uz = 0
+					}
 					l.SetCell(x, y, z, rho, ux, uy, uz)
 				}
 			}
 		}
-		if walls && nx > 2 && ny > 2 && nz > 2 {
+		if walls && nx > 2 && ny > 2 && (nz > 2 || desc.D == 2) {
 			l.SetWall(nx/2, ny/2, nz/2)
-			l.SetWall(1, 1, 1)
-			l.SetMovingWall(nx-2, ny-2, nz-2, 0.03, -0.01, 0.02)
+			l.SetWall(1, 1, min(1, nz-1))
+			l.SetMovingWall(nx-2, ny-2, max(nz-2, 0), 0.03, -0.01, 0.02)
 		}
 		return l
 	}
@@ -80,23 +89,29 @@ func stepBoth(ref, aa *Lattice, stepAA func(*Lattice)) {
 }
 
 // TestAAStepBitIdentical checks the AA stepper against the double-buffer
-// reference after every single step (both parities), for the D3Q19 fast
-// path, the generic path, walls, LES and body forces.
+// reference after every single step (both parities): the D3Q19 unrolled
+// row, the generic sweep with walls, LES and body forces, and the generic
+// sweep on every other descriptor (D2Q9 on a one-cell-deep grid).
 func TestAAStepBitIdentical(t *testing.T) {
 	cases := []struct {
-		name  string
-		walls bool
-		prep  func(l *Lattice)
+		name       string
+		desc       *lattice.Descriptor
+		nx, ny, nz int
+		walls      bool
+		prep       func(l *Lattice)
 	}{
-		{"fastpath", false, nil},
-		{"walls", true, nil},
-		{"generic", true, func(l *Lattice) { l.noFastPath = true }},
-		{"les", true, func(l *Lattice) { l.Smagorinsky = 0.17 }},
-		{"forced", false, func(l *Lattice) { l.Force = [3]float64{1e-5, -2e-5, 3e-6} }},
+		{"fastpath", &lattice.D3Q19, 6, 5, 7, false, nil},
+		{"walls", &lattice.D3Q19, 6, 5, 7, true, nil},
+		{"generic", &lattice.D3Q19, 6, 5, 7, true, func(l *Lattice) { l.noFastPath = true }},
+		{"les", &lattice.D3Q19, 6, 5, 7, true, func(l *Lattice) { l.Smagorinsky = 0.17 }},
+		{"forced", &lattice.D3Q19, 6, 5, 7, false, func(l *Lattice) { l.Force = [3]float64{1e-5, -2e-5, 3e-6} }},
+		{"d2q9", &lattice.D2Q9, 7, 6, 1, true, nil},
+		{"d3q15", &lattice.D3Q15, 6, 5, 7, true, nil},
+		{"d3q27", &lattice.D3Q27, 6, 5, 7, true, nil},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			ref, aa := buildPair(t, 6, 5, 7, 0.7, tc.walls)
+			ref, aa := buildPairDesc(t, tc.desc, tc.nx, tc.ny, tc.nz, 0.7, tc.walls)
 			if tc.prep != nil {
 				tc.prep(ref)
 				tc.prep(aa)
@@ -112,29 +127,12 @@ func TestAAStepBitIdentical(t *testing.T) {
 	}
 }
 
-// TestAABlockedBitIdentical checks that cache-blocked tilings are
-// bit-identical to the unblocked AA sweep (and the reference) at every
-// step, for several tile shapes including ragged ones.
-func TestAABlockedBitIdentical(t *testing.T) {
-	for _, tiles := range [][2]int{{1, 1}, {2, 3}, {4, 8}, {3, 100}} {
-		t.Run(fmt.Sprintf("ty%d_tz%d", tiles[0], tiles[1]), func(t *testing.T) {
-			ref, aa := buildPair(t, 6, 5, 7, 0.62, true)
-			aa.SetAATiles(tiles[0], tiles[1])
-			for s := 1; s <= 4; s++ {
-				stepBoth(ref, aa, (*Lattice).StepFused)
-				compareLogical(t, ref, aa, s)
-			}
-		})
-	}
-}
-
 // TestAAPoolBitIdentical checks the persistent worker pool against the
 // reference at every step, with more workers than rows in one case.
 func TestAAPoolBitIdentical(t *testing.T) {
 	for _, workers := range []int{1, 3, 16} {
 		t.Run(fmt.Sprintf("workers%d", workers), func(t *testing.T) {
 			ref, aa := buildPair(t, 6, 5, 7, 0.8, true)
-			aa.SetAATiles(2, 4)
 			p := NewPool(aa, workers)
 			defer p.Close()
 			for s := 1; s <= 4; s++ {
@@ -223,7 +221,7 @@ func TestAAMassMomentumConserved(t *testing.T) {
 }
 
 // FuzzAAStep drives random small grids for random step counts through the
-// AA stepper (randomly blocked) and asserts bit-identity with the
+// AA stepper and asserts bit-identity with the
 // double-buffer reference plus the mass/momentum oracles at the stopping
 // parity.
 func FuzzAAStep(f *testing.F) {
@@ -260,9 +258,6 @@ func FuzzAAStep(f *testing.F) {
 		}
 		ref, aa := mk(), mk()
 		aa.EnableAA()
-		if rng.Intn(2) == 0 {
-			aa.SetAATiles(1+rng.Intn(4), 1+rng.Intn(8))
-		}
 		m0 := aa.TotalMass()
 		for s := 0; s < nsteps; s++ {
 			ref.PeriodicAll()
@@ -296,7 +291,7 @@ func FuzzAAStep(f *testing.F) {
 	})
 }
 
-func benchAALattice(b *testing.B, ty, tz int) *Lattice {
+func benchAALattice(b *testing.B) *Lattice {
 	b.Helper()
 	l, err := NewLattice(&lattice.D3Q19, 48, 48, 48, 0.8)
 	if err != nil {
@@ -304,26 +299,11 @@ func benchAALattice(b *testing.B, ty, tz int) *Lattice {
 	}
 	l.InitEquilibrium(1, 0.02, 0.01, 0.005)
 	l.EnableAA()
-	if ty > 0 || tz > 0 {
-		l.SetAATiles(ty, tz)
-	}
 	return l
 }
 
 func BenchmarkAAStep48(b *testing.B) {
-	l := benchAALattice(b, 0, 0)
-	cells := float64(48 * 48 * 48)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		l.PeriodicAll()
-		l.StepFused()
-	}
-	b.StopTimer()
-	b.ReportMetric(cells*float64(b.N)/b.Elapsed().Seconds()/1e6, "MLUPS")
-}
-
-func BenchmarkAABlocked48(b *testing.B) {
-	l := benchAALattice(b, 8, 48)
+	l := benchAALattice(b)
 	cells := float64(48 * 48 * 48)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -335,7 +315,7 @@ func BenchmarkAABlocked48(b *testing.B) {
 }
 
 func BenchmarkAAPool48(b *testing.B) {
-	l := benchAALattice(b, 8, 48)
+	l := benchAALattice(b)
 	p := NewPool(l, 4)
 	defer p.Close()
 	cells := float64(48 * 48 * 48)

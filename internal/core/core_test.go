@@ -324,24 +324,39 @@ func TestTaylorGreenDecay(t *testing.T) {
 	}
 }
 
-// TestSmagorinskyReducesToLBGK: with |Π|=0 (equilibrium state) the LES
-// model leaves τ unchanged, and a sheared state increases it.
+// TestSmagorinskyReducesToLBGK: with |Π|=0 the LES model leaves τ
+// unchanged, and a sheared state increases it. The effective τ is read
+// back off the operator as (f−f^eq)/(f−f*) of a perturbed population.
 func TestSmagorinskyReducesToLBGK(t *testing.T) {
 	l := newTestLattice(t, 4, 4, 4, 0.7)
 	l.Smagorinsky = 0.17
+	col := l.Collider()
 	d := l.Desc
-	feq := make([]float64, d.Q)
-	d.EquilibriumAll(feq, 1.0, 0.02, 0, 0)
-	f := append([]float64(nil), feq...)
-	if got := l.smagorinskyTau(f, feq, 1.0); math.Abs(got-0.7) > 1e-12 {
-		t.Errorf("equilibrium LES tau = %v, want 0.7", got)
+	tauEff := func(f []float64, i int) float64 {
+		feq := make([]float64, d.Q)
+		rho, jx, jy, jz := d.Moments(f)
+		d.EquilibriumAll(feq, rho, jx/rho, jy/rho, jz/rho)
+		out := make([]float64, d.Q)
+		col.Relax(f, out)
+		return (f[i] - feq[i]) / (f[i] - out[i])
+	}
+	// A ghost mode, g_i = c_x(c_y²−c_z²): off equilibrium, but with zero
+	// density, momentum and momentum flux, so Π vanishes.
+	f := make([]float64, d.Q)
+	d.EquilibriumAll(f, 1.0, 0.02, 0, 0)
+	for i, c := range d.C {
+		f[i] += 1e-3 * float64(c[0]*(c[1]*c[1]-c[2]*c[2]))
+	}
+	if got := tauEff(f, 7); math.Abs(got-0.7) > 1e-9 {
+		t.Errorf("LES tau with |Π|=0 = %v, want 0.7", got)
 	}
 	// Perturb to create non-equilibrium normal stress (Π_xx ≠ 0):
 	// adding to both +x and −x populations keeps momentum but not the
 	// second moment.
+	d.EquilibriumAll(f, 1.0, 0.02, 0, 0)
 	f[1] += 0.01
 	f[2] += 0.01
-	if got := l.smagorinskyTau(f, feq, 1.0); got <= 0.7 {
+	if got := tauEff(f, 1); got <= 0.7+1e-6 {
 		t.Errorf("sheared LES tau = %v, want > 0.7", got)
 	}
 }

@@ -10,44 +10,7 @@ package core
 // The returned force is in lattice units (momentum per time step); the
 // cylinder and Suboff examples turn it into drag and lift coefficients.
 func (l *Lattice) WallForce() (fx, fy, fz float64) {
-	d := l.Desc
-	src := l.F[l.src]
-	var baseArr [MaxQ]int
-	base := baseArr[:d.Q]
-	for i := range base {
-		base[i] = l.PopBase(i)
-	}
-	for y := 0; y < l.NY; y++ {
-		for x := 0; x < l.NX; x++ {
-			rowBase := l.Idx(x, y, 0)
-			for z := 0; z < l.NZ; z++ {
-				idx := rowBase + z
-				if l.Flags[idx] != Fluid {
-					continue
-				}
-				for i := 1; i < d.Q; i++ {
-					nb := idx + l.offs[i] // neighbour in direction i
-					var transfer float64
-					switch l.Flags[nb] {
-					case Wall:
-						transfer = 2 * src[base[i]+idx]
-					case MovingWall:
-						uw := l.WallVel[nb]
-						c := d.C[i]
-						cu := float64(c[0])*uw[0] + float64(c[1])*uw[1] + float64(c[2])*uw[2]
-						transfer = 2*src[base[i]+idx] - 6*d.W[i]*cu
-					default:
-						continue
-					}
-					c := d.C[i]
-					fx += transfer * float64(c[0])
-					fy += transfer * float64(c[1])
-					fz += transfer * float64(c[2])
-				}
-			}
-		}
-	}
-	return
+	return l.WallForceWhere(func(x, y, z int) bool { return true })
 }
 
 // WallForceWhere computes the momentum-exchange force restricted to solid
@@ -71,16 +34,13 @@ func (l *Lattice) WallForceWhere(pred func(x, y, z int) bool) (fx, fy, fz float6
 					continue
 				}
 				for i := 1; i < d.Q; i++ {
-					nb := idx + l.offs[i]
+					nb := idx + l.offs[i] // neighbour in direction i
 					var transfer float64
 					switch l.Flags[nb] {
 					case Wall:
 						transfer = 2 * src[base[i]+idx]
 					case MovingWall:
-						uw := l.WallVel[nb]
-						c := d.C[i]
-						cu := float64(c[0])*uw[0] + float64(c[1])*uw[1] + float64(c[2])*uw[2]
-						transfer = 2*src[base[i]+idx] - 6*d.W[i]*cu
+						transfer = 2*src[base[i]+idx] - l.wallTerm(i, nb)
 					default:
 						continue
 					}

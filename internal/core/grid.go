@@ -99,11 +99,8 @@ type Lattice struct {
 	// aa selects single-array AA-pattern storage (see aa.go): F[0] is the
 	// only buffer and the in-array layout alternates with step parity.
 	aa bool
-	// aaTileY, aaTileZ are the cache-blocking tile extents of the AA
-	// stepper (0 = unblocked).
-	aaTileY, aaTileZ int
 
-	// noFastPath disables the unrolled D3Q19 kernel (testing hook).
+	// noFastPath disables the unrolled D3Q19 row kernel (testing hook).
 	noFastPath bool
 }
 

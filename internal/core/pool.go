@@ -9,8 +9,7 @@ import (
 // Pool is a persistent worker-pool stepper for AA lattices: the paper's
 // answer to spawn-per-step parallelism (§IV-C-2, the CPE worker model).
 // NewPool starts long-lived goroutines, each owning a fixed contiguous
-// band of y rows which it processes as a queue of cache-blocked tiles
-// (per SetAATiles); Step releases every worker once and waits for them
+// band of y rows; Step releases every worker once and waits for them
 // all, with no per-step allocation — one channel send/receive pair per
 // worker is the whole protocol. Because AA cells never read another
 // cell's writes within a step, the pool is bit-identical to the serial
@@ -77,7 +76,7 @@ func (p *Pool) worker(start <-chan struct{}, y0, y1 int) {
 		case <-p.quit:
 			return
 		case <-start:
-			p.l.stepAAYRange(y0, y1)
+			p.l.StepRegion(0, p.l.NX, y0, y1)
 			p.done <- struct{}{}
 		}
 	}

@@ -1,8 +1,6 @@
 package swlb
 
 import (
-	"math"
-
 	"sunwaylb/internal/lattice"
 	"sunwaylb/internal/sunway"
 )
@@ -68,12 +66,7 @@ func (e *Engine) cpeKernel() func(p *sunway.CPE) {
 	async := e.Opt.AsyncDMA
 	fused := e.Opt.Fused
 	eff := e.Opt.ComputeEff
-	invTau := 1.0 / l.Tau
-	les := l.Smagorinsky > 0
-	csmag2 := l.Smagorinsky * l.Smagorinsky
-	tau0 := l.Tau
-	fxF, fyF, fzF := l.Force[0], l.Force[1], l.Force[2]
-	forced := fxF != 0 || fyF != 0 || fzF != 0
+	col := l.Collider()
 
 	return func(p *sunway.CPE) {
 		P := p.NumCPEs()
@@ -90,7 +83,9 @@ func (e *Engine) cpeKernel() func(p *sunway.CPE) {
 			p.MustAllocFloat64(2 * nq * bz)
 		}
 		f := p.MustAllocFloat64(nq)
-		feq := p.MustAllocFloat64(nq)
+		// Relax keeps the equilibrium on the host stack; on the chip it
+		// is LDM too, so the capacity is reserved like the double buffer.
+		p.MustAllocFloat64(nq)
 		var pendingPut sunway.DMAHandle
 
 		// loadRun DMAs the shifted z-run of direction q for column
@@ -106,70 +101,17 @@ func (e *Engine) cpeKernel() func(p *sunway.CPE) {
 			}
 		}
 
-		// collideBlock relaxes the gathered runs into out. It performs
-		// exactly the arithmetic of core.stepRegion so results are
-		// bit-identical.
+		// collideBlock relaxes the gathered runs into out: each cell of
+		// the block goes through the same core.Collider as every host
+		// sweep, so results are bit-identical to core.StepFused.
 		collideBlock := func(bzE int) {
 			for zi := 0; zi < bzE; zi++ {
-				for i := 0; i < nq; i++ {
+				for i := range f {
 					f[i] = runs[i][zi]
 				}
-				var rho, jx, jy, jz float64
-				for i := 0; i < nq; i++ {
-					fi := f[i]
-					rho += fi
-					c := d.C[i]
-					jx += fi * float64(c[0])
-					jy += fi * float64(c[1])
-					jz += fi * float64(c[2])
-				}
-				invRho := 1.0 / rho
-				ux, uy, uz := jx*invRho, jy*invRho, jz*invRho
-				if forced {
-					half := 0.5 * invRho
-					ux += half * fxF
-					uy += half * fyF
-					uz += half * fzF
-				}
-				// Canonical FMA evaluation order (lattice.Equilibrium).
-				onem := 1 - 1.5*math.FMA(uz, uz, math.FMA(uy, uy, ux*ux))
-				for i := 0; i < nq; i++ {
-					c := d.C[i]
-					cu := float64(c[0])*ux + float64(c[1])*uy + float64(c[2])*uz
-					h := 4.5 * cu
-					feq[i] = d.W[i] * rho * (math.FMA(h, cu, onem) + 3*cu)
-				}
-				omega := invTau
-				if les {
-					var pxx, pyy, pzz, pxy, pxz, pyz float64
-					for i := 0; i < nq; i++ {
-						fneq := f[i] - feq[i]
-						c := d.C[i]
-						cx, cy, cz := float64(c[0]), float64(c[1]), float64(c[2])
-						pxx += fneq * cx * cx
-						pyy += fneq * cy * cy
-						pzz += fneq * cz * cz
-						pxy += fneq * cx * cy
-						pxz += fneq * cx * cz
-						pyz += fneq * cy * cz
-					}
-					piNorm := math.Sqrt(pxx*pxx + pyy*pyy + pzz*pzz + 2*(pxy*pxy+pxz*pxz+pyz*pyz))
-					omega = 1.0 / (0.5 * (tau0 + math.Sqrt(tau0*tau0+18*math.Sqrt2*csmag2*piNorm/rho)))
-				}
-				if forced {
-					fw := 1 - 0.5*omega
-					for i := 0; i < nq; i++ {
-						c := d.C[i]
-						cx, cy, cz := float64(c[0]), float64(c[1]), float64(c[2])
-						cu := cx*ux + cy*uy + cz*uz
-						si := d.W[i] * (3*((cx-ux)*fxF+(cy-uy)*fyF+(cz-uz)*fzF) +
-							9*cu*(cx*fxF+cy*fyF+cz*fzF))
-						out[i][zi] = math.FMA(-omega, f[i]-feq[i], f[i]) + fw*si
-					}
-				} else {
-					for i := 0; i < nq; i++ {
-						out[i][zi] = math.FMA(-omega, f[i]-feq[i], f[i])
-					}
+				col.Relax(f, f)
+				for i := range f {
+					out[i][zi] = f[i]
 				}
 			}
 			p.Compute(float64(bzE)*FlopsPerCell, eff)

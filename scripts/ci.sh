@@ -12,7 +12,7 @@
 #             conform's in-process multi-rank matrix), run twice to
 #             shake schedule-dependent interleavings
 #   conform — differential + metamorphic conformance suite: ≥25 seeded
-#             cases through all 24 backends (serial core and its AA
+#             cases through all 23 backends (serial core and its AA
 #             variants, all swlb stages, gpu model, AA ranks under the
 #             overlapped exchange in 1-D/2-D at 1..8 ranks, stitched 3-D
 #             blocks, the patch world) and 10 properties, plus
@@ -52,20 +52,22 @@
 #             with mid-run migrations, and the hotalloc/spanpair static
 #             rules over the patch code
 #   perf    — AA-kernel performance-critical contracts: the AA conform
-#             slice (serial/blocked/pool backends and AA ranks MaxULP=0
+#             slice (serial/pool backends and AA ranks MaxULP=0
 #             against the reference at both storage parities), the CLI
 #             pins (every default path names the AA kernel and writes
-#             the same bytes), the race-checked
-#             worker-pool soak plus the AVX-512 row kernel's bitwise
-#             equivalence tests, the boundary conditions' face plans
+#             the same bytes), the one collision operator against its
+#             definition and the unrolled row against the operator, the
+#             race-checked worker-pool soak plus the AVX-512 row kernel's
+#             bitwise equivalence tests, the boundary conditions' face plans
 #             against their per-cell definition on both storage schemes
 #             and phases (with a two-worker pool stepping in between),
 #             and the memtraffic/hotalloc/goleak static budgets over the
 #             kernel, boundary and resilience code
 #   bench   — refresh BENCH_results.json from the measured benchmark
 #             cases so every CI run extends the perf trajectory; when a
-#             committed baseline exists, the fused-kernel MLUPS must not
-#             regress more than 10% against it
+#             committed baseline exists, the AA-kernel MLUPS (kernel-aa,
+#             the kernel every default path runs) must not regress more
+#             than 10% against it
 #
 # Usage: scripts/ci.sh [tier1|tier2|race|conform|analyze|perf|chaos|serve|trace|patch|bench|all]
 # (default: all)
@@ -117,7 +119,7 @@ conform() {
 bench() {
     echo "== bench: refresh BENCH_results.json =="
     # Gate against the committed baseline (if any) before overwriting it:
-    # a fused-kernel MLUPS regression beyond 10% fails the tier.
+    # a kernel-aa MLUPS regression beyond 10% fails the tier.
     base=""
     if git cat-file -e HEAD:BENCH_results.json 2>/dev/null; then
         base=$(mktemp)
@@ -130,18 +132,20 @@ bench() {
 
 perf() {
     echo "== perf: AA kernel conformance + pool soak + static budgets =="
-    # AA backends (serial, cache-blocked, worker pool) must stay
-    # bit-identical (MaxULP=0) to the serial reference at every storage
-    # parity, and the parity metamorphic property must hold.
+    # AA backends (serial, worker pool) must stay bit-identical
+    # (MaxULP=0) to the serial reference at every storage parity, and the
+    # parity metamorphic property must hold.
     go run ./cmd/conform -seed 1 -cases 10 -run 'core/aa|core/pool|psolve/2x2|prop/aa-parity'
     # No silent slow path, no path-dependent answer: single rank, ranks
     # and patches all report the AA kernel and write identical images.
     go test -count=1 -run 'TestCLIKernelPath|TestCLIPathsAgree' ./cmd/sunwaylb
-    # Race-checked AA suite: pool soak, step/blocked/pool bit-identity,
+    # Race-checked AA suite: the collision operator against its
+    # per-direction definition, the unrolled row against the operator,
+    # pool soak, step/pool bit-identity on every descriptor,
     # parity-aware halo pack/unpack, and (on capable hardware) the
     # AVX-512 row kernel's bitwise equivalence to the scalar canon.
     go test -race -count=1 -timeout 600s \
-        -run 'TestAA|TestPool|TestPack|TestPeriodic' ./internal/core
+        -run 'TestRelaxMatchesDefinition|TestUnrolledKernelBitIdentical|TestAA|TestPool|TestPack|TestPeriodic' ./internal/core
     # Boundary handling on AA storage: every condition on every face
     # against its per-cell definition at both phases, and seeded condition
     # sets between the steps of a two-worker pool.
