@@ -51,6 +51,31 @@ func TestTrafficEstimatesRepo(t *testing.T) {
 			"PeriodicAxis": {Bytes: 2, Budget: 616},
 			"PackFace":     {Bytes: 2, Budget: 320},
 			"UnpackFace":   {Bytes: 1, Budget: 320},
+			// Macro extraction, row-wise and population-outer: the model
+			// prices one pass of a population over a cell at the dearest
+			// velocity (a population read, the density and three momentum
+			// accumulators updated in the row's L1-resident runs).
+			"MacroInto": {Bytes: 72, Budget: 72},
+		},
+		// The rank and patch data paths: the exchange drivers walk links
+		// and snapshot records only (no per-cell loop: Budget -1 or the
+		// snapshot-wave pins); a link's own loops move the flag bytes of a
+		// first message, its payload is priced in PackFace/UnpackFace and
+		// the checksum's write.
+		"../psolve": {
+			"post":           {Bytes: 0, Budget: -1},
+			"collect":        {Bytes: 0, Budget: -1},
+			"Post":           {Bytes: 2, Budget: 2},
+			"Collect":        {Bytes: 2, Budget: 2},
+			"ResilCapture":   {Bytes: 0, Budget: -1},
+			"groupExchange":  {Bytes: 0, Budget: -1},
+			"parityExchange": {Bytes: 0, Budget: 0},
+		},
+		"../patch": {
+			"ship":       {Bytes: 0, Budget: -1},
+			"absorb":     {Bytes: 0, Budget: -1},
+			"wave":       {Bytes: 80, Budget: 80},
+			"parityWave": {Bytes: 16, Budget: 16},
 		},
 		// Computed boundary conditions stage each chunk of a line through
 		// core's Gather/ScatterLine; their own loops touch stack scratch.

@@ -97,6 +97,7 @@ func Oracles() []Oracle {
 		Oracle{Name: "prop/aa-parity", Check: checkAAParity},
 		Oracle{Name: "prop/faultplan", Check: checkFaultPlan},
 		Oracle{Name: "prop/recover-hotswap", Check: checkRecoverHotswap},
+		Oracle{Name: "prop/halo-flip", Check: checkHaloFlip},
 	)
 	return os
 }
@@ -571,4 +572,72 @@ func checkRecoverHotswap(x *Ctx) error {
 		return fmt.Errorf("hot-swap recovery at step %d diverges: %w", k, err)
 	}
 	return nil
+}
+
+// checkHaloFlip asserts that a bit flipped in a halo face in flight ends
+// bit-exact or typed, never silently wrong (§IV-B's deterministic replay
+// depends on it). Unsupervised, the run either fails with
+// psolve.ErrHaloCorrupt or — when the bit was one the trailer check
+// cannot use, such as a fraction bit of a checksum half — ends exact;
+// supervised, the restart replays it exactly.
+func checkHaloFlip(x *Ctx) error {
+	c := x.Case
+	opts := c.Options(ckptPX, ckptPY)
+	clean, err := psolve.Run(opts, c.Steps)
+	if err != nil {
+		return skipf("distributed run: %v", err)
+	}
+	plan := fault.Plan{Seed: c.Seed, Links: []fault.Link{{Src: -1, Dst: -1, Flip: 1, Max: 1}}}
+	got, err := runFaulted(opts, c.Steps, fault.NewInjector(plan))
+	switch {
+	case errors.Is(err, psolve.ErrHaloCorrupt):
+	case err != nil:
+		return fmt.Errorf("unsupervised halo flip ended in an untyped error: %w", err)
+	default:
+		if err := Compare(clean, got, Exact); err != nil {
+			return fmt.Errorf("unsupervised halo flip accepted a wrong face: %w", err)
+		}
+	}
+	got, _, err = psolve.Supervise(psolve.SupervisorOptions{
+		Opts:        opts,
+		Steps:       c.Steps,
+		MaxRestarts: 1,
+		Injector:    fault.NewInjector(plan),
+	})
+	if err != nil {
+		return fmt.Errorf("supervised run failed to recover from a halo flip: %w", err)
+	}
+	if err := Compare(clean, got, Exact); err != nil {
+		return fmt.Errorf("recovery from a halo flip diverges: %w", err)
+	}
+	return nil
+}
+
+// runFaulted is psolve.Run on a world whose transport runs a fault hook.
+// A failed run reports the world's failure cause — the rank that failed
+// first, not the lowest rank that died of it.
+func runFaulted(opts psolve.Options, steps int, hook mpi.FaultHook) (*core.MacroField, error) {
+	w, err := mpi.NewWorld(opts.PX * opts.PY)
+	if err != nil {
+		return nil, err
+	}
+	w.SetFaultHook(hook)
+	var out *core.MacroField
+	err = mpi.RunWorld(w, func(cm *mpi.Comm) error {
+		s, err := psolve.New(cm, opts)
+		if err != nil {
+			return err
+		}
+		for i := 0; i < steps; i++ {
+			s.Step()
+		}
+		if g := s.GatherMacro(0); g != nil {
+			out = g
+		}
+		return nil
+	})
+	if err != nil && w.FailureCause() != nil {
+		err = w.FailureCause()
+	}
+	return out, err
 }

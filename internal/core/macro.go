@@ -45,16 +45,57 @@ type MacroField struct {
 // Idx returns the linear index of (x, y, z) in the macro field arrays.
 func (m *MacroField) Idx(x, y, z int) int { return (y*m.NX+x)*m.NZ + z }
 
+// NewMacroField allocates a zeroed nx×ny×nz field.
+func NewMacroField(nx, ny, nz int) *MacroField {
+	return MacroFieldOver(make([]float64, 4*nx*ny*nz), nx, ny, nz)
+}
+
+// MacroFieldOver lays an nx×ny×nz field over d, which holds the four
+// channels Rho, Ux, Uy, Uz back to back (a gather payload, say).
+func MacroFieldOver(d []float64, nx, ny, nz int) *MacroField {
+	n := nx * ny * nz
+	return &MacroField{NX: nx, NY: ny, NZ: nz,
+		Rho: d[:n:n], Ux: d[n : 2*n : 2*n], Uy: d[2*n : 3*n : 3*n], Uz: d[3*n : 4*n : 4*n]}
+}
+
+// Place copies the field b into m at origin (x0, y0, z0), one z-run per
+// channel and (x, y).
+func (m *MacroField) Place(b *MacroField, x0, y0, z0 int) {
+	for y := 0; y < b.NY; y++ {
+		for x := 0; x < b.NX; x++ {
+			mi, bi := m.Idx(x0+x, y0+y, z0), b.Idx(x, y, 0)
+			copy(m.Rho[mi:mi+b.NZ], b.Rho[bi:])
+			copy(m.Ux[mi:mi+b.NZ], b.Ux[bi:])
+			copy(m.Uy[mi:mi+b.NZ], b.Uy[bi:])
+			copy(m.Uz[mi:mi+b.NZ], b.Uz[bi:])
+		}
+	}
+}
+
 // ComputeMacro extracts the macroscopic fields of all interior cells.
 // Solid cells yield zeros.
 func (l *Lattice) ComputeMacro() *MacroField {
-	m := &MacroField{
-		NX: l.NX, NY: l.NY, NZ: l.NZ,
-		Rho: make([]float64, l.NX*l.NY*l.NZ),
-		Ux:  make([]float64, l.NX*l.NY*l.NZ),
-		Uy:  make([]float64, l.NX*l.NY*l.NZ),
-		Uz:  make([]float64, l.NX*l.NY*l.NZ),
-	}
+	m := NewMacroField(l.NX, l.NY, l.NZ)
+	l.MacroInto(m, 0, 0, 0)
+	return m
+}
+
+// MacroInto writes the macroscopic fields of every interior cell (x, y, z)
+// into the caller's field m at (x0+x, y0+y, z0+z) — a rank's block of a
+// global field, or a gather payload laid out by MacroFieldOver. Solid
+// cells yield zeros. Each z-row is summed population-outer straight into
+// its four output runs, each population in one pass that adds it to the
+// density and to the momentum components its velocity has; every cell
+// still adds its populations in ascending order, and the terms skipped
+// are exact zeros, so for finite populations the values are bitwise
+// those of MacroAt.
+//
+// Per cell a population's pass reads it once and updates at most four
+// accumulators, which stay in L1 for the row; the budget prices the
+// dearest pass.
+//
+//lbm:hot traffic budget=72
+func (l *Lattice) MacroInto(m *MacroField, x0, y0, z0 int) {
 	d := l.Desc
 	src := l.F[l.src]
 	var baseArr [MaxQ]int
@@ -62,33 +103,74 @@ func (l *Lattice) ComputeMacro() *MacroField {
 	for i := range base {
 		base[i] = l.PopBase(i)
 	}
+	nz := l.NZ
+	fx, fy, fz := 0.5*l.Force[0], 0.5*l.Force[1], 0.5*l.Force[2]
 	for y := 0; y < l.NY; y++ {
 		for x := 0; x < l.NX; x++ {
-			for z := 0; z < l.NZ; z++ {
-				idx := l.Idx(x, y, z)
-				if l.Flags[idx] != Fluid {
-					continue
+			idx, mi := l.Idx(x, y, 0), m.Idx(x0+x, y0+y, z0)
+			rho := m.Rho[mi : mi+nz]
+			j := [3][]float64{m.Ux[mi : mi+nz], m.Uy[mi : mi+nz], m.Uz[mi : mi+nz]}
+			clear(rho)
+			clear(j[0])
+			clear(j[1])
+			clear(j[2])
+			for i := 0; i < d.Q; i++ {
+				// The components c_i has, as (momentum run, sign) pairs:
+				// adding v·(±1) is adding ±v exactly.
+				var a [3][]float64
+				var sg [3]float64
+				n := 0
+				for k, c := range d.C[i] {
+					if c != 0 {
+						a[n], sg[n] = j[k], float64(c)
+						n++
+					}
 				}
-				var rho, jx, jy, jz float64
-				for i := 0; i < d.Q; i++ {
-					fi := src[base[i]+idx]
-					rho += fi
-					c := d.C[i]
-					jx += fi * float64(c[0])
-					jy += fi * float64(c[1])
-					jz += fi * float64(c[2])
+				f := src[base[i]+idx : base[i]+idx+nz]
+				switch n {
+				case 0:
+					for z, v := range f {
+						rho[z] += v
+					}
+				case 1:
+					a0 := a[0][:len(f)]
+					for z, v := range f {
+						rho[z] += v
+						a0[z] += v * sg[0]
+					}
+				case 2:
+					a0, a1 := a[0][:len(f)], a[1][:len(f)]
+					for z, v := range f {
+						rho[z] += v
+						a0[z] += v * sg[0]
+						a1[z] += v * sg[1]
+					}
+				default:
+					a0, a1, a2 := a[0][:len(f)], a[1][:len(f)], a[2][:len(f)]
+					for z, v := range f {
+						rho[z] += v
+						a0[z] += v * sg[0]
+						a1[z] += v * sg[1]
+						a2[z] += v * sg[2]
+					}
 				}
-				mi := m.Idx(x, y, z)
-				m.Rho[mi] = rho
-				if rho != 0 {
-					m.Ux[mi] = (jx + 0.5*l.Force[0]) / rho
-					m.Uy[mi] = (jy + 0.5*l.Force[1]) / rho
-					m.Uz[mi] = (jz + 0.5*l.Force[2]) / rho
+			}
+			jx, jy, jz := j[0], j[1], j[2]
+			for z, f := range l.Flags[idx : idx+nz] {
+				switch r := rho[z]; {
+				case f != Fluid:
+					rho[z], jx[z], jy[z], jz[z] = 0, 0, 0, 0
+				case r == 0:
+					jx[z], jy[z], jz[z] = 0, 0, 0
+				default:
+					// With Guo forcing the physical velocity is (j + F/2)/ρ.
+					jx[z] = (jx[z] + fx) / r
+					jy[z] = (jy[z] + fy) / r
+					jz[z] = (jz[z] + fz) / r
 				}
 			}
 		}
 	}
-	return m
 }
 
 // TotalMass sums the density over all interior fluid cells. The LBGK

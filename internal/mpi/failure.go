@@ -264,6 +264,12 @@ func (c *Comm) Abort(err error) { c.world.Fail(err) }
 // ErrRankDead once the messages it already sent are drained.
 func (c *Comm) Crash(err error) { c.world.MarkDead(c.rank, err) }
 
+// AbortRank stops the calling rank with err, the way a failed Recv does:
+// Run and RunWorld return err as the rank's error and peers waiting on
+// the rank see ErrRankDead. It is for code without an error return that
+// finds a message unusable (a halo face that fails its checksum).
+func (c *Comm) AbortRank(err error) { panic(rankPanic{err}) }
+
 // recvAny is the failure-aware receive all public receives build on.
 // It delivers queued messages first (a dead peer's in-flight messages
 // remain consumable, matching a network that delivered before the
@@ -275,8 +281,16 @@ func (c *Comm) recvAny(src, tag int, timeout time.Duration) (Message, error) {
 }
 
 // recvOn waits on an already-registered waiter channel (registration
-// happens at posting time so concurrent Irecvs match in posting order).
+// happens at posting time so concurrent Irecvs match in posting order)
+// and hands the channel back to the mailbox when it returns. A message
+// that is already there costs no timer.
 func (c *Comm) recvOn(mb *mailbox, src, tag int, ch chan Message, timeout time.Duration) (Message, error) {
+	defer mb.release(ch)
+	select {
+	case m := <-ch:
+		return m, nil
+	default:
+	}
 	w := c.world
 	var deadline <-chan time.Time
 	if timeout > 0 {

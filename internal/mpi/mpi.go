@@ -40,11 +40,57 @@ type chanKey struct{ src, dst, tag int }
 
 // mailbox is one ordered (src, dst, tag) message stream. Sends never
 // block (the queue is unbounded) and receives match in posting order,
-// which is the MPI ordering guarantee the halo exchange relies on.
+// which is the MPI ordering guarantee the halo exchange relies on. In
+// steady state a stream allocates nothing: the queue is a ring that only
+// grows, and the waiter channel a receive drained is kept for the next.
 type mailbox struct {
 	mu      sync.Mutex
-	queue   []Message
+	queue   ring
 	waiters []chan Message
+	spare   chan Message // an empty, unregistered waiter channel (or nil)
+}
+
+// ring is a FIFO of messages over a circular buffer (never of length
+// zero) that doubles when full and never shrinks.
+type ring struct {
+	buf     []Message
+	head, n int
+}
+
+func (q *ring) grow() {
+	if q.n < len(q.buf) {
+		return
+	}
+	buf := make([]Message, 2*len(q.buf))
+	for i := 0; i < q.n; i++ {
+		buf[i] = q.buf[(q.head+i)%len(q.buf)]
+	}
+	q.buf, q.head = buf, 0
+}
+
+func (q *ring) push(m Message) {
+	q.grow()
+	q.buf[(q.head+q.n)%len(q.buf)] = m
+	q.n++
+}
+
+// pushFront requeues m at the head.
+func (q *ring) pushFront(m Message) {
+	q.grow()
+	q.head = (q.head + len(q.buf) - 1) % len(q.buf)
+	q.buf[q.head] = m
+	q.n++
+}
+
+func (q *ring) pop() (Message, bool) {
+	if q.n == 0 {
+		return Message{}, false
+	}
+	m := q.buf[q.head]
+	q.buf[q.head] = Message{} // the ring must not keep the payload alive
+	q.head = (q.head + 1) % len(q.buf)
+	q.n--
+	return m, true
 }
 
 // put delivers a message: to the oldest waiting receiver if any,
@@ -56,22 +102,25 @@ func (mb *mailbox) put(m Message) {
 	defer mb.mu.Unlock()
 	if len(mb.waiters) > 0 {
 		w := mb.waiters[0]
-		mb.waiters = mb.waiters[1:]
+		mb.waiters = append(mb.waiters[:0], mb.waiters[1:]...)
 		w <- m
 		return
 	}
-	mb.queue = append(mb.queue, m)
+	mb.queue.push(m)
 }
 
 // get returns a channel that will yield the next message in stream order.
 // A receiver that gives up (timeout, dead peer) must call cancel with the
-// same channel so a later message is not swallowed by an abandoned waiter.
+// same channel so a later message is not swallowed by an abandoned waiter;
+// either way it hands the drained channel back with release.
 func (mb *mailbox) get() chan Message {
-	ch := make(chan Message, 1)
 	mb.mu.Lock()
-	if len(mb.queue) > 0 {
-		m := mb.queue[0]
-		mb.queue = mb.queue[1:]
+	ch := mb.spare
+	mb.spare = nil
+	if ch == nil {
+		ch = make(chan Message, 1)
+	}
+	if m, ok := mb.queue.pop(); ok {
 		mb.mu.Unlock()
 		ch <- m
 		return ch
@@ -81,16 +130,22 @@ func (mb *mailbox) get() chan Message {
 	return ch
 }
 
+// release keeps a waiter channel for the next get. The caller has taken
+// its message or cancelled it, so the channel is empty and no sender can
+// reach it.
+func (mb *mailbox) release(ch chan Message) {
+	mb.mu.Lock()
+	defer mb.mu.Unlock()
+	if mb.spare == nil {
+		mb.spare = ch
+	}
+}
+
 // tryGet pops the head of the queue without registering a waiter.
 func (mb *mailbox) tryGet() (Message, bool) {
 	mb.mu.Lock()
 	defer mb.mu.Unlock()
-	if len(mb.queue) == 0 {
-		return Message{}, false
-	}
-	m := mb.queue[0]
-	mb.queue = mb.queue[1:]
-	return m, true
+	return mb.queue.pop()
 }
 
 // cancel deregisters an abandoned waiter. If a message was already
@@ -107,7 +162,7 @@ func (mb *mailbox) cancel(ch chan Message) {
 	}
 	select {
 	case m := <-ch:
-		mb.queue = append([]Message{m}, mb.queue...)
+		mb.queue.pushFront(m)
 	default:
 	}
 }
@@ -174,7 +229,10 @@ func (w *World) box(src, dst, tag int) *mailbox {
 	defer w.mu.Unlock()
 	mb, ok := w.boxes[k]
 	if !ok {
-		mb = &mailbox{}
+		// Sized up front, so which of sender and receiver comes first
+		// never decides when a stream allocates: one receiver waits at a
+		// time (a burst of Irecvs aside), and a few messages may queue.
+		mb = &mailbox{queue: ring{buf: make([]Message, 4)}, waiters: make([]chan Message, 0, 1)}
 		w.boxes[k] = mb
 	}
 	return mb
@@ -193,11 +251,17 @@ func (w *World) deliver(src, dst, tag int, m Message) {
 	mb := w.box(src, dst, tag)
 	// A duplicate is a distinct copy, made before the original is handed
 	// over: the receiver may recycle or overwrite what it gets, and this
-	// is the one place that knows two deliveries share a payload.
-	for i := 1; i < copies; i++ {
-		mb.put(Message{Data: append([]float64(nil), m.Data...), Aux: append([]byte(nil), m.Aux...), flow: m.flow})
+	// is the one place that knows two deliveries share a payload. The
+	// original goes first, so the late delivery a receiver discards as
+	// stale is the copy, never a sender's buffer it may be refilling.
+	dups := make([]Message, copies-1)
+	for i := range dups {
+		dups[i] = Message{Data: append([]float64(nil), m.Data...), Aux: append([]byte(nil), m.Aux...), flow: m.flow}
 	}
 	mb.put(m)
+	for _, d := range dups {
+		mb.put(d)
+	}
 }
 
 // SetTracer installs a rank-level tracer (nil removes it): blocking

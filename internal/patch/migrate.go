@@ -57,6 +57,7 @@ func (n *node) migrate(newOwner []int) error {
 	}
 	copy(n.owner, newOwner)
 	n.rebuildMine()
+	clear(n.links) // rebuilt towards the new owners, flags on their first message
 	if n.me == 0 && n.rc.stats != nil {
 		n.rc.stats.Rebalances++
 		n.rc.stats.Migrations += moves

@@ -143,10 +143,17 @@ type node struct {
 	straggle float64   // straggler-model multiplier for this worker's samples
 	names    []string  // precomputed per-patch counter names
 
-	// Face scratch sized for the largest face over all patches.
+	// Face scratch sized for the largest face over all patches, for the
+	// copies between two owned patches.
 	buf []float64
 	flg []core.CellType
-	rfl []core.CellType
+
+	// links[6p+f] is owned patch p's halo link at face f to a neighbour on
+	// another worker, built at the first exchange that needs it. A
+	// migration drops them all: the next exchange rebuilds them towards
+	// the new owners, and a new link's first message carries cell flags
+	// for the freshly installed lattices.
+	links []*psolve.Link
 
 	// Snapshot state: the migration buffer (handed to the receiver with
 	// every move), this wave's L1 records of the owned patches by patch
@@ -195,7 +202,7 @@ func newNode(rc *runConfig, c *mpi.Comm) (*node, error) {
 	q := lattice.D3Q19.Q
 	n.buf = make([]float64, maxFace*q)
 	n.flg = make([]core.CellType, maxFace)
-	n.rfl = make([]core.CellType, maxFace)
+	n.links = make([]*psolve.Link, 6*rc.til.P())
 	n.own = make([]*resil.Snapshot, rc.til.P())
 	for _, p := range n.til.Patches {
 		if n.owner[p.ID] != n.me {
@@ -459,51 +466,65 @@ func (n *node) exchange(axis int) {
 }
 
 // ship packs face of patch src for patch dst: a local unpack when both
-// are owned here, a non-blocking send otherwise.
+// are owned here, a post on src's link otherwise.
+//
+//lbm:hot
 func (n *node) ship(src, dst int, face core.Face) {
 	if n.owner[src] != n.me {
 		return
 	}
 	ls := n.lats[src]
+	if n.owner[dst] != n.me {
+		n.link(src, face, dst).Post(n.c, ls)
+		return
+	}
 	cells := ls.FaceCells(face)
 	q := ls.Desc.Q
 	ls.PackFace(face, n.buf[:cells*q], n.flg[:cells])
-	if n.owner[dst] == n.me {
-		n.lats[dst].UnpackFace(face.Opposite(), n.buf[:cells*q], n.flg[:cells])
-		return
-	}
-	n.c.Send(n.owner[dst], haloTag(dst, face), psolve.EncodeFace(n.buf[:cells*q], n.flg[:cells]))
+	n.lats[dst].UnpackFace(face.Opposite(), n.buf[:cells*q], n.flg[:cells])
 }
 
-// absorb receives the face of patch src into patch dst's halo when dst
-// is owned here and src is remote.
+// absorb collects the face of patch src into patch dst's halo when dst is
+// owned here and src is remote.
+//
+//lbm:hot
 func (n *node) absorb(src, dst int, face core.Face) {
 	if n.owner[dst] != n.me || n.owner[src] == n.me {
 		return
 	}
-	m := n.c.Recv(n.owner[src], haloTag(dst, face))
-	ld := n.lats[dst]
-	cells := ld.FaceCells(face.Opposite())
-	ld.UnpackFace(face.Opposite(), m.Data, psolve.DecodeFlags(m.Aux, n.rfl[:cells]))
+	n.link(dst, face.Opposite(), src).Collect(n.c, n.lats[dst])
+}
+
+// link returns owned patch p's halo link at face f, whose neighbour is
+// patch nb on another worker, building it on first use. The link sends
+// p's face under nb's halo tag and receives nb's opposite face under p's.
+func (n *node) link(p int, f core.Face, nb int) *psolve.Link {
+	k := &n.links[6*p+int(f)]
+	if *k == nil {
+		*k = psolve.NewLink(n.lats[p], f, n.owner[nb], haloTag(nb, f), haloTag(p, f.Opposite()))
+	}
+	return *k
 }
 
 // gather stitches every patch's macroscopic field into the global field
-// on rank 0 (nil elsewhere). The payload per owned patch is its ID
-// followed by the rho/ux/uy/uz channels in interior (y,x,z) order.
+// on rank 0 (nil elsewhere). Rank 0 computes its own patches straight
+// into the global field; every other worker computes its patches into
+// one exact-size payload — per patch its ID, then the four channels of
+// the patch block — from which rank 0 copies z-runs.
 func (n *node) gather() *core.MacroField {
 	var payload []float64
-	for _, p := range n.mine {
-		b := n.til.Patches[p].Block
-		m := n.lats[p].ComputeMacro()
-		payload = append(payload, float64(p))
-		for _, ch := range [4][]float64{m.Rho, m.Ux, m.Uy, m.Uz} {
-			for y := 0; y < b.NY; y++ {
-				for x := 0; x < b.NX; x++ {
-					for z := 0; z < b.NZ; z++ {
-						payload = append(payload, ch[m.Idx(x, y, z)])
-					}
-				}
-			}
+	if n.me != 0 {
+		size := 0
+		for _, p := range n.mine {
+			size += 1 + 4*n.til.Patches[p].Cells()
+		}
+		payload = make([]float64, size)
+		d := payload
+		for _, p := range n.mine {
+			b := n.til.Patches[p].Block
+			d[0] = float64(p)
+			n.lats[p].MacroInto(core.MacroFieldOver(d[1:], b.NX, b.NY, b.NZ), 0, 0, 0)
+			d = d[1+4*b.Cells():]
 		}
 	}
 	msgs := n.c.Gather(0, mpi.Message{Data: payload})
@@ -511,34 +532,16 @@ func (n *node) gather() *core.MacroField {
 		return nil
 	}
 	opt := n.rc.opt
-	out := &core.MacroField{
-		NX: opt.GNX, NY: opt.GNY, NZ: opt.GNZ,
-		Rho: make([]float64, opt.GNX*opt.GNY*opt.GNZ),
-		Ux:  make([]float64, opt.GNX*opt.GNY*opt.GNZ),
-		Uy:  make([]float64, opt.GNX*opt.GNY*opt.GNZ),
-		Uz:  make([]float64, opt.GNX*opt.GNY*opt.GNZ),
+	out := core.NewMacroField(opt.GNX, opt.GNY, opt.GNZ)
+	for _, p := range n.mine {
+		b := n.til.Patches[p].Block
+		n.lats[p].MacroInto(out, b.X0, b.Y0, b.Z0)
 	}
-	for _, m := range msgs {
-		d := m.Data
-		for len(d) > 0 {
-			p := int(d[0])
-			d = d[1:]
-			b := n.til.Patches[p].Block
-			cells := b.Cells()
-			chans := [4][]float64{out.Rho, out.Ux, out.Uy, out.Uz}
-			for ci, ch := range chans {
-				src := d[ci*cells : (ci+1)*cells]
-				k := 0
-				for y := 0; y < b.NY; y++ {
-					for x := 0; x < b.NX; x++ {
-						for z := 0; z < b.NZ; z++ {
-							ch[out.Idx(b.X0+x, b.Y0+y, b.Z0+z)] = src[k]
-							k++
-						}
-					}
-				}
-			}
-			d = d[4*cells:]
+	for _, m := range msgs[1:] {
+		for d := m.Data; len(d) > 0; {
+			b := n.til.Patches[int(d[0])].Block
+			out.Place(core.MacroFieldOver(d[1:], b.NX, b.NY, b.NZ), b.X0, b.Y0, b.Z0)
+			d = d[1+4*b.Cells():]
 		}
 	}
 	return out

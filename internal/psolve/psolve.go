@@ -138,24 +138,13 @@ type Solver struct {
 // region is an x/y sub-block of the interior, x0 ≤ x < x1, y0 ≤ y < y1.
 type region struct{ x0, x1, y0, y1 int }
 
-// halo is one neighbour's half of an axis exchange: the face this rank
-// packs for it and unpacks from it, the tags of the two directions, and
-// the pack/unpack scratch reused across steps (messages are cloned before
-// they are handed to the transport).
-type halo struct {
-	face             core.Face
-	peer             int // neighbour rank; < 0 at a non-periodic edge
-	sendTag, recvTag int
-	send             []float64
-	flags, rflags    []core.CellType
-}
-
-// axisPlan is the halo exchange of one decomposed axis. wrap marks a
+// axisPlan is the halo exchange of one decomposed axis: the links to the
+// minus and plus neighbours (nil at a non-periodic edge). wrap marks a
 // periodic axis with a single rank along it: the neighbour is this rank,
 // so the exchange is a local periodic wrap.
 type axisPlan struct {
 	wrap        bool
-	minus, plus halo
+	minus, plus *Link
 }
 
 // New builds the per-rank solver: decomposes the domain, allocates the
@@ -284,17 +273,17 @@ func (s *Solver) collectBCs() {
 // tagPlus, so the minus neighbour's face arrives under tagPlus and the
 // plus neighbour's under tagMinus.
 func (s *Solver) planAxis(minusFace, plusFace core.Face, tagMinus, tagPlus, dm, dp int) axisPlan {
-	side := func(face core.Face, peer, sendTag, recvTag int) halo {
-		n := s.Lat.FaceCells(face)
-		return halo{
-			face: face, peer: peer, sendTag: sendTag, recvTag: recvTag,
-			send:  make([]float64, s.Lat.Desc.Q*n),
-			flags: make([]core.CellType, n), rflags: make([]core.CellType, n),
-		}
-	}
 	me := s.Comm.Rank()
+	if dm == me && dp == me {
+		return axisPlan{wrap: true}
+	}
+	side := func(face core.Face, peer, sendTag, recvTag int) *Link {
+		if peer < 0 {
+			return nil
+		}
+		return NewLink(s.Lat, face, peer, sendTag, recvTag)
+	}
 	return axisPlan{
-		wrap:  dm == me && dp == me,
 		minus: side(minusFace, dm, tagMinus, tagPlus),
 		plus:  side(plusFace, dp, tagPlus, tagMinus),
 	}
@@ -313,8 +302,11 @@ func (s *Solver) applyLocalBCs() {
 	}
 }
 
-// post packs one axis' two faces and hands them to the transport (sends
-// are eager and never block), under the given MPI-track span.
+// post packs one axis' two faces straight into their links' send slots
+// and hands them to the transport (sends are eager and never block),
+// under the given MPI-track span.
+//
+//lbm:hot
 func (s *Solver) post(axis int, span string) {
 	p := &s.axes[axis]
 	if p.wrap {
@@ -322,49 +314,32 @@ func (s *Solver) post(axis int, span string) {
 		return
 	}
 	defer s.tr.Scope(trace.TrackMPI, span)()
-	for _, h := range [2]*halo{&p.plus, &p.minus} {
-		if h.peer >= 0 {
-			s.Lat.PackFace(h.face, h.send, h.flags)
-			s.Comm.Send(h.peer, h.sendTag, EncodeFace(h.send, h.flags))
-		}
+	if p.plus != nil {
+		p.plus.Post(s.Comm, s.Lat)
+	}
+	if p.minus != nil {
+		p.minus.Post(s.Comm, s.Lat)
 	}
 }
 
 // collect receives the two faces the neighbours posted on this axis and
 // unpacks them into the halo. The span is closed by defer so a rank
-// aborted inside Recv (a peer died) still nests.
+// aborted inside Recv (a peer died, a face failed its checksum) still
+// nests.
+//
+//lbm:hot
 func (s *Solver) collect(axis int, span string) {
 	p := &s.axes[axis]
 	if p.wrap {
 		return
 	}
 	defer s.tr.Scope(trace.TrackMPI, span)()
-	for _, h := range [2]*halo{&p.minus, &p.plus} {
-		if h.peer >= 0 {
-			m := s.Comm.Recv(h.peer, h.recvTag)
-			s.Lat.UnpackFace(h.face, m.Data, DecodeFlags(m.Aux, h.rflags))
-		}
+	if p.minus != nil {
+		p.minus.Collect(s.Comm, s.Lat)
 	}
-}
-
-// EncodeFace copies a packed face — populations and cell flags — into a
-// fresh message (pack buffers are reused every step, and the transport
-// passes references). It is the wire format of every halo layer.
-func EncodeFace(data []float64, flags []core.CellType) mpi.Message {
-	d := append([]float64(nil), data...)
-	a := make([]byte, len(flags))
-	for i, f := range flags {
-		a[i] = byte(f)
+	if p.plus != nil {
+		p.plus.Collect(s.Comm, s.Lat)
 	}
-	return mpi.Message{Data: d, Aux: a}
-}
-
-// DecodeFlags unpacks a face message's cell flags into out.
-func DecodeFlags(aux []byte, out []core.CellType) []core.CellType {
-	for i := range out {
-		out[i] = core.CellType(aux[i])
-	}
-	return out
 }
 
 // Step advances the distributed simulation by one time step:
@@ -435,52 +410,38 @@ func (s *Solver) stepCustom() {
 }
 
 // GatherMacro assembles the global macroscopic fields on rank root;
-// other ranks return nil.
+// other ranks return nil. Root computes its own block straight into the
+// global field; every other rank computes its block into one exact-size
+// payload, from which root copies z-runs.
 func (s *Solver) GatherMacro(root int) *core.MacroField {
-	local := s.Lat.ComputeMacro()
 	b := s.Block
-	header := []float64{float64(b.X0), float64(b.Y0), float64(b.Z0),
-		float64(b.NX), float64(b.NY), float64(b.NZ)}
-	payload := header
-	payload = append(payload, local.Rho...)
-	payload = append(payload, local.Ux...)
-	payload = append(payload, local.Uy...)
-	payload = append(payload, local.Uz...)
+	var payload []float64
+	if s.Comm.Rank() != root {
+		payload = make([]float64, macroHeader+4*b.Cells())
+		copy(payload, []float64{float64(b.X0), float64(b.Y0), float64(b.Z0),
+			float64(b.NX), float64(b.NY), float64(b.NZ)})
+		s.Lat.MacroInto(core.MacroFieldOver(payload[macroHeader:], b.NX, b.NY, b.NZ), 0, 0, 0)
+	}
 	msgs := s.Comm.Gather(root, mpi.Message{Data: payload})
 	if msgs == nil {
 		return nil
 	}
-	g := &core.MacroField{
-		NX: s.Opts.GNX, NY: s.Opts.GNY, NZ: s.Opts.GNZ,
-		Rho: make([]float64, s.Opts.GNX*s.Opts.GNY*s.Opts.GNZ),
-		Ux:  make([]float64, s.Opts.GNX*s.Opts.GNY*s.Opts.GNZ),
-		Uy:  make([]float64, s.Opts.GNX*s.Opts.GNY*s.Opts.GNZ),
-		Uz:  make([]float64, s.Opts.GNX*s.Opts.GNY*s.Opts.GNZ),
-	}
-	for _, m := range msgs {
-		h := m.Data[:6]
-		x0, y0 := int(h[0]), int(h[1])
-		nx, ny, nz := int(h[3]), int(h[4]), int(h[5])
-		n := nx * ny * nz
-		rho := m.Data[6 : 6+n]
-		ux := m.Data[6+n : 6+2*n]
-		uy := m.Data[6+2*n : 6+3*n]
-		uz := m.Data[6+3*n : 6+4*n]
-		for y := 0; y < ny; y++ {
-			for x := 0; x < nx; x++ {
-				for z := 0; z < nz; z++ {
-					li := (y*nx+x)*nz + z
-					gi := g.Idx(x0+x, y0+y, z)
-					g.Rho[gi] = rho[li]
-					g.Ux[gi] = ux[li]
-					g.Uy[gi] = uy[li]
-					g.Uz[gi] = uz[li]
-				}
-			}
+	g := core.NewMacroField(s.Opts.GNX, s.Opts.GNY, s.Opts.GNZ)
+	s.Lat.MacroInto(g, b.X0, b.Y0, b.Z0)
+	for r, m := range msgs {
+		if r == root {
+			continue
 		}
+		h := m.Data[:macroHeader]
+		nx, ny, nz := int(h[3]), int(h[4]), int(h[5])
+		g.Place(core.MacroFieldOver(m.Data[macroHeader:], nx, ny, nz), int(h[0]), int(h[1]), int(h[2]))
 	}
 	return g
 }
+
+// macroHeader is the number of words ahead of a rank's block in its
+// GatherMacro payload: the block's origin and extents.
+const macroHeader = 6
 
 // GlobalMass returns the total mass across all ranks (on every rank).
 func (s *Solver) GlobalMass() float64 {

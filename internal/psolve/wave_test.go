@@ -76,11 +76,11 @@ func runWaves(t *testing.T, hook mpi.FaultHook, levels resil.Levels, waves int, 
 }
 
 // TestWaveSteadyStateAllocFree: the third L1+L2+L3 wave refills the first
-// generation's records and packs into recycled transport buffers, so it
-// allocates no payload memory. What is left is the transport's own
-// per-message bookkeeping (a waiter channel per blocking receive), a few
-// hundred bytes against a 150 KB payload per rank.
+// generation's records, packs into recycled transport buffers and
+// receives through the mailboxes' kept waiter channels, so it allocates
+// nothing at all. One P, for the reason TestRankStepAllocFree gives.
 func TestWaveSteadyStateAllocFree(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	var before, after runtime.MemStats
 	var resident [4]int64
 	st := runWaves(t, nil, resil.L1|resil.L2|resil.L3, 4,
@@ -95,8 +95,8 @@ func TestWaveSteadyStateAllocFree(t *testing.T) {
 			}
 			if w >= 3 {
 				runtime.ReadMemStats(&after)
-				if got := after.TotalAlloc - before.TotalAlloc; got > 2048 {
-					t.Errorf("wave %d allocated %d bytes, want transport bookkeeping only (≤ 2048)", w, got)
+				if n, got := after.Mallocs-before.Mallocs, after.TotalAlloc-before.TotalAlloc; n != 0 {
+					t.Errorf("wave %d allocated %d times (%d bytes), want 0", w, n, got)
 				}
 			}
 			resident[w-1] = st.Resident()

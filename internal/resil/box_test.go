@@ -160,11 +160,11 @@ func TestChecksumDetectsEveryBitFlip(t *testing.T) {
 			pops[i] = 1 / float64(i+3)
 			flags[i] = byte(i % 3)
 		}
-		sum := checksum(pops, flags)
+		sum := Checksum(pops, flags)
 		for i := range pops {
 			for bit := 0; bit < 64; bit++ {
 				pops[i] = math.Float64frombits(math.Float64bits(pops[i]) ^ 1<<bit)
-				if checksum(pops, flags) == sum {
+				if Checksum(pops, flags) == sum {
 					t.Fatalf("n=%d: flipping bit %d of word %d goes undetected", n, bit, i)
 				}
 				pops[i] = math.Float64frombits(math.Float64bits(pops[i]) ^ 1<<bit)
@@ -173,16 +173,16 @@ func TestChecksumDetectsEveryBitFlip(t *testing.T) {
 		for i := range flags {
 			for bit := 0; bit < 8; bit++ {
 				flags[i] ^= 1 << bit
-				if checksum(pops, flags) == sum {
+				if Checksum(pops, flags) == sum {
 					t.Fatalf("n=%d: flipping bit %d of flag %d goes undetected", n, bit, i)
 				}
 				flags[i] ^= 1 << bit
 			}
 		}
-		if n > 0 && (checksum(pops[:n-1], flags) == sum || checksum(pops, flags[:n-1]) == sum) {
+		if n > 0 && (Checksum(pops[:n-1], flags) == sum || Checksum(pops, flags[:n-1]) == sum) {
 			t.Fatalf("n=%d: truncation goes undetected", n)
 		}
-		if checksum(append(pops, 0), flags) == sum || checksum(pops, append(flags, 0)) == sum {
+		if Checksum(append(pops, 0), flags) == sum || Checksum(pops, append(flags, 0)) == sum {
 			t.Fatalf("n=%d: zero extension goes undetected", n)
 		}
 		// Row-wise hashing (capture) equals hashing at rest (Verify).

@@ -81,8 +81,9 @@ func (d *digest) sum(npops, nflags int) uint64 {
 	return h
 }
 
-// checksum computes the checksum of a payload at rest.
-func checksum(pops []float64, flags []byte) uint64 {
+// Checksum computes the checksum of a payload at rest: a snapshot's, or
+// a packed halo face's (psolve stamps it into the face's trailer).
+func Checksum(pops []float64, flags []byte) uint64 {
 	d := newDigest()
 	d.pops.write(pops)
 	d.flags.writeBytes(flags)

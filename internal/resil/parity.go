@@ -84,7 +84,7 @@ func xorPaddedBytes(h *lanes, dst, a, b []byte) {
 
 // Seal stamps the checksum of a record whose payload was written
 // directly. ParityAdd seals on its own.
-func Seal(p *Snapshot) { p.Sum = checksum(p.Pops, p.Flags) }
+func Seal(p *Snapshot) { p.Sum = Checksum(p.Pops, p.Flags) }
 
 // Reconstruct recovers the snapshot of the missing rank from a sealed
 // parity record and the snapshots of every other group member. The

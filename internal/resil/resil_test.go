@@ -297,7 +297,7 @@ func TestStoreTornGenerationFallsBack(t *testing.T) {
 		c := &Snapshot{}
 		c.CopyFrom(s)
 		c.Step = s.Step + 5
-		c.Sum = checksum(c.Pops, c.Flags)
+		c.Sum = Checksum(c.Pops, c.Flags)
 		newer[r] = c
 	}
 	st.DepositOwn(newer[0])

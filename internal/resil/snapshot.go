@@ -51,7 +51,7 @@ func (s *Snapshot) PayloadBytes() int64 {
 }
 
 // Verify reports whether the payload still matches the checksum.
-func (s *Snapshot) Verify() bool { return checksum(s.Pops, s.Flags) == s.Sum }
+func (s *Snapshot) Verify() bool { return Checksum(s.Pops, s.Flags) == s.Sum }
 
 // ensure sizes the payload for n populations and m flags, reusing the
 // buffers when they are large enough. Contents are not preserved and

@@ -72,7 +72,12 @@ func NewStore(ranks, groupSize int, blocks []decomp.Block) (*Store, error) {
 	if len(blocks) != ranks {
 		return nil, fmt.Errorf("resil: %d blocks for %d ranks", len(blocks), ranks)
 	}
-	st := &Store{ranks: ranks, groupSize: groupSize, blocks: blocks}
+	// The free list is sized for the messages a wave has in flight (at
+	// most groupSize per rank): the ranks' interleaving, not the wave
+	// count, decides when it peaks, and a steady-state peak must not
+	// allocate.
+	st := &Store{ranks: ranks, groupSize: groupSize, blocks: blocks,
+		wire: make([]wireBuf, 0, ranks*groupSize)}
 	for i := range st.gen {
 		st.gen[i].step = -1
 		for lv := range st.gen[i].recs {

@@ -15,7 +15,7 @@
 #             cases through all 23 backends (serial core and its AA
 #             variants, all swlb stages, gpu model, AA ranks under the
 #             overlapped exchange in 1-D/2-D at 1..8 ranks, stitched 3-D
-#             blocks, the patch world) and 10 properties, plus
+#             blocks, the patch world) and 11 properties, plus
 #             the mutation self-test proving the oracles catch injected
 #             numerical bugs; any violation exits non-zero with a
 #             minimal replay string
@@ -30,9 +30,11 @@
 #             the disk tier, checkpoint corruption and straggler skew —
 #             hot-swapping from the in-memory L2/L3 snapshot hierarchy
 #             where the loss pattern allows it; plus the snapshot-wave
-#             contracts (third wave allocation-free, a stale duplicate
-#             never taken for a wave's payload, a bit flipped in flight
-#             neither reaching the sender's record nor a recovery)
+#             and halo-link contracts on ranks and patches (steady-state
+#             waves and rank steps allocation-free, a stale duplicate
+#             never taken for a wave's payload or a step's face, a bit
+#             flipped in flight reaching neither a recovery nor a halo:
+#             it fails typed or the restart ends bit-exact)
 #   trace   — observability smoke: a traced distributed chaos run must
 #             export a Chrome trace that round-trips through
 #             postproc -tracestat (ReadChrome + Validate + Analyze)
@@ -61,8 +63,9 @@
 #             bitwise equivalence tests, the boundary conditions' face plans
 #             against their per-cell definition on both storage schemes
 #             and phases (with a two-worker pool stepping in between),
+#             the allocation-free rank/patch steps and snapshot waves,
 #             and the memtraffic/hotalloc/goleak static budgets over the
-#             kernel, boundary and resilience code
+#             kernel, boundary, resilience and rank data-path code
 #   bench   — refresh BENCH_results.json from the measured benchmark
 #             cases so every CI run extends the perf trajectory; when a
 #             committed baseline exists, the AA-kernel MLUPS (kernel-aa,
@@ -151,12 +154,18 @@ perf() {
     # sets between the steps of a two-worker pool.
     go test -race -count=1 -timeout 600s \
         -run 'TestFacePlans|FuzzAAStepConditions' ./internal/boundary
+    # The rank data paths allocate nothing in steady state: a 2x1 rank
+    # step, a patch2 step and a snapshot wave, plus the row-wise macro
+    # extraction bitwise against the per-cell definition.
+    go test -count=1 -run 'AllocFree|TestMacroInto' \
+        ./internal/psolve ./internal/patch ./internal/core
     # Static budgets over the performance-critical code: per-cell memory
     # traffic of every //lbm:hot kernel, no hot-loop allocations, no
     # leaked worker goroutines.
     go run ./cmd/lbmvet -rules memtraffic,hotalloc,goleak \
         ./internal/core ./internal/resil
-    go run ./cmd/lbmvet -rules memtraffic,hotalloc ./internal/boundary
+    go run ./cmd/lbmvet -rules memtraffic,hotalloc \
+        ./internal/boundary ./internal/psolve ./internal/patch
 }
 
 analyze() {
@@ -184,11 +193,16 @@ chaos() {
     go test -race -timeout 300s -run \
         'TestChaosMatrix|TestSupervisorRecovers|TestSupervisorHotSwap|TestSupervisorMultiLoss|TestSupervisorSpareBudget|TestSupervisorPhi|TestSupervisorSnapshotCadence|TestSupervisorShrinkingRecovery' \
         ./internal/psolve
-    # Snapshot-wave contracts: steady-state waves allocate no payload
-    # memory, a duplicated message of an earlier wave is discarded, and
-    # in-flight corruption reaches neither the sender's own record nor a
-    # recovery plan. -count=3: the wave tests exercise rank interleavings.
-    go test -race -count=3 -timeout 300s -run 'TestWave' ./internal/psolve
+    # Snapshot-wave and halo-link contracts on ranks and patches:
+    # steady-state waves and steps allocate nothing, a duplicated message
+    # of an earlier wave or step is discarded, in-flight corruption of a
+    # snapshot reaches neither the sender's own record nor a recovery
+    # plan, and a flipped halo face fails typed (ErrHaloCorrupt) while the
+    # supervised restart ends bit-exact. -count=3: the tests exercise
+    # rank interleavings.
+    go test -race -count=3 -timeout 300s -run 'Halo|AllocFree|Wave' \
+        ./internal/psolve ./internal/patch
+    go run ./cmd/conform -seed 1 -cases 10 -run 'prop/halo-flip'
     go test -race -timeout 120s -run \
         'TestRecvFromExitedRank|TestAbortUnblocksEveryone|TestRecvSuspectsSilentPeer|TestRecvNoFalseSuspicionUnderLoad|TestFaultHookDuplicate' \
         ./internal/mpi
