@@ -437,6 +437,18 @@ func builtinPreset(name string) (*caseSetup, error) {
 	return nil, fmt.Errorf("unknown preset %q (cavity|channel|cylinder|urban|suboff)", name)
 }
 
+// genericShare is the path line's tail naming the share of z-rows a step
+// hands to the generic sweep (rows by walls, or all of them off the D3Q19
+// fast path), counted once under the flags the last step saw; empty when
+// every row ran the unrolled kernel.
+func genericShare(lat *core.Lattice) string {
+	m := lat.GenericRows()
+	if m == 0 {
+		return ""
+	}
+	return fmt.Sprintf(", %.1f%% of rows generic", 100*float64(m)/float64(lat.NX*lat.NY))
+}
+
 func runLocal(ctx context.Context, cs *caseSetup, out, cpPath string, cpEvery int, restore string, reportSecs float64, tracer *trace.Tracer) error {
 	var lat *core.Lattice
 	var err error
@@ -543,8 +555,8 @@ func runLocal(ctx context.Context, cs *caseSetup, out, cpPath string, cpEvery in
 	if n := mon.Steps(); n > 0 {
 		bcMs := bcTime.Seconds() * 1e3 / float64(n)
 		fmt.Printf("completed: %s\n", mon.Summary())
-		fmt.Printf("  kernel %.2f ms/step, boundary %.2f ms/step, path: %s\n",
-			mon.Mean()*1e3-bcMs, bcMs, pool.Kernel())
+		fmt.Printf("  kernel %.2f ms/step, boundary %.2f ms/step, path: %s%s\n",
+			mon.Mean()*1e3-bcMs, bcMs, pool.Kernel(), genericShare(lat))
 	}
 	if cpPath != "" {
 		if err := swio.Checkpoint(cpPath, lat); err != nil {

@@ -147,23 +147,27 @@ func TestCLISmoke(t *testing.T) {
 // D3Q19 fast path (the row kernel is whichever the host supports) — on a
 // one-worker pool, on ranks and on patches — and a custom stepper must
 // name itself, so a dispatch regression fails here instead of showing up
-// as a quiet slowdown.
+// as a quiet slowdown. The obstacle-free channel's rows all take the
+// unrolled kernel, so its line ends at the pool; the cylinder's rows by the
+// obstacle step the generic sweep, and the line says how many.
 func TestCLIKernelPath(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builds and runs the binary")
 	}
 	bin := buildCLI(t)
 	const aa = `path: aa (avx512|scalar) d3q19 `
+	channel := []string{"-preset", "channel", "-nx", "16", "-ny", "12", "-nz", "8", "-steps", "4"}
 	for _, tc := range []struct {
 		args []string
 		want string
 	}{
-		{nil, `kernel [0-9.]+ ms/step, boundary [0-9.]+ ms/step, ` + aa + `pool×1\n`},
-		{[]string{"-decomp", "2x1"}, aa + `ranks×2\n`},
-		{[]string{"-decomp", "patch"}, aa + `patches×4 on 2 workers\n`},
-		{[]string{"-decomp", "2x1", "-sunway"}, `path: swlb sw26010 ranks×2\n`},
+		{channel, `kernel [0-9.]+ ms/step, boundary [0-9.]+ ms/step, ` + aa + `pool×1\n`},
+		{append(channel, "-decomp", "2x1"), aa + `ranks×2\n`},
+		{append(channel, "-decomp", "patch"), aa + `patches×4 on 2 workers\n`},
+		{append(channel, "-decomp", "2x1", "-sunway"), `path: swlb sw26010 ranks×2\n`},
+		{[]string{"-preset", "cylinder", "-nx", "64", "-ny", "48", "-steps", "4"}, aa + `pool×1, [0-9.]*[1-9][0-9.]*% of rows generic\n`},
 	} {
-		cmd := exec.Command(bin, append([]string{"-preset", "channel", "-nx", "16", "-ny", "12", "-nz", "8", "-steps", "4"}, tc.args...)...)
+		cmd := exec.Command(bin, tc.args...)
 		cmd.Env = append(os.Environ(), "GOMAXPROCS=1")
 		out, err := cmd.CombinedOutput()
 		if err != nil {

@@ -32,11 +32,14 @@ func TestTrafficEstimatesRepo(t *testing.T) {
 			"Relax":       {Bytes: 56, Budget: 56},
 			"CollideOnly": {Bytes: 305, Budget: 380},
 			"StreamOnly":  {Bytes: 153, Budget: 380},
-			// The unrolled D3Q19 AA drivers delegate their per-cell work to
-			// aaRowD3Q19 (rows are hoisted, so the drivers themselves price
-			// at 0).
-			"stepAAEvenD3Q19":  {Bytes: 0, Budget: 360},
-			"stepAAOddD3Q19":   {Bytes: 0, Budget: 360},
+			// The unrolled D3Q19 AA sweep delegates its per-cell work to
+			// aaRowD3Q19 (rows are hoisted, so the sweep itself prices at
+			// 0) and its row classification to forRows, which reads one
+			// flag byte per allocated cell (rowSummary) and decides each
+			// row from nine bytes of its window — its "cell" is a row.
+			"stepAAD3Q19":      {Bytes: 0, Budget: 360},
+			"forRows":          {Bytes: 9, Budget: 9},
+			"rowSummary":       {Bytes: 1, Budget: 1},
 			"aaRowD3Q19Scalar": {Bytes: 304, Budget: 360},
 			// Halo layer: population-outer, row-inner sweeps over lines of
 			// cells, priced where the populations move, the same at either

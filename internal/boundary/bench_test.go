@@ -14,18 +14,8 @@ import (
 // evicted the faces from the near caches. The reported figure is the
 // fastest call per parity, which is robust against a shared host's noise.
 func BenchmarkChannelApply(b *testing.B) {
-	conds := []Condition{
-		&Periodic{Axis: 1}, &Periodic{Axis: 2},
-		&VelocityInlet{Face: core.FaceXMin, U: [3]float64{0.05, 0, 0}},
-		&PressureOutlet{Face: core.FaceXMax, Rho: 1},
-	}
-	l, err := core.NewLattice(&lattice.D3Q19, 48, 192, 96, 0.7)
-	if err != nil {
-		b.Fatal(err)
-	}
-	l.EnableAA()
-	l.InitEquilibrium(1, 0.05, 0, 0)
-	for _, c := range conds {
+	l := channelBenchLattice(b)
+	for _, c := range channelConditions() {
 		b.Run(c.Name(), func(b *testing.B) {
 			best := [2]time.Duration{1 << 62, 1 << 62}
 			for i := 0; i < b.N; i++ {
@@ -43,4 +33,44 @@ func BenchmarkChannelApply(b *testing.B) {
 			b.ReportMetric(float64(best[1].Microseconds()), "odd-µs")
 		})
 	}
+}
+
+// BenchmarkChannelStep is the stepping loop of the CLI's single-rank path
+// in process — the channel conditions, then one pool step — on the same
+// grid, so a CPU profile of it (-cpu 1 -cpuprofile) shows where a step's
+// time goes without building the user binaries.
+func BenchmarkChannelStep(b *testing.B) {
+	l := channelBenchLattice(b)
+	var s Set
+	s.Add(channelConditions()...)
+	pool := core.NewPool(l, 0)
+	defer pool.Close()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		s.Apply(l)
+		pool.Step()
+	}
+	b.ReportMetric(float64(l.NX*l.NY*l.NZ)*float64(b.N)/b.Elapsed().Seconds()/1e6, "MLUPS")
+}
+
+// channelConditions are the channel preset's conditions: periodic y and
+// z, velocity inlet at x−, pressure outlet at x+.
+func channelConditions() []Condition {
+	return []Condition{
+		&Periodic{Axis: 1}, &Periodic{Axis: 2},
+		&VelocityInlet{Face: core.FaceXMin, U: [3]float64{0.05, 0, 0}},
+		&PressureOutlet{Face: core.FaceXMax, Rho: 1},
+	}
+}
+
+// channelBenchLattice is the common 48×192×96 grid on AA storage at the
+// channel's uniform inflow state.
+func channelBenchLattice(b *testing.B) *core.Lattice {
+	l, err := core.NewLattice(&lattice.D3Q19, 48, 192, 96, 0.7)
+	if err != nil {
+		b.Fatal(err)
+	}
+	l.EnableAA()
+	l.InitEquilibrium(1, 0.05, 0, 0)
+	return l
 }

@@ -58,6 +58,22 @@ func (l *Lattice) KernelPath() string {
 	return storage + " " + row + " " + desc
 }
 
+// GenericRows counts the interior z-rows a step under the current flags
+// hands to the generic sweep: the mixed rows on the D3Q19 fast path (the
+// sweep's own classification), every row off it. One read of the flags.
+func (l *Lattice) GenericRows() int {
+	if !l.useFastPath() {
+		return l.NX * l.NY
+	}
+	n := 0
+	l.forRows(0, l.NX, 0, l.NY, func(_, _ int, mixed bool) {
+		if mixed {
+			n++
+		}
+	})
+	return n
+}
+
 // aaOddPhase reports whether the storage is currently in the odd
 // (reversed-shifted) layout.
 func (l *Lattice) aaOddPhase() bool { return l.aa && l.step&1 == 1 }

@@ -28,19 +28,21 @@ import (
 //	odd:  gather_i    = src[Opp[i]*n + idx]
 //	      scatter_i   = src[i*n + idx]               = gather_{Opp[i]}
 //
-// (using off[Opp[i]] = −off[i]). So one shared row body, aaRowD3Q19,
-// serves both parities: the caller prepares the 19 gather slices for its
-// phase, and the body loads f_i from g[i][k] and stores the relaxed
-// population i into g[Opp[i]][k]. Per cell it touches the scatter slot
-// only after gathering the cell's full stencil, and no other cell ever
-// reads a slot this cell writes (the AA disjointness invariant, see
-// aa.go), so the in-place row sweep is exact in any order.
+// (using off[Opp[i]] = −off[i]). So one sweep, stepAAD3Q19, and one row
+// body, aaRowD3Q19, serve both parities: the sweep bases the 19 gather
+// slices from its phase's table, and the body loads f_i from g[i][k] and
+// stores the relaxed population i into g[Opp[i]][k]. Per cell it touches
+// the scatter slot only after gathering the cell's full stencil, and no
+// other cell ever reads a slot this cell writes (the AA disjointness
+// invariant, see aa.go), so the in-place row sweep is exact in any order.
 //
 // Hoisting each direction's row into a slice gives the inner z loop
 // constant-bound indexing (bounds checks hoisted), contiguous streaming
 // loads/stores, and no per-cell neighbour-flag probing: mixed rows — any
 // wall in the 3×3 neighbouring rows or a non-fluid cell in the row itself —
 // fall back to stepGeneric for exactly that row, preserving bit-identity.
+// The sweep classifies the rows as it goes (forRows), reading each row's
+// flags once.
 
 // D3Q19 direction index map (see lattice.D3Q19):
 //
@@ -61,92 +63,129 @@ func (l *Lattice) useFastPath() bool {
 		l.Force == [3]float64{} && !l.noFastPath
 }
 
-// aaRowMixed reports whether the row of nz cells starting at rowBase
-// needs the flag-aware generic path: a non-fluid cell in the row, or a
-// Wall/MovingWall among any cell's gather stencil (conservatively, the
-// nine neighbouring z-rows padded by one cell on each end).
-func (l *Lattice) aaRowMixed(rowBase, nz int) bool {
-	flags := l.Flags
-	rowStride := l.AZ
-	planeStride := l.AX * l.AZ
-	for dy := -1; dy <= 1; dy++ {
-		for dx := -1; dx <= 1; dx++ {
-			b := rowBase + dy*planeStride + dx*rowStride - 1
-			row := flags[b : b+nz+2]
-			for _, fl := range row {
-				if fl == Wall || fl == MovingWall {
-					return true
-				}
+// Row summary bits: what one allocated z-row's flags say about the rows
+// whose stencils reach it.
+const (
+	rowWall     = 1 // a Wall or MovingWall anywhere in the allocated row
+	rowNotFluid = 2 // an interior cell that is not Fluid
+)
+
+// rowChunk is the x extent of the sweep's flag window: three lines of
+// rowChunk+2 row summaries, on the stack.
+const rowChunk = 64
+
+// rowSummary reads the AZ flags of one allocated z-row once. Fluid, Wall,
+// MovingWall and Ghost are 0…3, and their Gray code f ^ f>>1 is non-zero
+// exactly for the non-Fluid types and has bit 0 set exactly for the two
+// wall types, so one OR per interior cell answers both questions. The
+// interior runs eight flags per word: the shift moves a lane's bit 0 into
+// bit 7 of the lane below, which changes neither answer (the wall test
+// reads bit 0 only, and a flag with bit 0 set is non-Fluid, so its own
+// lane is non-zero already).
+//
+// Per-cell traffic: its flag byte.
+//
+//lbm:hot traffic budget=1
+func rowSummary(row []CellType) uint8 {
+	const lanes = 0x0101010101010101
+	last := len(row) - 1
+	in := row[1:last]
+	var g uint64
+	for ; len(in) >= 8; in = in[8:] {
+		w := uint64(in[0]) | uint64(in[1])<<8 | uint64(in[2])<<16 | uint64(in[3])<<24 |
+			uint64(in[4])<<32 | uint64(in[5])<<40 | uint64(in[6])<<48 | uint64(in[7])<<56
+		g |= w ^ w>>1
+	}
+	for _, f := range in {
+		g |= uint64(f ^ f>>1)
+	}
+	ends := uint64(row[0]^row[0]>>1) | uint64(row[last]^row[last]>>1)
+	var s uint8
+	if (g|ends)&lanes != 0 {
+		s = rowWall
+	}
+	if g != 0 {
+		s |= rowNotFluid
+	}
+	return s
+}
+
+// summarize fills s[k] with the summary of allocated row (xc−1+k, y) for
+// xc−1 ≤ x ≤ xe: one contiguous run of flags.
+func (l *Lattice) summarize(s *[rowChunk + 2]uint8, xc, xe, y int) {
+	b, az := l.Idx(xc-1, y, -1), l.AZ
+	for k := 0; k <= xe-xc+1; k++ {
+		s[k] = rowSummary(l.Flags[b : b+az])
+		b += az
+	}
+}
+
+// forRows visits every interior z-row of the region x0 ≤ x < x1,
+// y0 ≤ y < y1 and says whether it is mixed — one of its own cells is not
+// Fluid, or a Wall/MovingWall lies anywhere in the 3×3 allocated z-rows
+// around it (every cell its stencils reach) — so the unrolled row must
+// not run there. Each allocated row's flags are read once per call into
+// a summary; a rolling window of three summary lines then decides each
+// row with nine byte ORs. Nothing derived from the flags outlives the
+// call, so no writer of Flags has a cache to invalidate.
+//
+// Per-row traffic: the nine window bytes (the one flag byte per allocated
+// cell is priced in rowSummary).
+//
+//lbm:hot traffic budget=9
+func (l *Lattice) forRows(x0, x1, y0, y1 int, visit func(x, y int, mixed bool)) {
+	var win [3][rowChunk + 2]uint8
+	for xc := x0; xc < x1; xc += rowChunk {
+		xe := min(xc+rowChunk, x1)
+		l.summarize(&win[0], xc, xe, y0-1)
+		l.summarize(&win[1], xc, xe, y0)
+		for y := y0; y < y1; y++ {
+			lo, mid, hi := &win[(y-y0)%3], &win[(y-y0+1)%3], &win[(y-y0+2)%3]
+			l.summarize(hi, xc, xe, y+1)
+			for x := xc; x < xe; x++ {
+				j := x - xc
+				walls := lo[j] | lo[j+1] | lo[j+2] | mid[j] | mid[j+2] | hi[j] | hi[j+1] | hi[j+2]
+				visit(x, y, (walls&rowWall)|mid[j+1] != 0)
 			}
 		}
 	}
-	ctr := flags[rowBase : rowBase+nz]
-	for _, fl := range ctr {
-		if fl != Fluid {
-			return true
-		}
-	}
-	return false
 }
 
-// stepAAEvenD3Q19 is the unrolled even-phase AA kernel: double-buffer
-// pull gather, reversed-shifted scatter, per z-row over hoisted slices.
+// stepAAD3Q19 is the unrolled AA sweep at either parity, per z-row over
+// hoisted slices; mixed rows step the generic sweep. The phases differ
+// only in where the gather slices start (see above): the even step pulls
+// from src[i*n − off[i] + row], the odd one from src[Opp[i]*n + row].
 //
 // Per-cell traffic on the clean path: 19 pulls + 19 pushes of float64
-// within the single AA array plus ~10 flag bytes of the row prescan —
-// below the two-buffer 380 B/cell budget because the second stream of
-// write-allocated destination lines is gone.
+// within the single AA array plus one flag byte of the row classification
+// (forRows) — below the two-buffer 380 B/cell budget because the second
+// stream of write-allocated destination lines is gone.
 //
 //lbm:hot traffic budget=360
-func (l *Lattice) stepAAEvenD3Q19(x0, x1, y0, y1 int) {
+func (l *Lattice) stepAAD3Q19(x0, x1, y0, y1 int) {
 	src := l.F[l.src]
-	n := l.N
 	nTau := -1.0 / l.Tau
 	nz := l.NZ
-	var off [19]int
-	copy(off[:], l.offs)
-	var g [19][]float64
-	for y := y0; y < y1; y++ {
-		for x := x0; x < x1; x++ {
-			rowBase := l.Idx(x, y, 0)
-			if l.aaRowMixed(rowBase, nz) {
-				l.stepGeneric(x, x+1, y, y+1)
-				continue
-			}
-			for i := 0; i < 19; i++ {
-				b := i*n + rowBase - off[i]
-				g[i] = src[b : b+nz]
-			}
-			aaRowD3Q19(&g, nz, nTau)
+	var base [19]int
+	for i := 0; i < 19; i++ {
+		base[i] = i*l.N - l.offs[i]
+		if l.step&1 == 1 {
+			base[i] = l.Desc.Opp[i] * l.N
 		}
 	}
-}
-
-// stepAAOddD3Q19 is the unrolled odd-phase AA kernel: gather from the
-// cell's own reversed-shifted slots, natural write-back.
-//
-//lbm:hot traffic budget=360
-func (l *Lattice) stepAAOddD3Q19(x0, x1, y0, y1 int) {
-	src := l.F[l.src]
-	n := l.N
-	nTau := -1.0 / l.Tau
-	d := l.Desc
-	nz := l.NZ
 	var g [19][]float64
-	for y := y0; y < y1; y++ {
-		for x := x0; x < x1; x++ {
-			rowBase := l.Idx(x, y, 0)
-			if l.aaRowMixed(rowBase, nz) {
-				l.stepGeneric(x, x+1, y, y+1)
-				continue
-			}
-			for i := 0; i < 19; i++ {
-				b := d.Opp[i]*n + rowBase
-				g[i] = src[b : b+nz]
-			}
-			aaRowD3Q19(&g, nz, nTau)
+	l.forRows(x0, x1, y0, y1, func(x, y int, mixed bool) {
+		if mixed {
+			l.stepGeneric(x, x+1, y, y+1)
+			return
 		}
-	}
+		rowBase := l.Idx(x, y, 0)
+		for i := 0; i < 19; i++ {
+			b := base[i] + rowBase
+			g[i] = src[b : b+nz]
+		}
+		aaRowD3Q19(&g, nz, nTau)
+	})
 }
 
 // aaRowD3Q19 collide-streams one clean (all-fluid stencil) row of nz

@@ -27,13 +27,10 @@ func (l *Lattice) StepFused() {
 // no body force); everything else — and every mixed row inside it — is the
 // one descriptor-generic sweep.
 func (l *Lattice) StepRegion(x0, x1, y0, y1 int) {
-	switch {
-	case !l.useFastPath():
+	if l.useFastPath() {
+		l.stepAAD3Q19(x0, x1, y0, y1)
+	} else {
 		l.stepGeneric(x0, x1, y0, y1)
-	case l.step&1 == 0:
-		l.stepAAEvenD3Q19(x0, x1, y0, y1)
-	default:
-		l.stepAAOddD3Q19(x0, x1, y0, y1)
 	}
 }
 

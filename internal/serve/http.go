@@ -146,17 +146,7 @@ func (s *Server) handleResult(w http.ResponseWriter, r *http.Request) {
 			Error: fmt.Sprintf("job is %s, results exist only for done jobs", st.State)})
 		return
 	}
-	m := j.Result()
-	writeJSON(w, http.StatusOK, ResultDigest{
-		ID:       j.ID,
-		Name:     j.Spec.Case.Name,
-		NX:       m.NX,
-		NY:       m.NY,
-		NZ:       m.NZ,
-		Steps:    j.Spec.Case.Steps,
-		Checksum: FieldChecksum(m),
-		Recovery: st.Recovery,
-	})
+	writeJSON(w, http.StatusOK, j.Result())
 }
 
 func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {

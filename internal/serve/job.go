@@ -25,7 +25,6 @@ import (
 	"time"
 
 	"sunwaylb/internal/config"
-	"sunwaylb/internal/core"
 	"sunwaylb/internal/fault"
 	"sunwaylb/internal/perf"
 	"sunwaylb/internal/resil"
@@ -204,7 +203,7 @@ type Job struct {
 	finished  time.Time
 	deadline  time.Time
 	stats     perf.RecoveryStats
-	result    *core.MacroField
+	digest    ResultDigest // set when the job finishes done; no field is kept
 	cancel    func(reason error)
 
 	done chan struct{} // closed on entering a terminal state
@@ -265,14 +264,19 @@ func (j *Job) State() JobState {
 // Done returns a channel closed when the job reaches a terminal state.
 func (j *Job) Done() <-chan struct{} { return j.done }
 
-// Result returns the finished field (nil unless StateDone).
-func (j *Job) Result() *core.MacroField {
+// Result returns the finished job's result digest with its recovery
+// scorecard (the zero digest unless StateDone). The field is hashed once,
+// when the job finishes, and not kept: a daemon that held every finished
+// job's field would grow with the number of jobs it has run.
+func (j *Job) Result() ResultDigest {
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	if j.state != StateDone {
-		return nil
+		return ResultDigest{}
 	}
-	return j.result
+	d := j.digest
+	d.Recovery = j.stats
+	return d
 }
 
 // Stats returns the job's recovery scorecard.

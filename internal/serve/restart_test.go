@@ -6,7 +6,6 @@ import (
 	"testing"
 	"time"
 
-	"sunwaylb/internal/conform"
 	"sunwaylb/internal/swio"
 )
 
@@ -90,15 +89,11 @@ func TestJournalReplayRestart(t *testing.T) {
 	if st := waitJob(t, rq1); st.State != StateDone {
 		t.Fatalf("replayed %s finished %s: %s", rq1.ID, st.State, st.Error)
 	}
-	if err := conform.Compare(soloField(t, q1Spec), rq1.Result(), conform.Exact); err != nil {
-		t.Errorf("replayed %s diverged from solo: %v", rq1.ID, err)
-	}
+	requireSolo(t, rq1, q1Spec, "replayed job")
 	if st := waitJob(t, rq2); st.State != StateDone {
 		t.Fatalf("replayed %s finished %s: %s", rq2.ID, st.State, st.Error)
 	}
-	if err := conform.Compare(soloField(t, q2Spec), rq2.Result(), conform.Exact); err != nil {
-		t.Errorf("replayed %s diverged from solo: %v", rq2.ID, err)
-	}
+	requireSolo(t, rq2, q2Spec, "replayed job")
 
 	// The blocker resumed from its drain checkpoint; drain the daemon and
 	// require its fresh checkpoint to be at or past the old one — resumed

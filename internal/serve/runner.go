@@ -122,8 +122,10 @@ func (s *Server) runJob(sh *shard, j *Job) {
 
 	switch {
 	case err == nil:
+		dig := ResultDigest{ID: j.ID, Name: j.Spec.Case.Name, NX: field.NX, NY: field.NY, NZ: field.NZ,
+			Steps: j.Spec.Case.Steps, Checksum: FieldChecksum(field)}
 		j.mu.Lock()
-		j.result = field
+		j.digest = dig
 		j.mu.Unlock()
 		s.finishJob(j, StateDone, "", stats)
 

@@ -8,7 +8,6 @@ import (
 	"time"
 
 	"sunwaylb/internal/config"
-	"sunwaylb/internal/conform"
 	"sunwaylb/internal/core"
 	"sunwaylb/internal/mpi"
 	"sunwaylb/internal/psolve"
@@ -60,6 +59,16 @@ func soloField(t *testing.T, spec JobSpec) *core.MacroField {
 		t.Fatal(err)
 	}
 	return ref
+}
+
+// requireSolo holds a done job's result digest to a solo run of spec: the
+// checksum covers every bit of the field, so equal checksums are the
+// MaxULP 0 verdict.
+func requireSolo(t *testing.T, j *Job, spec JobSpec, what string) {
+	t.Helper()
+	if got, want := j.Result().Checksum, FieldChecksum(soloField(t, spec)); got != want {
+		t.Errorf("%s: job %s checksum %s, solo run %s", what, j.ID, got, want)
+	}
 }
 
 // TestJobRanksStepAA is the service's "no silent slow path" pin: every rank
@@ -133,10 +142,7 @@ func TestChaosIsolation(t *testing.T) {
 		if st.State != StateDone {
 			t.Fatalf("job %s (%s) finished %s: %s", j.ID, specs[i].Case.Name, st.State, st.Error)
 		}
-		ref := soloField(t, specs[i])
-		if err := conform.Compare(ref, j.Result(), conform.Exact); err != nil {
-			t.Errorf("job %s (%s) diverged from its solo run: %v", j.ID, specs[i].Case.Name, err)
-		}
+		requireSolo(t, j, specs[i], "chaos neighbour")
 		stats := j.Stats()
 		if specs[i].FaultPlan == "" && !stats.Clean() {
 			t.Errorf("clean job %s needed recovery: %s", j.ID, stats)
@@ -193,9 +199,7 @@ func TestPatchJobConformance(t *testing.T) {
 		solo := tc.spec
 		solo.Decomp = "1x1"
 		solo.FaultPlan = "" // the reference runs the same physics, unfaulted
-		if err := conform.Compare(soloField(t, solo), tc.j.Result(), conform.Exact); err != nil {
-			t.Errorf("patch job %s diverged from the psolve solo run: %v", tc.spec.Case.Name, err)
-		}
+		requireSolo(t, tc.j, solo, "patch job vs the psolve solo run")
 	}
 	if st := jf.Stats(); st.HotSwaps < 1 || st.DiskRollbacks != 0 {
 		t.Errorf("faulted patch job recovery: %+v, want memory-plan migration only", st)
@@ -265,9 +269,7 @@ func TestTenantPanicContained(t *testing.T) {
 	if st.State != StateDone {
 		t.Fatalf("clean neighbour finished %s: %s", st.State, st.Error)
 	}
-	if err := conform.Compare(soloField(t, good), jg.Result(), conform.Exact); err != nil {
-		t.Errorf("neighbour of a failing job diverged: %v", err)
-	}
+	requireSolo(t, jg, good, "neighbour of a failing job")
 }
 
 // TestWorkerLossRetry: a job that keeps losing its workers is re-queued

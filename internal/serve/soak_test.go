@@ -6,7 +6,7 @@ import (
 	"runtime"
 	"testing"
 
-	"sunwaylb/internal/conform"
+	"sunwaylb/internal/config"
 )
 
 // TestServeLoadSoak floods the daemon with hundreds of queued jobs across
@@ -70,9 +70,7 @@ func TestServeLoadSoak(t *testing.T) {
 	// Spot-check bit-identity at full load: one clean, one crashing, one
 	// flapping job against their solo references.
 	for _, i := range []int{0, 1, 4} {
-		if err := conform.Compare(soloField(t, specs[i]), handles[i].Result(), conform.Exact); err != nil {
-			t.Errorf("soak job %d diverged from solo under load: %v", i, err)
-		}
+		requireSolo(t, handles[i], specs[i], fmt.Sprintf("soak job %d under load", i))
 	}
 
 	m := s.MetricsSnapshot()
@@ -99,5 +97,45 @@ func TestServeLoadSoak(t *testing.T) {
 	runtime.ReadMemStats(&ms)
 	if ms.HeapAlloc > 512<<20 {
 		t.Errorf("heap at %d MiB after soak; daemon memory is not bounded", ms.HeapAlloc>>20)
+	}
+}
+
+// TestFinishedJobsRetainNoFields: a finished job keeps its result digest,
+// not its field, so the daemon's heap after GC does not grow with the
+// number of jobs it has finished — each 32³ field would pin ≈1 MB for the
+// daemon's whole life.
+func TestFinishedJobsRetainNoFields(t *testing.T) {
+	s := testServer(t, Config{Workers: 2})
+	s.logf = func(string, ...any) {}
+	defer s.Drain(context.Background())
+	run := func(n int) {
+		for i := 0; i < n; i++ {
+			j, err := s.Submit(JobSpec{
+				Tenant: "retain",
+				Case:   config.Case{Name: fmt.Sprintf("retain-%d", i), NX: 32, NY: 32, NZ: 32, Tau: 0.7, Steps: 2},
+				Decomp: "1x1",
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if st := waitJob(t, j); st.State != StateDone {
+				t.Fatalf("job %s finished %s: %s", j.ID, st.State, st.Error)
+			}
+		}
+	}
+	heap := func() uint64 {
+		runtime.GC()
+		var ms runtime.MemStats
+		runtime.ReadMemStats(&ms)
+		return ms.HeapAlloc
+	}
+	run(10)
+	h10 := heap()
+	run(30)
+	h40 := heap()
+	t.Logf("heap after GC: %.1f MB after 10 jobs, %.1f MB after 40", float64(h10)/1e6, float64(h40)/1e6)
+	if h40 > h10+2<<20 {
+		t.Errorf("heap grew %.1f MB over 30 finished 32³ jobs; finished jobs must not keep their fields",
+			float64(h40-h10)/1e6)
 	}
 }

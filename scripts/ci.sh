@@ -143,12 +143,14 @@ perf() {
     # and patches all report the AA kernel and write identical images.
     go test -count=1 -run 'TestCLIKernelPath|TestCLIPathsAgree' ./cmd/sunwaylb
     # Race-checked AA suite: the collision operator against its
-    # per-direction definition, the unrolled row against the operator,
-    # pool soak, step/pool bit-identity on every descriptor,
-    # parity-aware halo pack/unpack, and (on capable hardware) the
-    # AVX-512 row kernel's bitwise equivalence to the scalar canon.
+    # per-direction definition, the unrolled row against the operator
+    # (walls in the halo, lattices wider than the flag window), the
+    # sweep's row classification against its definition, pool soak,
+    # step/pool bit-identity on every descriptor, parity-aware halo
+    # pack/unpack, and (on capable hardware) the AVX-512 row kernel's
+    # bitwise equivalence to the scalar canon.
     go test -race -count=1 -timeout 600s \
-        -run 'TestRelaxMatchesDefinition|TestUnrolledKernelBitIdentical|TestAA|TestPool|TestPack|TestPeriodic' ./internal/core
+        -run 'TestRelaxMatchesDefinition|TestUnrolledKernelBitIdentical|TestForRowsMatchesDefinition|TestGenericRows|TestAA|TestPool|TestPack|TestPeriodic' ./internal/core
     # Boundary handling on AA storage: every condition on every face
     # against its per-cell definition at both phases, and seeded condition
     # sets between the steps of a two-worker pool.
@@ -219,7 +221,9 @@ serve() {
     echo "== serve: multi-tenant service tier =="
     # Full service suite under the race detector, load soak included:
     # per-job fault isolation must hold bit-identically with hundreds of
-    # concurrent tenants and the daemon's memory must stay bounded.
+    # concurrent tenants and the daemon's memory must stay bounded — a
+    # finished job keeps its result digest, never its field
+    # (TestFinishedJobsRetainNoFields).
     go test -race -count=1 -timeout 600s ./internal/serve
     # Static contracts on the service code: spans paired, no hot-loop
     # allocation regressions in the scheduler, every worker goroutine
