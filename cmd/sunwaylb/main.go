@@ -226,14 +226,14 @@ func finishTrace(tracer *trace.Tracer, path string) error {
 // caseSetup bundles everything a preset defines.
 type caseSetup struct {
 	cfg   config.Case
-	walls func(x, y, z int) bool
-	init  func(x, y, z int) (rho, ux, uy, uz float64)
+	walls core.WallsFunc
+	init  core.InitFunc
 	bcs   func() *boundary.Set
-	// faceBC mirrors bcs for the distributed runner.
-	faceBC    map[core.Face]boundary.Condition
-	periodicY bool
-	periodicZ bool
-	smag      float64
+	// faceBC and the periodic axes mirror bcs for the distributed
+	// runners.
+	faceBC                          map[core.Face]boundary.Condition
+	periodicX, periodicY, periodicZ bool
+	smag                            float64
 }
 
 func buildCase(preset, caseFile string) (*caseSetup, error) {
@@ -264,6 +264,9 @@ func buildCase(preset, caseFile string) (*caseSetup, error) {
 			cs = periodicBox()
 		}
 		cs.cfg = *c
+		if c.Smagorinsky > 0 {
+			cs.smag = c.Smagorinsky
+		}
 	}
 	return cs, nil
 }
@@ -276,7 +279,7 @@ func periodicBox() *caseSetup {
 			s.Add(&boundary.Periodic{Axis: 0}, &boundary.Periodic{Axis: 1}, &boundary.Periodic{Axis: 2})
 			return &s
 		},
-		periodicY: true, periodicZ: true,
+		periodicX: true, periodicY: true, periodicZ: true,
 	}
 }
 
@@ -369,8 +372,7 @@ func builtinPreset(name string) (*caseSetup, error) {
 		params.MinHeight, params.MaxHeight = 4, 16
 		city := geometry.City(params)
 		g := geometry.VoxelGrid{NX: 96, NY: 96, NZ: 24, H: 1}
-		mask := geometry.Voxelize(city, g)
-		walls := func(x, y, z int) bool { return mask[(y*96+x)*24+z] }
+		walls := g.Walls(geometry.Voxelize(city, g))
 		profile := func(x, y, z int) [3]float64 {
 			return [3]float64{u * float64(z+1) / 24.0, 0, 0}
 		}
@@ -405,8 +407,7 @@ func builtinPreset(name string) (*caseSetup, error) {
 		u := 0.06
 		hull := geometry.Suboff(30, 24, 24, 90, 6)
 		g := geometry.VoxelGrid{NX: 180, NY: 48, NZ: 48, H: 1}
-		mask := geometry.Voxelize(hull, g)
-		walls := func(x, y, z int) bool { return mask[(y*180+x)*48+z] }
+		walls := g.Walls(geometry.Voxelize(hull, g))
 		return &caseSetup{
 			cfg:   config.Case{Name: "DARPA Suboff", NX: 180, NY: 48, NZ: 48, Tau: 0.53, Steps: 1200},
 			smag:  0.17,
@@ -453,6 +454,7 @@ func runLocal(ctx context.Context, cs *caseSetup, out, cpPath string, cpEvery in
 	var lat *core.Lattice
 	var err error
 	startStep := 0
+	start := time.Now()
 	if restore != "" {
 		lat, err = swio.Restart(restore)
 		if err != nil {
@@ -461,38 +463,14 @@ func runLocal(ctx context.Context, cs *caseSetup, out, cpPath string, cpEvery in
 		startStep = lat.Step()
 		fmt.Printf("restored %q at step %d\n", restore, startStep)
 	} else {
-		lat, err = core.NewLattice(&lattice.D3Q19, cs.cfg.NX, cs.cfg.NY, cs.cfg.NZ, cs.cfg.Tau)
+		lat, err = core.BuildLattice(&lattice.D3Q19, core.Box{NX: cs.cfg.NX, NY: cs.cfg.NY, NZ: cs.cfg.NZ},
+			cs.cfg.Tau, cs.walls, cs.init)
 		if err != nil {
 			return err
 		}
 		lat.Smagorinsky = cs.smag
-		if cs.cfg.Smagorinsky > 0 {
-			lat.Smagorinsky = cs.cfg.Smagorinsky
-		}
-		if cs.walls != nil {
-			for y := 0; y < lat.NY; y++ {
-				for x := 0; x < lat.NX; x++ {
-					for z := 0; z < lat.NZ; z++ {
-						if cs.walls(x, y, z) {
-							lat.SetWall(x, y, z)
-						}
-					}
-				}
-			}
-		}
-		if cs.init != nil {
-			for y := 0; y < lat.NY; y++ {
-				for x := 0; x < lat.NX; x++ {
-					for z := 0; z < lat.NZ; z++ {
-						if lat.CellTypeAt(x, y, z) == core.Fluid {
-							rho, ux, uy, uz := cs.init(x, y, z)
-							lat.SetCell(x, y, z, rho, ux, uy, uz)
-						}
-					}
-				}
-			}
-		}
 	}
+	build := time.Since(start)
 
 	bcs := cs.bcs()
 	fmt.Printf("%s: %d×%d×%d cells, tau=%.4f, %d steps, %d fluid cells\n",
@@ -558,6 +536,7 @@ func runLocal(ctx context.Context, cs *caseSetup, out, cpPath string, cpEvery in
 		fmt.Printf("  kernel %.2f ms/step, boundary %.2f ms/step, path: %s%s\n",
 			mon.Mean()*1e3-bcMs, bcMs, pool.Kernel(), genericShare(lat))
 	}
+	outStart := time.Now()
 	if cpPath != "" {
 		if err := swio.Checkpoint(cpPath, lat); err != nil {
 			return err
@@ -565,10 +544,17 @@ func runLocal(ctx context.Context, cs *caseSetup, out, cpPath string, cpEvery in
 		fmt.Printf("wrote checkpoint %s\n", cpPath)
 	}
 	if out != "" {
-		if err := writeImages(lat.ComputeMacro(), out); err != nil {
+		// Only the two planes the images draw: a plane field's own middle
+		// plane is the lattice's.
+		z := core.NewMacroField(lat.NX, lat.NY, 1)
+		lat.MacroInto(z, 0, 0, 0, core.Box{Z0: lat.NZ / 2, NX: lat.NX, NY: lat.NY, NZ: 1})
+		y := core.NewMacroField(lat.NX, 1, lat.NZ)
+		lat.MacroInto(y, 0, 0, 0, core.Box{Y0: lat.NY / 2, NX: lat.NX, NY: 1, NZ: lat.NZ})
+		if err := writeImages(z, y, out); err != nil {
 			return err
 		}
 	}
+	fmt.Printf("setup: build %.1f ms, output %.1f ms\n", build.Seconds()*1e3, time.Since(outStart).Seconds()*1e3)
 	return nil
 }
 
@@ -618,6 +604,7 @@ func runDistributed(ctx context.Context, cs *caseSetup, d distOpts) error {
 		Tau:         cs.cfg.Tau,
 		Smagorinsky: cs.smag,
 		FaceBC:      cs.faceBC,
+		PeriodicX:   cs.periodicX,
 		PeriodicY:   cs.periodicY,
 		PeriodicZ:   cs.periodicZ,
 		Walls:       cs.walls,
@@ -695,7 +682,7 @@ func runDistributed(ctx context.Context, cs *caseSetup, d distOpts) error {
 		fmt.Println(stats.SnapshotLine())
 	}
 	if d.out != "" {
-		return writeImages(m, d.out)
+		return writeImages(m, m, d.out)
 	}
 	return nil
 }
@@ -723,6 +710,7 @@ func runPatch(ctx context.Context, cs *caseSetup, d distOpts) error {
 		Tau:            cs.cfg.Tau,
 		Smagorinsky:    cs.smag,
 		FaceBC:         cs.faceBC,
+		PeriodicX:      cs.periodicX,
 		PeriodicY:      cs.periodicY,
 		PeriodicZ:      cs.periodicZ,
 		Walls:          cs.walls,
@@ -775,7 +763,7 @@ func runPatch(ctx context.Context, cs *caseSetup, d distOpts) error {
 		fmt.Println(rec.SnapshotLine())
 	}
 	if d.out != "" {
-		return writeImages(m, d.out)
+		return writeImages(m, m, d.out)
 	}
 	return nil
 }
@@ -845,7 +833,10 @@ func reportSupervised(o psolve.SupervisorOptions, stats perf.RecoveryStats, err 
 	return nil
 }
 
-func writeImages(m *core.MacroField, prefix string) error {
+// writeImages draws |u| on the middle z plane of z and the middle y plane
+// of y: a gathered global field for both, or a field holding that one
+// plane each.
+func writeImages(z, y *core.MacroField, prefix string) error {
 	write := func(name string, s *vis.Slice) error {
 		f, err := os.Create(name)
 		if err != nil {
@@ -858,8 +849,8 @@ func writeImages(m *core.MacroField, prefix string) error {
 		fmt.Printf("wrote %s\n", name)
 		return nil
 	}
-	if err := write(prefix+"_speed_z.ppm", vis.SpeedSlice(m, vis.AxisZ, m.NZ/2)); err != nil {
+	if err := write(prefix+"_speed_z.ppm", vis.SpeedSlice(z, vis.AxisZ, z.NZ/2)); err != nil {
 		return err
 	}
-	return write(prefix+"_speed_y.ppm", vis.SpeedSlice(m, vis.AxisY, m.NY/2))
+	return write(prefix+"_speed_y.ppm", vis.SpeedSlice(y, vis.AxisY, y.NY/2))
 }

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"fmt"
 	"os"
 	"os/exec"
 	"path/filepath"
@@ -153,23 +154,26 @@ func TestCLISmoke(t *testing.T) {
 // name itself, so a dispatch regression fails here instead of showing up
 // as a quiet slowdown. The obstacle-free channel's rows all take the
 // unrolled kernel, so its line ends at the pool; the cylinder's rows by the
-// obstacle step the generic sweep, and the line says how many.
+// obstacle step the generic sweep, and the line says how many. A
+// single-rank run then says what building the lattice and writing its
+// output cost.
 func TestCLIKernelPath(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builds and runs the binary")
 	}
 	bin := buildCLI(t)
 	const aa = `path: aa (avx512|scalar) d3q19 `
+	const setup = `setup: build [0-9.]+ ms, output [0-9.]+ ms\n`
 	channel := []string{"-preset", "channel", "-nx", "16", "-ny", "12", "-nz", "8", "-steps", "4"}
 	for _, tc := range []struct {
 		args []string
 		want string
 	}{
-		{channel, `kernel [0-9.]+ ms/step, boundary [0-9.]+ ms/step, ` + aa + `pool×1\n`},
+		{channel, `kernel [0-9.]+ ms/step, boundary [0-9.]+ ms/step, ` + aa + `pool×1\n` + setup},
 		{append(channel, "-decomp", "2x1"), aa + `ranks×2\n`},
 		{append(channel, "-decomp", "patch"), aa + `patches×4 on 2 workers\n`},
 		{append(channel, "-decomp", "2x1", "-sunway"), `path: swlb sw26010 ranks×2\n`},
-		{[]string{"-preset", "cylinder", "-nx", "64", "-ny", "48", "-steps", "4"}, aa + `pool×1, [0-9.]*[1-9][0-9.]*% of rows generic\n`},
+		{[]string{"-preset", "cylinder", "-nx", "64", "-ny", "48", "-steps", "4"}, aa + `pool×1, [0-9.]*[1-9][0-9.]*% of rows generic\n` + setup},
 	} {
 		cmd := exec.Command(bin, tc.args...)
 		cmd.Env = append(os.Environ(), "GOMAXPROCS=1")
@@ -184,18 +188,28 @@ func TestCLIKernelPath(t *testing.T) {
 }
 
 // TestCLIPathsAgree: the same case writes the same bytes on every default
-// path. Each preset, stopped at an odd and at an even step, must produce
+// path. Each preset, and a bare -case file (a periodic box with an LES
+// constant), stopped at an odd and at an even step, must produce
 // byte-identical PPM sets on one rank, on a 2×2 rank grid and on the patch
-// world. (Cropped to 24 cells in x, urban's buildings are cut by the x-max
-// face, so its PressureOutlet extrapolates from solid cells — whose
-// populations differ between storage schemes; one storage on every default
-// path is what makes this hold.)
+// world, and every path must name the same collision kernel. (Cropped to
+// 24 cells in x, urban's buildings are cut by the x-max face, so its
+// PressureOutlet extrapolates from solid cells — whose populations differ
+// between storage schemes; one storage on every default path is what makes
+// this hold.)
 func TestCLIPathsAgree(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builds and runs the binary")
 	}
 	bin := buildCLI(t)
 	dir := t.TempDir()
+	box := filepath.Join(dir, "box.json")
+	if err := os.WriteFile(box, []byte(`{"name":"les box","nx":16,"ny":12,"nz":8,"tau":0.51,"smagorinsky":0.17,"steps":6}`), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	cases := [][]string{{"-case", box}}
+	for _, preset := range []string{"cavity", "channel", "cylinder", "urban", "suboff"} {
+		cases = append(cases, []string{"-preset", preset})
+	}
 	paths := []struct {
 		name string
 		args []string
@@ -204,15 +218,28 @@ func TestCLIPathsAgree(t *testing.T) {
 		{"2x2", []string{"-decomp", "2x2"}},
 		{"patch", []string{"-decomp", "patch"}},
 	}
-	for _, preset := range []string{"cavity", "channel", "cylinder", "urban", "suboff"} {
+	kernel := regexp.MustCompile(`path: (\S+ \S+ \S+)`)
+	for ci, c := range cases {
 		for _, steps := range []string{"7", "8"} {
 			var want [2][]byte
+			var wantPath string
 			for i, p := range paths {
-				prefix := filepath.Join(dir, preset+steps+p.name)
-				args := append([]string{"-preset", preset, "-nx", "24", "-ny", "20", "-nz", "12",
-					"-steps", steps, "-out", prefix}, p.args...)
-				if out, err := exec.Command(bin, args...).CombinedOutput(); err != nil {
+				prefix := filepath.Join(dir, fmt.Sprint(ci, steps, p.name))
+				args := append([]string{"-nx", "24", "-ny", "20", "-nz", "12",
+					"-steps", steps, "-out", prefix}, c...)
+				args = append(args, p.args...)
+				out, err := exec.Command(bin, args...).CombinedOutput()
+				if err != nil {
 					t.Fatalf("%v: %v\n%s", args, err, out)
+				}
+				path := kernel.FindSubmatch(out)
+				if path == nil {
+					t.Fatalf("%v: no path line:\n%s", args, out)
+				}
+				if i == 0 {
+					wantPath = string(path[1])
+				} else if string(path[1]) != wantPath {
+					t.Errorf("%v, %s steps: %s runs %q, the single-rank run %q", c, steps, p.name, path[1], wantPath)
 				}
 				for j, suffix := range []string{"_speed_z.ppm", "_speed_y.ppm"} {
 					got, err := os.ReadFile(prefix + suffix)
@@ -222,7 +249,7 @@ func TestCLIPathsAgree(t *testing.T) {
 					if i == 0 {
 						want[j] = got
 					} else if !bytes.Equal(got, want[j]) {
-						t.Errorf("%s, %s steps: %s%s differs from the single-rank run", preset, steps, p.name, suffix)
+						t.Errorf("%v, %s steps: %s%s differs from the single-rank run", c, steps, p.name, suffix)
 					}
 				}
 			}

@@ -45,15 +45,19 @@ func main() {
 	if err != nil {
 		log.Fatalf("cylinder: %v", err)
 	}
-	lat, err := core.NewLattice(&lattice.D3Q19, nx, ny, nz, tau)
-	if err != nil {
-		log.Fatalf("cylinder: %v", err)
-	}
-
-	// Voxelize the cylinder (axis along z) one third into the domain.
+	// Voxelize the cylinder (axis along z) one third into the domain, and
+	// start impulsively with a tiny asymmetry to trigger shedding.
 	cyl := geometry.CylinderZ{CX: 65, CY: 60.5, Radius: diameter / 2, ZMin: -1, ZMax: nz + 1}
-	if err := geometry.VoxelizeInto(lat, cyl,
-		geometry.VoxelGrid{NX: nx, NY: ny, NZ: nz, H: 1}); err != nil {
+	g := geometry.VoxelGrid{NX: nx, NY: ny, NZ: nz, H: 1}
+	init := func(x, y, _ int) (rho, ux, uy, uz float64) {
+		if x > 65 && x < 90 && y > 60 {
+			uy = 0.01
+		}
+		return 1.0, uIn, uy, 0
+	}
+	lat, err := core.BuildLattice(&lattice.D3Q19, core.Box{NX: nx, NY: ny, NZ: nz}, tau,
+		g.Walls(geometry.Voxelize(cyl, g)), init)
+	if err != nil {
 		log.Fatalf("cylinder: %v", err)
 	}
 
@@ -65,20 +69,6 @@ func main() {
 		&boundary.VelocityInlet{Face: core.FaceXMin, U: [3]float64{uIn, 0, 0}},
 		&boundary.PressureOutlet{Face: core.FaceXMax, Rho: 1},
 	)
-
-	// Impulsive start with a tiny asymmetry to trigger shedding.
-	for y := 0; y < ny; y++ {
-		for x := 0; x < nx; x++ {
-			if lat.CellTypeAt(x, y, 0) != core.Fluid {
-				continue
-			}
-			uy := 0.0
-			if x > 65 && x < 90 && y > 60 {
-				uy = 0.01
-			}
-			lat.SetCell(x, y, 0, 1.0, uIn, uy, 0)
-		}
-	}
 
 	fmt.Printf("flow past cylinder: %d×%d, D=%g, Re=%g, tau=%.4f, %d steps\n",
 		nx, ny, diameter, *re, tau, *steps)

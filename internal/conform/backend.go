@@ -109,46 +109,22 @@ func (c *Case) Options(px, py int) psolve.Options {
 
 // WallsFunc and InitFunc are the geometry and initial-condition
 // signatures shared by all backends (global coordinates).
-type WallsFunc = func(gx, gy, gz int) bool
+type WallsFunc = core.WallsFunc
 
 // InitFunc supplies the initial macroscopic state per global cell.
-type InitFunc = func(gx, gy, gz int) (rho, ux, uy, uz float64)
+type InitFunc = core.InitFunc
 
-// buildLattice allocates a standalone lattice for the case's dimensions
-// and physics with the given geometry and initial conditions applied
-// exactly as psolve does per rank (walls first, then init on fluid cells
-// only). The metamorphic properties pass transformed walls/init here.
+// buildLattice builds a standalone lattice for the case's dimensions and
+// physics with the given geometry and initial conditions, through the
+// builder psolve and the patch world build their blocks with. The
+// metamorphic properties pass transformed walls/init here.
 func (c *Case) buildLattice(walls WallsFunc, init InitFunc) (*core.Lattice, error) {
-	l, err := core.NewLattice(&lattice.D3Q19, c.NX, c.NY, c.NZ, c.Tau)
+	l, err := core.BuildLattice(&lattice.D3Q19, core.Box{NX: c.NX, NY: c.NY, NZ: c.NZ}, c.Tau, walls, init)
 	if err != nil {
 		return nil, err
 	}
 	l.Smagorinsky = c.Smagorinsky
 	l.Force = c.Force
-	if walls != nil {
-		for y := 0; y < c.NY; y++ {
-			for x := 0; x < c.NX; x++ {
-				for z := 0; z < c.NZ; z++ {
-					if walls(x, y, z) {
-						l.SetWall(x, y, z)
-					}
-				}
-			}
-		}
-	}
-	if init != nil {
-		for y := 0; y < c.NY; y++ {
-			for x := 0; x < c.NX; x++ {
-				for z := 0; z < c.NZ; z++ {
-					if l.CellTypeAt(x, y, z) != core.Fluid {
-						continue
-					}
-					rho, ux, uy, uz := init(x, y, z)
-					l.SetCell(x, y, z, rho, ux, uy, uz)
-				}
-			}
-		}
-	}
 	return l, nil
 }
 

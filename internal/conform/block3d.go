@@ -63,32 +63,12 @@ func newBlockGrid(c *Case, px, py, pz int) (*blockGrid, error) {
 			return nil, fmt.Errorf("conform: block %dx%dx%d too thin for %dx%dx%d grid",
 				b.NX, b.NY, b.NZ, px, py, pz)
 		}
-		l, err := core.NewLattice(&lattice.D3Q19, b.NX, b.NY, b.NZ, c.Tau)
+		l, err := core.BuildLattice(&lattice.D3Q19, core.Box(b), c.Tau, walls, init)
 		if err != nil {
 			return nil, err
 		}
 		l.Smagorinsky = c.Smagorinsky
 		l.Force = c.Force
-		for y := 0; y < b.NY; y++ {
-			for x := 0; x < b.NX; x++ {
-				for z := 0; z < b.NZ; z++ {
-					if walls != nil && walls(b.X0+x, b.Y0+y, b.Z0+z) {
-						l.SetWall(x, y, z)
-					}
-				}
-			}
-		}
-		for y := 0; y < b.NY; y++ {
-			for x := 0; x < b.NX; x++ {
-				for z := 0; z < b.NZ; z++ {
-					if l.CellTypeAt(x, y, z) != core.Fluid {
-						continue
-					}
-					rho, ux, uy, uz := init(b.X0+x, b.Y0+y, b.Z0+z)
-					l.SetCell(x, y, z, rho, ux, uy, uz)
-				}
-			}
-		}
 		g.lats = append(g.lats, l)
 		g.conds = append(g.conds, g.blockConds(b))
 		for _, f := range []core.Face{core.FaceXMin, core.FaceYMin, core.FaceZMin} {

@@ -107,46 +107,9 @@ type Lattice struct {
 // NewLattice allocates a lattice of nx×ny×nz interior cells using the given
 // descriptor and relaxation time. All interior cells start as Fluid and all
 // halo cells as Ghost; populations are initialised to the rest equilibrium
-// (ρ=1, u=0).
+// (ρ=1, u=0). It is BuildLattice with no walls and no initial state.
 func NewLattice(desc *lattice.Descriptor, nx, ny, nz int, tau float64) (*Lattice, error) {
-	if nx < 1 || ny < 1 || nz < 1 {
-		return nil, fmt.Errorf("core: invalid dimensions %d×%d×%d", nx, ny, nz)
-	}
-	if tau <= 0.5 {
-		return nil, fmt.Errorf("core: relaxation time %v must exceed 0.5 for positive viscosity", tau)
-	}
-	if desc.Q > MaxQ {
-		return nil, fmt.Errorf("core: descriptor %s has %d velocities, more than the supported maximum %d", desc.Name, desc.Q, MaxQ)
-	}
-	ax, ay, az := nx+2, ny+2, nz+2
-	n := ax * ay * az
-	lat := &Lattice{
-		Desc: desc,
-		NX:   nx, NY: ny, NZ: nz,
-		AX: ax, AY: ay, AZ: az,
-		N:       n,
-		Flags:   make([]CellType, n),
-		WallVel: make(map[int][3]float64),
-		Tau:     tau,
-	}
-	lat.F[0] = make([]float64, desc.Q*n)
-	lat.offs = make([]int, desc.Q)
-	for q := 0; q < desc.Q; q++ {
-		c := desc.C[q]
-		lat.offs[q] = c[1]*ax*az + c[0]*az + c[2]
-	}
-	for i := range lat.Flags {
-		lat.Flags[i] = Ghost
-	}
-	for y := 0; y < ny; y++ {
-		for x := 0; x < nx; x++ {
-			for z := 0; z < nz; z++ {
-				lat.Flags[lat.Idx(x, y, z)] = Fluid
-			}
-		}
-	}
-	lat.InitEquilibrium(1.0, 0, 0, 0)
-	return lat, nil
+	return BuildLattice(desc, Box{NX: nx, NY: ny, NZ: nz}, tau, nil, nil)
 }
 
 // Idx returns the linear index of interior coordinates (x, y, z); halo

@@ -76,26 +76,29 @@ func (m *MacroField) Place(b *MacroField, x0, y0, z0 int) {
 // Solid cells yield zeros.
 func (l *Lattice) ComputeMacro() *MacroField {
 	m := NewMacroField(l.NX, l.NY, l.NZ)
-	l.MacroInto(m, 0, 0, 0)
+	l.MacroInto(m, 0, 0, 0, l.Interior())
 	return m
 }
 
-// MacroInto writes the macroscopic fields of every interior cell (x, y, z)
-// into the caller's field m at (x0+x, y0+y, z0+z) — a rank's block of a
-// global field, or a gather payload laid out by MacroFieldOver. Solid
-// cells yield zeros. Each z-row is summed population-outer straight into
-// its four output runs, each population in one pass that adds it to the
-// density and to the momentum components its velocity has; every cell
-// still adds its populations in ascending order, and the terms skipped
-// are exact zeros, so for finite populations the values are bitwise
-// those of MacroAt.
+// Interior is the box of all interior cells.
+func (l *Lattice) Interior() Box { return Box{NX: l.NX, NY: l.NY, NZ: l.NZ} }
+
+// MacroInto writes the macroscopic fields of the interior cells in box b
+// into the caller's field m, cell (b.X0+x, b.Y0+y, b.Z0+z) at (x0+x, y0+y,
+// z0+z) — a rank's block of a global field, a gather payload laid out by
+// MacroFieldOver, or one plane of the lattice. Solid cells yield zeros.
+// Each z-row is summed population-outer straight into its four output
+// runs, each population in one pass that adds it to the density and to the
+// momentum components its velocity has; every cell still adds its
+// populations in ascending order, and the terms skipped are exact zeros,
+// so for finite populations the values are bitwise those of MacroAt.
 //
 // Per cell a population's pass reads it once and updates at most four
 // accumulators, which stay in L1 for the row; the budget prices the
 // dearest pass.
 //
 //lbm:hot traffic budget=72
-func (l *Lattice) MacroInto(m *MacroField, x0, y0, z0 int) {
+func (l *Lattice) MacroInto(m *MacroField, x0, y0, z0 int, b Box) {
 	d := l.Desc
 	src := l.F[l.src]
 	var baseArr [MaxQ]int
@@ -103,11 +106,11 @@ func (l *Lattice) MacroInto(m *MacroField, x0, y0, z0 int) {
 	for i := range base {
 		base[i] = l.PopBase(i)
 	}
-	nz := l.NZ
+	nz := b.NZ
 	fx, fy, fz := 0.5*l.Force[0], 0.5*l.Force[1], 0.5*l.Force[2]
-	for y := 0; y < l.NY; y++ {
-		for x := 0; x < l.NX; x++ {
-			idx, mi := l.Idx(x, y, 0), m.Idx(x0+x, y0+y, z0)
+	for y := 0; y < b.NY; y++ {
+		for x := 0; x < b.NX; x++ {
+			idx, mi := l.Idx(b.X0+x, b.Y0+y, b.Z0), m.Idx(x0+x, y0+y, z0)
 			rho := m.Rho[mi : mi+nz]
 			j := [3][]float64{m.Ux[mi : mi+nz], m.Uy[mi : mi+nz], m.Uz[mi : mi+nz]}
 			clear(rho)

@@ -48,6 +48,12 @@ func Voxelize(s Shape, g VoxelGrid) []bool {
 	return mask
 }
 
+// Walls is the wall predicate of a mask laid out over the grid's cells as
+// Voxelize lays it out, for core.BuildLattice.
+func (g VoxelGrid) Walls(mask []bool) core.WallsFunc {
+	return func(x, y, z int) bool { return mask[(y*g.NX+x)*g.NZ+z] }
+}
+
 // SolidFraction returns the fraction of true cells in a mask.
 func SolidFraction(mask []bool) float64 {
 	if len(mask) == 0 {

@@ -32,10 +32,10 @@ type Options struct {
 	// face order psolve and the conform stitchers use.
 	FaceBC map[core.Face]boundary.Condition
 	// Walls marks solid cells in global coordinates.
-	Walls func(gx, gy, gz int) bool
+	Walls core.WallsFunc
 	// Init yields the initial macroscopic state in global coordinates;
 	// nil means rest equilibrium (rho=1, u=0).
-	Init func(gx, gy, gz int) (rho, ux, uy, uz float64)
+	Init core.InitFunc
 
 	// Workers is the owner roster: one world rank per entry. The world
 	// size is len(Workers).
@@ -81,9 +81,6 @@ func (o *Options) normalize() error {
 	}
 	if o.SmoothAlpha <= 0 || o.SmoothAlpha > 1 {
 		o.SmoothAlpha = 0.5
-	}
-	if o.Init == nil {
-		o.Init = func(_, _, _ int) (float64, float64, float64, float64) { return 1, 0, 0, 0 }
 	}
 	return nil
 }
@@ -205,15 +202,16 @@ func newNode(w *World, c *mpi.Comm, restore *core.Lattice, steps int, straggle f
 	return n, nil
 }
 
-// newLattice allocates patch p's lattice on this worker at the given step.
-// A worker on the default core kernel stores it in place (AA) from birth —
-// before any restore, so the phase-aware writes land in the layout the
-// kernel reads; swlb, gpu and custom executors own their double-buffer
-// layout. A migrating patch therefore changes storage with its owner: it
-// travels as a phase-independent snapshot.
-func (n *node) newLattice(p Patch, step int) (*core.Lattice, error) {
+// newLattice builds patch p's lattice on this worker at the given step,
+// from walls and init (nil for a patch a snapshot will fill). A worker on
+// the default core kernel stores it in place (AA) from birth — before any
+// restore, so the phase-aware writes land in the layout the kernel reads;
+// swlb, gpu and custom executors own their double-buffer layout. A
+// migrating patch therefore changes storage with its owner: it travels as
+// a phase-independent snapshot.
+func (n *node) newLattice(p Patch, step int, walls core.WallsFunc, init core.InitFunc) (*core.Lattice, error) {
 	opt := n.opt
-	l, err := core.NewLattice(&lattice.D3Q19, p.NX, p.NY, p.NZ, opt.Tau)
+	l, err := core.BuildLattice(&lattice.D3Q19, core.Box(p.Block), opt.Tau, walls, init)
 	if err != nil {
 		return nil, err
 	}
@@ -227,32 +225,12 @@ func (n *node) newLattice(p Patch, step int) (*core.Lattice, error) {
 }
 
 // buildFresh constructs a patch lattice from the case's walls and initial
-// state, exactly as the stitched conform driver builds its blocks.
+// state, exactly as psolve and the stitched conform driver build their
+// blocks.
 func (n *node) buildFresh(p Patch) error {
-	opt := n.opt
-	l, err := n.newLattice(p, 0)
+	l, err := n.newLattice(p, 0, n.opt.Walls, n.opt.Init)
 	if err != nil {
 		return err
-	}
-	for y := 0; y < p.NY; y++ {
-		for x := 0; x < p.NX; x++ {
-			for z := 0; z < p.NZ; z++ {
-				if opt.Walls != nil && opt.Walls(p.X0+x, p.Y0+y, p.Z0+z) {
-					l.SetWall(x, y, z)
-				}
-			}
-		}
-	}
-	for y := 0; y < p.NY; y++ {
-		for x := 0; x < p.NX; x++ {
-			for z := 0; z < p.NZ; z++ {
-				if l.CellTypeAt(x, y, z) != core.Fluid {
-					continue
-				}
-				rho, ux, uy, uz := opt.Init(p.X0+x, p.Y0+y, p.Z0+z)
-				l.SetCell(x, y, z, rho, ux, uy, uz)
-			}
-		}
 	}
 	return n.adopt(p.ID, l)
 }
@@ -282,7 +260,7 @@ func (n *node) installPatch(id int, s *resil.Snapshot) error {
 	if !s.Verify() {
 		return fmt.Errorf("patch: snapshot of patch %d fails checksum at install", id)
 	}
-	l, err := n.newLattice(n.til.Patches[id], s.Step)
+	l, err := n.newLattice(n.til.Patches[id], s.Step, nil, nil)
 	if err != nil {
 		return err
 	}
@@ -548,7 +526,7 @@ func (n *node) gather(root int) *core.MacroField {
 		for _, p := range n.mine {
 			b := n.til.Patches[p].Block
 			d[0] = float64(p)
-			n.lats[p].MacroInto(core.MacroFieldOver(d[1:], b.NX, b.NY, b.NZ), 0, 0, 0)
+			n.lats[p].MacroInto(core.MacroFieldOver(d[1:], b.NX, b.NY, b.NZ), 0, 0, 0, n.lats[p].Interior())
 			d = d[1+4*b.Cells():]
 		}
 	}
@@ -560,7 +538,7 @@ func (n *node) gather(root int) *core.MacroField {
 	out := core.NewMacroField(opt.GNX, opt.GNY, opt.GNZ)
 	for _, p := range n.mine {
 		b := n.til.Patches[p].Block
-		n.lats[p].MacroInto(out, b.X0, b.Y0, b.Z0)
+		n.lats[p].MacroInto(out, b.X0, b.Y0, b.Z0, n.lats[p].Interior())
 	}
 	for r, m := range msgs {
 		if r == root {

@@ -55,10 +55,10 @@ type Options struct {
 	// by every rank. Nil entries leave the halo as-is.
 	FaceBC map[core.Face]boundary.Condition
 	// Walls marks global cells as solid obstacles at initialisation.
-	Walls func(gx, gy, gz int) bool
+	Walls core.WallsFunc
 	// Init supplies the initial macroscopic state per global cell;
 	// nil means ρ=1, u=0.
-	Init func(gx, gy, gz int) (rho, ux, uy, uz float64)
+	Init core.InitFunc
 	// Deprecated: OnTheFly is ignored — the overlapped exchange is the only
 	// schedule. The field exists only because bench/layers.go sets it and
 	// bench/ is frozen between benchmark PRs; the next one drops both.
@@ -147,8 +147,8 @@ type axisPlan struct {
 	minus, plus *Link
 }
 
-// New builds the per-rank solver: decomposes the domain, allocates the
-// local lattice (block + halo), applies geometry and initial conditions.
+// New builds the per-rank solver: decomposes the domain and builds the
+// local lattice (block + halo) with the case's geometry and initial state.
 func New(c *mpi.Comm, opts Options) (*Solver, error) {
 	if opts.PX*opts.PY != c.Size() {
 		return nil, fmt.Errorf("psolve: grid %d×%d != world size %d", opts.PX, opts.PY, c.Size())
@@ -162,7 +162,11 @@ func New(c *mpi.Comm, opts Options) (*Solver, error) {
 		return nil, err
 	}
 	blk := blocks[c.Rank()]
-	lat, err := core.NewLattice(&lattice.D3Q19, blk.NX, blk.NY, blk.NZ, opts.Tau)
+	walls, init := opts.Walls, opts.Init
+	if opts.Restore != nil {
+		walls, init = nil, nil
+	}
+	lat, err := core.BuildLattice(&lattice.D3Q19, core.Box(blk), opts.Tau, walls, init)
 	if err != nil {
 		return nil, err
 	}
@@ -170,7 +174,7 @@ func New(c *mpi.Comm, opts Options) (*Solver, error) {
 	lat.Force = opts.Force
 	if opts.Stepper == nil {
 		// Before any restore, so the phase-aware writes land in the layout
-		// the kernel will read.
+		// the kernel will read (at step 0 the built layout is that layout).
 		lat.EnableAA()
 	}
 
@@ -182,9 +186,6 @@ func New(c *mpi.Comm, opts Options) (*Solver, error) {
 		if err := s.restoreFrom(opts.Restore); err != nil {
 			return nil, err
 		}
-	} else {
-		s.applyGeometry()
-		s.applyInit()
 	}
 	s.collectBCs()
 	s.axes[0] = s.planAxis(core.FaceXMin, core.FaceXMax, tagXMinus, tagXPlus,
@@ -211,40 +212,6 @@ func New(c *mpi.Comm, opts Options) (*Solver, error) {
 		s.strips = []region{{0, nx, 0, ny}}
 	}
 	return s, nil
-}
-
-func (s *Solver) applyGeometry() {
-	if s.Opts.Walls == nil {
-		return
-	}
-	b := s.Block
-	for y := 0; y < b.NY; y++ {
-		for x := 0; x < b.NX; x++ {
-			for z := 0; z < b.NZ; z++ {
-				if s.Opts.Walls(b.X0+x, b.Y0+y, b.Z0+z) {
-					s.Lat.SetWall(x, y, z)
-				}
-			}
-		}
-	}
-}
-
-func (s *Solver) applyInit() {
-	if s.Opts.Init == nil {
-		return
-	}
-	b := s.Block
-	for y := 0; y < b.NY; y++ {
-		for x := 0; x < b.NX; x++ {
-			for z := 0; z < b.NZ; z++ {
-				if s.Lat.CellTypeAt(x, y, z) != core.Fluid {
-					continue
-				}
-				rho, ux, uy, uz := s.Opts.Init(b.X0+x, b.Y0+y, b.Z0+z)
-				s.Lat.SetCell(x, y, z, rho, ux, uy, uz)
-			}
-		}
-	}
 }
 
 // collectBCs figures out which global-face conditions this rank applies.
@@ -420,14 +387,14 @@ func (s *Solver) GatherMacro(root int) *core.MacroField {
 		payload = make([]float64, macroHeader+4*b.Cells())
 		copy(payload, []float64{float64(b.X0), float64(b.Y0), float64(b.Z0),
 			float64(b.NX), float64(b.NY), float64(b.NZ)})
-		s.Lat.MacroInto(core.MacroFieldOver(payload[macroHeader:], b.NX, b.NY, b.NZ), 0, 0, 0)
+		s.Lat.MacroInto(core.MacroFieldOver(payload[macroHeader:], b.NX, b.NY, b.NZ), 0, 0, 0, s.Lat.Interior())
 	}
 	msgs := s.Comm.Gather(root, mpi.Message{Data: payload})
 	if msgs == nil {
 		return nil
 	}
 	g := core.NewMacroField(s.Opts.GNX, s.Opts.GNY, s.Opts.GNZ)
-	s.Lat.MacroInto(g, b.X0, b.Y0, b.Z0)
+	s.Lat.MacroInto(g, b.X0, b.Y0, b.Z0, s.Lat.Interior())
 	for r, m := range msgs {
 		if r == root {
 			continue

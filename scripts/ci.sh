@@ -144,7 +144,8 @@ perf() {
     # No silent slow path, no path-dependent answer: single rank, ranks
     # and patches all report the AA kernel and write identical images.
     go test -count=1 -run 'TestCLIKernelPath|TestCLIPathsAgree' ./cmd/sunwaylb
-    # Race-checked AA suite: the collision operator against its
+    # Race-checked AA suite: the lattice builder against the per-cell
+    # construction, the collision operator against its
     # per-direction definition, the unrolled row against the operator
     # (walls in the halo, lattices wider than the flag window), the
     # sweep's row classification against its definition, pool soak,
@@ -152,7 +153,7 @@ perf() {
     # pack/unpack, and (on capable hardware) the AVX-512 row kernel's
     # bitwise equivalence to the scalar canon.
     go test -race -count=1 -timeout 600s \
-        -run 'TestRelaxMatchesDefinition|TestUnrolledKernelBitIdentical|TestForRowsMatchesDefinition|TestGenericRows|TestAA|TestPool|TestPack|TestPeriodic' ./internal/core
+        -run 'TestBuildMatchesDefinition|TestRelaxMatchesDefinition|TestUnrolledKernelBitIdentical|TestForRowsMatchesDefinition|TestGenericRows|TestAA|TestPool|TestPack|TestPeriodic' ./internal/core
     # Boundary handling on AA storage: every condition on every face
     # against its per-cell definition at both phases, and seeded condition
     # sets between the steps of a two-worker pool.
