@@ -477,13 +477,13 @@ func runLocal(ctx context.Context, cs *caseSetup, out, cpPath string, cpEvery in
 		cs.cfg.Name, lat.NX, lat.NY, lat.NZ, lat.Tau, cs.cfg.Steps, lat.FluidCells())
 
 	// One stepping path: the in-place AA kernel behind the persistent pool
-	// (a restored odd-step state is permuted into the odd layout here).
+	// (a restored odd-step state is permuted into the odd layout here),
+	// which runs the conditions inside its sweep and times them.
 	pool := core.NewPool(lat, 0)
 	defer pool.Close()
 
 	cells := int64(lat.FluidCells())
 	mon := perf.NewMonitor(cells)
-	var bcTime time.Duration
 	tr := tracer.ForRank(0) // local runs trace as rank 0; nil-safe
 	lastReport := time.Now()
 	for s := startStep + 1; s <= cs.cfg.Steps; s++ {
@@ -503,10 +503,7 @@ func runLocal(ctx context.Context, cs *caseSetup, out, cpPath string, cpEvery in
 			endStep = tr.Scope(trace.TrackStep, "step")
 		}
 		mon.StepStart()
-		t0 := time.Now()
-		bcs.Apply(lat)
-		bcTime += time.Since(t0)
-		pool.Step()
+		pool.StepFaces(bcs)
 		mon.StepEnd()
 		if endStep != nil {
 			endStep()
@@ -531,7 +528,7 @@ func runLocal(ctx context.Context, cs *caseSetup, out, cpPath string, cpEvery in
 		}
 	}
 	if n := mon.Steps(); n > 0 {
-		bcMs := bcTime.Seconds() * 1e3 / float64(n)
+		bcMs := pool.FaceTime().Seconds() * 1e3 / float64(n)
 		fmt.Printf("completed: %s\n", mon.Summary())
 		fmt.Printf("  kernel %.2f ms/step, boundary %.2f ms/step, path: %s%s\n",
 			mon.Mean()*1e3-bcMs, bcMs, pool.Kernel(), genericShare(lat))

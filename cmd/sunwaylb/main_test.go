@@ -191,7 +191,9 @@ func TestCLIKernelPath(t *testing.T) {
 // path. Each preset, and a bare -case file (a periodic box with an LES
 // constant), stopped at an odd and at an even step, must produce
 // byte-identical PPM sets on one rank, on a 2×2 rank grid and on the patch
-// world, and every path must name the same collision kernel. (Cropped to
+// world, and every path must name the same collision kernel. The one-rank
+// run steps a two-worker pool whatever the host, so the conditions its
+// pool runs inside the sweep also go through a band edge. (Cropped to
 // 24 cells in x, urban's buildings are cut by the x-max face, so its
 // PressureOutlet extrapolates from solid cells — whose populations differ
 // between storage schemes; one storage on every default path is what makes
@@ -213,10 +215,11 @@ func TestCLIPathsAgree(t *testing.T) {
 	paths := []struct {
 		name string
 		args []string
+		env  []string
 	}{
-		{"single", nil},
-		{"2x2", []string{"-decomp", "2x2"}},
-		{"patch", []string{"-decomp", "patch"}},
+		{"single", nil, []string{"GOMAXPROCS=2"}},
+		{"2x2", []string{"-decomp", "2x2"}, nil},
+		{"patch", []string{"-decomp", "patch"}, nil},
 	}
 	kernel := regexp.MustCompile(`path: (\S+ \S+ \S+)`)
 	for ci, c := range cases {
@@ -228,7 +231,9 @@ func TestCLIPathsAgree(t *testing.T) {
 				args := append([]string{"-nx", "24", "-ny", "20", "-nz", "12",
 					"-steps", steps, "-out", prefix}, c...)
 				args = append(args, p.args...)
-				out, err := exec.Command(bin, args...).CombinedOutput()
+				cmd := exec.Command(bin, args...)
+				cmd.Env = append(os.Environ(), p.env...)
+				out, err := cmd.CombinedOutput()
 				if err != nil {
 					t.Fatalf("%v: %v\n%s", args, err, out)
 				}

@@ -85,8 +85,7 @@ func main() {
 	pool := core.NewPool(lat, 0)
 	defer pool.Close()
 	for s := 1; s <= *steps; s++ {
-		bcs.Apply(lat)
-		pool.Step()
+		pool.StepFaces(&bcs)
 		if s > warmup {
 			_, fy, _ := lat.WallForce()
 			liftHist = append(liftHist, fy)

@@ -58,8 +58,7 @@ func main() {
 	pool := core.NewPool(lat, 0)
 	defer pool.Close()
 	for s := 1; s <= *steps; s++ {
-		bcs.Apply(lat)
-		pool.Step()
+		pool.StepFaces(&bcs)
 		if rep := max(1, *steps/10); s%rep == 0 {
 			// Convergence monitor: change of the centre velocity.
 			m := lat.MacroAt(*n/2, *n/2, *n/2)

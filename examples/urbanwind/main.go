@@ -78,8 +78,7 @@ func main() {
 	pool := core.NewPool(lat, 0)
 	defer pool.Close()
 	for s := 1; s <= *steps; s++ {
-		bcs.Apply(lat)
-		pool.Step()
+		pool.StepFaces(&bcs)
 		if s > *steps/2 {
 			if err := stats.Add(lat.ComputeMacro()); err != nil {
 				log.Fatalf("urbanwind: %v", err)

@@ -48,12 +48,12 @@ func TestTrafficEstimatesRepo(t *testing.T) {
 			// The drivers call them 19 times per line (304 of PackFace's
 			// 320 per cell, 608 of a periodic wrap pair's 616) and only
 			// carry the flag bytes themselves.
-			"gatherPop":    {Bytes: 16, Budget: 16},
-			"scatterPop":   {Bytes: 16, Budget: 16},
-			"copyPop":      {Bytes: 16, Budget: 16},
-			"PeriodicAxis": {Bytes: 2, Budget: 616},
-			"PackFace":     {Bytes: 2, Budget: 320},
-			"UnpackFace":   {Bytes: 1, Budget: 320},
+			"gatherPop":     {Bytes: 16, Budget: 16},
+			"scatterPop":    {Bytes: 16, Budget: 16},
+			"copyPop":       {Bytes: 16, Budget: 16},
+			"PeriodicLines": {Bytes: 2, Budget: 616},
+			"PackFace":      {Bytes: 2, Budget: 320},
+			"UnpackFace":    {Bytes: 1, Budget: 320},
 			// Macro extraction, row-wise and population-outer: the model
 			// prices one pass of a population over a cell at the dearest
 			// velocity (a population read, the density and three momentum
@@ -83,7 +83,7 @@ func TestTrafficEstimatesRepo(t *testing.T) {
 		// Computed boundary conditions stage each chunk of a line through
 		// core's Gather/ScatterLine; their own loops touch stack scratch.
 		"../boundary": {
-			"Apply": {Bytes: 0, Budget: 320},
+			"ApplyLines": {Bytes: 0, Budget: 320},
 		},
 		"../swlb": {
 			"Step": {Bytes: 4, Budget: 8},
@@ -115,7 +115,7 @@ func TestTrafficEstimatesRepo(t *testing.T) {
 			}
 			got := make(map[string]TrafficEstimate)
 			for _, e := range trafficEstimates(pkg) {
-				// Same-named methods (the conditions' Apply) share a row:
+				// Same-named methods (the conditions' ApplyLines) share a row:
 				// the dearest one is pinned.
 				if prev, ok := got[e.Func]; !ok || e.Bytes > prev.Bytes {
 					got[e.Func] = e

@@ -21,7 +21,7 @@ func BenchmarkChannelApply(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				for range best {
 					t0 := time.Now()
-					c.Apply(l)
+					ApplyWhole(c, l)
 					d := time.Since(t0)
 					best[l.Step()&1] = min(best[l.Step()&1], d)
 					b.StopTimer()
@@ -36,9 +36,10 @@ func BenchmarkChannelApply(b *testing.B) {
 }
 
 // BenchmarkChannelStep is the stepping loop of the CLI's single-rank path
-// in process — the channel conditions, then one pool step — on the same
-// grid, so a CPU profile of it (-cpu 1 -cpuprofile) shows where a step's
-// time goes without building the user binaries.
+// in process — one pool step that runs the channel conditions inside its
+// sweep — on the same grid, so a CPU profile of it (-cpu 1 -cpuprofile)
+// shows where a step's time goes without building the user binaries. The
+// pool's share on the conditions is reported as bc-ms/step.
 func BenchmarkChannelStep(b *testing.B) {
 	l := channelBenchLattice(b)
 	var s Set
@@ -47,10 +48,10 @@ func BenchmarkChannelStep(b *testing.B) {
 	defer pool.Close()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		s.Apply(l)
-		pool.Step()
+		pool.StepFaces(&s)
 	}
 	b.ReportMetric(float64(l.NX*l.NY*l.NZ)*float64(b.N)/b.Elapsed().Seconds()/1e6, "MLUPS")
+	b.ReportMetric(pool.FaceTime().Seconds()*1e3/float64(b.N), "bc-ms/step")
 }
 
 // channelConditions are the channel preset's conditions: periodic y and

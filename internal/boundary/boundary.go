@@ -7,7 +7,8 @@
 // so the pull streaming picks the boundary populations up naturally. This
 // matches the paper's halo-cell scheme (Fig. 9(1)) where boundary cells
 // obtain their data from a single layer of externally-maintained halo
-// cells.
+// cells. A Set is also a core.Faces: core.Pool.StepFaces runs it inside
+// its sweep, filling the next step's halo one y-plane at a time.
 package boundary
 
 import (
@@ -22,13 +23,26 @@ import (
 type Condition interface {
 	// Name identifies the condition for diagnostics.
 	Name() string
-	// Apply fills the relevant halo cells of the current buffer.
-	Apply(l *core.Lattice)
+	// HaloFace is the face whose halo layer the condition fills (the low
+	// face of a periodic axis); its lines are the condition's lines.
+	HaloFace() core.Face
+	// ApplyLines fills lines j0 ≤ j < j1 of the halo layer, numbered as
+	// core.Lattice.FaceLine numbers them: by allocated y on the x and z
+	// faces, by allocated x on the y faces. Line j reads only line j of
+	// the layers beneath it and writes only line j of the halo.
+	ApplyLines(l *core.Lattice, j0, j1 int)
+}
+
+// ApplyWhole fills the condition's whole halo layer: ApplyLines over
+// every line of its face.
+func ApplyWhole(c Condition, l *core.Lattice) {
+	c.ApplyLines(l, 0, l.FaceLines(c.HaloFace()))
 }
 
 // Set is an ordered collection of boundary conditions applied together.
 // Order matters where conditions touch overlapping halo edges: later
-// conditions win.
+// conditions win. It implements core.Faces, so a core.Pool can run it
+// inside its sweep, one y-plane at a time, from its workers.
 type Set struct {
 	conds []Condition
 }
@@ -39,12 +53,44 @@ func (s *Set) Add(c ...Condition) { s.conds = append(s.conds, c...) }
 // Apply applies every condition in order.
 func (s *Set) Apply(l *core.Lattice) {
 	for _, c := range s.conds {
-		c.Apply(l)
+		ApplyWhole(c, l)
 	}
 }
 
 // Len reports the number of conditions.
 func (s *Set) Len() int { return len(s.conds) }
+
+// byPlane reports whether the condition's lines are indexed by allocated
+// y — the x and z faces — so that it can run one y-plane at a time.
+func byPlane(c Condition) bool {
+	f := c.HaloFace()
+	return f != core.FaceYMin && f != core.FaceYMax
+}
+
+// ApplyPlane applies, in order, the x- and z-face conditions to allocated
+// y-plane ay alone (core.Faces). Pool workers call it concurrently for
+// distinct planes.
+func (s *Set) ApplyPlane(l *core.Lattice, ay int) {
+	for _, c := range s.conds {
+		if byPlane(c) {
+			c.ApplyLines(l, ay, ay+1)
+		}
+	}
+}
+
+// ApplyTail applies every condition in order: the x- and z-face ones to
+// the given allocated y-planes, the y-face ones whole (core.Faces).
+func (s *Set) ApplyTail(l *core.Lattice, planes []int) {
+	for _, c := range s.conds {
+		if !byPlane(c) {
+			ApplyWhole(c, l)
+			continue
+		}
+		for _, ay := range planes {
+			c.ApplyLines(l, ay, ay+1)
+		}
+	}
+}
 
 // Every condition streams over the halo layer of its face one core.Line at
 // a time (z-rows on the x and y faces, x-rows on the z faces), facing the
@@ -101,17 +147,21 @@ type VelocityInlet struct {
 	Rho  float64
 	U    [3]float64
 	// Profile, if non-nil, overrides U per halo cell; it receives the
-	// interior-facing coordinates of the halo cell.
+	// interior-facing coordinates of the halo cell. A core.Pool calls it
+	// from its workers, so it must be safe for concurrent calls.
 	Profile func(x, y, z int) [3]float64
 }
 
 // Name implements Condition.
 func (v *VelocityInlet) Name() string { return fmt.Sprintf("velocity-inlet(%v)", v.Face) }
 
-// Apply implements Condition.
+// HaloFace implements Condition.
+func (v *VelocityInlet) HaloFace() core.Face { return v.Face }
+
+// ApplyLines implements Condition.
 //
 //lbm:hot traffic budget=320 assume q=19
-func (v *VelocityInlet) Apply(l *core.Lattice) {
+func (v *VelocityInlet) ApplyLines(l *core.Lattice, j0, j1 int) {
 	rho := v.Rho
 	if rho == 0 {
 		rho = 1
@@ -126,7 +176,7 @@ func (v *VelocityInlet) Apply(l *core.Lattice) {
 			buf.store(f, c)
 		}
 	}
-	for j, lines := 0, l.FaceLines(v.Face); j < lines; j++ {
+	for j := j0; j < j1; j++ {
 		halo := l.FaceLine(v.Face, 1, j)
 		for k0 := 0; k0 < halo.Len; k0 += chunk {
 			k1 := min(k0+chunk, halo.Len)
@@ -154,10 +204,13 @@ type PressureOutlet struct {
 // Name implements Condition.
 func (p *PressureOutlet) Name() string { return fmt.Sprintf("pressure-outlet(%v)", p.Face) }
 
-// Apply implements Condition.
+// HaloFace implements Condition.
+func (p *PressureOutlet) HaloFace() core.Face { return p.Face }
+
+// ApplyLines implements Condition.
 //
 //lbm:hot traffic budget=320 assume q=19
-func (p *PressureOutlet) Apply(l *core.Lattice) {
+func (p *PressureOutlet) ApplyLines(l *core.Lattice, j0, j1 int) {
 	rho := p.Rho
 	if rho == 0 {
 		rho = 1
@@ -166,7 +219,7 @@ func (p *PressureOutlet) Apply(l *core.Lattice) {
 	var buf block
 	var fArr [core.MaxQ]float64
 	f := fArr[:d.Q]
-	for j, lines := 0, l.FaceLines(p.Face); j < lines; j++ {
+	for j := j0; j < j1; j++ {
 		halo, inner := l.FaceLine(p.Face, 1, j), l.FaceLine(p.Face, 0, j)
 		for k0 := 0; k0 < halo.Len; k0 += chunk {
 			k1 := min(k0+chunk, halo.Len)
@@ -187,11 +240,11 @@ func (p *PressureOutlet) Apply(l *core.Lattice) {
 	}
 }
 
-// copyFace fills the halo of a face from the facing interior cells:
-// halo population i takes interior population perm[i] (i when perm is
-// nil).
-func copyFace(l *core.Lattice, f core.Face, perm []int) {
-	for j, n := 0, l.FaceLines(f); j < n; j++ {
+// copyLines fills lines j0 ≤ j < j1 of the halo of a face from the facing
+// interior cells: halo population i takes interior population perm[i] (i
+// when perm is nil).
+func copyLines(l *core.Lattice, f core.Face, perm []int, j0, j1 int) {
+	for j := j0; j < j1; j++ {
 		halo := l.FaceLine(f, 1, j)
 		l.CopyLine(halo, l.FaceLine(f, 0, j), perm)
 		setFlags(l, halo, core.Ghost)
@@ -207,8 +260,11 @@ type Outflow struct {
 // Name implements Condition.
 func (o *Outflow) Name() string { return fmt.Sprintf("outflow(%v)", o.Face) }
 
-// Apply implements Condition.
-func (o *Outflow) Apply(l *core.Lattice) { copyFace(l, o.Face, nil) }
+// HaloFace implements Condition.
+func (o *Outflow) HaloFace() core.Face { return o.Face }
+
+// ApplyLines implements Condition.
+func (o *Outflow) ApplyLines(l *core.Lattice, j0, j1 int) { copyLines(l, o.Face, nil, j0, j1) }
 
 // NoSlip marks the halo of a face as a solid wall, turning the face into a
 // bounce-back plate positioned half a cell outside the first fluid layer.
@@ -219,9 +275,12 @@ type NoSlip struct {
 // Name implements Condition.
 func (w *NoSlip) Name() string { return fmt.Sprintf("no-slip(%v)", w.Face) }
 
-// Apply implements Condition.
-func (w *NoSlip) Apply(l *core.Lattice) {
-	for j, n := 0, l.FaceLines(w.Face); j < n; j++ {
+// HaloFace implements Condition.
+func (w *NoSlip) HaloFace() core.Face { return w.Face }
+
+// ApplyLines implements Condition.
+func (w *NoSlip) ApplyLines(l *core.Lattice, j0, j1 int) {
+	for j := j0; j < j1; j++ {
 		setFlags(l, l.FaceLine(w.Face, 1, j), core.Wall)
 	}
 }
@@ -236,14 +295,24 @@ type MovingNoSlip struct {
 // Name implements Condition.
 func (w *MovingNoSlip) Name() string { return fmt.Sprintf("moving-no-slip(%v)", w.Face) }
 
-// Apply implements Condition.
-func (w *MovingNoSlip) Apply(l *core.Lattice) {
-	for j, n := 0, l.FaceLines(w.Face); j < n; j++ {
+// HaloFace implements Condition.
+func (w *MovingNoSlip) HaloFace() core.Face { return w.Face }
+
+// ApplyLines implements Condition. A cell not yet moving becomes a
+// MovingWall of velocity U. The wall-velocity map is written only where
+// its entry is missing or differs: NoSlip on a neighbouring face resets
+// the shared edge cells' flags every step but not their entries, so
+// after the first application the lines only read the map, and pool
+// workers may run them while other workers' sweeps read it.
+func (w *MovingNoSlip) ApplyLines(l *core.Lattice, j0, j1 int) {
+	for j := j0; j < j1; j++ {
 		halo := l.FaceLine(w.Face, 1, j)
 		for k := 0; k < halo.Len; k++ {
 			if idx := halo.Cell(k); l.Flags[idx] != core.MovingWall {
-				x, y, z := l.Coords(idx)
-				l.SetMovingWall(x, y, z, w.U[0], w.U[1], w.U[2])
+				l.Flags[idx] = core.MovingWall
+				if u, ok := l.WallVel[idx]; !ok || u != w.U {
+					l.WallVel[idx] = w.U
+				}
 			}
 		}
 	}
@@ -259,9 +328,13 @@ type FreeSlip struct {
 // Name implements Condition.
 func (fs *FreeSlip) Name() string { return fmt.Sprintf("free-slip(%v)", fs.Face) }
 
-// Apply implements Condition.
-func (fs *FreeSlip) Apply(l *core.Lattice) {
-	copyFace(l, fs.Face, mirrorTable(l.Desc, int(fs.Face)/2))
+// HaloFace implements Condition.
+func (fs *FreeSlip) HaloFace() core.Face { return fs.Face }
+
+// ApplyLines implements Condition.
+func (fs *FreeSlip) ApplyLines(l *core.Lattice, j0, j1 int) {
+	m := mirrorTable(l.Desc, int(fs.Face)/2)
+	copyLines(l, fs.Face, m[:l.Desc.Q], j0, j1)
 }
 
 // Periodic wraps one axis (0=x, 1=y, 2=z) periodically each step.
@@ -272,13 +345,17 @@ type Periodic struct {
 // Name implements Condition.
 func (p *Periodic) Name() string { return fmt.Sprintf("periodic(axis=%d)", p.Axis) }
 
-// Apply implements Condition.
-func (p *Periodic) Apply(l *core.Lattice) { l.PeriodicAxis(p.Axis) }
+// HaloFace implements Condition: the axis's low face, whose lines are
+// also the high face's.
+func (p *Periodic) HaloFace() core.Face { return core.Face(2 * p.Axis) }
 
-// mirrorTable returns, for each direction i, the direction whose velocity
-// equals c_i with the given axis component negated.
-func mirrorTable(d *lattice.Descriptor, axis int) []int {
-	m := make([]int, d.Q)
+// ApplyLines implements Condition.
+func (p *Periodic) ApplyLines(l *core.Lattice, j0, j1 int) { l.PeriodicLines(p.Axis, j0, j1) }
+
+// mirrorTable returns, for each direction i < Q, the direction whose
+// velocity equals c_i with the given axis component negated. It is a
+// value, so a free-slip line run per plane allocates nothing.
+func mirrorTable(d *lattice.Descriptor, axis int) (m [core.MaxQ]int) {
 	for i := 0; i < d.Q; i++ {
 		want := d.C[i]
 		want[axis] = -want[axis]

@@ -84,7 +84,7 @@ func TestVelocityInletProfile(t *testing.T) {
 			return [3]float64{0.01 * float64(y+1), 0, 0}
 		},
 	}
-	inlet.Apply(l)
+	ApplyWhole(inlet, l)
 	// Halo equilibrium at y=2 must encode ux = 0.03.
 	idx := l.Idx(-1, 2, 2)
 	var rho, jx float64
@@ -104,7 +104,7 @@ func TestPressureOutletSetsDensity(t *testing.T) {
 	l := newLat(t, 8, 4, 4)
 	l.InitEquilibrium(1.05, 0.04, 0, 0)
 	out := &PressureOutlet{Face: core.FaceXMax, Rho: 0.98}
-	out.Apply(l)
+	ApplyWhole(out, l)
 	idx := l.Idx(l.NX, 2, 2)
 	var rho, jx float64
 	for q := 0; q < l.Desc.Q; q++ {
@@ -124,7 +124,7 @@ func TestPressureOutletSetsDensity(t *testing.T) {
 func TestOutflowZeroGradient(t *testing.T) {
 	l := newLat(t, 6, 4, 4)
 	l.SetCell(5, 2, 2, 1.1, 0.03, 0.01, -0.02)
-	(&Outflow{Face: core.FaceXMax}).Apply(l)
+	ApplyWhole(&Outflow{Face: core.FaceXMax}, l)
 	inner := l.Populations(5, 2, 2, nil)
 	idx := l.Idx(6, 2, 2)
 	for q := 0; q < l.Desc.Q; q++ {

@@ -185,7 +185,7 @@ func TestFacePlansMatchCellwiseDefinition(t *testing.T) {
 			reference(want, c)
 			for _, storage := range []string{"db", "even", "odd"} {
 				got := stateLattice(t, storage)
-				c.Apply(got)
+				ApplyWhole(c, got)
 				requireSameCells(t, want, got, fmt.Sprintf("%s on %s storage", c.Name(), storage))
 			}
 		}
@@ -222,11 +222,12 @@ func requireSameCells(t *testing.T, want, got *core.Lattice, what string) {
 
 // FuzzAAStepConditions is core's FuzzAAStep with boundary handling in the
 // loop: random small grids run a seeded condition set (one kind per axis)
-// for a random number of steps through the double-buffer kernel and
-// through AA storage on a two-worker pool, and every fluid cell must
+// for a random number of steps through the double-buffer kernel, through
+// AA storage on a two-worker pool, and through a three-worker pool that
+// runs the set inside its sweep (StepFaces), and every fluid cell must
 // agree bit for bit at the stopping parity. Run under -race it also checks
 // that the conditions and the pool workers never touch the lattice at the
-// same time.
+// same time, except where StepFaces's plane split lets them.
 //
 // Populations of solid cells are undefined in both schemes (the double
 // buffer leaves stale values there, AA parks bounced ones), so the cases
@@ -282,14 +283,17 @@ func FuzzAAStepConditions(f *testing.F) {
 			}
 			return l
 		}
-		ref, aa := mk(), mk()
+		ref, aa, faces := mk(), mk(), mk()
 		pool := core.NewPool(aa, 2)
 		defer pool.Close()
+		facePool := core.NewPool(faces, 3)
+		defer facePool.Close()
 		for s := 0; s < nsteps; s++ {
 			set.Apply(ref)
 			set.Apply(aa)
 			ref.StepFused()
 			pool.Step()
+			facePool.StepFaces(&set)
 		}
 		var fr, fa []float64
 		for y := 0; y < NY; y++ {
@@ -299,11 +303,16 @@ func FuzzAAStepConditions(f *testing.F) {
 						continue
 					}
 					fr = ref.Populations(x, y, z, fr)
-					fa = aa.Populations(x, y, z, fa)
-					for q := range fr {
-						if math.Float64bits(fr[q]) != math.Float64bits(fa[q]) {
-							t.Fatalf("cell (%d,%d,%d) pop %d after %d steps: double buffer %v, AA %v",
-								x, y, z, q, nsteps, fr[q], fa[q])
+					for _, got := range []struct {
+						name string
+						l    *core.Lattice
+					}{{"AA", aa}, {"AA StepFaces", faces}} {
+						fa = got.l.Populations(x, y, z, fa)
+						for q := range fr {
+							if math.Float64bits(fr[q]) != math.Float64bits(fa[q]) {
+								t.Fatalf("cell (%d,%d,%d) pop %d after %d steps: double buffer %v, %s %v",
+									x, y, z, q, nsteps, fr[q], got.name, fa[q])
+							}
 						}
 					}
 				}

@@ -20,23 +20,27 @@ type NEEInlet struct {
 	Face core.Face
 	U    [3]float64
 	// Profile, if non-nil, overrides U per halo cell (interior-clamped
-	// coordinates, like VelocityInlet).
+	// coordinates, like VelocityInlet); it must be safe for concurrent
+	// calls.
 	Profile func(x, y, z int) [3]float64
 }
 
 // Name implements Condition.
 func (v *NEEInlet) Name() string { return fmt.Sprintf("nee-inlet(%v)", v.Face) }
 
-// Apply implements Condition.
+// HaloFace implements Condition.
+func (v *NEEInlet) HaloFace() core.Face { return v.Face }
+
+// ApplyLines implements Condition.
 //
 //lbm:hot traffic budget=320 assume q=19
-func (v *NEEInlet) Apply(l *core.Lattice) {
+func (v *NEEInlet) ApplyLines(l *core.Lattice, j0, j1 int) {
 	d := l.Desc
 	q := d.Q
 	var buf block
 	var fArr, feqW, feqF [core.MaxQ]float64
 	f := fArr[:q]
-	for j, lines := 0, l.FaceLines(v.Face); j < lines; j++ {
+	for j := j0; j < j1; j++ {
 		halo, inner := l.FaceLine(v.Face, 1, j), l.FaceLine(v.Face, 0, j)
 		for k0 := 0; k0 < halo.Len; k0 += chunk {
 			k1 := min(k0+chunk, halo.Len)

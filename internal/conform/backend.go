@@ -136,29 +136,30 @@ func (c *Case) newLattice() (*core.Lattice, error) {
 // advance runs steps time steps on a standalone lattice: boundary fill in
 // psolve's order, then one kernel invocation.
 func (c *Case) advance(l *core.Lattice, conds []boundary.Condition, steps int, step func(l *core.Lattice)) {
+	bcs := c.bcSet(conds)
 	for s := 0; s < steps; s++ {
-		c.applyBCs(l, conds)
+		bcs.Apply(l)
 		step(l)
 	}
 }
 
-// applyBCs fills the halo of a standalone lattice in psolve's order:
+// bcSet orders the halo fill of a standalone lattice as psolve does:
 // periodic z wrap, face conditions, then the periodic x and y wraps that
 // stand in for the (single-rank) halo exchange.
-func (c *Case) applyBCs(l *core.Lattice, conds []boundary.Condition) {
+func (c *Case) bcSet(conds []boundary.Condition) *boundary.Set {
 	perX, perY, perZ := c.periodic()
+	var s boundary.Set
 	if perZ {
-		l.PeriodicAxis(2)
+		s.Add(&boundary.Periodic{Axis: 2})
 	}
-	for _, bc := range conds {
-		bc.Apply(l)
-	}
+	s.Add(conds...)
 	if perX {
-		l.PeriodicAxis(0)
+		s.Add(&boundary.Periodic{Axis: 0})
 	}
 	if perY {
-		l.PeriodicAxis(1)
+		s.Add(&boundary.Periodic{Axis: 1})
 	}
+	return &s
 }
 
 // RunSerial executes the case on a standalone lattice, advancing with
@@ -181,6 +182,7 @@ func (c *Case) Reference() (*core.MacroField, error) {
 
 // RunSerialAA executes the case on a standalone AA-pattern (in-place)
 // lattice: workers > 1 drives the steps through a persistent worker pool
+// that runs the boundary conditions inside its sweep (Pool.StepFaces)
 // instead of the serial sweep. All variants must match the double-buffer
 // reference bit-for-bit at every step parity.
 func (c *Case) RunSerialAA(workers int) (*core.MacroField, error) {
@@ -192,7 +194,10 @@ func (c *Case) RunSerialAA(workers int) (*core.MacroField, error) {
 	if workers > 1 {
 		p := core.NewPool(l, workers)
 		defer p.Close()
-		c.advance(l, c.conds(), c.Steps, func(*core.Lattice) { p.Step() })
+		bcs := c.bcSet(c.conds())
+		for s := 0; s < c.Steps; s++ {
+			p.StepFaces(bcs)
+		}
 	} else {
 		c.advance(l, c.conds(), c.Steps, (*core.Lattice).StepFused)
 	}

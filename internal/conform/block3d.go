@@ -177,7 +177,7 @@ func (g *blockGrid) step() {
 	g.exchangeAxis(2)
 	for i, l := range g.lats {
 		for _, bc := range g.conds[i] {
-			bc.Apply(l)
+			boundary.ApplyWhole(bc, l)
 		}
 	}
 	g.exchangeAxis(0)

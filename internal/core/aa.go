@@ -70,7 +70,7 @@ func (l *Lattice) GenericRows() int {
 		if mixed {
 			n++
 		}
-	})
+	}, nil)
 	return n
 }
 

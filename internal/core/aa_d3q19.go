@@ -124,7 +124,9 @@ func (l *Lattice) summarize(s *[rowChunk + 2]uint8, xc, xe, y int) {
 // y0 ≤ y < y1 and says whether it is mixed — one of its own cells is not
 // Fluid, or a Wall/MovingWall lies anywhere in the 3×3 allocated z-rows
 // around it (every cell its stencils reach) — so the unrolled row must
-// not run there. Each allocated row's flags are read once per call into
+// not run there. A non-nil rowDone(y) runs once row y has been visited for
+// every x (during the last x-chunk pass when x1−x0 > rowChunk), in
+// increasing y. Each allocated row's flags are read once per call into
 // a summary; a rolling window of three summary lines then decides each
 // row with nine byte ORs. Nothing derived from the flags outlives the
 // call, so no writer of Flags has a cache to invalidate.
@@ -133,7 +135,7 @@ func (l *Lattice) summarize(s *[rowChunk + 2]uint8, xc, xe, y int) {
 // cell is priced in rowSummary).
 //
 //lbm:hot traffic budget=9
-func (l *Lattice) forRows(x0, x1, y0, y1 int, visit func(x, y int, mixed bool)) {
+func (l *Lattice) forRows(x0, x1, y0, y1 int, visit func(x, y int, mixed bool), rowDone func(y int)) {
 	var win [3][rowChunk + 2]uint8
 	for xc := x0; xc < x1; xc += rowChunk {
 		xe := min(xc+rowChunk, x1)
@@ -147,6 +149,9 @@ func (l *Lattice) forRows(x0, x1, y0, y1 int, visit func(x, y int, mixed bool)) 
 				walls := lo[j] | lo[j+1] | lo[j+2] | mid[j] | mid[j+2] | hi[j] | hi[j+1] | hi[j+2]
 				visit(x, y, (walls&rowWall)|mid[j+1] != 0)
 			}
+			if rowDone != nil && xe == x1 {
+				rowDone(y)
+			}
 		}
 	}
 }
@@ -155,6 +160,7 @@ func (l *Lattice) forRows(x0, x1, y0, y1 int, visit func(x, y int, mixed bool)) 
 // hoisted slices; mixed rows step the generic sweep. The phases differ
 // only in where the gather slices start (see above): the even step pulls
 // from src[i*n − off[i] + row], the odd one from src[Opp[i]*n + row].
+// rowDone, if non-nil, is forRows'.
 //
 // Per-cell traffic on the clean path: 19 pulls + 19 pushes of float64
 // within the single AA array plus one flag byte of the row classification
@@ -162,7 +168,7 @@ func (l *Lattice) forRows(x0, x1, y0, y1 int, visit func(x, y int, mixed bool)) 
 // stream of write-allocated destination lines is gone.
 //
 //lbm:hot traffic budget=360
-func (l *Lattice) stepAAD3Q19(x0, x1, y0, y1 int) {
+func (l *Lattice) stepAAD3Q19(x0, x1, y0, y1 int, rowDone func(y int)) {
 	src := l.F[l.src]
 	nTau := -1.0 / l.Tau
 	nz := l.NZ
@@ -185,7 +191,7 @@ func (l *Lattice) stepAAD3Q19(x0, x1, y0, y1 int) {
 			g[i] = src[b : b+nz]
 		}
 		aaRowD3Q19(&g, nz, nTau)
-	})
+	}, rowDone)
 }
 
 // aaRowD3Q19 collide-streams one clean (all-fluid stencil) row of nz

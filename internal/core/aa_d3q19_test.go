@@ -152,7 +152,8 @@ func (l *Lattice) aaRowMixed(rowBase, nz int) bool {
 // lattice, psolve's inner block and boundary strips, single rows, Pool
 // bands on uneven splits and random blocks, on lattices narrower and
 // wider than the flag window. Every row of the region must be visited
-// exactly once.
+// exactly once, and rowDone must report each row in order only after
+// its last visit.
 func TestForRowsMatchesDefinition(t *testing.T) {
 	rng := rand.New(rand.NewSource(29))
 	for _, d := range [][3]int{{1, 1, 1}, {3, 4, 2}, {7, 9, 12}, {rowChunk - 1, 5, 3}, {rowChunk, 3, 2}, {rowChunk + 1, 4, 5}, {2*rowChunk + 3, 3, 1}} {
@@ -195,12 +196,29 @@ func TestForRowsMatchesDefinition(t *testing.T) {
 					continue
 				}
 				seen := make(map[[2]int]int)
+				done := r[2] - 1 // last row rowDone reported
 				l.forRows(r[0], r[1], r[2], r[3], func(x, y int, mixed bool) {
+					if y <= done {
+						t.Fatalf("%v, region %v: row (%d,%d) visited after rowDone(%d)", d, r, x, y, done)
+					}
 					seen[[2]int{x, y}]++
 					if want := l.aaRowMixed(l.Idx(x, y, 0), l.NZ); mixed != want {
 						t.Fatalf("%v, region %v, trial %d: row (%d,%d) mixed=%v, definition says %v", d, r, trial, x, y, mixed, want)
 					}
+				}, func(y int) {
+					if y != done+1 {
+						t.Fatalf("%v, region %v: rowDone(%d) after rowDone(%d)", d, r, y, done)
+					}
+					for x := r[0]; x < r[1]; x++ {
+						if seen[[2]int{x, y}] != 1 {
+							t.Fatalf("%v, region %v: rowDone(%d) before row (%d,%d) was visited", d, r, y, x, y)
+						}
+					}
+					done = y
 				})
+				if done != r[3]-1 {
+					t.Fatalf("%v, region %v: last rowDone(%d), want %d", d, r, done, r[3]-1)
+				}
 				if want := (r[1] - r[0]) * (r[3] - r[2]); len(seen) != want {
 					t.Fatalf("%v, region %v: visited %d distinct rows, want %d", d, r, len(seen), want)
 				}

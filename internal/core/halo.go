@@ -279,6 +279,14 @@ func (l *Lattice) PeriodicAll() {
 // successive calls for different axes fill edges and corners correctly.
 // The sources (interior boundary layers) are never destinations (halo
 // layers), so the in-place copies are order-safe at either storage phase.
+func (l *Lattice) PeriodicAxis(axis int) {
+	l.PeriodicLines(axis, 0, l.FaceLines(Face(2*axis)))
+}
+
+// PeriodicLines is PeriodicAxis on lines j0 ≤ j < j1 of the axis's face
+// layers (FaceLine numbering: allocated y on the x and z axes, allocated x
+// on y). Each line pair touches only its own allocated y-plane on the x
+// and z axes.
 //
 // Each iteration wraps one line pair, i.e. per cell pair 2 × (19 reads +
 // 19 writes of float64, priced in copyPop) plus the flag bytes here. The
@@ -287,9 +295,9 @@ func (l *Lattice) PeriodicAll() {
 // no faster on the 48×192×96 grid, and slower on the x and z wraps.)
 //
 //lbm:hot traffic budget=616 assume q=19
-func (l *Lattice) PeriodicAxis(axis int) {
+func (l *Lattice) PeriodicLines(axis, j0, j1 int) {
 	lo, hi := Face(2*axis), Face(2*axis+1)
-	for j, n := 0, l.FaceLines(lo); j < n; j++ {
+	for j := j0; j < j1; j++ {
 		loHalo, loIn := l.FaceLine(lo, 1, j), l.FaceLine(lo, 0, j)
 		hiHalo, hiIn := l.FaceLine(hi, 1, j), l.FaceLine(hi, 0, j)
 		for i := 0; i < l.Desc.Q; i++ {

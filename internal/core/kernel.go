@@ -26,11 +26,23 @@ func (l *Lattice) StepFused() {
 // The unrolled D3Q19 row kernel runs where it applies (AA storage, no LES,
 // no body force); everything else — and every mixed row inside it — is the
 // one descriptor-generic sweep.
-func (l *Lattice) StepRegion(x0, x1, y0, y1 int) {
+func (l *Lattice) StepRegion(x0, x1, y0, y1 int) { l.sweepRows(x0, x1, y0, y1, nil) }
+
+// sweepRows is StepRegion that calls a non-nil rowDone(y) once row y of
+// the region has been swept for every x, in increasing y (Pool.StepFaces
+// fills the next step's halo from it). The generic sweep runs a row at a
+// time; no cell reads another's writes within a step, so the row order is
+// the block order.
+func (l *Lattice) sweepRows(x0, x1, y0, y1 int, rowDone func(y int)) {
 	if l.useFastPath() {
-		l.stepAAD3Q19(x0, x1, y0, y1)
-	} else {
-		l.stepGeneric(x0, x1, y0, y1)
+		l.stepAAD3Q19(x0, x1, y0, y1, rowDone)
+		return
+	}
+	for y := y0; y < y1; y++ {
+		l.stepGeneric(x0, x1, y, y+1)
+		if rowDone != nil {
+			rowDone(y)
+		}
 	}
 }
 

@@ -3,7 +3,9 @@ package core
 import (
 	"fmt"
 	"runtime"
+	"slices"
 	"sync"
+	"time"
 )
 
 // Pool is a persistent worker-pool stepper for AA lattices: the paper's
@@ -14,13 +16,58 @@ import (
 // worker is the whole protocol. Because AA cells never read another
 // cell's writes within a step, the pool is bit-identical to the serial
 // stepper regardless of scheduling.
+//
+// StepFaces also runs the face conditions, inside the sweep: each worker
+// fills the next step's halo on a y-plane as soon as its sweep has left
+// that plane final, while the plane's lines are still in cache.
 type Pool struct {
-	l      *Lattice
-	start  []chan struct{}
-	done   chan struct{}
-	quit   chan struct{}
-	ranges [][2]int
-	once   sync.Once
+	l     *Lattice
+	start []chan struct{}
+	done  chan struct{}
+	quit  chan struct{}
+	once  sync.Once
+
+	// faces is the set the running StepFaces fills the halo with (nil
+	// during a plain Step) and next the lattice one step ahead — the view
+	// it fills through. Both are written before the workers are released.
+	faces Faces
+	next  Lattice
+	// tail lists the allocated y-planes the workers leave to ApplyTail:
+	// the two halo planes and each band's first and last plane.
+	tail []int
+	// prepared, preparedLen and preparedAt say which conditions the halo
+	// holds and for which step; anything else makes StepFaces fill it
+	// whole first.
+	prepared    Faces
+	preparedLen int
+	preparedAt  int
+	// planeTime is each worker's time on per-plane conditions in the
+	// running step; faceTime the total over all steps.
+	planeTime []time.Duration
+	faceTime  time.Duration
+}
+
+// Faces is an ordered set of face conditions a Pool runs inside its sweep
+// (boundary.Set implements it). The y-plane split is the contract: a
+// condition on an x or z face (periodic x and z included) fills, for
+// allocated y-plane ay, only cells of that plane and reads only cells of
+// that plane, so the planes may run on different workers in any order.
+// A condition on a y face spans planes and runs whole. The pool keeps the
+// halo a set prepared from one step to the next, so a set's conditions
+// must not change while it is being stepped (see StepFaces).
+type Faces interface {
+	// Len is the number of conditions; a change makes the pool refill
+	// the halo whole.
+	Len() int
+	// Apply runs every condition whole, in order.
+	Apply(l *Lattice)
+	// ApplyPlane runs, in order, the x- and z-face conditions on
+	// allocated y-plane ay alone. Pool workers call it concurrently for
+	// distinct planes.
+	ApplyPlane(l *Lattice, ay int)
+	// ApplyTail runs every condition in order: the x- and z-face ones on
+	// the given allocated y-planes, the y-face ones whole.
+	ApplyTail(l *Lattice, planes []int)
 }
 
 // NewPool creates a pool of the given number of workers (≤ 0 selects
@@ -39,6 +86,7 @@ func NewPool(l *Lattice, workers int) *Pool {
 		workers = 1
 	}
 	p := &Pool{l: l, done: make(chan struct{}, workers), quit: make(chan struct{})}
+	p.tail = []int{0, l.AY - 1}
 	chunk := (l.NY + workers - 1) / workers
 	for w := 0; w < workers; w++ {
 		y0 := w * chunk
@@ -51,9 +99,12 @@ func NewPool(l *Lattice, workers int) *Pool {
 		}
 		ch := make(chan struct{}, 1)
 		p.start = append(p.start, ch)
-		p.ranges = append(p.ranges, [2]int{y0, y1})
-		go p.worker(ch, y0, y1)
+		p.tail = append(p.tail, y0+1, y1) // allocated planes of rows y0, y1−1
+		go p.worker(w, ch, y0, y1)
 	}
+	slices.Sort(p.tail)
+	p.tail = slices.Compact(p.tail)
+	p.planeTime = make([]time.Duration, len(p.start))
 	return p
 }
 
@@ -70,15 +121,39 @@ func (p *Pool) Kernel() string {
 // the pool's quit channel closes. Step and Close are never concurrent
 // (the pool contract), so the select never races a release against
 // shutdown.
-func (p *Pool) worker(start <-chan struct{}, y0, y1 int) {
+func (p *Pool) worker(w int, start <-chan struct{}, y0, y1 int) {
+	// Once row y is swept, allocated plane y (row y−1) is final when rows
+	// y−2…y — all that read or write it — are this worker's.
+	rowDone := func(y int) {
+		if y < y0+2 {
+			return
+		}
+		t := time.Now()
+		p.faces.ApplyPlane(&p.next, y)
+		p.planeTime[w] += time.Since(t)
+	}
 	for {
 		select {
 		case <-p.quit:
 			return
 		case <-start:
-			p.l.StepRegion(0, p.l.NX, y0, y1)
+			var rd func(y int)
+			if p.faces != nil {
+				rd = rowDone
+			}
+			p.l.sweepRows(0, p.l.NX, y0, y1, rd)
 			p.done <- struct{}{}
 		}
+	}
+}
+
+// release runs one sweep on every worker and waits for them all.
+func (p *Pool) release() {
+	for _, ch := range p.start {
+		ch <- struct{}{}
+	}
+	for range p.start {
+		<-p.done
 	}
 }
 
@@ -87,14 +162,64 @@ func (p *Pool) worker(start <-chan struct{}, y0, y1 int) {
 // workers' writes before the counter bump and the caller's subsequent
 // reads, so the pool is race-free by construction.
 func (p *Pool) Step() {
-	for _, ch := range p.start {
-		ch <- struct{}{}
-	}
-	for range p.start {
-		<-p.done
-	}
+	p.release()
 	p.l.step++
+	p.prepared = nil
 }
+
+// StepFaces advances the lattice one time step under the conditions f.
+// While every call passes the same, unchanged f and nothing else writes
+// the lattice between steps, it is exactly f.Apply(l) followed by Step,
+// bit for bit. f must be comparable (a pointer, like *boundary.Set).
+//
+// The halo for the step is normally already in place: the previous
+// StepFaces filled it during its sweep. Each worker applies f to the next
+// step's storage phase (a view of the lattice one step ahead) on every
+// plane of its band as soon as the sweep has left the plane final, and
+// after the barrier ApplyTail covers the planes no worker owned whole:
+// the two halo planes, each band's first and last plane, and the y-face
+// conditions, all in f's order. That is safe in place because in AA
+// storage every population slot belongs to exactly one (cell, population)
+// at each parity: the conditions write only halo cells' next-phase slots,
+// which the running sweep never touches, and read interior slots that
+// only the cell's own update writes.
+//
+// The prepared halo belongs to the lattice state the step left. StepFaces
+// fills the halo whole first on its first call, after a plain Step, and
+// whenever the step counter, f or f.Len() differs from what it prepared.
+// It cannot see anything else: a caller that writes the lattice or edits
+// a condition of f in place between steps runs f.Apply(l) and a plain
+// Step once, and StepFaces then starts from a whole fill again. Switching
+// to another set g fills g's halo whole, but the halo cells g does not
+// fill keep what f prepared for this step instead of what f.Apply left
+// there a step earlier; a step that reads those cells then differs from
+// g.Apply(l) followed by Step.
+func (p *Pool) StepFaces(f Faces) {
+	l := p.l
+	t := time.Now()
+	if f != p.prepared || f.Len() != p.preparedLen || l.step != p.preparedAt {
+		f.Apply(l)
+	}
+	p.faces, p.next = f, *l
+	p.next.step++
+	p.faceTime += time.Since(t)
+
+	p.release()
+
+	t = time.Now()
+	f.ApplyTail(&p.next, p.tail)
+	l.step++
+	p.faces = nil
+	p.prepared, p.preparedLen, p.preparedAt = f, f.Len(), l.step
+	// The workers ran their planes side by side: the slowest one's share
+	// is what the step's wall time holds of them.
+	p.faceTime += time.Since(t) + slices.Max(p.planeTime)
+	clear(p.planeTime)
+}
+
+// FaceTime is the time StepFaces has spent on conditions: whole fills,
+// each step's slowest worker on its planes, and the tails.
+func (p *Pool) FaceTime() time.Duration { return p.faceTime }
 
 // Run advances n steps.
 func (p *Pool) Run(n int) {

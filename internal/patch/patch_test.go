@@ -76,7 +76,7 @@ func serialRef(t *testing.T, opt patch.Options, steps int) *core.MacroField {
 		}
 		for _, f := range faces {
 			if opt.FaceBC[f] != nil {
-				opt.FaceBC[f].Apply(l)
+				boundary.ApplyWhole(opt.FaceBC[f], l)
 			}
 		}
 		if opt.PeriodicX {

@@ -327,7 +327,7 @@ func (n *node) stepOnce() {
 	n.exchange(2)
 	for _, p := range n.mine {
 		for _, bc := range n.conds[p] {
-			bc.Apply(n.lats[p])
+			boundary.ApplyWhole(bc, n.lats[p])
 		}
 	}
 	n.exchange(0)

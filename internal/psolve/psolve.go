@@ -265,7 +265,7 @@ func (s *Solver) applyLocalBCs() {
 		s.Lat.PeriodicAxis(2)
 	}
 	for _, bc := range s.bcs {
-		bc.Apply(s.Lat)
+		boundary.ApplyWhole(bc, s.Lat)
 	}
 }
 

@@ -121,7 +121,7 @@ func serialReference(t *testing.T, o Options, steps int) *core.MacroField {
 		}
 		for _, f := range []core.Face{core.FaceXMin, core.FaceXMax} {
 			if bc := o.FaceBC[f]; bc != nil {
-				bc.Apply(l)
+				boundary.ApplyWhole(bc, l)
 			}
 		}
 		if o.PeriodicX {

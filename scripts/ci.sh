@@ -155,10 +155,12 @@ perf() {
     go test -race -count=1 -timeout 600s \
         -run 'TestBuildMatchesDefinition|TestRelaxMatchesDefinition|TestUnrolledKernelBitIdentical|TestForRowsMatchesDefinition|TestGenericRows|TestAA|TestPool|TestPack|TestPeriodic' ./internal/core
     # Boundary handling on AA storage: every condition on every face
-    # against its per-cell definition at both phases, and seeded condition
-    # sets between the steps of a two-worker pool.
+    # against its per-cell definition at both phases, seeded condition
+    # sets between the steps of a two-worker pool and inside the sweep of
+    # a three-worker one, and the pool's in-sweep conditions bitwise
+    # against Apply-then-Step at 1-3 workers (the lid regime included).
     go test -race -count=1 -timeout 600s \
-        -run 'TestFacePlans|FuzzAAStepConditions' ./internal/boundary
+        -run 'TestFacePlans|TestPoolFaces|FuzzAAStepConditions' ./internal/boundary
     # The rank data paths allocate nothing in steady state: a 2x1 rank
     # step, a patch2 step and a snapshot wave, plus the row-wise macro
     # extraction bitwise against the per-cell definition.
