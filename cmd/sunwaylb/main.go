@@ -1,8 +1,11 @@
 // Sunwaylb is the SunwayLB-Go solver front end: it assembles the
 // pre-processing (geometry + boundary conditions), the D3Q19 LBM solver
 // (the in-place AA kernel on a worker pool, or distributed over simulated
-// MPI ranks) and the post-processing (PPM slices, checkpoints) into one
-// command — the holistic framework of Fig. 4.
+// MPI ranks or patches) and the post-processing (PPM slices, checkpoints)
+// into one command — the holistic framework of Fig. 4. Every run, the
+// single rank included, goes through the one recovery ladder
+// (psolve.SuperviseOn), so the checkpoint, restore and fault flags mean the
+// same on every world.
 //
 // Usage:
 //
@@ -24,6 +27,7 @@ import (
 	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"log"
 	"os"
 	"os/signal"
@@ -34,14 +38,11 @@ import (
 	"sunwaylb/internal/boundary"
 	"sunwaylb/internal/config"
 	"sunwaylb/internal/core"
-	"sunwaylb/internal/fault"
 	"sunwaylb/internal/geometry"
-	"sunwaylb/internal/lattice"
 	"sunwaylb/internal/mpi"
 	"sunwaylb/internal/patch"
 	"sunwaylb/internal/perf"
 	"sunwaylb/internal/psolve"
-	"sunwaylb/internal/resil"
 	"sunwaylb/internal/sunway"
 	"sunwaylb/internal/swio"
 	"sunwaylb/internal/swlb"
@@ -57,6 +58,10 @@ const exitInterrupted = 3
 // errInterrupted marks a run that stopped at a signal after writing its
 // checkpoint.
 var errInterrupted = errors.New("interrupted by signal")
+
+// errSunway refuses -sunway on a world without a rank grid: only a rank
+// steps its block on a simulated core group.
+var errSunway = errors.New("-sunway needs -decomp PXxPY: it runs each rank's kernel on a simulated SW26010 core group")
 
 // signalContext returns a context canceled by the first SIGINT/SIGTERM.
 // The first signal asks the run to checkpoint and exit (code 3); a
@@ -89,37 +94,34 @@ func main() {
 	)
 
 	// Execution model.
-	var (
-		decomp    = flag.String("decomp", "", "run distributed as PXxPY simulated MPI ranks (e.g. 2x2), or 'patch' for patch decomposition")
-		useSunway = flag.Bool("sunway", false, "with -decomp: run each rank's kernel on a simulated SW26010 core group")
+	var o runOpts
+	flag.StringVar(&o.decomp, "decomp", "", "run distributed as PXxPY simulated MPI ranks (e.g. 2x2), or 'patch' for patch decomposition (default: one rank)")
+	flag.BoolVar(&o.useSunway, "sunway", false, "with -decomp PXxPY: run each rank's kernel on a simulated SW26010 core group")
+	flag.StringVar(&o.patchTiles, "patch-tiles", "2x2x1", "with -decomp=patch: TXxTYxTZ patch tiling of the domain")
+	flag.StringVar(&o.patchWorkers, "patch-workers", "core,core", "with -decomp=patch: worker roster, e.g. 'core,core*4,sunway,gpu' (*F = straggle factor)")
+	flag.IntVar(&o.rebalanceEvery, "rebalance-every", 0, "with -decomp=patch: balance-check interval in steps (0 = never rebalance)")
 
-		patchTiles     = flag.String("patch-tiles", "2x2x1", "with -decomp=patch: TXxTYxTZ patch tiling of the domain")
-		patchWorkers   = flag.String("patch-workers", "core,core", "with -decomp=patch: worker roster, e.g. 'core,core*4,sunway,gpu' (*F = straggle factor)")
-		rebalanceEvery = flag.Int("rebalance-every", 0, "with -decomp=patch: balance-check interval in steps (0 = never rebalance)")
-	)
-
-	// Checkpoint/restart and fault tolerance.
-	var (
-		cpPath      = flag.String("checkpoint", "", "checkpoint file path")
-		cpEvery     = flag.Int("checkpoint-every", 0, "checkpoint interval in steps")
-		restore     = flag.String("restore", "", "resume from a checkpoint file")
-		faultPlan   = flag.String("fault-plan", "", "with -decomp: deterministic fault plan, e.g. 'seed=42;crash@rank=1,step=50;corrupt@ckpt=2' (see internal/fault)")
-		maxRestarts = flag.Int("max-restarts", 0, "with -decomp: recovery budget of the self-healing supervisor")
-		allowShrink = flag.Bool("allow-shrink", false, "with -decomp: re-decompose onto fewer ranks after a rank death")
-		spareRanks  = flag.Int("spare-ranks", 0, "with -decomp PXxPY: hot-swap budget — dead ranks replaced from in-memory snapshots without shrinking (a patch world re-homes onto its survivors instead)")
-		ckptLevels  = flag.String("ckpt-levels", "", "with -decomp: active checkpoint levels, e.g. '123' or '1234' (1=local 2=buddy 3=parity 4=disk; empty = disk only)")
-		ckptGroup   = flag.Int("ckpt-group", 0, "with -decomp: parity-group size for L2/L3 snapshots (default 4)")
-		snapEvery   = flag.Int("snapshot-every", 0, "with -decomp: in-memory snapshot wave interval in steps (0 = off)")
-		detector    = flag.String("detector", "", "with -decomp: failure detector, 'deadline' (fixed timeout) or 'phi' (accrual heartbeats)")
-	)
+	// Checkpoint/restart and fault tolerance: the recovery ladder runs
+	// every world, the single rank included.
+	flag.StringVar(&o.cpPath, "checkpoint", "", "checkpoint file path: periodic and interrupt checkpoints go here, and a single-rank run leaves its final state here")
+	flag.IntVar(&o.cpEvery, "checkpoint-every", 0, "health-gated, read-back-verified checkpoint interval in steps (0 = off)")
+	flag.StringVar(&o.restore, "restore", "", "resume from a checkpoint file (written by any world)")
+	flag.StringVar(&o.faultPlan, "fault-plan", "", "deterministic fault plan, e.g. 'seed=42;crash@rank=1,step=50;corrupt@ckpt=2' (see internal/fault); ranks must exist in the world")
+	flag.IntVar(&o.maxRestarts, "max-restarts", 0, "recovery budget of the self-healing supervisor")
+	flag.BoolVar(&o.allowShrink, "allow-shrink", false, "re-decompose onto fewer ranks after a rank death")
+	flag.IntVar(&o.spareRanks, "spare-ranks", 0, "hot-swap budget of a -decomp PXxPY world — dead ranks replaced from in-memory snapshots without shrinking (a patch world re-homes onto its survivors instead)")
+	flag.StringVar(&o.ckptLevels, "ckpt-levels", "", "active checkpoint levels, e.g. '123' or '1234' (1=local 2=buddy 3=parity 4=disk; empty = disk only)")
+	flag.IntVar(&o.ckptGroup, "ckpt-group", 0, "parity-group size for L2/L3 snapshots (default 4)")
+	flag.IntVar(&o.snapEvery, "snapshot-every", 0, "in-memory snapshot wave interval in steps (0 = off)")
+	flag.StringVar(&o.detector, "detector", "", "failure detector, 'deadline' (fixed timeout) or 'phi' (accrual heartbeats)")
 
 	// Output and observability.
 	var (
-		out        = flag.String("out", "", "output prefix for PPM slices")
-		tracePath  = flag.String("trace", "", "write a Chrome trace-event JSON timeline (open in Perfetto / chrome://tracing)")
-		traceBuf   = flag.Int("trace-buf", 0, "with -trace: max buffered events per rank, ring-overwritten beyond (0 = unbounded)")
-		reportSecs = flag.Float64("report", 2, "progress report interval in seconds")
+		tracePath = flag.String("trace", "", "write a Chrome trace-event JSON timeline (open in Perfetto / chrome://tracing)")
+		traceBuf  = flag.Int("trace-buf", 0, "with -trace: max buffered events per rank, ring-overwritten beyond (0 = unbounded)")
 	)
+	flag.StringVar(&o.out, "out", "", "output prefix for PPM slices")
+	flag.Float64Var(&o.reportSecs, "report", 2, "progress report interval in seconds")
 	flag.Parse()
 
 	cs, err := buildCase(*preset, *caseFile)
@@ -141,58 +143,28 @@ func main() {
 	if err := cs.cfg.Validate(); err != nil {
 		log.Fatalf("sunwaylb: %v", err)
 	}
-
-	var tracer *trace.Tracer
 	if *tracePath != "" {
-		tracer = trace.New(trace.Options{MaxEventsPerRank: *traceBuf})
+		o.tracer = trace.New(trace.Options{MaxEventsPerRank: *traceBuf})
 	}
 
 	ctx, stopSignals := signalContext()
 	defer stopSignals()
-	// exitWith funnels every run's outcome through one place: an
-	// interrupted run still gets its trace written, then exits 3.
-	exitWith := func(err error) {
-		if err != nil && !errors.Is(err, errInterrupted) {
-			log.Fatalf("sunwaylb: %v", err)
-		}
-		if terr := finishTrace(tracer, *tracePath); terr != nil {
-			log.Fatalf("sunwaylb: %v", terr)
-		}
-		if err != nil {
-			log.Print("sunwaylb: interrupted; checkpoint saved where configured (exit 3)")
-			os.Exit(exitInterrupted)
-		}
+	w, err := newWorld(cs, o)
+	if err == nil {
+		err = run(ctx, w, o)
 	}
-
-	if *decomp != "" {
-		d := distOpts{
-			decomp:      *decomp,
-			out:         *out,
-			useSunway:   *useSunway,
-			cpPath:      *cpPath,
-			cpEvery:     *cpEvery,
-			restore:     *restore,
-			faultPlan:   *faultPlan,
-			maxRestarts: *maxRestarts,
-			allowShrink: *allowShrink,
-			spareRanks:  *spareRanks,
-			ckptLevels:  *ckptLevels,
-			ckptGroup:   *ckptGroup,
-			snapEvery:   *snapEvery,
-			detector:    *detector,
-			tracer:      tracer,
-
-			patchTiles:     *patchTiles,
-			patchWorkers:   *patchWorkers,
-			rebalanceEvery: *rebalanceEvery,
-		}
-		exitWith(runDistributed(ctx, cs, d))
-		return
+	// Every run's outcome ends here: an interrupted run still gets its
+	// trace written, then exits 3.
+	if err != nil && !errors.Is(err, errInterrupted) {
+		log.Fatalf("sunwaylb: %v", err)
 	}
-	if *faultPlan != "" {
-		log.Fatal("sunwaylb: -fault-plan requires -decomp (faults target simulated MPI ranks)")
+	if terr := finishTrace(o.tracer, *tracePath); terr != nil {
+		log.Fatalf("sunwaylb: %v", terr)
 	}
-	exitWith(runLocal(ctx, cs, *out, *cpPath, *cpEvery, *restore, *reportSecs, tracer))
+	if err != nil {
+		log.Print("sunwaylb: interrupted; checkpoint saved where configured (exit 3)")
+		os.Exit(exitInterrupted)
+	}
 }
 
 // finishTrace serialises the recorded timeline as Chrome trace-event
@@ -228,9 +200,8 @@ type caseSetup struct {
 	cfg   config.Case
 	walls core.WallsFunc
 	init  core.InitFunc
-	bcs   func() *boundary.Set
-	// faceBC and the periodic axes mirror bcs for the distributed
-	// runners.
+	// faceBC holds the conditions of the non-periodic faces. Every world
+	// applies them in one fixed face order (psolve.HaloSet on one rank).
 	faceBC                          map[core.Face]boundary.Condition
 	periodicX, periodicY, periodicZ bool
 	smag                            float64
@@ -259,9 +230,8 @@ func buildCase(preset, caseFile string) (*caseSetup, error) {
 			return nil, err
 		}
 		if cs == nil {
-			// A bare case file: periodic box with the given
-			// parameters.
-			cs = periodicBox()
+			// A bare case file: a periodic box with its parameters.
+			cs = &caseSetup{periodicX: true, periodicY: true, periodicZ: true}
 		}
 		cs.cfg = *c
 		if c.Smagorinsky > 0 {
@@ -271,33 +241,11 @@ func buildCase(preset, caseFile string) (*caseSetup, error) {
 	return cs, nil
 }
 
-func periodicBox() *caseSetup {
-	return &caseSetup{
-		cfg: config.Case{Name: "periodic-box", NX: 32, NY: 32, NZ: 32, Tau: 0.8, Steps: 100},
-		bcs: func() *boundary.Set {
-			var s boundary.Set
-			s.Add(&boundary.Periodic{Axis: 0}, &boundary.Periodic{Axis: 1}, &boundary.Periodic{Axis: 2})
-			return &s
-		},
-		periodicX: true, periodicY: true, periodicZ: true,
-	}
-}
-
 func builtinPreset(name string) (*caseSetup, error) {
 	switch name {
 	case "cavity":
 		return &caseSetup{
 			cfg: config.Case{Name: "lid-driven cavity", NX: 32, NY: 32, NZ: 32, Tau: 0.56, Steps: 2000},
-			bcs: func() *boundary.Set {
-				var s boundary.Set
-				s.Add(
-					&boundary.NoSlip{Face: core.FaceXMin}, &boundary.NoSlip{Face: core.FaceXMax},
-					&boundary.NoSlip{Face: core.FaceZMin}, &boundary.NoSlip{Face: core.FaceZMax},
-					&boundary.NoSlip{Face: core.FaceYMin},
-					&boundary.MovingNoSlip{Face: core.FaceYMax, U: [3]float64{0.1, 0, 0}},
-				)
-				return &s
-			},
 			faceBC: map[core.Face]boundary.Condition{
 				core.FaceXMin: &boundary.NoSlip{Face: core.FaceXMin},
 				core.FaceXMax: &boundary.NoSlip{Face: core.FaceXMax},
@@ -311,15 +259,6 @@ func builtinPreset(name string) (*caseSetup, error) {
 		u := 0.05
 		return &caseSetup{
 			cfg: config.Case{Name: "channel flow", NX: 64, NY: 24, NZ: 16, Tau: 0.7, Steps: 1000},
-			bcs: func() *boundary.Set {
-				var s boundary.Set
-				s.Add(
-					&boundary.Periodic{Axis: 1}, &boundary.Periodic{Axis: 2},
-					&boundary.VelocityInlet{Face: core.FaceXMin, U: [3]float64{u, 0, 0}},
-					&boundary.PressureOutlet{Face: core.FaceXMax, Rho: 1},
-				)
-				return &s
-			},
 			faceBC: map[core.Face]boundary.Condition{
 				core.FaceXMin: &boundary.VelocityInlet{Face: core.FaceXMin, U: [3]float64{u, 0, 0}},
 				core.FaceXMax: &boundary.PressureOutlet{Face: core.FaceXMax, Rho: 1},
@@ -339,16 +278,6 @@ func builtinPreset(name string) (*caseSetup, error) {
 		return &caseSetup{
 			cfg:   config.Case{Name: "flow past cylinder", NX: 160, NY: 64, NZ: 1, Re: 100, U: u, L: d, Steps: 4000},
 			walls: walls,
-			bcs: func() *boundary.Set {
-				var s boundary.Set
-				s.Add(
-					&boundary.Periodic{Axis: 2},
-					&boundary.FreeSlip{Face: core.FaceYMin}, &boundary.FreeSlip{Face: core.FaceYMax},
-					&boundary.VelocityInlet{Face: core.FaceXMin, U: [3]float64{u, 0, 0}},
-					&boundary.PressureOutlet{Face: core.FaceXMax, Rho: 1},
-				)
-				return &s
-			},
 			faceBC: map[core.Face]boundary.Condition{
 				core.FaceYMin: &boundary.FreeSlip{Face: core.FaceYMin},
 				core.FaceYMax: &boundary.FreeSlip{Face: core.FaceYMax},
@@ -380,17 +309,6 @@ func builtinPreset(name string) (*caseSetup, error) {
 			cfg:   config.Case{Name: "urban wind", NX: 96, NY: 96, NZ: 24, Tau: 0.52, Steps: 600},
 			smag:  0.17,
 			walls: walls,
-			bcs: func() *boundary.Set {
-				var s boundary.Set
-				s.Add(
-					&boundary.Periodic{Axis: 1},
-					&boundary.VelocityInlet{Face: core.FaceXMin, Profile: profile},
-					&boundary.PressureOutlet{Face: core.FaceXMax, Rho: 1},
-					&boundary.FreeSlip{Face: core.FaceZMax},
-					&boundary.NoSlip{Face: core.FaceZMin},
-				)
-				return &s
-			},
 			faceBC: map[core.Face]boundary.Condition{
 				core.FaceXMin: &boundary.VelocityInlet{Face: core.FaceXMin, Profile: profile},
 				core.FaceXMax: &boundary.PressureOutlet{Face: core.FaceXMax, Rho: 1},
@@ -412,16 +330,6 @@ func builtinPreset(name string) (*caseSetup, error) {
 			cfg:   config.Case{Name: "DARPA Suboff", NX: 180, NY: 48, NZ: 48, Tau: 0.53, Steps: 1200},
 			smag:  0.17,
 			walls: walls,
-			bcs: func() *boundary.Set {
-				var s boundary.Set
-				s.Add(
-					&boundary.FreeSlip{Face: core.FaceYMin}, &boundary.FreeSlip{Face: core.FaceYMax},
-					&boundary.FreeSlip{Face: core.FaceZMin}, &boundary.FreeSlip{Face: core.FaceZMax},
-					&boundary.VelocityInlet{Face: core.FaceXMin, U: [3]float64{u, 0, 0}},
-					&boundary.PressureOutlet{Face: core.FaceXMax, Rho: 1},
-				)
-				return &s
-			},
 			faceBC: map[core.Face]boundary.Condition{
 				core.FaceYMin: &boundary.FreeSlip{Face: core.FaceYMin},
 				core.FaceYMax: &boundary.FreeSlip{Face: core.FaceYMax},
@@ -450,116 +358,11 @@ func genericShare(lat *core.Lattice) string {
 	return fmt.Sprintf(", %.1f%% of rows generic", 100*float64(m)/float64(lat.NX*lat.NY))
 }
 
-func runLocal(ctx context.Context, cs *caseSetup, out, cpPath string, cpEvery int, restore string, reportSecs float64, tracer *trace.Tracer) error {
-	var lat *core.Lattice
-	var err error
-	startStep := 0
-	start := time.Now()
-	if restore != "" {
-		lat, err = swio.Restart(restore)
-		if err != nil {
-			return err
-		}
-		startStep = lat.Step()
-		fmt.Printf("restored %q at step %d\n", restore, startStep)
-	} else {
-		lat, err = core.BuildLattice(&lattice.D3Q19, core.Box{NX: cs.cfg.NX, NY: cs.cfg.NY, NZ: cs.cfg.NZ},
-			cs.cfg.Tau, cs.walls, cs.init)
-		if err != nil {
-			return err
-		}
-		lat.Smagorinsky = cs.smag
-	}
-	build := time.Since(start)
-
-	bcs := cs.bcs()
-	fmt.Printf("%s: %d×%d×%d cells, tau=%.4f, %d steps, %d fluid cells\n",
-		cs.cfg.Name, lat.NX, lat.NY, lat.NZ, lat.Tau, cs.cfg.Steps, lat.FluidCells())
-
-	// One stepping path: the in-place AA kernel behind the persistent pool
-	// (a restored odd-step state is permuted into the odd layout here),
-	// which runs the conditions inside its sweep and times them.
-	pool := core.NewPool(lat, 0)
-	defer pool.Close()
-
-	cells := int64(lat.FluidCells())
-	mon := perf.NewMonitor(cells)
-	tr := tracer.ForRank(0) // local runs trace as rank 0; nil-safe
-	lastReport := time.Now()
-	for s := startStep + 1; s <= cs.cfg.Steps; s++ {
-		// First SIGINT/SIGTERM: save state at the step boundary and leave
-		// with the interrupted exit code; -restore picks up right here.
-		if ctx.Err() != nil {
-			if cpPath != "" {
-				if err := swio.Checkpoint(cpPath, lat); err != nil {
-					return err
-				}
-				fmt.Printf("interrupt checkpoint %s at step %d\n", cpPath, lat.Step())
-			}
-			return errInterrupted
-		}
-		var endStep func()
-		if tr != nil {
-			endStep = tr.Scope(trace.TrackStep, "step")
-		}
-		mon.StepStart()
-		pool.StepFaces(bcs)
-		mon.StepEnd()
-		if endStep != nil {
-			endStep()
-		}
-		if cpEvery > 0 && cpPath != "" && s%cpEvery == 0 {
-			var endCkpt func()
-			if tr != nil {
-				endCkpt = tr.Scope(trace.TrackCkpt, "ckpt-write")
-			}
-			err := swio.Checkpoint(cpPath, lat)
-			if endCkpt != nil {
-				endCkpt()
-			}
-			if err != nil {
-				return err
-			}
-		}
-		if now := time.Now(); now.Sub(lastReport).Seconds() >= reportSecs {
-			fmt.Printf("  step %6d/%d  %s  max|u|=%.4f\n",
-				s, cs.cfg.Steps, mon.Rate(), lat.MaxVelocity())
-			lastReport = now
-		}
-	}
-	if n := mon.Steps(); n > 0 {
-		bcMs := pool.FaceTime().Seconds() * 1e3 / float64(n)
-		fmt.Printf("completed: %s\n", mon.Summary())
-		fmt.Printf("  kernel %.2f ms/step, boundary %.2f ms/step, path: %s%s\n",
-			mon.Mean()*1e3-bcMs, bcMs, pool.Kernel(), genericShare(lat))
-	}
-	outStart := time.Now()
-	if cpPath != "" {
-		if err := swio.Checkpoint(cpPath, lat); err != nil {
-			return err
-		}
-		fmt.Printf("wrote checkpoint %s\n", cpPath)
-	}
-	if out != "" {
-		// Only the two planes the images draw: a plane field's own middle
-		// plane is the lattice's.
-		z := core.NewMacroField(lat.NX, lat.NY, 1)
-		lat.MacroInto(z, 0, 0, 0, core.Box{Z0: lat.NZ / 2, NX: lat.NX, NY: lat.NY, NZ: 1})
-		y := core.NewMacroField(lat.NX, 1, lat.NZ)
-		lat.MacroInto(y, 0, 0, 0, core.Box{Y0: lat.NY / 2, NX: lat.NX, NY: 1, NZ: lat.NZ})
-		if err := writeImages(z, y, out); err != nil {
-			return err
-		}
-	}
-	fmt.Printf("setup: build %.1f ms, output %.1f ms\n", build.Seconds()*1e3, time.Since(outStart).Seconds()*1e3)
-	return nil
-}
-
-// distOpts bundles the distributed-run flags.
-type distOpts struct {
+// runOpts bundles the run flags.
+type runOpts struct {
 	decomp      string
-	out         string
 	useSunway   bool
+	out         string
 	cpPath      string
 	cpEvery     int
 	restore     string
@@ -571,6 +374,7 @@ type distOpts struct {
 	ckptGroup   int
 	snapEvery   int
 	detector    string
+	reportSecs  float64
 	tracer      *trace.Tracer
 
 	patchTiles     string
@@ -578,27 +382,38 @@ type distOpts struct {
 	rebalanceEvery int
 }
 
-// supervised reports whether the run needs the self-healing supervisor
-// (any checkpointing, restore, fault injection or recovery budget).
-func (d distOpts) supervised() bool {
-	return d.cpPath != "" || d.cpEvery > 0 || d.restore != "" ||
-		d.faultPlan != "" || d.maxRestarts > 0 || d.allowShrink ||
-		d.spareRanks > 0 || d.snapEvery > 0 || d.ckptLevels != "" ||
-		d.detector != ""
+// world is the decomposition -decomp names — one rank, a rank grid or the
+// patch world — as the recovery ladder drives it, plus what the summary
+// says about it. It times rank 0 of every attempt: the build, each step
+// and the progress lines.
+type world struct {
+	psolve.Decomposition
+	cs *caseSetup
+	// local is the one-rank world (nil on ranks and patches): the run
+	// checkpoints and draws from its final lattice.
+	local *psolve.Local
+	// path is the summary line naming the code path the run took.
+	path func() string
+
+	report time.Duration
+	mon    *perf.Monitor
+	build  time.Duration // rank 0's first build, restore included
+	rank0  psolve.Rank   // rank 0 of the last attempt
+	last   time.Time     // of the last progress line
 }
 
-func runDistributed(ctx context.Context, cs *caseSetup, d distOpts) error {
-	if strings.ToLower(d.decomp) == "patch" {
-		return runPatch(ctx, cs, d)
-	}
-	var px, py int
-	if _, err := fmt.Sscanf(strings.ToLower(d.decomp), "%dx%d", &px, &py); err != nil || px < 1 || py < 1 {
-		return fmt.Errorf("bad -decomp %q, want e.g. 2x2 or patch", d.decomp)
+// newWorld lays the case over the world -decomp names and prints what
+// the run is.
+func newWorld(cs *caseSetup, o runOpts) (*world, error) {
+	c := cs.cfg
+	w := &world{
+		cs:     cs,
+		report: time.Duration(o.reportSecs * float64(time.Second)),
+		mon:    perf.NewMonitor(int64(c.NX) * int64(c.NY) * int64(c.NZ)),
 	}
 	opts := psolve.Options{
-		GNX: cs.cfg.NX, GNY: cs.cfg.NY, GNZ: cs.cfg.NZ,
-		PX: px, PY: py,
-		Tau:         cs.cfg.Tau,
+		GNX: c.NX, GNY: c.NY, GNZ: c.NZ,
+		Tau:         c.Tau,
 		Smagorinsky: cs.smag,
 		FaceBC:      cs.faceBC,
 		PeriodicX:   cs.periodicX,
@@ -606,228 +421,245 @@ func runDistributed(ctx context.Context, cs *caseSetup, d distOpts) error {
 		PeriodicZ:   cs.periodicZ,
 		Walls:       cs.walls,
 		Init:        cs.init,
-		Trace:       d.tracer,
+		Trace:       o.tracer,
 	}
-	if d.useSunway {
-		opts.Stepper = func(lat *core.Lattice) (psolve.Stepper, error) {
-			return swlb.New(lat, sunway.SW26010, swlb.DefaultOptions())
+	var layout string // what the run is, for its first line
+	switch d := strings.ToLower(o.decomp); d {
+	case "":
+		if o.useSunway {
+			return nil, errSunway
 		}
-		fmt.Printf("%s: %d×%d×%d cells over %d×%d ranks × simulated SW26010 CGs, %d steps\n",
-			cs.cfg.Name, cs.cfg.NX, cs.cfg.NY, cs.cfg.NZ, px, py, cs.cfg.Steps)
-	} else {
-		fmt.Printf("%s: %d×%d×%d cells over %d×%d simulated MPI ranks, %d steps\n",
-			cs.cfg.Name, cs.cfg.NX, cs.cfg.NY, cs.cfg.NZ, px, py, cs.cfg.Steps)
+		w.local = psolve.NewLocal(opts)
+		w.Decomposition = w.local
+		w.path = func() string {
+			bcMs := w.local.FaceTime().Seconds() * 1e3 / float64(max(w.mon.Steps(), 1))
+			return fmt.Sprintf("  kernel %.2f ms/step, boundary %.2f ms/step, path: %s%s",
+				w.mon.Mean()*1e3-bcMs, bcMs, w.local.Kernel(), genericShare(w.local.Lattice()))
+		}
+		layout = fmt.Sprintf("on one rank, tau=%.4f", c.Tau)
+	case "patch":
+		if o.useSunway {
+			return nil, fmt.Errorf("%w; with -decomp patch put 'sunway' workers in -patch-workers instead", errSunway)
+		}
+		var err error
+		if layout, err = w.patches(opts, o); err != nil {
+			return nil, err
+		}
+	default:
+		if _, err := fmt.Sscanf(d, "%dx%d", &opts.PX, &opts.PY); err != nil || opts.PX < 1 || opts.PY < 1 {
+			return nil, fmt.Errorf("bad -decomp %q, want e.g. 2x2 or patch", o.decomp)
+		}
+		kernel := ""
+		layout = fmt.Sprintf("over %d×%d simulated MPI ranks", opts.PX, opts.PY)
+		if o.useSunway {
+			opts.Stepper = func(lat *core.Lattice) (psolve.Stepper, error) {
+				return swlb.New(lat, sunway.SW26010, swlb.DefaultOptions())
+			}
+			layout += " × simulated SW26010 CGs"
+			kernel = "swlb " + strings.ToLower(sunway.SW26010.Name)
+		}
+		w.Decomposition = psolve.NewRanks(opts)
+		w.path = func() string {
+			if kernel == "" {
+				kernel = w.rank0.(*psolve.Solver).Lat.KernelPath()
+			}
+			return fmt.Sprintf("  path: %s ranks×%d", kernel, w.Ranks())
+		}
 	}
+	fmt.Printf("%s: %d×%d×%d cells %s, %d steps\n", c.Name, c.NX, c.NY, c.NZ, layout, c.Steps)
+	return w, nil
+}
 
-	start := time.Now()
-	var m *core.MacroField
-	var err error
-	var stats perf.RecoveryStats
-	var path string // the kernel rank 0 ran (unsupervised runs)
-	startStep := 0
-	if d.supervised() {
-		var o psolve.SupervisorOptions
-		if o, err = d.superviseOpts(ctx, cs.cfg.Steps); err != nil {
-			return err
-		}
-		opts.Restore = o.Opts.Restore
-		o.Opts = opts
-		if opts.Restore != nil {
-			startStep = opts.Restore.Step()
-		}
-		m, stats, err = psolve.Supervise(o)
-		if err = reportSupervised(o, stats, err); err != nil {
-			return err
-		}
-	} else {
-		// psolve.Run, kept here so rank 0 can say which kernel it ran.
-		w, werr := mpi.NewWorld(px * py)
-		if werr != nil {
-			return werr
-		}
-		w.SetTracer(opts.Trace)
-		err = mpi.RunWorld(w, func(c *mpi.Comm) error {
-			s, err := psolve.New(c, opts)
-			if err != nil {
-				return err
-			}
-			for i := 0; i < cs.cfg.Steps; i++ {
-				s.Step()
-			}
-			if g := s.GatherMacro(0); g != nil {
-				m, path = g, s.Lat.KernelPath()
-			}
-			return nil
-		})
-		if err != nil {
-			return err
-		}
-		if d.useSunway {
-			// The custom stepper installed above, not the lattice's own.
-			path = "swlb " + strings.ToLower(sunway.SW26010.Name)
-		}
+// patches makes w the patch world of -decomp=patch: the domain tiled into
+// patches assigned to a heterogeneous worker roster, with optional
+// periodic rebalancing, under opts' physics and boundary conventions. It
+// returns the layout for the run's first line.
+func (w *world) patches(opts psolve.Options, o runOpts) (string, error) {
+	var tx, ty, tz int
+	if _, err := fmt.Sscanf(strings.ToLower(o.patchTiles), "%dx%dx%d", &tx, &ty, &tz); err != nil || tx < 1 || ty < 1 || tz < 1 {
+		return "", fmt.Errorf("bad -patch-tiles %q, want e.g. 2x2x1", o.patchTiles)
 	}
-	elapsed := time.Since(start).Seconds()
-	cells := int64(cs.cfg.NX) * int64(cs.cfg.NY) * int64(cs.cfg.NZ)
-	doneSteps := cs.cfg.Steps - startStep
-	fmt.Printf("completed %d steps in %.2f s: %s aggregate\n",
-		doneSteps, elapsed, perf.Rate(cells*int64(doneSteps), elapsed))
-	if path != "" {
-		fmt.Printf("  path: %s ranks×%d\n", path, px*py)
+	workers, err := patch.ParseWorkers(o.patchWorkers)
+	if err != nil {
+		return "", err
 	}
-	if stats.SnapshotWaves > 0 {
-		fmt.Println(stats.SnapshotLine())
+	pw, err := patch.NewWorld(patch.Options{
+		GNX: opts.GNX, GNY: opts.GNY, GNZ: opts.GNZ,
+		TX: tx, TY: ty, TZ: tz,
+		Tau:            opts.Tau,
+		Smagorinsky:    opts.Smagorinsky,
+		FaceBC:         opts.FaceBC,
+		PeriodicX:      opts.PeriodicX,
+		PeriodicY:      opts.PeriodicY,
+		PeriodicZ:      opts.PeriodicZ,
+		Walls:          opts.Walls,
+		Init:           opts.Init,
+		Workers:        workers,
+		RebalanceEvery: o.rebalanceEvery,
+		Trace:          opts.Trace,
+	})
+	if err != nil {
+		return "", err
 	}
-	if d.out != "" {
-		return writeImages(m, m, d.out)
+	w.Decomposition = pw
+	w.path = func() string {
+		st := pw.Stats()
+		line := fmt.Sprintf("  path: %s patches×%d on %d workers\npatches: %d over %d workers, %d migrations in %d rebalances",
+			st.Kernel, st.Patches, st.Workers, st.Patches, st.Workers, st.Migrations, st.Rebalances)
+		if st.ImbalancePre > 0 {
+			line += fmt.Sprintf(", imbalance %.2f → %.2f", st.ImbalancePre, st.ImbalancePost)
+		}
+		return line
+	}
+	return fmt.Sprintf("as %d×%d×%d patches over %d workers (%s)", tx, ty, tz, len(workers), o.patchWorkers), nil
+}
+
+// NewRank builds rank c's share of an attempt; rank 0's steps are timed.
+func (w *world) NewRank(c *mpi.Comm, restore *core.Lattice, steps int, straggle float64) (psolve.Rank, error) {
+	t0 := time.Now()
+	r, err := w.Decomposition.NewRank(c, restore, steps, straggle)
+	if err != nil || c.Rank() != 0 {
+		return r, err
+	}
+	if w.rank0 == nil {
+		w.build = time.Since(t0)
+	}
+	w.rank0, w.last = r, time.Now()
+	step := 0
+	if restore != nil {
+		step = restore.Step()
+	}
+	return &timedRank{Rank: r, w: w, step: step}, nil
+}
+
+// timedRank is rank 0 of an attempt: it records every step in the world's
+// monitor and prints a progress line every -report seconds.
+type timedRank struct {
+	psolve.Rank
+	w    *world
+	step int
+}
+
+func (r *timedRank) Step() {
+	w := r.w
+	w.mon.StepStart()
+	r.Rank.Step()
+	w.mon.StepEnd()
+	r.step++
+	if now := time.Now(); now.Sub(w.last) >= w.report {
+		fmt.Printf("  step %6d/%d  %s\n", r.step, w.cs.cfg.Steps, w.mon.Rate())
+		w.last = now
+	}
+}
+
+// Close passes the end of the rank body on to a rank that holds resources
+// (the one-rank world's pool).
+func (r *timedRank) Close() error {
+	if c, ok := r.Rank.(io.Closer); ok {
+		return c.Close()
 	}
 	return nil
 }
 
-// runPatch executes -decomp=patch: the domain is tiled into patches
-// assigned to a heterogeneous worker roster, with optional periodic
-// rebalancing and the recovery ladder when fault-tolerance flags are
-// set. Mirrors runDistributed's boundary conventions (x is never
-// periodic; y/z follow the case).
-func runPatch(ctx context.Context, cs *caseSetup, d distOpts) error {
-	if d.useSunway {
-		return fmt.Errorf("-sunway is meaningless with -decomp=patch; put 'sunway' workers in -patch-workers instead")
-	}
-	var tx, ty, tz int
-	if _, err := fmt.Sscanf(strings.ToLower(d.patchTiles), "%dx%dx%d", &tx, &ty, &tz); err != nil || tx < 1 || ty < 1 || tz < 1 {
-		return fmt.Errorf("bad -patch-tiles %q, want e.g. 2x2x1", d.patchTiles)
-	}
-	workers, err := patch.ParseWorkers(d.patchWorkers)
+// run drives w to the case's final step on the recovery ladder and prints
+// the one summary: faults and recovery, the aggregate rate, the snapshot
+// waves, the code path, then the final state of a single rank and the
+// images.
+func run(ctx context.Context, w *world, o runOpts) error {
+	so, err := superviseOpts(ctx, w, o)
 	if err != nil {
 		return err
 	}
-	opts := patch.Options{
-		GNX: cs.cfg.NX, GNY: cs.cfg.NY, GNZ: cs.cfg.NZ,
-		TX: tx, TY: ty, TZ: tz,
-		Tau:            cs.cfg.Tau,
-		Smagorinsky:    cs.smag,
-		FaceBC:         cs.faceBC,
-		PeriodicX:      cs.periodicX,
-		PeriodicY:      cs.periodicY,
-		PeriodicZ:      cs.periodicZ,
-		Walls:          cs.walls,
-		Init:           cs.init,
-		Workers:        workers,
-		RebalanceEvery: d.rebalanceEvery,
-		Trace:          d.tracer,
-	}
-	fmt.Printf("%s: %d×%d×%d cells as %d×%d×%d patches over %d workers (%s), %d steps\n",
-		cs.cfg.Name, cs.cfg.NX, cs.cfg.NY, cs.cfg.NZ, tx, ty, tz, len(workers), d.patchWorkers, cs.cfg.Steps)
-
 	start := time.Now()
-	var m *core.MacroField
-	var stats *patch.Stats
-	var rec perf.RecoveryStats
-	startStep := 0
-	if d.supervised() {
-		o, err := d.superviseOpts(ctx, cs.cfg.Steps)
-		if err != nil {
-			return err
-		}
-		if o.Opts.Restore != nil {
-			startStep = o.Opts.Restore.Step()
-		}
-		w, err := patch.NewWorld(opts)
-		if err != nil {
-			return err
-		}
-		m, rec, err = psolve.SuperviseOn(w, o)
-		if err = reportSupervised(o, rec, err); err != nil {
-			return err
-		}
-		stats = w.Stats()
-	} else if m, stats, err = patch.Run(opts, cs.cfg.Steps); err != nil {
-		return err
-	}
-	elapsed := time.Since(start).Seconds()
-	cells := int64(cs.cfg.NX) * int64(cs.cfg.NY) * int64(cs.cfg.NZ)
-	doneSteps := cs.cfg.Steps - startStep
-	fmt.Printf("completed %d steps in %.2f s: %s aggregate\n",
-		doneSteps, elapsed, perf.Rate(cells*int64(doneSteps), elapsed))
-	fmt.Printf("  path: %s patches×%d on %d workers\n", stats.Kernel, stats.Patches, stats.Workers)
-	fmt.Printf("patches: %d over %d workers, %d migrations in %d rebalances",
-		stats.Patches, stats.Workers, stats.Migrations, stats.Rebalances)
-	if stats.ImbalancePre > 0 {
-		fmt.Printf(", imbalance %.2f → %.2f", stats.ImbalancePre, stats.ImbalancePost)
-	}
-	fmt.Println()
-	if rec.SnapshotWaves > 0 {
-		fmt.Println(rec.SnapshotLine())
-	}
-	if d.out != "" {
-		return writeImages(m, m, d.out)
-	}
-	return nil
-}
-
-// superviseOpts builds the recovery ladder's options from the resilience
-// flags — the same for rank and patch worlds — including the fault plan
-// and the -restore seed.
-func (d distOpts) superviseOpts(ctx context.Context, steps int) (psolve.SupervisorOptions, error) {
-	o := psolve.SupervisorOptions{
-		Ctx:             ctx,
-		Steps:           steps,
-		CheckpointEvery: d.cpEvery,
-		CheckpointPath:  d.cpPath,
-		MaxRestarts:     d.maxRestarts,
-		AllowShrink:     d.allowShrink,
-		SnapshotEvery:   d.snapEvery,
-		GroupSize:       d.ckptGroup,
-		SpareRanks:      d.spareRanks,
-		Detector:        d.detector,
-		Logf:            log.Printf,
-	}
-	o.Opts.Trace = d.tracer
-	if d.restore != "" {
-		lat, err := swio.Restart(d.restore)
-		if err != nil {
-			return o, err
-		}
-		o.Opts.Restore = lat
-		fmt.Printf("restored %q at step %d\n", d.restore, lat.Step())
-	}
-	if d.faultPlan != "" {
-		plan, err := fault.ParsePlan(d.faultPlan)
-		if err != nil {
-			return o, err
-		}
-		o.Injector = fault.NewInjector(plan)
-		fmt.Printf("fault plan: %s\n", plan)
-	}
-	if d.ckptLevels != "" {
-		levels, err := resil.ParseLevels(d.ckptLevels)
-		if err != nil {
-			return o, err
-		}
-		o.Levels = levels
-	}
-	return o, nil
-}
-
-// reportSupervised reports the injected faults and any recovery of a run
-// the recovery ladder finished under o with the given stats and error. A
-// canceled run has drained its newest recoverable state into -checkpoint
-// (when set) and ends in errInterrupted.
-func reportSupervised(o psolve.SupervisorOptions, stats perf.RecoveryStats, err error) error {
+	m, stats, err := psolve.SuperviseOn(w, so)
 	if errors.Is(err, psolve.ErrCanceled) {
+		// The ladder drained the newest recoverable state into
+		// -checkpoint, when set.
 		fmt.Printf("interrupted: %v\n", err)
 		return errInterrupted
 	}
 	if err != nil {
 		return err
 	}
-	if o.Injector != nil {
-		fmt.Printf("faults injected: %s\n", o.Injector.Stats())
+	if so.Injector != nil {
+		fmt.Printf("faults injected: %s\n", so.Injector.Stats())
 	}
 	if !stats.Clean() {
 		fmt.Printf("recovery: %s\n", stats)
 	}
+	elapsed := time.Since(start).Seconds()
+	doneSteps := w.cs.cfg.Steps
+	if so.Opts.Restore != nil {
+		doneSteps -= so.Opts.Restore.Step()
+	}
+	fmt.Printf("completed %d steps in %.2f s: %s aggregate\n",
+		doneSteps, elapsed, perf.Rate(w.mon.Cells*int64(doneSteps), elapsed))
+	if stats.SnapshotWaves > 0 {
+		fmt.Println(stats.SnapshotLine())
+	}
+	fmt.Println(w.path())
+
+	outStart := time.Now()
+	z, y := m, m
+	if w.local != nil {
+		lat := w.local.Lattice()
+		if o.cpPath != "" {
+			if err := swio.Checkpoint(o.cpPath, lat); err != nil {
+				return err
+			}
+			fmt.Printf("wrote checkpoint %s\n", o.cpPath)
+		}
+		if o.out != "" {
+			// Only the two planes the images draw: a plane field's own
+			// middle plane is the lattice's.
+			z = core.NewMacroField(lat.NX, lat.NY, 1)
+			lat.MacroInto(z, 0, 0, 0, core.Box{Z0: lat.NZ / 2, NX: lat.NX, NY: lat.NY, NZ: 1})
+			y = core.NewMacroField(lat.NX, 1, lat.NZ)
+			lat.MacroInto(y, 0, 0, 0, core.Box{Y0: lat.NY / 2, NX: lat.NX, NY: 1, NZ: lat.NZ})
+		}
+	}
+	if o.out != "" {
+		if err := writeImages(z, y, o.out); err != nil {
+			return err
+		}
+	}
+	fmt.Printf("setup: build %.1f ms, output %.1f ms\n", w.build.Seconds()*1e3, time.Since(outStart).Seconds()*1e3)
 	return nil
+}
+
+// superviseOpts builds the recovery ladder's options from the resilience
+// flags — the same for every world — including the fault plan, checked
+// against w's ranks, and the -restore seed.
+func superviseOpts(ctx context.Context, w *world, o runOpts) (psolve.SupervisorOptions, error) {
+	so := psolve.SupervisorOptions{
+		Ctx:             ctx,
+		Steps:           w.cs.cfg.Steps,
+		CheckpointEvery: o.cpEvery,
+		CheckpointPath:  o.cpPath,
+		MaxRestarts:     o.maxRestarts,
+		AllowShrink:     o.allowShrink,
+		SnapshotEvery:   o.snapEvery,
+		GroupSize:       o.ckptGroup,
+		SpareRanks:      o.spareRanks,
+		Detector:        o.detector,
+		Logf:            log.Printf,
+	}
+	so.Opts.Trace = o.tracer
+	if err := so.SetPolicy(o.faultPlan, o.ckptLevels, w.Ranks()); err != nil {
+		return so, err
+	}
+	if so.Injector != nil {
+		fmt.Printf("fault plan: %s\n", so.Injector.Plan())
+	}
+	if o.restore != "" {
+		lat, err := swio.Restart(o.restore)
+		if err != nil {
+			return so, err
+		}
+		so.Opts.Restore = lat
+		fmt.Printf("restored %q at step %d\n", o.restore, lat.Step())
+	}
+	return so, nil
 }
 
 // writeImages draws |u| on the middle z plane of z and the middle y plane

@@ -11,6 +11,8 @@ import (
 	"regexp"
 	"strings"
 	"testing"
+
+	"sunwaylb/internal/swio"
 )
 
 // buildCLI compiles the command once per test binary.
@@ -129,10 +131,6 @@ func TestCLISmoke(t *testing.T) {
 	if _, err := exec.Command(bin, "-preset", "cavity", "-decomp", "9z9").CombinedOutput(); err == nil {
 		t.Error("malformed -decomp must exit non-zero")
 	}
-	if _, err := exec.Command(bin, "-preset", "cavity",
-		"-fault-plan", "crash@rank=0,step=1").CombinedOutput(); err == nil {
-		t.Error("-fault-plan without -decomp must exit non-zero")
-	}
 	if _, err := exec.Command(bin, "-preset", "cavity", "-decomp", "2x1",
 		"-fault-plan", "bogus@x=1").CombinedOutput(); err == nil {
 		t.Error("malformed -fault-plan must exit non-zero")
@@ -150,7 +148,8 @@ func TestCLISmoke(t *testing.T) {
 // TestCLIKernelPath is the "no silent slow path" oracle: on every default
 // path the channel preset must report the in-place AA kernel through the
 // D3Q19 fast path (the row kernel is whichever the host supports) — on a
-// one-worker pool, on ranks and on patches — and a custom stepper must
+// one-worker pool, on ranks (with snapshot waves too) and on patches — and
+// a custom stepper must
 // name itself, so a dispatch regression fails here instead of showing up
 // as a quiet slowdown. The obstacle-free channel's rows all take the
 // unrolled kernel, so its line ends at the pool; the cylinder's rows by the
@@ -171,6 +170,7 @@ func TestCLIKernelPath(t *testing.T) {
 	}{
 		{channel, `kernel [0-9.]+ ms/step, boundary [0-9.]+ ms/step, ` + aa + `pool×1\n` + setup},
 		{append(channel, "-decomp", "2x1"), aa + `ranks×2\n`},
+		{append(channel, "-decomp", "2x1", "-snapshot-every", "2", "-ckpt-levels", "123"), aa + `ranks×2\n`},
 		{append(channel, "-decomp", "patch"), aa + `patches×4 on 2 workers\n`},
 		{append(channel, "-decomp", "2x1", "-sunway"), `path: swlb sw26010 ranks×2\n`},
 		{[]string{"-preset", "cylinder", "-nx", "64", "-ny", "48", "-steps", "4"}, aa + `pool×1, [0-9.]*[1-9][0-9.]*% of rows generic\n` + setup},
@@ -281,8 +281,8 @@ func TestCLISnapshotLine(t *testing.T) {
 }
 
 // stepBudget is a context that reports cancellation from its n-th Err
-// poll on. runLocal polls once per step, so the interrupt lands on a
-// chosen step boundary.
+// poll on. The recovery ladder polls once per step, so the interrupt
+// lands on a chosen step boundary.
 type stepBudget struct {
 	context.Context
 	polls int
@@ -313,7 +313,12 @@ func TestLocalRestoreRejoinsAtOddSteps(t *testing.T) {
 			t.Fatal(err)
 		}
 		p := filepath.Join(dir, name)
-		return runLocal(ctx, cs, p, p+".cpk", every, restore, 1e9, nil)
+		o := runOpts{out: p, cpPath: p + ".cpk", cpEvery: every, restore: restore, reportSecs: 1e9}
+		w, err := newWorld(cs, o)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return run(ctx, w, o)
 	}
 	same := func(a, b string) {
 		t.Helper()
@@ -351,8 +356,168 @@ func TestLocalRestoreRejoinsAtOddSteps(t *testing.T) {
 	if !errors.Is(err, errInterrupted) {
 		t.Fatalf("interrupted run returned %v, want errInterrupted", err)
 	}
+	cut, err := swio.Restart(filepath.Join(dir, "cut.cpk"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if cut.Step() != 5 {
+		t.Errorf("interrupt checkpoint holds step %d, want the step the run stopped at, 5", cut.Step())
+	}
 	if err := run(bg, "rejoined", 7, 0, filepath.Join(dir, "cut.cpk")); err != nil {
 		t.Fatal(err)
 	}
 	same("whole", "rejoined")
+}
+
+// TestCLIFaultPlanInWorld: a fault plan that names a rank the world does
+// not have is refused before the run starts, on every world — the rule
+// lbmserve applies at admission — instead of running to a clean finish
+// with crashes=0.
+func TestCLIFaultPlanInWorld(t *testing.T) {
+	if testing.Short() {
+		t.Skip("builds and runs the binary")
+	}
+	bin := buildCLI(t)
+	channel := []string{"-preset", "channel", "-nx", "16", "-ny", "12", "-nz", "8", "-steps", "6"}
+	for _, args := range [][]string{
+		append(channel, "-fault-plan", "seed=1;crash@rank=1,step=3"),
+		append(channel, "-decomp", "2x1", "-fault-plan", "seed=1;crash@rank=5,step=3"),
+		append(channel, "-decomp", "patch", "-patch-workers", "core,core", "-fault-plan", "seed=1;crash@rank=7,step=3"),
+	} {
+		out, err := exec.Command(bin, args...).CombinedOutput()
+		if err == nil || !strings.Contains(string(out), "outside world") {
+			t.Errorf("%v: want a refused plan, got %v:\n%s", args, err, out)
+		}
+	}
+}
+
+// TestCLIRestoreChecksDims: a checkpoint of another grid is refused on
+// every world, the single rank included.
+func TestCLIRestoreChecksDims(t *testing.T) {
+	if testing.Short() {
+		t.Skip("builds and runs the binary")
+	}
+	bin := buildCLI(t)
+	cp := filepath.Join(t.TempDir(), "cavity.cpk")
+	if out, err := exec.Command(bin, "-preset", "cavity", "-nx", "12", "-ny", "12", "-nz", "12",
+		"-steps", "3", "-checkpoint", cp).CombinedOutput(); err != nil {
+		t.Fatalf("%v\n%s", err, out)
+	}
+	for _, world := range [][]string{nil, {"-decomp", "2x1"}, {"-decomp", "patch"}} {
+		args := append([]string{"-preset", "channel", "-nx", "16", "-ny", "12", "-nz", "8",
+			"-steps", "6", "-restore", cp}, world...)
+		out, err := exec.Command(bin, args...).CombinedOutput()
+		if err == nil || !strings.Contains(string(out), "restore lattice 12×12×12 does not match case 16×12×8") {
+			t.Errorf("%v: want the restore refused, got %v:\n%s", world, err, out)
+		}
+	}
+}
+
+// TestCLICheckpointsPortable is the portability oracle of the checkpoint
+// format: a checkpoint written at an odd and at an even step by the
+// single rank, by a 2×2 rank grid and by the patch world, resumed with
+// -restore on each of the other two, ends with the images of the
+// uninterrupted single-rank run, byte for byte.
+func TestCLICheckpointsPortable(t *testing.T) {
+	if testing.Short() {
+		t.Skip("builds and runs the binary")
+	}
+	bin := buildCLI(t)
+	dir := t.TempDir()
+	const final = "7"
+	run := func(prefix string, args ...string) {
+		t.Helper()
+		args = append([]string{"-preset", "cylinder", "-nx", "24", "-ny", "20", "-nz", "12",
+			"-out", filepath.Join(dir, prefix)}, args...)
+		if out, err := exec.Command(bin, args...).CombinedOutput(); err != nil {
+			t.Fatalf("%v: %v\n%s", args, err, out)
+		}
+	}
+	run("whole", "-steps", final)
+	worlds := map[string][]string{"single": nil, "2x2": {"-decomp", "2x2"}, "patch": {"-decomp", "patch"}}
+	for writer, wargs := range worlds {
+		for _, k := range []int{3, 4} {
+			cp := filepath.Join(dir, fmt.Sprintf("%s-%d.cpk", writer, k))
+			// The single rank leaves its final state at -checkpoint; the
+			// other worlds write the periodic checkpoint of step k.
+			args := []string{"-steps", fmt.Sprint(k), "-checkpoint", cp}
+			if wargs != nil {
+				args = []string{"-steps", fmt.Sprint(k + 1), "-checkpoint-every", fmt.Sprint(k), "-checkpoint", cp}
+			}
+			run("w", append(args, wargs...)...)
+			lat, err := swio.Restart(cp)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if lat.Step() != k {
+				t.Fatalf("%s wrote step %d to %s, want %d", writer, lat.Step(), cp, k)
+			}
+			for reader, rargs := range worlds {
+				if reader == writer {
+					continue
+				}
+				prefix := fmt.Sprintf("%s-%d-%s", writer, k, reader)
+				run(prefix, append([]string{"-steps", final, "-restore", cp}, rargs...)...)
+				for _, suffix := range []string{"_speed_z.ppm", "_speed_y.ppm"} {
+					want, err := os.ReadFile(filepath.Join(dir, "whole"+suffix))
+					if err != nil {
+						t.Fatal(err)
+					}
+					got, err := os.ReadFile(filepath.Join(dir, prefix+suffix))
+					if err != nil {
+						t.Fatal(err)
+					}
+					if !bytes.Equal(got, want) {
+						t.Errorf("step-%d checkpoint of %s resumed on %s: %s differs from the uninterrupted run", k, writer, reader, suffix)
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestSingleRankFaultRecovery: the single rank runs on the recovery
+// ladder, so a crash of rank 0 rolls back to the last verified checkpoint
+// and the run ends with the clean run's images — while the same plan with
+// no restart budget fails, so the crash did fire. In process, so the race
+// detector sees the ladder, the one-rank world and its pool.
+func TestSingleRankFaultRecovery(t *testing.T) {
+	dir := t.TempDir()
+	run := func(name, plan string, restarts int) error {
+		cs, err := builtinPreset("cavity")
+		if err != nil {
+			t.Fatal(err)
+		}
+		cs.cfg.NX, cs.cfg.NY, cs.cfg.NZ, cs.cfg.Steps = 12, 10, 8, 9
+		p := filepath.Join(dir, name)
+		o := runOpts{out: p, cpPath: p + ".cpk", cpEvery: 3, faultPlan: plan, maxRestarts: restarts, reportSecs: 1e9}
+		w, err := newWorld(cs, o)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return run(context.Background(), w, o)
+	}
+	if err := run("clean", "", 0); err != nil {
+		t.Fatal(err)
+	}
+	const plan = "seed=1;crash@rank=0,step=5"
+	if err := run("budgetless", plan, 0); err == nil {
+		t.Fatal("a crash with no restart budget must fail the run")
+	}
+	if err := run("recovered", plan, 1); err != nil {
+		t.Fatal(err)
+	}
+	for _, suffix := range []string{"_speed_z.ppm", "_speed_y.ppm", ".cpk"} {
+		want, err := os.ReadFile(filepath.Join(dir, "clean"+suffix))
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := os.ReadFile(filepath.Join(dir, "recovered"+suffix))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got, want) {
+			t.Errorf("recovered%s differs from the clean run", suffix)
+		}
+	}
 }

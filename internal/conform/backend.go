@@ -143,23 +143,12 @@ func (c *Case) advance(l *core.Lattice, conds []boundary.Condition, steps int, s
 	}
 }
 
-// bcSet orders the halo fill of a standalone lattice as psolve does:
-// periodic z wrap, face conditions, then the periodic x and y wraps that
-// stand in for the (single-rank) halo exchange.
+// bcSet orders the halo fill of a standalone lattice as the one-rank
+// world does (psolve.HaloSet): periodic z wrap, face conditions, then the
+// periodic x and y wraps that stand in for the halo exchange.
 func (c *Case) bcSet(conds []boundary.Condition) *boundary.Set {
 	perX, perY, perZ := c.periodic()
-	var s boundary.Set
-	if perZ {
-		s.Add(&boundary.Periodic{Axis: 2})
-	}
-	s.Add(conds...)
-	if perX {
-		s.Add(&boundary.Periodic{Axis: 0})
-	}
-	if perY {
-		s.Add(&boundary.Periodic{Axis: 1})
-	}
-	return &s
+	return psolve.HaloSet(perX, perY, perZ, conds)
 }
 
 // RunSerial executes the case on a standalone lattice, advancing with

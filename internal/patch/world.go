@@ -553,37 +553,18 @@ func (n *node) gather(root int) *core.MacroField {
 	return out
 }
 
-// Run executes a patch-mode simulation to completion on a fresh world,
-// unsupervised, and returns the gathered global field plus the balancer
-// statistics. The supervised run hands a NewWorld to psolve.SuperviseOn.
+// Run executes a patch-mode simulation to completion on a fresh world —
+// the recovery ladder with every policy off — and returns the gathered
+// global field plus the balancer statistics.
 func Run(opt Options, steps int) (*core.MacroField, *Stats, error) {
 	w, err := NewWorld(opt)
 	if err != nil {
 		return nil, nil, err
 	}
-	mw, err := mpi.NewWorld(w.Ranks())
-	if err != nil {
-		return nil, w.stats, err
-	}
-	mw.SetTracer(opt.Trace)
-	var field *core.MacroField
-	err = mpi.RunWorld(mw, func(c *mpi.Comm) error {
-		n, err := newNode(w, c, nil, steps, 1)
-		if err != nil {
-			return err
-		}
-		for n.step < steps {
-			n.Step()
-		}
-		if g := n.GatherMacro(0); g != nil {
-			field = g
-		}
-		return nil
-	})
-	if err != nil {
-		return nil, w.stats, err
-	}
-	return field, w.stats, nil
+	o := psolve.SupervisorOptions{Steps: steps}
+	o.Opts.Trace = opt.Trace
+	field, _, err := psolve.SuperviseOn(w, o)
+	return field, w.stats, err
 }
 
 // initialOwner distributes patches round-robin over the workers.

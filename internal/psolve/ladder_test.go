@@ -24,8 +24,8 @@ import (
 )
 
 // ladderWorlds are the inputs of the ladder tests: the box on a 2x1 rank
-// grid, and as two patches on two workers.
-var ladderWorlds = []string{"2x1", "patch2"}
+// grid, as two patches on two workers, and on one rank.
+var ladderWorlds = []string{"2x1", "patch2", "local"}
 
 type initFunc = func(gx, gy, gz int) (rho, ux, uy, uz float64)
 
@@ -36,30 +36,45 @@ func shear(gx, gy, gz int) (rho, ux, uy, uz float64) {
 		0.01 * math.Sin(0.15*float64(gx+gy))
 }
 
-// superviseBox runs the fully periodic box with an obstacle crossing the
-// block boundaries under o, on the named decomposition: a PXxPY rank grid
-// or "patch2"; init, when set, replaces the shear initial state.
+// boxWalls is the box's obstacle, crossing the block boundaries.
+func boxWalls(gx, gy, gz int) bool { return gx == 9 && gy == 7 && gz >= 2 && gz <= 5 }
+
+// boxOptions is the fully periodic box with its obstacle on a px×py grid.
+func boxOptions(px, py int, init initFunc) psolve.Options {
+	return psolve.Options{
+		GNX: 18, GNY: 14, GNZ: 8, PX: px, PY: py,
+		Tau:       0.7,
+		PeriodicX: true, PeriodicY: true, PeriodicZ: true,
+		Walls: boxWalls, Init: init,
+	}
+}
+
+// superviseBox runs the box under o on the named decomposition: a PXxPY
+// rank grid, "patch2" or "local" (the one-rank world, whose final lattice
+// gives the field); init, when set, replaces the shear initial state.
 func superviseBox(t *testing.T, decomp string, o psolve.SupervisorOptions, init initFunc) (*core.MacroField, perf.RecoveryStats, error) {
 	t.Helper()
 	if init == nil {
 		init = shear
 	}
-	walls := func(gx, gy, gz int) bool { return gx == 9 && gy == 7 && gz >= 2 && gz <= 5 }
 	var px, py int
 	if _, err := fmt.Sscanf(decomp, "%dx%d", &px, &py); err == nil {
-		o.Opts = psolve.Options{
-			GNX: 18, GNY: 14, GNZ: 8, PX: px, PY: py,
-			Tau:       0.7,
-			PeriodicX: true, PeriodicY: true, PeriodicZ: true,
-			Walls: walls, Init: init,
-		}
+		o.Opts = boxOptions(px, py, init)
 		return psolve.Supervise(o)
+	}
+	if decomp == "local" {
+		w := psolve.NewLocal(boxOptions(1, 1, init))
+		_, stats, err := psolve.SuperviseOn(w, o)
+		if err != nil {
+			return nil, stats, err
+		}
+		return w.Lattice().ComputeMacro(), stats, nil
 	}
 	w, err := patch.NewWorld(patch.Options{
 		GNX: 18, GNY: 14, GNZ: 8, TX: 2,
 		Tau:       0.7,
 		PeriodicX: true, PeriodicY: true, PeriodicZ: true,
-		Walls: walls, Init: init,
+		Walls: boxWalls, Init: init,
 		Workers: make([]patch.Worker, 2),
 	})
 	if err != nil {
@@ -103,7 +118,7 @@ func TestSupervisorHealthGate(t *testing.T) {
 // drain the newest recoverable state into the L4 checkpoint file so the
 // job can be resumed later.
 func TestSupervisorCancelDrains(t *testing.T) {
-	for _, decomp := range []string{"2x2", "patch2"} {
+	for _, decomp := range []string{"2x2", "patch2", "local"} {
 		t.Run(decomp, func(t *testing.T) {
 			path := filepath.Join(t.TempDir(), "drain.cpk")
 			ctx, cancel := context.WithCancel(context.Background())
@@ -198,7 +213,7 @@ func TestSupervisorRestartBudget(t *testing.T) {
 }
 
 // TestSupervisorCheckpointCadence: L4 fires on every CheckpointEvery-th
-// step whatever the wave cadence, and both worlds write the same
+// step whatever the wave cadence, and every world writes the same
 // checkpoint — the gather of every block, health-gated and read back.
 func TestSupervisorCheckpointCadence(t *testing.T) {
 	var files []*core.Lattice
@@ -227,16 +242,66 @@ func TestSupervisorCheckpointCadence(t *testing.T) {
 		}
 		files = append(files, lat)
 	}
-	a, b := files[0], files[1]
-	fa, fb := a.Src(), b.Src()
-	for i := range fa {
-		if math.Float64bits(fa[i]) != math.Float64bits(fb[i]) {
-			t.Fatalf("population word %d: ranks wrote %v, patches %v", i, fa[i], fb[i])
+	a := files[0]
+	for k, b := range files[1:] {
+		fa, fb := a.Src(), b.Src()
+		for i := range fa {
+			if math.Float64bits(fa[i]) != math.Float64bits(fb[i]) {
+				t.Fatalf("population word %d: ranks wrote %v, %s %v", i, fa[i], ladderWorlds[k+1], fb[i])
+			}
+		}
+		for i := range a.Flags {
+			if a.Flags[i] != b.Flags[i] {
+				t.Fatalf("flag %d: ranks wrote %d, %s %d", i, a.Flags[i], ladderWorlds[k+1], b.Flags[i])
+			}
 		}
 	}
-	for i := range a.Flags {
-		if a.Flags[i] != b.Flags[i] {
-			t.Fatalf("flag %d: ranks wrote %d, patches %d", i, a.Flags[i], b.Flags[i])
+}
+
+// TestLocalWorld: the one-rank world ends bit-identical to the rank world
+// at both step parities, and resumes from a restore seed — its own final
+// lattice at an odd step — without writing to it.
+func TestLocalWorld(t *testing.T) {
+	same := func(what string, want, got *core.MacroField) {
+		t.Helper()
+		for i := range want.Rho {
+			if want.Rho[i] != got.Rho[i] || want.Ux[i] != got.Ux[i] || want.Uy[i] != got.Uy[i] || want.Uz[i] != got.Uz[i] {
+				t.Fatalf("%s: cell %d differs from the rank world", what, i)
+			}
+		}
+	}
+	for _, steps := range []int{7, 8} {
+		want, _, err := superviseBox(t, "2x1", psolve.SupervisorOptions{Steps: steps}, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, _, err := superviseBox(t, "local", psolve.SupervisorOptions{Steps: steps}, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		same(fmt.Sprintf("%d steps", steps), want, got)
+	}
+
+	first := psolve.NewLocal(boxOptions(1, 1, shear))
+	if _, _, err := psolve.SuperviseOn(first, psolve.SupervisorOptions{Steps: 3}); err != nil {
+		t.Fatal(err)
+	}
+	seed := first.Lattice()
+	before := append([]float64(nil), seed.Src()...)
+	resumed := psolve.NewLocal(boxOptions(1, 1, shear))
+	o := psolve.SupervisorOptions{Steps: 8}
+	o.Opts.Restore = seed
+	if _, _, err := psolve.SuperviseOn(resumed, o); err != nil {
+		t.Fatal(err)
+	}
+	want, _, err := superviseBox(t, "2x1", psolve.SupervisorOptions{Steps: 8}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	same("resumed at step 3", want, resumed.Lattice().ComputeMacro())
+	for i, v := range seed.Src() {
+		if math.Float64bits(v) != math.Float64bits(before[i]) {
+			t.Fatalf("the restore seed changed at word %d", i)
 		}
 	}
 }

@@ -1,0 +1,109 @@
+package psolve
+
+import (
+	"errors"
+	"time"
+
+	"sunwaylb/internal/boundary"
+	"sunwaylb/internal/core"
+	"sunwaylb/internal/mpi"
+	"sunwaylb/internal/trace"
+)
+
+// Local is the one-rank world: the whole lattice on one rank, stepped by
+// a core.Pool that runs the boundary conditions inside its sweep. It is
+// the rank world of the same Options on a 1×1 grid — same builder, same
+// restore, same snapshot and checkpoint collectives — except for how its
+// rank steps and what it keeps. The pool replaces the rank step (there is
+// no exchange to overlap), and the world keeps the final lattice instead
+// of gathering a global field: the ladder returns a nil field, and the
+// caller draws or checkpoints from Lattice. A custom Stepper needs the
+// rank world.
+type Local struct {
+	rankWorld
+	lat      *core.Lattice
+	kernel   string
+	faceTime time.Duration
+}
+
+// NewLocal lays opts' lattice on one rank.
+func NewLocal(opts Options) *Local {
+	opts.PX, opts.PY, opts.Restore = 1, 1, nil
+	return &Local{rankWorld: rankWorld{opts}}
+}
+
+// NewRank builds the rank through New — from the case, or from a copy of
+// restore, never restore itself — and a pool over its lattice.
+func (w *Local) NewRank(c *mpi.Comm, restore *core.Lattice, _ int, _ float64) (Rank, error) {
+	if w.opts.Stepper != nil {
+		return nil, errors.New("psolve: the one-rank world steps the core pool; a custom Stepper needs the rank world")
+	}
+	opts := w.opts
+	opts.Restore = restore
+	s, err := New(c, opts)
+	if err != nil {
+		return nil, err
+	}
+	return &localRank{
+		Solver: s,
+		w:      w,
+		pool:   core.NewPool(s.Lat, 0),
+		bcs:    HaloSet(opts.PeriodicX, opts.PeriodicY, opts.PeriodicZ, s.bcs),
+	}, nil
+}
+
+// Lattice is the final state of the last attempt (nil before a run).
+func (w *Local) Lattice() *core.Lattice { return w.lat }
+
+// Kernel names the code path the last attempt's pool ran, e.g.
+// "aa avx512 d3q19 pool×2".
+func (w *Local) Kernel() string { return w.kernel }
+
+// FaceTime is the time every attempt's pool spent on the boundary
+// conditions (core.Pool.FaceTime).
+func (w *Local) FaceTime() time.Duration { return w.faceTime }
+
+// HaloSet orders the halo fill of a one-rank lattice as Solver.Step does:
+// the periodic z wrap, the face conditions conds, then the periodic x and
+// y wraps that stand in for the halo exchange.
+func HaloSet(perX, perY, perZ bool, conds []boundary.Condition) *boundary.Set {
+	var s boundary.Set
+	if perZ {
+		s.Add(&boundary.Periodic{Axis: 2})
+	}
+	s.Add(conds...)
+	if perX {
+		s.Add(&boundary.Periodic{Axis: 0})
+	}
+	if perY {
+		s.Add(&boundary.Periodic{Axis: 1})
+	}
+	return &s
+}
+
+// localRank is the one rank of a Local world: a 1×1 Solver whose steps
+// run on the pool.
+type localRank struct {
+	*Solver
+	w    *Local
+	pool *core.Pool
+	bcs  *boundary.Set
+}
+
+// Step advances the lattice one time step under the halo set.
+func (r *localRank) Step() {
+	defer r.tr.Scope(trace.TrackStep, "step")()
+	r.pool.StepFaces(r.bcs)
+}
+
+// GatherMacro gathers nothing: the world keeps the lattice instead.
+func (r *localRank) GatherMacro(int) *core.MacroField { return nil }
+
+// Close stops the pool and leaves the lattice to the world; the ladder
+// calls it when the rank body ends.
+func (r *localRank) Close() error {
+	r.pool.Close()
+	r.w.lat, r.w.kernel = r.Lat, r.pool.Kernel()
+	r.w.faceTime += r.pool.FaceTime()
+	return nil
+}

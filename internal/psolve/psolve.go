@@ -75,8 +75,9 @@ type Options struct {
 	// wall flags.
 	Stepper func(lat *core.Lattice) (Stepper, error)
 	// Trace, if non-nil, records per-rank timelines (steps, halo
-	// exchange, compute phases). Run installs it on the world it
-	// creates; supervised runs install it through SupervisorOptions.
+	// exchange, compute phases). The recovery ladder installs
+	// SupervisorOptions.Opts.Trace on every world it creates; Run passes
+	// this one there.
 	Trace *trace.Tracer
 }
 
@@ -415,34 +416,15 @@ func (s *Solver) GlobalMass() float64 {
 	return s.Comm.AllreduceSum(s.Lat.TotalMass())
 }
 
-// Run executes a full distributed simulation with the given number of
-// ranks and steps and returns the gathered global macroscopic field from
-// rank 0.
+// Run executes a distributed simulation of steps more steps (after
+// opts.Restore's step, when set) and returns the gathered global
+// macroscopic field from rank 0: the recovery ladder with every policy
+// off.
 func Run(opts Options, steps int) (*core.MacroField, error) {
-	if opts.PX == 0 || opts.PY == 0 {
-		opts.PX, opts.PY = mpi.FactorGrid(1, opts.GNX, opts.GNY)
+	o := SupervisorOptions{Opts: opts, Steps: steps}
+	if opts.Restore != nil {
+		o.Steps += opts.Restore.Step()
 	}
-	w, err := mpi.NewWorld(opts.PX * opts.PY)
-	if err != nil {
-		return nil, err
-	}
-	w.SetTracer(opts.Trace)
-	var result *core.MacroField
-	err = mpi.RunWorld(w, func(c *mpi.Comm) error {
-		s, err := New(c, opts)
-		if err != nil {
-			return err
-		}
-		for i := 0; i < steps; i++ {
-			s.Step()
-		}
-		if g := s.GatherMacro(0); g != nil {
-			result = g
-		}
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	return result, nil
+	m, _, err := Supervise(o)
+	return m, err
 }

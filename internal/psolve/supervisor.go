@@ -3,7 +3,8 @@ package psolve
 // The recovery ladder: the self-healing supervisor around the §IV-B
 // checkpoint/restart controller, over the multi-level in-memory
 // checkpoint hierarchy of internal/resil. It drives any Decomposition —
-// the rank world of this package, or the patch world of internal/patch.
+// the rank world of this package, its one-rank world (Local), or the
+// patch world of internal/patch.
 //
 // A supervised run takes two kinds of state copies: periodic in-memory
 // snapshot waves (L1 own copy, L2 buddy copy, L3 XOR parity — cheap,
@@ -30,6 +31,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"io"
 	"os"
 	"sort"
 	"sync/atomic"
@@ -87,10 +89,8 @@ type SupervisorOptions struct {
 	// rollbacks combined); the run fails once a restart would exceed it.
 	MaxRestarts int
 	// AllowShrink re-decomposes onto one fewer rank after an escalated
-	// rank-death failure (shrinking recovery), down to MinRanks.
+	// rank-death failure (shrinking recovery), down to one rank.
 	AllowShrink bool
-	// MinRanks floors shrinking recovery (default 1).
-	MinRanks int
 	// Injector, if non-nil, drives deterministic fault injection: rank
 	// crashes, heartbeat flaps, message faults (via the mpi hook) and
 	// checkpoint corruption.
@@ -124,9 +124,6 @@ type SupervisorOptions struct {
 	// fixed receive deadline) or "phi" (heartbeat-driven phi-accrual
 	// suspicion with the deadline kept as a last resort).
 	Detector string
-	// PhiThreshold overrides the phi detector's suspicion threshold
-	// (0 = mpi.DefaultPhiThreshold).
-	PhiThreshold float64
 	// StragglerWallDelay, when > 0, makes injected stragglers actually
 	// sleep (factor−1)×delay per step on the wall clock — so detector
 	// tests exercise real slowness, not just the performance model.
@@ -161,7 +158,9 @@ type Decomposition interface {
 	Restart(dead []int, shrink bool)
 }
 
-// Rank is one rank's share of an attempt; *Solver is the rank world's.
+// Rank is one rank's share of an attempt; *Solver is the rank world's. A
+// rank that holds resources also implements io.Closer: the ladder closes
+// it when the rank's body ends, however it ends.
 type Rank interface {
 	// Step advances the rank's blocks one time step.
 	Step()
@@ -178,6 +177,17 @@ type Rank interface {
 // process grid per rank. The holders are the ranks themselves, so a dead
 // rank's block re-homes onto a spare that takes over its rank.
 type rankWorld struct{ opts Options }
+
+// NewRanks lays opts' lattice over its PX×PY process grid (one rank when
+// either is zero). opts.Restore is ignored: the ladder's restore seed is
+// SupervisorOptions.Opts.Restore.
+func NewRanks(opts Options) Decomposition {
+	if opts.PX == 0 || opts.PY == 0 {
+		opts.PX, opts.PY = mpi.FactorGrid(1, opts.GNX, opts.GNY)
+	}
+	opts.Restore = nil
+	return &rankWorld{opts}
+}
 
 func (w *rankWorld) Ranks() int { return w.opts.PX * w.opts.PY }
 
@@ -227,12 +237,28 @@ func (w *rankWorld) Restart(_ []int, shrink bool) {
 // field plus recovery metrics. The returned error is non-nil only when
 // the restart budget is exhausted or the configuration is unusable.
 func Supervise(o SupervisorOptions) (*core.MacroField, perf.RecoveryStats, error) {
-	opts := o.Opts
-	if opts.PX == 0 || opts.PY == 0 {
-		opts.PX, opts.PY = mpi.FactorGrid(1, opts.GNX, opts.GNY)
+	return SuperviseOn(NewRanks(o.Opts), o)
+}
+
+// SetPolicy parses a fault plan (fault.ParsePlan; empty means no
+// injector) and the checkpoint levels (resil.ParseLevels; empty means disk
+// only) into o, refusing a plan that names a rank outside a world of the
+// given size: a fault aimed at a missing rank would never fire.
+func (o *SupervisorOptions) SetPolicy(plan, levels string, ranks int) error {
+	o.Injector = nil
+	if plan != "" {
+		p, err := fault.ParsePlan(plan)
+		if err != nil {
+			return err
+		}
+		if err := p.Validate(ranks); err != nil {
+			return err
+		}
+		o.Injector = fault.NewInjector(p)
 	}
-	opts.Restore = nil
-	return SuperviseOn(&rankWorld{opts}, o)
+	l, err := resil.ParseLevels(levels)
+	o.Levels = l
+	return err
 }
 
 // SuperviseOn runs a simulation laid out by d to completion under the
@@ -242,10 +268,9 @@ func SuperviseOn(d Decomposition, o SupervisorOptions) (field *core.MacroField, 
 	if logf == nil {
 		logf = func(string, ...any) {}
 	}
-	if o.Steps <= 0 {
-		return nil, stats, fmt.Errorf("psolve: supervisor needs Steps > 0")
+	if o.Steps < 0 {
+		return nil, stats, fmt.Errorf("psolve: supervisor needs Steps ≥ 0")
 	}
-	minRanks := max(o.MinRanks, 1)
 	levels := o.Levels
 	if levels == 0 {
 		levels = resil.L4 // disk only
@@ -305,6 +330,7 @@ func SuperviseOn(d Decomposition, o SupervisorOptions) (field *core.MacroField, 
 		}
 
 		var result *core.MacroField
+		var stopped *core.Lattice // a lone rank's state when it was canceled
 		var maxStep atomic.Int64
 		maxStep.Store(int64(resumeStep))
 
@@ -317,11 +343,19 @@ func SuperviseOn(d Decomposition, o SupervisorOptions) (field *core.MacroField, 
 			if err != nil {
 				return err
 			}
+			if cl, ok := r.(io.Closer); ok {
+				defer cl.Close()
+			}
 			for step := resumeStep; step < o.Steps; step++ {
 				// Step-boundary cancellation check: the watcher goroutine
 				// below wakes blocked receives, but a rank deep in compute
 				// only observes cancellation here.
 				if o.Ctx != nil && o.Ctx.Err() != nil {
+					if c.Size() == 1 {
+						// A lone rank stops on a step boundary with its
+						// state whole: the drain can keep this very step.
+						stopped, _ = r.GatherLattice(0)
+					}
 					return fmt.Errorf("rank %d at step %d: %w", c.Rank(), step, ErrCanceled)
 				}
 				if o.Injector == nil || !o.Injector.FlapNow(c.Rank(), step) {
@@ -403,7 +437,7 @@ func SuperviseOn(d Decomposition, o SupervisorOptions) (field *core.MacroField, 
 			return result, stats, nil
 		}
 		if o.Ctx != nil && o.Ctx.Err() != nil {
-			return nil, stats, superviseDrain(&o, d, store, lastGood, int(maxStep.Load()), &stats, ctl, logf)
+			return nil, stats, superviseDrain(&o, d, store, lastGood, stopped, int(maxStep.Load()), &stats, ctl, logf)
 		}
 		cause := w.FailureCause()
 		if cause == nil {
@@ -453,7 +487,7 @@ func SuperviseOn(d Decomposition, o SupervisorOptions) (field *core.MacroField, 
 				stats.LostSteps += lostSteps
 			}
 			rankLoss := errors.Is(cause, fault.ErrInjectedCrash) || errors.Is(cause, mpi.ErrRankDead)
-			shrink := o.AllowShrink && rankLoss && ranks > minRanks
+			shrink := o.AllowShrink && rankLoss && ranks > 1
 			d.Restart(dead, shrink)
 			if shrink {
 				stats.Shrinks++
@@ -498,11 +532,7 @@ func (o *SupervisorOptions) newWorld(ranks int) (*mpi.World, error) {
 		w.SetRecvTimeout(timeout)
 	}
 	if o.Detector == "phi" {
-		det := mpi.NewPhiDetector()
-		if o.PhiThreshold > 0 {
-			det.Threshold = o.PhiThreshold
-		}
-		w.SetDetector(det)
+		w.SetDetector(mpi.NewPhiDetector())
 	}
 	return w, nil
 }
@@ -510,11 +540,12 @@ func (o *SupervisorOptions) newWorld(ranks int) (*mpi.World, error) {
 // superviseDrain handles cooperative shutdown: the run's context was
 // canceled, so instead of restarting, preserve the newest recoverable
 // state as an L4 checkpoint and report ErrCanceled. The best state is
-// whichever is newer of the last verified disk checkpoint and the latest
-// complete in-memory snapshot wave — the same sources the recovery paths
-// trust, so a drained checkpoint is always resumable.
+// the newest of the last verified disk checkpoint, the latest complete
+// in-memory snapshot wave — the same sources the recovery paths trust —
+// and the state a one-rank world stopped at, if it passes the health
+// gate; so a drained checkpoint is always resumable.
 func superviseDrain(o *SupervisorOptions, d Decomposition, store *resil.Store,
-	lastGood *core.Lattice, atStep int, stats *perf.RecoveryStats,
+	lastGood, stopped *core.Lattice, atStep int, stats *perf.RecoveryStats,
 	ctl *trace.RankTracer, logf func(string, ...any)) error {
 	drain := lastGood
 	if store != nil {
@@ -522,6 +553,11 @@ func superviseDrain(o *SupervisorOptions, d Decomposition, store *resil.Store,
 			if g, aerr := d.Assemble(rec); aerr == nil {
 				drain = g
 			}
+		}
+	}
+	if stopped != nil && stopped.Step() > lastGoodStep(drain) {
+		if _, herr := stopped.CheckHealth(); herr == nil {
+			drain = stopped
 		}
 	}
 	drainStep := lastGoodStep(drain)

@@ -25,9 +25,8 @@ import (
 	"time"
 
 	"sunwaylb/internal/config"
-	"sunwaylb/internal/fault"
 	"sunwaylb/internal/perf"
-	"sunwaylb/internal/resil"
+	"sunwaylb/internal/psolve"
 )
 
 // JobSpec is the submit payload: the CLI's case schema plus the
@@ -130,25 +129,17 @@ func (sp *JobSpec) normalize() (px, py int, err error) {
 	if sp.Levels == "" {
 		sp.Levels = "1234"
 	}
-	if _, err := resil.ParseLevels(sp.Levels); err != nil {
-		return 0, 0, err
-	}
 	if sp.GroupSize == 0 {
 		sp.GroupSize = 2
 	}
 	if sp.SpareRanks == 0 {
 		sp.SpareRanks = 1
 	}
-	if sp.FaultPlan != "" {
-		plan, perr := fault.ParsePlan(sp.FaultPlan)
-		if perr != nil {
-			return 0, 0, perr
-		}
-		// A tenant's faults must stay inside its own world: reject plans
-		// that name ranks the job does not have.
-		if verr := plan.Validate(px * py); verr != nil {
-			return 0, 0, verr
-		}
+	// A tenant's faults must stay inside its own world: reject plans that
+	// name ranks the job does not have, as the job's supervisor would.
+	var policy psolve.SupervisorOptions
+	if err := policy.SetPolicy(sp.FaultPlan, sp.Levels, px*py); err != nil {
+		return 0, 0, err
 	}
 	switch sp.Detector {
 	case "", "deadline", "phi":

@@ -14,7 +14,6 @@ import (
 	"sunwaylb/internal/patch"
 	"sunwaylb/internal/perf"
 	"sunwaylb/internal/psolve"
-	"sunwaylb/internal/resil"
 	"sunwaylb/internal/swio"
 	"sunwaylb/internal/trace"
 )
@@ -199,18 +198,6 @@ func jobSeed(id string) int64 {
 // statistics are folded into the fleet's patch gauges (served by
 // /metrics).
 func (s *Server) superviseJob(ctx context.Context, j *Job) (*core.MacroField, perf.RecoveryStats, error) {
-	var inj *fault.Injector
-	if j.Spec.FaultPlan != "" {
-		plan, perr := fault.ParsePlan(j.Spec.FaultPlan)
-		if perr != nil {
-			return nil, perf.RecoveryStats{}, perr
-		}
-		inj = fault.NewInjector(plan)
-	}
-	levels, lerr := resil.ParseLevels(j.Spec.Levels)
-	if lerr != nil {
-		return nil, perf.RecoveryStats{}, lerr
-	}
 	retry := s.cfg.Retry
 	retry.Seed = jobSeed(j.ID)
 	o := psolve.SupervisorOptions{
@@ -221,12 +208,13 @@ func (s *Server) superviseJob(ctx context.Context, j *Job) (*core.MacroField, pe
 		CheckpointPath:  s.checkpointPath(j),
 		MaxRestarts:     j.Spec.MaxRestarts,
 		SnapshotEvery:   j.Spec.SnapshotEvery,
-		Levels:          levels,
 		GroupSize:       j.Spec.GroupSize,
 		SpareRanks:      j.Spec.SpareRanks,
 		Detector:        j.Spec.Detector,
-		Injector:        inj,
 		Retry:           retry,
+	}
+	if err := o.SetPolicy(j.Spec.FaultPlan, j.Spec.Levels, j.px*j.py); err != nil {
+		return nil, perf.RecoveryStats{}, err
 	}
 	if lat, rerr := swio.Restart(o.CheckpointPath); rerr == nil && lat.Step() < o.Steps {
 		o.Opts.Restore = lat

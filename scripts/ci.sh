@@ -25,7 +25,7 @@
 #             goroutine-leak, lock-safety, channel-protocol and
 #             memory-traffic findings, and go vet must be clean
 #   chaos   — race-checked chaos matrix: the one recovery ladder, on
-#             rank grids and patch worlds, must survive
+#             rank grids, patch worlds and the single rank, must survive
 #             deterministic rank kills (single and per-group), link
 #             flaps under the phi detector, multi-loss escalation to
 #             the disk tier, checkpoint corruption and straggler skew —
@@ -59,7 +59,9 @@
 #             slice (serial/pool backends and AA ranks MaxULP=0
 #             against the reference at both storage parities), the CLI
 #             pins (every default path names the AA kernel and writes
-#             the same bytes), the one collision operator against its
+#             the same bytes, resumes any other path's checkpoint to the
+#             same bytes, and refuses foreign checkpoints and
+#             out-of-world fault plans), the one collision operator against its
 #             definition and the unrolled row against the operator, the
 #             race-checked worker-pool soak plus the AVX-512 row kernel's
 #             bitwise equivalence tests, the boundary conditions' face plans
@@ -142,8 +144,11 @@ perf() {
     # parity metamorphic property must hold.
     go run ./cmd/conform -seed 1 -cases 10 -run 'core/aa|core/pool|psolve/2x2|prop/aa-parity'
     # No silent slow path, no path-dependent answer: single rank, ranks
-    # and patches all report the AA kernel and write identical images.
-    go test -count=1 -run 'TestCLIKernelPath|TestCLIPathsAgree' ./cmd/sunwaylb
+    # and patches all report the AA kernel and write identical images; a
+    # checkpoint of any of them resumes on the others to the same bytes;
+    # and every world refuses a foreign checkpoint or an out-of-world
+    # fault plan.
+    go test -count=1 -run 'TestCLIKernelPath|TestCLIPathsAgree|TestCLICheckpointsPortable|TestCLIRestoreChecksDims|TestCLIFaultPlanInWorld' ./cmd/sunwaylb
     # Race-checked AA suite: the lattice builder against the per-cell
     # construction, the collision operator against its
     # per-direction definition, the unrolled row against the operator
@@ -217,6 +222,11 @@ chaos() {
         'TestRecvFromExitedRank|TestAbortUnblocksEveryone|TestRecvSuspectsSilentPeer|TestRecvNoFalseSuspicionUnderLoad|TestFaultHookDuplicate' \
         ./internal/mpi
     go test -race -timeout 120s ./internal/fault ./internal/resil
+    # The single rank runs on the same ladder: a crash of rank 0 rolls
+    # back to the verified checkpoint and ends on the clean run's images,
+    # and an interrupt saves the step it stopped at.
+    go test -race -count=1 -timeout 300s \
+        -run 'TestSingleRankFaultRecovery|TestLocalRestoreRejoinsAtOddSteps' ./cmd/sunwaylb
     # CLI-level smoke: a group kill must hot-swap with zero disk rollbacks.
     swap=$(go run ./cmd/sunwaylb -preset cavity -nx 16 -ny 16 -nz 16 -steps 8 \
         -decomp 2x2 -snapshot-every 2 -ckpt-levels 123 -ckpt-group 2 \
