@@ -43,6 +43,7 @@ import (
 	"sunwaylb/internal/patch"
 	"sunwaylb/internal/perf"
 	"sunwaylb/internal/psolve"
+	"sunwaylb/internal/resil"
 	"sunwaylb/internal/sunway"
 	"sunwaylb/internal/swio"
 	"sunwaylb/internal/swlb"
@@ -398,8 +399,11 @@ type world struct {
 	report time.Duration
 	mon    *perf.Monitor
 	build  time.Duration // rank 0's first build, restore included
-	rank0  psolve.Rank   // rank 0 of the last attempt
-	last   time.Time     // of the last progress line
+	// backing says how the process's memory is backed after that build:
+	// " (huge pages N MB)" where /proc/self/smaps_rollup reads.
+	backing string
+	rank0   psolve.Rank // rank 0 of the last attempt
+	last    time.Time   // of the last progress line
 }
 
 // newWorld lays the case over the world -decomp names and prints what
@@ -523,6 +527,9 @@ func (w *world) NewRank(c *mpi.Comm, restore *core.Lattice, steps int, straggle 
 	}
 	if w.rank0 == nil {
 		w.build = time.Since(t0)
+		if mb, ok := hugePagesMB(); ok {
+			w.backing = fmt.Sprintf(" (huge pages %.0f MB)", mb)
+		}
 	}
 	w.rank0, w.last = r, time.Now()
 	step := 0
@@ -530,6 +537,24 @@ func (w *world) NewRank(c *mpi.Comm, restore *core.Lattice, steps int, straggle 
 		step = restore.Step()
 	}
 	return &timedRank{Rank: r, w: w, step: step}, nil
+}
+
+// hugePagesMB reads how much of the process's anonymous memory sits on
+// transparent huge pages (AnonHugePages of /proc/self/smaps_rollup); ok is
+// false where that file does not exist, as off Linux.
+func hugePagesMB() (mb float64, ok bool) {
+	raw, err := os.ReadFile("/proc/self/smaps_rollup")
+	if err != nil {
+		return 0, false
+	}
+	for _, line := range strings.Split(string(raw), "\n") {
+		if v, found := strings.CutPrefix(line, "AnonHugePages:"); found {
+			var kb float64
+			_, err := fmt.Sscan(v, &kb)
+			return kb * 1024 / 1e6, err == nil
+		}
+	}
+	return 0, false
 }
 
 // timedRank is rank 0 of an attempt: it records every step in the world's
@@ -623,7 +648,7 @@ func run(ctx context.Context, w *world, o runOpts) error {
 			return err
 		}
 	}
-	fmt.Printf("setup: build %.1f ms, output %.1f ms\n", w.build.Seconds()*1e3, time.Since(outStart).Seconds()*1e3)
+	fmt.Printf("setup: build %.1f ms%s, output %.1f ms\n", w.build.Seconds()*1e3, w.backing, time.Since(outStart).Seconds()*1e3)
 	return nil
 }
 
@@ -650,6 +675,10 @@ func superviseOpts(ctx context.Context, w *world, o runOpts) (psolve.SupervisorO
 	}
 	if so.Injector != nil {
 		fmt.Printf("fault plan: %s\n", so.Injector.Plan())
+	}
+	if w.Ranks() == 1 && (so.SpareRanks > 0 || so.Levels&(resil.L2|resil.L3) != 0) {
+		// A singleton parity group holds no buddy copy and no parity.
+		fmt.Println("note: one rank has no buddy and no parity partner: neither -spare-ranks nor checkpoint levels 2 and 3 can recover it, so a crash resumes from the L4 checkpoint or from step 0")
 	}
 	if o.restore != "" {
 		lat, err := swio.Restart(o.restore)

@@ -155,14 +155,18 @@ func TestCLISmoke(t *testing.T) {
 // unrolled kernel, so its line ends at the pool; the cylinder's rows by the
 // obstacle step the generic sweep, and the line says how many. A
 // single-rank run then says what building the lattice and writing its
-// output cost.
+// output cost, and, where /proc/self/smaps_rollup reads, how much memory
+// the build left on huge pages.
 func TestCLIKernelPath(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builds and runs the binary")
 	}
 	bin := buildCLI(t)
 	const aa = `path: aa (avx512|scalar) d3q19 `
-	const setup = `setup: build [0-9.]+ ms, output [0-9.]+ ms\n`
+	setup := `setup: build [0-9.]+ ms, output [0-9.]+ ms\n`
+	if _, ok := hugePagesMB(); ok {
+		setup = `setup: build [0-9.]+ ms \(huge pages [0-9]+ MB\), output [0-9.]+ ms\n`
+	}
 	channel := []string{"-preset", "channel", "-nx", "16", "-ny", "12", "-nz", "8", "-steps", "4"}
 	for _, tc := range []struct {
 		args []string
@@ -387,6 +391,40 @@ func TestCLIFaultPlanInWorld(t *testing.T) {
 		out, err := exec.Command(bin, args...).CombinedOutput()
 		if err == nil || !strings.Contains(string(out), "outside world") {
 			t.Errorf("%v: want a refused plan, got %v:\n%s", args, err, out)
+		}
+	}
+}
+
+// TestCLIOneRankRecoveryNote: a one-rank run that asks for spare ranks
+// and the buddy and parity levels is told at start that none of them can
+// recover it — a singleton parity group holds no copy — and it still runs
+// as before, a crash resuming from step 0. A 2×1 world gets no note.
+func TestCLIOneRankRecoveryNote(t *testing.T) {
+	if testing.Short() {
+		t.Skip("builds and runs the binary")
+	}
+	bin := buildCLI(t)
+	args := []string{"-preset", "cavity", "-nx", "12", "-ny", "12", "-nz", "12", "-steps", "6",
+		"-snapshot-every", "2", "-ckpt-levels", "123", "-spare-ranks", "1",
+		"-fault-plan", "seed=1;crash@rank=0,step=3", "-max-restarts", "1"}
+	const note = "note: one rank has no buddy and no parity partner"
+	for _, tc := range []struct {
+		world    []string
+		notes    int
+		recovery string
+	}{
+		{nil, 1, "resuming from step 0 (lost 3 steps)"},
+		{[]string{"-decomp", "2x1"}, 0, "hot-swaps=1, disk=0"},
+	} {
+		out, err := exec.Command(bin, append(args, tc.world...)...).CombinedOutput()
+		if err != nil {
+			t.Fatalf("%v: %v\n%s", tc.world, err, out)
+		}
+		if got := strings.Count(string(out), note); got != tc.notes {
+			t.Errorf("%v: %d notes, want %d:\n%s", tc.world, got, tc.notes, out)
+		}
+		if !strings.Contains(string(out), tc.recovery) {
+			t.Errorf("%v: recovery changed, want %q:\n%s", tc.world, tc.recovery, out)
 		}
 	}
 }

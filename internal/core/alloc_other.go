@@ -1,0 +1,7 @@
+//go:build !linux
+
+package core
+
+// makeFloats returns a zeroed slice of n float64s; only Linux advises
+// its pages onto transparent huge pages.
+func makeFloats(n int) []float64 { return make([]float64, n) }

@@ -58,7 +58,7 @@ func BuildLattice(desc *lattice.Descriptor, b Box, tau float64, walls WallsFunc,
 		WallVel: make(map[int][3]float64),
 		Tau:     tau,
 	}
-	l.F[0] = make([]float64, desc.Q*n)
+	l.F[0] = makeFloats(desc.Q * n)
 	l.offs = make([]int, desc.Q)
 	for q := 0; q < desc.Q; q++ {
 		c := desc.C[q]

@@ -149,7 +149,8 @@ func (l *Lattice) Dst() []float64 {
 		return nil
 	}
 	if l.F[1-l.src] == nil {
-		l.F[1-l.src] = append([]float64(nil), l.F[l.src]...)
+		l.F[1-l.src] = makeFloats(len(l.F[l.src]))
+		copy(l.F[1-l.src], l.F[l.src])
 	}
 	return l.F[1-l.src]
 }

@@ -47,7 +47,7 @@ func (m *MacroField) Idx(x, y, z int) int { return (y*m.NX+x)*m.NZ + z }
 
 // NewMacroField allocates a zeroed nx×ny×nz field.
 func NewMacroField(nx, ny, nz int) *MacroField {
-	return MacroFieldOver(make([]float64, 4*nx*ny*nz), nx, ny, nz)
+	return MacroFieldOver(makeFloats(4*nx*ny*nz), nx, ny, nz)
 }
 
 // MacroFieldOver lays an nx×ny×nz field over d, which holds the four

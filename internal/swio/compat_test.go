@@ -4,87 +4,22 @@ import (
 	"bytes"
 	"encoding/binary"
 	"errors"
-	"hash/crc64"
-	"math"
 	"testing"
-
-	"sunwaylb/internal/core"
 )
 
-// writeV1 serialises a lattice in the legacy V1 layout (whole-file
-// CRC64-ECMA trailer) so the upgraded reader can be tested against
-// checkpoints written before the record-checksummed V2 format existed.
-func writeV1(t *testing.T, l *core.Lattice) []byte {
-	t.Helper()
-	var body bytes.Buffer
-	head := []uint64{
-		checkpointMagicV1,
-		uint64(l.NX), uint64(l.NY), uint64(l.NZ),
-		uint64(l.Desc.Q),
-		uint64(l.Step()),
-		math.Float64bits(l.Tau),
-		math.Float64bits(l.Smagorinsky),
-		math.Float64bits(l.Force[0]),
-		math.Float64bits(l.Force[1]),
-		math.Float64bits(l.Force[2]),
+// TestReadV1Retired: a checkpoint in the retired V1 format fails with the
+// typed error that names the format, and that error wraps ErrCorrupt, so
+// the supervisor treats it as any other unreadable checkpoint.
+func TestReadV1Retired(t *testing.T) {
+	var buf bytes.Buffer
+	if err := WriteCheckpoint(&buf, buildState(t)); err != nil {
+		t.Fatal(err)
 	}
-	for _, v := range head {
-		binary.Write(&body, binary.LittleEndian, v)
-	}
-	for _, f := range l.Flags {
-		body.WriteByte(byte(f))
-	}
-	for _, v := range l.Src() {
-		binary.Write(&body, binary.LittleEndian, math.Float64bits(v))
-	}
-	sum := crc64.Checksum(body.Bytes(), crcTable)
-	binary.Write(&body, binary.LittleEndian, sum)
-	return body.Bytes()
-}
-
-// TestReadV1Compat: a legacy V1 checkpoint restores bit-identically
-// through the upgraded reader (old checkpoint files stay usable).
-func TestReadV1Compat(t *testing.T) {
-	orig := buildState(t)
-	data := writeV1(t, orig)
-	restored, err := ReadCheckpointLimit(bytes.NewReader(data), int64(len(data))+16)
-	if err != nil {
-		t.Fatalf("reading V1 checkpoint: %v", err)
-	}
-	if restored.Step() != orig.Step() {
-		t.Errorf("step = %d, want %d", restored.Step(), orig.Step())
-	}
-	if restored.Tau != orig.Tau || restored.Smagorinsky != orig.Smagorinsky || restored.Force != orig.Force {
-		t.Error("V1 parameters not restored")
-	}
-	fa, fb := orig.Src(), restored.Src()
-	for i := range fa {
-		if fa[i] != fb[i] {
-			t.Fatalf("V1 population %d differs after restore", i)
-		}
-	}
-	for i := range orig.Flags {
-		if orig.Flags[i] != restored.Flags[i] {
-			t.Fatalf("V1 flag %d differs after restore", i)
-		}
-	}
-}
-
-// TestReadV1CorruptionDetected: a bit flip anywhere in a V1 file fails
-// the whole-file CRC with ErrCorrupt.
-func TestReadV1CorruptionDetected(t *testing.T) {
-	data := writeV1(t, buildState(t))
-	for _, off := range []int{9, 90, len(data) / 2, len(data) - 9} {
-		bad := append([]byte(nil), data...)
-		bad[off] ^= 0x40
-		_, err := ReadCheckpointLimit(bytes.NewReader(bad), int64(len(bad))+16)
-		if err == nil {
-			t.Errorf("V1 flip at byte %d not detected", off)
-			continue
-		}
-		if !errors.Is(err, ErrCorrupt) {
-			t.Errorf("V1 flip at byte %d: error %v does not wrap ErrCorrupt", off, err)
-		}
+	data := buf.Bytes()
+	binary.LittleEndian.PutUint64(data, checkpointMagicV1)
+	_, err := ReadCheckpointLimit(bytes.NewReader(data), int64(len(data)))
+	if !errors.Is(err, ErrRetiredFormat) || !errors.Is(err, ErrCorrupt) {
+		t.Fatalf("V1 checkpoint: error %v, want ErrRetiredFormat wrapping ErrCorrupt", err)
 	}
 }
 

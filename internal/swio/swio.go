@@ -20,7 +20,6 @@ import (
 	"fmt"
 	"hash"
 	"hash/crc32"
-	"hash/crc64"
 	"io"
 	"math"
 	"os"
@@ -29,10 +28,11 @@ import (
 	"sunwaylb/internal/lattice"
 )
 
-// Checkpoint magics: "SWLB" + version tag. V1 used one trailing CRC64
-// over the whole file; V2 checksums each record (header, flags,
-// populations) separately with CRC32-C, so a flipped bit is caught before
-// the record it lives in is interpreted. The reader accepts both.
+// Checkpoint magics: "SWLB" + version tag. V2 checksums each record
+// (header, flags, populations) separately with CRC32-C, so a flipped bit
+// is caught before the record it lives in is interpreted. V1, with one
+// trailing CRC64 over the whole file, is retired: the reader names it and
+// refuses it.
 const (
 	checkpointMagicV1 = 0x53574c42_43504b31 // "SWLB" "CPK1"
 	checkpointMagicV2 = 0x53574c42_43504b32 // "SWLB" "CPK2"
@@ -42,7 +42,9 @@ const (
 // magic, truncation, or a CRC mismatch). Test with errors.Is.
 var ErrCorrupt = errors.New("checkpoint corrupt")
 
-var crcTable = crc64.MakeTable(crc64.ECMA)
+// ErrRetiredFormat marks a checkpoint in the retired V1 format. It wraps
+// ErrCorrupt: no reader of this version restores it.
+var ErrRetiredFormat = fmt.Errorf("swio: checkpoint in the retired V1 format (whole-file CRC64), no longer read: %w", ErrCorrupt)
 
 // crc32c is the Castagnoli polynomial (hardware-accelerated on most CPUs).
 var crc32c = crc32.MakeTable(crc32.Castagnoli)
@@ -143,8 +145,8 @@ func ReadCheckpoint(r io.Reader) (*core.Lattice, error) {
 }
 
 // ReadCheckpointLimit is ReadCheckpoint with an explicit upper bound on
-// the serialized size the header may claim. It accepts both the V1
-// (whole-file CRC64) and V2 (per-record CRC32-C) formats.
+// the serialized size the header may claim. It reads the V2 (per-record
+// CRC32-C) format; a V1 file fails with ErrRetiredFormat.
 func ReadCheckpointLimit(r io.Reader, maxBytes int64) (*core.Lattice, error) {
 	br := bufio.NewReader(r)
 	var magic uint64
@@ -153,7 +155,7 @@ func ReadCheckpointLimit(r io.Reader, maxBytes int64) (*core.Lattice, error) {
 	}
 	switch magic {
 	case checkpointMagicV1:
-		return readV1(br, maxBytes)
+		return nil, ErrRetiredFormat
 	case checkpointMagicV2:
 		return readV2(br, maxBytes)
 	}
@@ -161,8 +163,8 @@ func ReadCheckpointLimit(r io.Reader, maxBytes int64) (*core.Lattice, error) {
 }
 
 // checkDims validates header-claimed dimensions against the size budget
-// before anything is allocated. extra is the per-format framing overhead.
-func checkDims(nx, ny, nz, q int, maxBytes, extra int64) error {
+// before anything is allocated.
+func checkDims(nx, ny, nz, q int, maxBytes int64) error {
 	if q != lattice.D3Q19.Q {
 		return corruptf("checkpoint uses Q=%d, only D3Q19 supported", q)
 	}
@@ -170,7 +172,7 @@ func checkDims(nx, ny, nz, q int, maxBytes, extra int64) error {
 		return corruptf("checkpoint claims invalid dimensions %d×%d×%d", nx, ny, nz)
 	}
 	alloc := int64(nx+2) * int64(ny+2) * int64(nz+2)
-	need := extra + alloc + alloc*int64(q)*8
+	need := 11*8 + 3*4 + alloc + alloc*int64(q)*8 // framing: header words, three CRCs
 	if alloc <= 0 || need <= 0 || need > maxBytes {
 		return corruptf("checkpoint claims %d×%d×%d (%d bytes), above the %d-byte limit (corrupt header?)",
 			nx, ny, nz, need, maxBytes)
@@ -193,56 +195,6 @@ func buildLattice(head []uint64) (*core.Lattice, error) {
 		math.Float64frombits(head[8]),
 		math.Float64frombits(head[9]),
 	}
-	return l, nil
-}
-
-// readV1 decodes the legacy whole-file-CRC64 format (magic already
-// consumed; it is re-fed into the checksum here).
-func readV1(br *bufio.Reader, maxBytes int64) (*core.Lattice, error) {
-	crc := crc64.New(crcTable)
-	var b8 [8]byte
-	binary.LittleEndian.PutUint64(b8[:], checkpointMagicV1)
-	crc.Write(b8[:])
-	tr := io.TeeReader(br, crc)
-
-	head := make([]uint64, 10)
-	for i := range head {
-		if err := binary.Read(tr, binary.LittleEndian, &head[i]); err != nil {
-			return nil, corruptf("reading checkpoint header: %v", err)
-		}
-	}
-	nx, ny, nz, q := int(head[0]), int(head[1]), int(head[2]), int(head[3])
-	if err := checkDims(nx, ny, nz, q, maxBytes, 11*8+8); err != nil {
-		return nil, err
-	}
-	l, err := buildLattice(head)
-	if err != nil {
-		return nil, err
-	}
-	flags := make([]byte, l.N)
-	if _, err := io.ReadFull(tr, flags); err != nil {
-		return nil, corruptf("reading checkpoint flags: %v", err)
-	}
-	for i, f := range flags {
-		l.Flags[i] = core.CellType(f)
-	}
-	src := l.Src()
-	buf := make([]byte, 8)
-	for i := range src {
-		if _, err := io.ReadFull(tr, buf); err != nil {
-			return nil, corruptf("reading checkpoint populations: %v", err)
-		}
-		src[i] = math.Float64frombits(binary.LittleEndian.Uint64(buf))
-	}
-	sum := crc.Sum64()
-	var stored uint64
-	if err := binary.Read(br, binary.LittleEndian, &stored); err != nil {
-		return nil, corruptf("reading checkpoint CRC: %v", err)
-	}
-	if stored != sum {
-		return nil, corruptf("checkpoint CRC mismatch: stored %#x computed %#x (corrupt file)", stored, sum)
-	}
-	l.SetStep(int(head[4]))
 	return l, nil
 }
 
@@ -278,7 +230,7 @@ func readV2(br *bufio.Reader, maxBytes int64) (*core.Lattice, error) {
 		return nil, err
 	}
 	nx, ny, nz, q := int(head[0]), int(head[1]), int(head[2]), int(head[3])
-	if err := checkDims(nx, ny, nz, q, maxBytes, 11*8+3*4); err != nil {
+	if err := checkDims(nx, ny, nz, q, maxBytes); err != nil {
 		return nil, err
 	}
 	l, err := buildLattice(head)

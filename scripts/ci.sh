@@ -5,7 +5,8 @@
 #             vet + tests of bench/, a module of its own that compiles
 #             against internal/*: an API break shows here, not only when
 #             the benchmark next runs
-#   tier 2  — gofmt cleanliness + vet + race detector on every package
+#   tier 2  — gofmt cleanliness + vet (also for darwin/arm64 and
+#             linux/arm64) + race detector on every package
 #   race    — focused race-detector sweep over the concurrent packages
 #             (mpi transport, psolve rank goroutines, swlb MPE/CPE
 #             collaboration, sunway CPE cluster, trace ring buffers,
@@ -67,6 +68,7 @@
 #             bitwise equivalence tests, the boundary conditions' face plans
 #             against their per-cell definition on both storage schemes
 #             and phases (with a two-worker pool stepping in between),
+#             the lattice's arrays on transparent huge pages,
 #             the allocation-free rank/patch steps and snapshot waves,
 #             and the memtraffic/hotalloc/goleak static budgets over the
 #             kernel, boundary, resilience and rank data-path code
@@ -98,6 +100,10 @@ tier2() {
         exit 1
     fi
     go vet ./...
+    # Cross-vet: the !linux allocation helper and the non-amd64 row-kernel
+    # fallback must keep compiling.
+    GOOS=darwin GOARCH=arm64 go vet ./...
+    GOOS=linux GOARCH=arm64 go vet ./...
     go test -race ./...
 }
 
@@ -166,6 +172,9 @@ perf() {
     # against Apply-then-Step at 1-3 workers (the lid regime included).
     go test -race -count=1 -timeout 600s \
         -run 'TestFacePlans|TestPoolFaces|FuzzAAStepConditions' ./internal/boundary
+    # The lattice and macro arrays are advised onto transparent huge pages
+    # before their first write (skipped where THP is absent or off).
+    go test -count=1 -v -run 'TestLargeArraysOnHugePages' ./internal/core
     # The rank data paths allocate nothing in steady state: a 2x1 rank
     # step, a patch2 step and a snapshot wave, plus the row-wise macro
     # extraction bitwise against the per-cell definition.
