@@ -97,15 +97,14 @@ func TestPipelineSTLToDistributedSolve(t *testing.T) {
 // straight through.
 func TestPipelineCheckpointRestartContinuation(t *testing.T) {
 	build := func() (*core.Lattice, *boundary.Set) {
-		l, err := core.NewLattice(&lattice.D3Q19, 20, 12, 8, 0.65)
+		cyl := geometry.CylinderZ{CX: 6, CY: 6, Radius: 2.5, ZMin: -1, ZMax: 9}
+		g := geometry.VoxelGrid{NX: 20, NY: 12, NZ: 8, H: 1}
+		l, err := core.BuildLattice(&lattice.D3Q19, core.Box{NX: 20, NY: 12, NZ: 8}, 0.65,
+			g.Walls(geometry.Voxelize(cyl, g)), nil)
 		if err != nil {
 			t.Fatal(err)
 		}
 		l.Smagorinsky = 0.17
-		cyl := geometry.CylinderZ{CX: 6, CY: 6, Radius: 2.5, ZMin: -1, ZMax: 9}
-		if err := geometry.VoxelizeInto(l, cyl, geometry.VoxelGrid{NX: 20, NY: 12, NZ: 8, H: 1}); err != nil {
-			t.Fatal(err)
-		}
 		var s boundary.Set
 		s.Add(
 			&boundary.Periodic{Axis: 2},
@@ -156,19 +155,17 @@ func TestPipelineCheckpointRestartContinuation(t *testing.T) {
 // the reference kernel and produces a positive simulated GLUPS figure.
 func TestPipelineSunwayEngineCase(t *testing.T) {
 	build := func() (*core.Lattice, *boundary.Set) {
-		l, err := core.NewLattice(&lattice.D3Q19, 16, 24, 12, 0.58)
-		if err != nil {
-			t.Fatal(err)
-		}
-		l.Smagorinsky = 0.17
 		p := geometry.DefaultUrbanParams()
 		p.SizeX, p.SizeY = 16, 24
 		p.BlocksX, p.BlocksY = 2, 3
 		p.MinHeight, p.MaxHeight = 3, 8
-		if err := geometry.VoxelizeInto(l, geometry.City(p),
-			geometry.VoxelGrid{NX: 16, NY: 24, NZ: 12, H: 1}); err != nil {
+		g := geometry.VoxelGrid{NX: 16, NY: 24, NZ: 12, H: 1}
+		l, err := core.BuildLattice(&lattice.D3Q19, core.Box{NX: 16, NY: 24, NZ: 12}, 0.58,
+			g.Walls(geometry.Voxelize(geometry.City(p), g)), nil)
+		if err != nil {
 			t.Fatal(err)
 		}
+		l.Smagorinsky = 0.17
 		var s boundary.Set
 		s.Add(
 			&boundary.Periodic{Axis: 1},

@@ -7,7 +7,6 @@ import (
 	"sunwaylb/internal/core"
 	"sunwaylb/internal/gpu"
 	"sunwaylb/internal/lattice"
-	"sunwaylb/internal/patch"
 	"sunwaylb/internal/psolve"
 	"sunwaylb/internal/sunway"
 	"sunwaylb/internal/swlb"
@@ -262,10 +261,14 @@ func stepperBackend(name string, stepper func(l *core.Lattice) (psolve.Stepper, 
 //   - every swlb optimization stage on a simulated Sunway core group,
 //   - the GPU node model,
 //   - multi-rank 1-D and 2-D decompositions at 2, 4 and 8 ranks (AA
-//     ranks, overlapped exchange), plus stitched 3-D block decompositions,
-//   - the patch-decomposed world: homogeneous (AA patches), mixed
-//     core/swlb/gpu owners, and mixed owners with a forced migration
-//     after every step, so patches change storage at both parities.
+//     ranks, overlapped exchange),
+//   - the patch-decomposed world, which is the 3-D oracle: homogeneous
+//     AA patches on a 2-D tiling and on three 3-D tilings (1x1x2 over
+//     two workers: every z face, the wrap included, is a link; 1x2x2
+//     over two: z faces are same-owner copies, y faces links; 2x2x2
+//     over one: every face is a same-owner copy), mixed core/swlb/gpu
+//     owners, and mixed owners with a forced migration after every
+//     step, so patches change storage at both parities.
 func Backends() []Backend {
 	bs := []Backend{
 		{Name: "core/unfused", Run: func(c *Case) (*core.MacroField, error) {
@@ -287,9 +290,6 @@ func Backends() []Backend {
 		psolveBackend(2, 2),
 		psolveBackend(8, 1),
 		psolveBackend(4, 2),
-		{Name: "block3d/1x1x2", Run: func(c *Case) (*core.MacroField, error) { return c.RunBlocks3D(1, 1, 2) }},
-		{Name: "block3d/1x2x2", Run: func(c *Case) (*core.MacroField, error) { return c.RunBlocks3D(1, 2, 2) }},
-		{Name: "block3d/2x2x2", Run: func(c *Case) (*core.MacroField, error) { return c.RunBlocks3D(2, 2, 2) }},
 		stepperBackend("gpu/node", func(l *core.Lattice) (psolve.Stepper, error) {
 			return gpu.NewEngine(l, gpu.RTX3090Cluster, gpu.Fig11Final())
 		}),
@@ -298,7 +298,10 @@ func Backends() []Backend {
 		bs = append(bs, stepperBackend(st.Name, swlbStage(st.Opt)))
 	}
 	bs = append(bs,
-		patchBackend("patch/2x2x1", 2, 2, 1, 0, func() []patch.Worker { return make([]patch.Worker, 2) }),
+		patchBackend("patch/2x2x1", 2, 2, 1, 0, coreWorkers(2)),
+		patchBackend("patch/1x1x2", 1, 1, 2, 0, coreWorkers(2)),
+		patchBackend("patch/1x2x2", 1, 2, 2, 0, coreWorkers(2)),
+		patchBackend("patch/2x2x2", 2, 2, 2, 0, coreWorkers(1)),
 		patchBackend("patch/mixed", 2, 2, 2, 0, patchMixedWorkers),
 		patchBackend("patch/mixed-migrate", 2, 1, 2, 1, patchMixedWorkers),
 	)

@@ -107,8 +107,8 @@ func TestFailureStringCarriesReplay(t *testing.T) {
 }
 
 // TestBackendNamesCoverIssueMatrix pins the acceptance matrix: the rank
-// counts {1,2,4,8} across 1-D/2-D/3-D decompositions, every swlb stage,
-// and the gpu path must all be present.
+// counts {1,2,4,8} across 1-D/2-D decompositions, the 3-D patch tilings,
+// every swlb stage, and the gpu path must all be present.
 func TestBackendNamesCoverIssueMatrix(t *testing.T) {
 	have := map[string]bool{}
 	for _, n := range BackendNames() {
@@ -118,7 +118,7 @@ func TestBackendNamesCoverIssueMatrix(t *testing.T) {
 		"core/unfused", "core/pool",
 		"psolve/1x1", "psolve/2x1", "psolve/1x2", "psolve/4x1",
 		"psolve/2x2", "psolve/8x1", "psolve/4x2",
-		"block3d/1x1x2", "block3d/1x2x2", "block3d/2x2x2",
+		"patch/1x1x2", "patch/1x2x2", "patch/2x2x2",
 		"gpu/node",
 		"swlb/mpe-baseline", "swlb/cpe-unfused", "swlb/cpe-fused",
 		"swlb/fused-ysharing", "swlb/full",

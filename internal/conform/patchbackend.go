@@ -8,23 +8,15 @@ import (
 )
 
 // patchOptions converts the case into a patch-world configuration. The
-// requested tiling is clamped per axis so every cut axis still yields
-// patches at least two cells thick (the halo protocol's minimum), which
-// lets one backend definition serve every generated case size.
+// requested tiling is fitted per axis (patch.FitTiles) so every cut axis
+// still yields patches at least two cells thick (the halo protocol's
+// minimum), which lets one backend definition serve every generated case
+// size.
 func (c *Case) patchOptions(tx, ty, tz int, workers []patch.Worker) patch.Options {
-	clamp := func(t, n int) int {
-		if t > n/2 {
-			t = n / 2
-		}
-		if t < 1 {
-			t = 1
-		}
-		return t
-	}
 	perX, perY, perZ := c.periodic()
 	return patch.Options{
 		GNX: c.NX, GNY: c.NY, GNZ: c.NZ,
-		TX: clamp(tx, c.NX), TY: clamp(ty, c.NY), TZ: clamp(tz, c.NZ),
+		TX: patch.FitTiles(tx, c.NX), TY: patch.FitTiles(ty, c.NY), TZ: patch.FitTiles(tz, c.NZ),
 		Tau:         c.Tau,
 		Smagorinsky: c.Smagorinsky,
 		Force:       c.Force,
@@ -34,6 +26,11 @@ func (c *Case) patchOptions(tx, ty, tz int, workers []patch.Worker) patch.Option
 		Init:    c.Init(),
 		Workers: workers,
 	}
+}
+
+// coreWorkers is a roster of n workers on the default core kernel.
+func coreWorkers(n int) func() []patch.Worker {
+	return func() []patch.Worker { return make([]patch.Worker, n) }
 }
 
 // patchMixedWorkers stitches all three executor families into one world:

@@ -30,8 +30,7 @@ func checkFair(t *testing.T, what string, size, n, p int) {
 // FuzzDecompose: for arbitrary domain and grid shapes, every factorizer
 // either rejects the input (only when it is genuinely unsplittable) or
 // returns blocks that exactly tile the domain with fair extents — the
-// contract psolve's rank layout and the conformance block3d driver build
-// on.
+// contract psolve's rank layout and the patch world's tiling build on.
 func FuzzDecompose(f *testing.F) {
 	f.Add(16, 16, 16, 2, 2, 2)
 	f.Add(8, 9, 10, 3, 2, 1)

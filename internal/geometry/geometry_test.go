@@ -298,14 +298,14 @@ func TestTerrainRollingHills(t *testing.T) {
 	}
 }
 
-func TestVoxelizeIntoLattice(t *testing.T) {
-	l, err := core.NewLattice(&lattice.D3Q19, 12, 12, 12, 0.8)
-	if err != nil {
-		t.Fatal(err)
-	}
+// TestVoxelGridWalls: a voxelized mask, handed to core.BuildLattice
+// through VoxelGrid.Walls, marks the shape's cells and only those.
+func TestVoxelGridWalls(t *testing.T) {
 	cyl := CylinderZ{CX: 6, CY: 6, Radius: 3, ZMin: 0, ZMax: 12}
 	g := VoxelGrid{NX: 12, NY: 12, NZ: 12, H: 1}
-	if err := VoxelizeInto(l, cyl, g); err != nil {
+	l, err := core.BuildLattice(&lattice.D3Q19, core.Box{NX: 12, NY: 12, NZ: 12}, 0.8,
+		g.Walls(Voxelize(cyl, g)), nil)
+	if err != nil {
 		t.Fatal(err)
 	}
 	if l.CellTypeAt(6, 6, 6) != core.Wall {
@@ -313,23 +313,6 @@ func TestVoxelizeIntoLattice(t *testing.T) {
 	}
 	if l.CellTypeAt(0, 0, 6) != core.Fluid {
 		t.Error("far corner must stay fluid")
-	}
-	// Mismatched grid must error.
-	if err := VoxelizeInto(l, cyl, VoxelGrid{NX: 4, NY: 4, NZ: 4, H: 1}); err == nil {
-		t.Error("want dimension-mismatch error")
-	}
-}
-
-func TestApplyMaskErrors(t *testing.T) {
-	l, err := core.NewLattice(&lattice.D3Q19, 4, 4, 4, 0.8)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := ApplyMask(l, make([]bool, 10), 4, 4, 4); err == nil {
-		t.Error("want length-mismatch error")
-	}
-	if err := ApplyMask(l, make([]bool, 64), 8, 4, 2); err == nil {
-		t.Error("want dim-mismatch error")
 	}
 }
 

@@ -1,10 +1,6 @@
 package geometry
 
-import (
-	"fmt"
-
-	"sunwaylb/internal/core"
-)
+import "sunwaylb/internal/core"
 
 // VoxelGrid maps lattice cell coordinates to world space: cell (x, y, z)
 // samples the world point Origin + H·(x+½, y+½, z+½).
@@ -66,37 +62,4 @@ func SolidFraction(mask []bool) float64 {
 		}
 	}
 	return float64(n) / float64(len(mask))
-}
-
-// ApplyMask marks every masked cell of the lattice as a Wall. The mask
-// dimensions must match the lattice interior.
-func ApplyMask(l *core.Lattice, mask []bool, nx, ny, nz int) error {
-	if nx != l.NX || ny != l.NY || nz != l.NZ {
-		return fmt.Errorf("geometry: mask %d×%d×%d does not match lattice %d×%d×%d",
-			nx, ny, nz, l.NX, l.NY, l.NZ)
-	}
-	if len(mask) != nx*ny*nz {
-		return fmt.Errorf("geometry: mask length %d != %d", len(mask), nx*ny*nz)
-	}
-	for y := 0; y < ny; y++ {
-		for x := 0; x < nx; x++ {
-			for z := 0; z < nz; z++ {
-				if mask[(y*nx+x)*nz+z] {
-					l.SetWall(x, y, z)
-				}
-			}
-		}
-	}
-	return nil
-}
-
-// VoxelizeInto voxelizes the shape directly into the lattice walls using
-// the given grid mapping (grid dims must match the lattice interior).
-func VoxelizeInto(l *core.Lattice, s Shape, g VoxelGrid) error {
-	if g.NX != l.NX || g.NY != l.NY || g.NZ != l.NZ {
-		return fmt.Errorf("geometry: grid %d×%d×%d does not match lattice %d×%d×%d",
-			g.NX, g.NY, g.NZ, l.NX, l.NY, l.NZ)
-	}
-	mask := Voxelize(s, g)
-	return ApplyMask(l, mask, g.NX, g.NY, g.NZ)
 }

@@ -60,6 +60,13 @@ func NewTiling(gnx, gny, gnz, tx, ty, tz int) (*Tiling, error) {
 	return t, nil
 }
 
+// FitTiles caps a requested patch count t along an axis of n cells so
+// NewTiling accepts it: at most n/2 patches, so every patch is at least 2
+// cells thick, and at least 1. Callers that size a tiling to the case
+// (conform's backends, lbmserve's patch jobs) fit it; a tiling the user
+// names goes to NewTiling as given.
+func FitTiles(t, n int) int { return max(min(t, n/2), 1) }
+
 // P returns the number of patches.
 func (t *Tiling) P() int { return len(t.Patches) }
 

@@ -10,6 +10,7 @@ import (
 	"sunwaylb/internal/decomp"
 	"sunwaylb/internal/lattice"
 	"sunwaylb/internal/patch"
+	"sunwaylb/internal/psolve"
 )
 
 // shearInit is the deterministic non-trivial initial state the bitwise
@@ -193,6 +194,60 @@ func TestRunWithWallsAndBCs(t *testing.T) {
 		}
 		if err := conform.Compare(ref, got, conform.Exact); err != nil {
 			t.Errorf("tiles %v diverged from serial: %v", tiles, err)
+		}
+	}
+}
+
+// TestPeriodicAxisFaceBCMatchesRanks: when FaceBC names a face of a
+// periodic axis, the patch world drops that condition exactly as the rank
+// world does (both choose through psolve.FaceConds), so a z-cut patch run
+// matches one rank bitwise instead of overwriting the wrapped z halo.
+func TestPeriodicAxisFaceBCMatchesRanks(t *testing.T) {
+	const steps = 5
+	faceBC := map[core.Face]boundary.Condition{
+		core.FaceXMin: &boundary.NoSlip{Face: core.FaceXMin},
+		core.FaceXMax: &boundary.NoSlip{Face: core.FaceXMax},
+		core.FaceZMin: &boundary.NoSlip{Face: core.FaceZMin},
+	}
+	ref, err := psolve.Run(psolve.Options{
+		GNX: 8, GNY: 8, GNZ: 6, PX: 1, PY: 1,
+		Tau:       0.7,
+		PeriodicY: true, PeriodicZ: true,
+		FaceBC: faceBC,
+		Init:   shearInit,
+	}, steps)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, _, err := patch.Run(patch.Options{
+		GNX: 8, GNY: 8, GNZ: 6,
+		TX: 2, TY: 1, TZ: 2,
+		Tau:       0.7,
+		PeriodicY: true, PeriodicZ: true,
+		FaceBC:  faceBC,
+		Init:    shearInit,
+		Workers: workers(2),
+	}, steps)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := conform.Compare(ref, got, conform.Exact); err != nil {
+		t.Errorf("patch world diverged from one rank: %v", err)
+	}
+}
+
+// TestFitTiles: a fitted tiling is one NewTiling accepts, and a count
+// that already fits passes through.
+func TestFitTiles(t *testing.T) {
+	for _, c := range []struct{ t, n, want int }{
+		{2, 12, 2}, {4, 5, 2}, {3, 3, 1}, {2, 1, 1}, {0, 8, 1},
+	} {
+		got := patch.FitTiles(c.t, c.n)
+		if got != c.want {
+			t.Errorf("FitTiles(%d, %d) = %d, want %d", c.t, c.n, got, c.want)
+		}
+		if _, err := patch.NewTiling(c.n, 4, 4, got, 1, 1); err != nil {
+			t.Errorf("FitTiles(%d, %d) = %d: %v", c.t, c.n, got, err)
 		}
 	}
 }

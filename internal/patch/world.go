@@ -28,8 +28,8 @@ type Options struct {
 
 	PeriodicX, PeriodicY, PeriodicZ bool
 	// FaceBC maps global faces to boundary conditions; a patch applies
-	// the condition of every global face it touches, in the same fixed
-	// face order psolve and the conform stitchers use.
+	// the condition of every global face it touches on a non-periodic
+	// axis, chosen by psolve.FaceConds as every rank's are.
 	FaceBC map[core.Face]boundary.Condition
 	// Walls marks solid cells in global coordinates.
 	Walls core.WallsFunc
@@ -173,7 +173,8 @@ func newNode(w *World, c *mpi.Comm, restore *core.Lattice, steps int, straggle f
 			}
 		}
 		n.names = append(n.names, fmt.Sprintf("patch%d", p.ID))
-		n.conds = append(n.conds, n.patchConds(p))
+		n.conds = append(n.conds, psolve.FaceConds(p.Block, w.opt.GNX, w.opt.GNY, w.opt.GNZ,
+			[3]bool{w.opt.PeriodicX, w.opt.PeriodicY, w.opt.PeriodicZ}, w.opt.FaceBC))
 	}
 	q := lattice.D3Q19.Q
 	n.buf = make([]float64, maxFace*q)
@@ -225,8 +226,7 @@ func (n *node) newLattice(p Patch, step int, walls core.WallsFunc, init core.Ini
 }
 
 // buildFresh constructs a patch lattice from the case's walls and initial
-// state, exactly as psolve and the stitched conform driver build their
-// blocks.
+// state, exactly as psolve builds its blocks.
 func (n *node) buildFresh(p Patch) error {
 	l, err := n.newLattice(p, 0, n.opt.Walls, n.opt.Init)
 	if err != nil {
@@ -270,31 +270,6 @@ func (n *node) installPatch(id int, s *resil.Snapshot) error {
 	return n.adopt(id, l)
 }
 
-// patchConds selects the global-face conditions this patch applies, in
-// the fixed face order psolve and the conform stitchers share.
-func (n *node) patchConds(p Patch) []boundary.Condition {
-	opt := n.opt
-	if opt.FaceBC == nil {
-		return nil
-	}
-	touches := map[core.Face]bool{
-		core.FaceXMin: p.X0 == 0,
-		core.FaceXMax: p.X0+p.NX == opt.GNX,
-		core.FaceYMin: p.Y0 == 0,
-		core.FaceYMax: p.Y0+p.NY == opt.GNY,
-		core.FaceZMin: p.Z0 == 0,
-		core.FaceZMax: p.Z0+p.NZ == opt.GNZ,
-	}
-	var out []boundary.Condition
-	for _, f := range []core.Face{core.FaceXMin, core.FaceXMax, core.FaceYMin,
-		core.FaceYMax, core.FaceZMin, core.FaceZMax} {
-		if touches[f] && opt.FaceBC[f] != nil {
-			out = append(out, opt.FaceBC[f])
-		}
-	}
-	return out
-}
-
 func (n *node) rebuildMine() {
 	n.mine = n.mine[:0]
 	for p, o := range n.owner {
@@ -317,8 +292,8 @@ func (n *node) periodic(axis int) bool {
 
 // stepOnce advances every patch one time step: z halos, global-face
 // conditions, x halos, y halos, then each owned patch's kernel — the
-// same phase order as psolve and the conform stitchers, so halo corners
-// resolve identically regardless of how patches are distributed.
+// same phase order as psolve, so halo corners resolve identically
+// regardless of how patches are distributed.
 func (n *node) stepOnce() {
 	if n.tr != nil {
 		n.tr.Begin(trace.Wall, trace.TrackStep, "step", n.tr.Now())
@@ -369,9 +344,9 @@ func (n *node) compute() {
 	}
 }
 
-// eachPair enumerates the face-adjacent patch pairs of one axis in the
-// deterministic order the conform stitcher uses: for every tile (plus
-// the periodic wrap), the pair (a, a's +axis neighbour).
+// eachPair enumerates the face-adjacent patch pairs of one axis in a
+// deterministic order: for every tile (plus the periodic wrap), the pair
+// (a, a's +axis neighbour).
 func (n *node) eachPair(axis int, fn func(a, b int)) {
 	t := n.til
 	parts := t.parts(axis)

@@ -188,7 +188,8 @@ func New(c *mpi.Comm, opts Options) (*Solver, error) {
 			return nil, err
 		}
 	}
-	s.collectBCs()
+	s.bcs = FaceConds(blk, opts.GNX, opts.GNY, opts.GNZ,
+		[3]bool{opts.PeriodicX, opts.PeriodicY, opts.PeriodicZ}, opts.FaceBC)
 	s.axes[0] = s.planAxis(core.FaceXMin, core.FaceXMax, tagXMinus, tagXPlus,
 		cart.Neighbor(-1, 0), cart.Neighbor(1, 0))
 	s.axes[1] = s.planAxis(core.FaceYMin, core.FaceYMax, tagYMinus, tagYPlus,
@@ -215,26 +216,30 @@ func New(c *mpi.Comm, opts Options) (*Solver, error) {
 	return s, nil
 }
 
-// collectBCs figures out which global-face conditions this rank applies.
-func (s *Solver) collectBCs() {
-	cx, cy := s.Cart.Coords()
-	touches := map[core.Face]bool{
-		core.FaceXMin: cx == 0 && !s.Opts.PeriodicX,
-		core.FaceXMax: cx == s.Opts.PX-1 && !s.Opts.PeriodicX,
-		core.FaceYMin: cy == 0 && !s.Opts.PeriodicY,
-		core.FaceYMax: cy == s.Opts.PY-1 && !s.Opts.PeriodicY,
-		core.FaceZMin: !s.Opts.PeriodicZ,
-		core.FaceZMax: !s.Opts.PeriodicZ,
-	}
-	for _, f := range []core.Face{core.FaceXMin, core.FaceXMax, core.FaceYMin,
-		core.FaceYMax, core.FaceZMin, core.FaceZMax} {
-		if !touches[f] {
+// FaceConds selects the global-face conditions block b of a gnx×gny×gnz
+// lattice applies: faceBC's condition on every global face the block
+// touches, in the fixed face order (XMin, XMax, YMin, YMax, ZMin, ZMax)
+// every world applies them in, so halo corners resolve identically
+// however the lattice is cut. A face of a periodic axis takes no
+// condition: its halo is the wrap.
+func FaceConds(b decomp.Block, gnx, gny, gnz int, periodic [3]bool, faceBC map[core.Face]boundary.Condition) []boundary.Condition {
+	lo := [3]int{b.X0, b.Y0, b.Z0}
+	hi := [3]int{b.X0 + b.NX, b.Y0 + b.NY, b.Z0 + b.NZ}
+	n := [3]int{gnx, gny, gnz}
+	var out []boundary.Condition
+	for axis := 0; axis < 3; axis++ {
+		if periodic[axis] {
 			continue
 		}
-		if cond, ok := s.Opts.FaceBC[f]; ok && cond != nil {
-			s.bcs = append(s.bcs, cond)
+		minF, maxF := core.Face(2*axis), core.Face(2*axis+1)
+		if cond := faceBC[minF]; lo[axis] == 0 && cond != nil {
+			out = append(out, cond)
+		}
+		if cond := faceBC[maxF]; hi[axis] == n[axis] && cond != nil {
+			out = append(out, cond)
 		}
 	}
+	return out
 }
 
 // planAxis derives one axis' exchange: a message sent towards plus carries

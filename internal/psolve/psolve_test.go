@@ -3,10 +3,12 @@ package psolve
 import (
 	"fmt"
 	"math"
+	"slices"
 	"testing"
 
 	"sunwaylb/internal/boundary"
 	"sunwaylb/internal/core"
+	"sunwaylb/internal/decomp"
 	"sunwaylb/internal/lattice"
 	"sunwaylb/internal/mpi"
 )
@@ -240,6 +242,36 @@ func TestNewValidation(t *testing.T) {
 	})
 	if err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestFaceConds: a block takes the condition of each global face it
+// touches on a non-periodic axis, in XMin..ZMax order.
+func TestFaceConds(t *testing.T) {
+	fb := map[core.Face]boundary.Condition{}
+	for f := core.FaceXMin; f <= core.FaceZMax; f++ {
+		fb[f] = &boundary.NoSlip{Face: f}
+	}
+	faces := func(b decomp.Block, periodic [3]bool) []core.Face {
+		var out []core.Face
+		for _, c := range FaceConds(b, 8, 6, 4, periodic, fb) {
+			out = append(out, c.(*boundary.NoSlip).Face)
+		}
+		return out
+	}
+	whole := decomp.Block{NX: 8, NY: 6, NZ: 4}
+	if got := faces(whole, [3]bool{}); !slices.Equal(got, []core.Face{core.FaceXMin,
+		core.FaceXMax, core.FaceYMin, core.FaceYMax, core.FaceZMin, core.FaceZMax}) {
+		t.Errorf("whole lattice: %v", got)
+	}
+	if got := faces(whole, [3]bool{false, true, true}); !slices.Equal(got,
+		[]core.Face{core.FaceXMin, core.FaceXMax}) {
+		t.Errorf("periodic y, z: %v", got)
+	}
+	corner := decomp.Block{X0: 4, NX: 4, NY: 3, Z0: 2, NZ: 2}
+	if got := faces(corner, [3]bool{}); !slices.Equal(got,
+		[]core.Face{core.FaceXMax, core.FaceYMin, core.FaceZMax}) {
+		t.Errorf("corner block: %v", got)
 	}
 }
 

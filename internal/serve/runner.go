@@ -255,9 +255,10 @@ func (s *Server) superviseJob(ctx context.Context, j *Job) (*core.MacroField, pe
 
 // BuildPatchOptions translates a patch-decomposed job spec into the
 // patch world configuration: the same periodic shear box BuildOptions
-// produces, tiled so every worker can own at least one patch (clamped
-// to the halo protocol's two-cell minimum extent). Exported so tests
-// can run the exact solo configuration a service job runs.
+// produces, tiled so every worker can own at least one patch (fitted
+// to the halo protocol's two-cell minimum extent by patch.FitTiles).
+// Exported so tests can run the exact solo configuration a service job
+// runs.
 func BuildPatchOptions(spec JobSpec) (patch.Options, error) {
 	n, _, err := (&spec).normalize()
 	if err != nil {
@@ -266,18 +267,9 @@ func BuildPatchOptions(spec JobSpec) (patch.Options, error) {
 	if patchWorkerCount(spec.Decomp) == 0 {
 		return patch.Options{}, fmt.Errorf("serve: decomp %q is not patch-decomposed", spec.Decomp)
 	}
-	clamp := func(t, nCells int) int {
-		if t > nCells/2 {
-			t = nCells / 2
-		}
-		if t < 1 {
-			t = 1
-		}
-		return t
-	}
 	return patch.Options{
 		GNX: spec.Case.NX, GNY: spec.Case.NY, GNZ: spec.Case.NZ,
-		TX: clamp(n, spec.Case.NX), TY: clamp(2, spec.Case.NY), TZ: 1,
+		TX: patch.FitTiles(n, spec.Case.NX), TY: patch.FitTiles(2, spec.Case.NY), TZ: 1,
 		Tau:         spec.Case.Tau,
 		Smagorinsky: spec.Case.Smagorinsky,
 		PeriodicX:   true, PeriodicY: true, PeriodicZ: true,

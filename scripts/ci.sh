@@ -15,8 +15,8 @@
 #   conform — differential + metamorphic conformance suite: ≥25 seeded
 #             cases through all 23 backends (serial core and its AA
 #             variants, all swlb stages, gpu model, AA ranks under the
-#             overlapped exchange in 1-D/2-D at 1..8 ranks, stitched 3-D
-#             blocks, the patch world) and 11 properties, plus
+#             overlapped exchange in 1-D/2-D at 1..8 ranks, the patch
+#             world on 2-D and 3-D patch tilings) and 11 properties, plus
 #             the mutation self-test proving the oracles catch injected
 #             numerical bugs; any violation exits non-zero with a
 #             minimal replay string
@@ -283,7 +283,8 @@ patch() {
     # corruption refused at reconstruction) — must hold under the race
     # detector.
     go test -race -count=1 -timeout 600s ./internal/patch
-    # Mixed-backend stitched oracles: homogeneous, core+swlb+gpu, and
+    # Every patch oracle: homogeneous core patches on the 2-D tiling and
+    # the 3-D tilings (1x1x2, 1x2x2, 2x2x2), core+swlb+gpu, and
     # core+swlb+gpu with a forced migration after every step, all
     # bit-identical (MaxULP=0) to the serial kernel across seeds.
     go run ./cmd/conform -seed 3 -cases 8 -run 'patch/'
