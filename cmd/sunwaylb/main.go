@@ -32,6 +32,7 @@ import (
 	"os"
 	"os/signal"
 	"strings"
+	"sync"
 	"syscall"
 	"time"
 
@@ -404,6 +405,12 @@ type world struct {
 	backing string
 	rank0   psolve.Rank // rank 0 of the last attempt
 	last    time.Time   // of the last progress line
+
+	// faceTime is each rank's time on its boundary conditions over every
+	// attempt, added as the rank's body ends (the ranks that account it:
+	// one-rank and rank-world ranks).
+	faceMu   sync.Mutex
+	faceTime map[int]time.Duration
 }
 
 // newWorld lays the case over the world -decomp names and prints what
@@ -436,9 +443,7 @@ func newWorld(cs *caseSetup, o runOpts) (*world, error) {
 		w.local = psolve.NewLocal(opts)
 		w.Decomposition = w.local
 		w.path = func() string {
-			bcMs := w.local.FaceTime().Seconds() * 1e3 / float64(max(w.mon.Steps(), 1))
-			return fmt.Sprintf("  kernel %.2f ms/step, boundary %.2f ms/step, path: %s%s",
-				w.mon.Mean()*1e3-bcMs, bcMs, w.local.Kernel(), genericShare(w.local.Lattice()))
+			return w.split() + w.local.Kernel() + genericShare(w.local.Lattice())
 		}
 		layout = fmt.Sprintf("on one rank, tau=%.4f", c.Tau)
 	case "patch":
@@ -467,11 +472,23 @@ func newWorld(cs *caseSetup, o runOpts) (*world, error) {
 			if kernel == "" {
 				kernel = w.rank0.(*psolve.Solver).Lat.KernelPath()
 			}
-			return fmt.Sprintf("  path: %s ranks×%d", kernel, w.Ranks())
+			return fmt.Sprintf("%s%s ranks×%d", w.split(), kernel, w.Ranks())
 		}
 	}
 	fmt.Printf("%s: %d×%d×%d cells %s, %d steps\n", c.Name, c.NX, c.NY, c.NZ, layout, c.Steps)
 	return w, nil
+}
+
+// split opens the path line of a world whose ranks account their
+// boundary conditions: rank 0's mean step split into the kernel and the
+// slowest rank's condition time per step.
+func (w *world) split() string {
+	var bc time.Duration
+	for _, d := range w.faceTime {
+		bc = max(bc, d)
+	}
+	bcMs := bc.Seconds() * 1e3 / float64(max(w.mon.Steps(), 1))
+	return fmt.Sprintf("  kernel %.2f ms/step, boundary %.2f ms/step, path: ", w.mon.Mean()*1e3-bcMs, bcMs)
 }
 
 // patches makes w the patch world of -decomp=patch: the domain tiled into
@@ -518,12 +535,17 @@ func (w *world) patches(opts psolve.Options, o runOpts) (string, error) {
 	return fmt.Sprintf("as %d×%d×%d patches over %d workers (%s)", tx, ty, tz, len(workers), o.patchWorkers), nil
 }
 
-// NewRank builds rank c's share of an attempt; rank 0's steps are timed.
+// NewRank builds rank c's share of an attempt; rank 0's steps are timed,
+// and every rank's condition time is tallied when its body ends.
 func (w *world) NewRank(c *mpi.Comm, restore *core.Lattice, steps int, straggle float64) (psolve.Rank, error) {
 	t0 := time.Now()
 	r, err := w.Decomposition.NewRank(c, restore, steps, straggle)
-	if err != nil || c.Rank() != 0 {
+	if err != nil {
 		return r, err
+	}
+	tr := talliedRank{Rank: r, w: w, rank: c.Rank()}
+	if c.Rank() != 0 {
+		return &tr, nil
 	}
 	if w.rank0 == nil {
 		w.build = time.Since(t0)
@@ -536,7 +558,7 @@ func (w *world) NewRank(c *mpi.Comm, restore *core.Lattice, steps int, straggle 
 	if restore != nil {
 		step = restore.Step()
 	}
-	return &timedRank{Rank: r, w: w, step: step}, nil
+	return &timedRank{talliedRank: tr, step: step}, nil
 }
 
 // hugePagesMB reads how much of the process's anonymous memory sits on
@@ -557,11 +579,36 @@ func hugePagesMB() (mb float64, ok bool) {
 	return 0, false
 }
 
+// talliedRank is one rank of an attempt. When its body ends it adds the
+// rank's condition time (FaceTime, where the rank accounts one) to the
+// world's tally and closes a rank that holds resources (the one-rank
+// world's pool).
+type talliedRank struct {
+	psolve.Rank
+	w    *world
+	rank int
+}
+
+func (r *talliedRank) Close() error {
+	if f, ok := r.Rank.(interface{ FaceTime() time.Duration }); ok {
+		w := r.w
+		w.faceMu.Lock()
+		if w.faceTime == nil {
+			w.faceTime = map[int]time.Duration{}
+		}
+		w.faceTime[r.rank] += f.FaceTime()
+		w.faceMu.Unlock()
+	}
+	if c, ok := r.Rank.(io.Closer); ok {
+		return c.Close()
+	}
+	return nil
+}
+
 // timedRank is rank 0 of an attempt: it records every step in the world's
 // monitor and prints a progress line every -report seconds.
 type timedRank struct {
-	psolve.Rank
-	w    *world
+	talliedRank
 	step int
 }
 
@@ -575,15 +622,6 @@ func (r *timedRank) Step() {
 		fmt.Printf("  step %6d/%d  %s\n", r.step, w.cs.cfg.Steps, w.mon.Rate())
 		w.last = now
 	}
-}
-
-// Close passes the end of the rank body on to a rank that holds resources
-// (the one-rank world's pool).
-func (r *timedRank) Close() error {
-	if c, ok := r.Rank.(io.Closer); ok {
-		return c.Close()
-	}
-	return nil
 }
 
 // run drives w to the case's final step on the recovery ladder and prints

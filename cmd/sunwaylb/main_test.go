@@ -163,6 +163,7 @@ func TestCLIKernelPath(t *testing.T) {
 	}
 	bin := buildCLI(t)
 	const aa = `path: aa (avx512|scalar) d3q19 `
+	const split = `kernel [0-9.]+ ms/step, boundary [0-9.]+ ms/step, `
 	setup := `setup: build [0-9.]+ ms, output [0-9.]+ ms\n`
 	if _, ok := hugePagesMB(); ok {
 		setup = `setup: build [0-9.]+ ms \(huge pages [0-9]+ MB\), output [0-9.]+ ms\n`
@@ -172,9 +173,9 @@ func TestCLIKernelPath(t *testing.T) {
 		args []string
 		want string
 	}{
-		{channel, `kernel [0-9.]+ ms/step, boundary [0-9.]+ ms/step, ` + aa + `pool×1\n` + setup},
-		{append(channel, "-decomp", "2x1"), aa + `ranks×2\n`},
-		{append(channel, "-decomp", "2x1", "-snapshot-every", "2", "-ckpt-levels", "123"), aa + `ranks×2\n`},
+		{channel, split + aa + `pool×1\n` + setup},
+		{append(channel, "-decomp", "2x1"), split + aa + `ranks×2\n`},
+		{append(channel, "-decomp", "2x1", "-snapshot-every", "2", "-ckpt-levels", "123"), split + aa + `ranks×2\n`},
 		{append(channel, "-decomp", "patch"), aa + `patches×4 on 2 workers\n`},
 		{append(channel, "-decomp", "2x1", "-sunway"), `path: swlb sw26010 ranks×2\n`},
 		{[]string{"-preset", "cylinder", "-nx", "64", "-ny", "48", "-steps", "4"}, aa + `pool×1, [0-9.]*[1-9][0-9.]*% of rows generic\n` + setup},

@@ -1,6 +1,7 @@
 package boundary
 
 import (
+	"fmt"
 	"testing"
 	"time"
 
@@ -74,4 +75,49 @@ func channelBenchLattice(b *testing.B) *core.Lattice {
 	l.EnableAA()
 	l.InitEquilibrium(1, 0.05, 0, 0)
 	return l
+}
+
+// BenchmarkFaceConditions is the per-condition yardstick: ns per halo
+// cell of each condition kind filling its whole x+ face (the periodic x
+// wrap fills both x faces, so its figure is per cell pair), at both AA
+// parities, on a hot 8×8×96 lattice whose faces stay in cache and on a
+// 24×192×96 block — one rank's share of the common grid on 2×1 ranks.
+func BenchmarkFaceConditions(b *testing.B) {
+	profile := func(x, y, z int) [3]float64 { return [3]float64{0.05 * float64(1+y%3) / 3, 0, 0} }
+	u := [3]float64{0.05, 0, 0}
+	conds := []Condition{
+		&VelocityInlet{Face: core.FaceXMax, U: u},
+		&VelocityInlet{Face: core.FaceXMax, U: u, Profile: profile},
+		&PressureOutlet{Face: core.FaceXMax, Rho: 1},
+		&NEEInlet{Face: core.FaceXMax, U: u},
+		&Outflow{Face: core.FaceXMax},
+		&FreeSlip{Face: core.FaceXMax},
+		&NoSlip{Face: core.FaceXMax},
+		&MovingNoSlip{Face: core.FaceXMax, U: [3]float64{0, 0.05, 0}},
+		&Periodic{Axis: 0},
+	}
+	kinds := []string{"inlet", "inlet-profile", "outlet", "nee", "outflow", "free-slip", "no-slip", "moving-no-slip", "periodic-x"}
+	for _, size := range []struct {
+		name       string
+		nx, ny, nz int
+	}{{"hot", 8, 8, 96}, {"block", 24, 192, 96}} {
+		for parity := 0; parity < 2; parity++ {
+			l, err := core.NewLattice(&lattice.D3Q19, size.nx, size.ny, size.nz, 0.7)
+			if err != nil {
+				b.Fatal(err)
+			}
+			l.InitEquilibrium(1, 0.05, 0, 0)
+			l.SetStep(parity)
+			l.EnableAA()
+			cells := float64(l.FaceCells(core.FaceXMax))
+			for k, c := range conds {
+				b.Run(fmt.Sprintf("%s/%s/parity=%d", size.name, kinds[k], parity), func(b *testing.B) {
+					for i := 0; i < b.N; i++ {
+						ApplyWhole(c, l)
+					}
+					b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/cells, "ns/cell")
+				})
+			}
+		}
+	}
 }

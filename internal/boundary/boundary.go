@@ -195,7 +195,9 @@ func (v *VelocityInlet) ApplyLines(l *core.Lattice, j0, j1 int) {
 }
 
 // PressureOutlet imposes a density (pressure p = ρ c_s²) on a face; the
-// outgoing velocity is extrapolated from the adjacent interior cell.
+// outgoing velocity is extrapolated from the adjacent interior cell. A
+// D3Q19 lattice runs the unrolled row (outletRowD3Q19), bitwise equal to
+// the descriptor-generic loop every other descriptor runs.
 type PressureOutlet struct {
 	Face core.Face
 	Rho  float64
@@ -224,15 +226,19 @@ func (p *PressureOutlet) ApplyLines(l *core.Lattice, j0, j1 int) {
 		for k0 := 0; k0 < halo.Len; k0 += chunk {
 			k1 := min(k0+chunk, halo.Len)
 			l.GatherLine(inner, k0, k1, buf[:], chunk)
-			for c := 0; c < k1-k0; c++ {
-				buf.load(f, c)
-				r, jx, jy, jz := d.Moments(f)
-				var ux, uy, uz float64
-				if r > 0 {
-					ux, uy, uz = jx/r, jy/r, jz/r
+			if d == &lattice.D3Q19 {
+				outletRowD3Q19(&buf, k1-k0, rho)
+			} else {
+				for c := 0; c < k1-k0; c++ {
+					buf.load(f, c)
+					r, jx, jy, jz := d.Moments(f)
+					var ux, uy, uz float64
+					if r > 0 {
+						ux, uy, uz = jx/r, jy/r, jz/r
+					}
+					d.EquilibriumAll(f, rho, ux, uy, uz)
+					buf.store(f, c)
 				}
-				d.EquilibriumAll(f, rho, ux, uy, uz)
-				buf.store(f, c)
 			}
 			l.ScatterLine(halo, k0, k1, buf[:], chunk)
 		}

@@ -220,14 +220,34 @@ func requireSameCells(t *testing.T, want, got *core.Lattice, what string) {
 	}
 }
 
+// RankCase is one FuzzAAStepConditions case as the rank world takes it:
+// the grid, the step count, the face conditions and periodic axes, the
+// initial state per cell and the obstacle (nil for none).
+type RankCase struct {
+	NX, NY, NZ, Steps int
+	FaceBC            map[core.Face]Condition
+	Periodic          [3]bool
+	Init              func(x, y, z int) (rho, ux, uy, uz float64)
+	Wall              *[3]int
+}
+
+// RankArm runs a case on rank grids. This package cannot import the rank
+// world (it imports this one), so an external test file of the package
+// installs it.
+var RankArm func(t *testing.T, c RankCase)
+
 // FuzzAAStepConditions is core's FuzzAAStep with boundary handling in the
 // loop: random small grids run a seeded condition set (one kind per axis)
 // for a random number of steps through the double-buffer kernel, through
 // AA storage on a two-worker pool, and through a three-worker pool that
 // runs the set inside its sweep (StepFaces), and every fluid cell must
-// agree bit for bit at the stopping parity. Run under -race it also checks
-// that the conditions and the pool workers never touch the lattice at the
-// same time, except where StepFaces's plane split lets them.
+// agree bit for bit at the stopping parity. Its rank arm (RankArm) runs
+// the same case on 2x1, 1x2 and 3x1 rank grids, whose ranks fill their
+// halo inside their sweeps, against a serial reference in the rank
+// world's condition order, after the drawn step count and one more. Run
+// under -race it also checks that the conditions and the pool workers
+// never touch the lattice at the same time, except where StepFaces's
+// plane split lets them.
 //
 // Populations of solid cells are undefined in both schemes (the double
 // buffer leaves stale values there, AA parks bounced ones), so the cases
@@ -248,38 +268,65 @@ func FuzzAAStepConditions(f *testing.F) {
 
 		var set Set
 		var solid []Condition
+		rc := RankCase{NX: NX, NY: NY, NZ: NZ, Steps: nsteps, FaceBC: map[core.Face]Condition{}}
 		for axis := 0; axis < 3; axis++ {
 			lo, hi := core.Face(2*axis), core.Face(2*axis+1)
 			var u [3]float64
 			u[axis], u[(axis+1)%3] = 0.03, 0.01
+			var pair [2]Condition
 			switch rng.Intn(5) {
 			case 0:
 				set.Add(&Periodic{Axis: axis})
+				rc.Periodic[axis] = true
 			case 1:
-				set.Add(&VelocityInlet{Face: lo, U: u}, &PressureOutlet{Face: hi, Rho: 1})
+				pair = [2]Condition{&VelocityInlet{Face: lo, U: u}, &PressureOutlet{Face: hi, Rho: 1}}
+				set.Add(pair[:]...)
 			case 2:
-				set.Add(&NEEInlet{Face: lo, U: u}, &Outflow{Face: hi})
+				pair = [2]Condition{&NEEInlet{Face: lo, U: u}, &Outflow{Face: hi}}
+				set.Add(pair[:]...)
 			case 3:
-				solid = append(solid, &NoSlip{Face: lo}, &MovingNoSlip{Face: hi, U: [3]float64{u[1], u[2], u[0]}})
+				pair = [2]Condition{&NoSlip{Face: lo}, &MovingNoSlip{Face: hi, U: [3]float64{u[1], u[2], u[0]}}}
+				solid = append(solid, pair[:]...)
 			case 4:
-				set.Add(&FreeSlip{Face: lo}, &FreeSlip{Face: hi})
+				pair = [2]Condition{&FreeSlip{Face: lo}, &FreeSlip{Face: hi}}
+				set.Add(pair[:]...)
+			}
+			if pair[0] != nil {
+				rc.FaceBC[lo], rc.FaceBC[hi] = pair[0], pair[1]
 			}
 		}
 		set.Add(solid...)
 
+		// The initial state, drawn once per cell in y, x, z order.
+		r := rand.New(rand.NewSource(seed + 1))
+		state := make([][4]float64, NX*NY*NZ)
+		for y := 0; y < NY; y++ {
+			for x := 0; x < NX; x++ {
+				for z := 0; z < NZ; z++ {
+					state[(y*NX+x)*NZ+z] = [4]float64{1 + 0.1*(r.Float64()-0.5),
+						0.04 * (r.Float64() - 0.5), 0.04 * (r.Float64() - 0.5), 0.04 * (r.Float64() - 0.5)}
+				}
+			}
+		}
+		rc.Init = func(x, y, z int) (rho, ux, uy, uz float64) {
+			s := state[(y*NX+x)*NZ+z]
+			return s[0], s[1], s[2], s[3]
+		}
+		if walls && NX > 2 && NY > 2 && NZ > 2 {
+			rc.Wall = &[3]int{1 + r.Intn(NX-2), 1 + r.Intn(NY-2), 1 + r.Intn(NZ-2)}
+		}
 		mk := func() *core.Lattice {
 			l := newLat(t, NX, NY, NZ)
-			r := rand.New(rand.NewSource(seed + 1))
 			for y := 0; y < NY; y++ {
 				for x := 0; x < NX; x++ {
 					for z := 0; z < NZ; z++ {
-						l.SetCell(x, y, z, 1+0.1*(r.Float64()-0.5),
-							0.04*(r.Float64()-0.5), 0.04*(r.Float64()-0.5), 0.04*(r.Float64()-0.5))
+						rho, ux, uy, uz := rc.Init(x, y, z)
+						l.SetCell(x, y, z, rho, ux, uy, uz)
 					}
 				}
 			}
-			if walls && NX > 2 && NY > 2 && NZ > 2 {
-				l.SetWall(1+r.Intn(NX-2), 1+r.Intn(NY-2), 1+r.Intn(NZ-2))
+			if w := rc.Wall; w != nil {
+				l.SetWall(w[0], w[1], w[2])
 			}
 			return l
 		}
@@ -317,6 +364,9 @@ func FuzzAAStepConditions(f *testing.F) {
 					}
 				}
 			}
+		}
+		if RankArm != nil {
+			RankArm(t, rc)
 		}
 	})
 }

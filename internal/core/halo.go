@@ -219,36 +219,36 @@ func (l *Lattice) CopyLine(dst, src Line, perm []int) {
 		if perm != nil {
 			j = perm[i]
 		}
-		l.copyPop(&dst, i, &src, j)
+		l.copyPop(&dst, i, &src, j, 0, dst.Len)
 	}
 }
 
-// copyPop sets population i of every cell of dst to population j of the
-// facing cell of src.
+// copyPop sets population i of cells k0 ≤ k < k1 of dst to population j
+// of the facing cells of src.
 //
 //lbm:hot traffic budget=16
-func (l *Lattice) copyPop(dst *Line, i int, src *Line, j int) {
+func (l *Lattice) copyPop(dst *Line, i int, src *Line, j, k0, k1 int) {
 	f := l.F[l.src]
-	last := dst.Len - 1
 	db, dlo, dhi := l.lineBase(dst, i)
 	sb, slo, shi := l.lineBase(src, j)
-	lo, hi := max(dlo, slo), min(dhi, shi)
+	m0, m1 := max(dlo, slo, k0), min(dhi, shi, k1)
 	if dst.Stride == 1 && src.Stride == 1 {
-		copy(f[db+dst.Idx+lo:db+dst.Idx+hi], f[sb+src.Idx+lo:])
+		copy(f[db+dst.Idx+m0:db+dst.Idx+m1], f[sb+src.Idx+m0:])
 	} else {
-		d, ds := db+dst.Cell(lo), dst.Stride
-		s, ss := sb+src.Cell(lo), src.Stride
-		for k := lo; k < hi; k++ {
+		d, ds := db+dst.Cell(m0), dst.Stride
+		s, ss := sb+src.Cell(m0), src.Stride
+		for k := m0; k < m1; k++ {
 			f[d] = f[s]
 			d, s = d+ds, s+ss
 		}
 	}
-	// The end cells where either side parks in its natural slot.
-	if lo > 0 {
-		f[l.slot(dst, i, 0)] = f[l.slot(src, j, 0)]
+	// The end cells where either side parks in its natural slot: only the
+	// line's first and last cells ever do.
+	if k0 < m0 {
+		f[l.slot(dst, i, k0)] = f[l.slot(src, j, k0)]
 	}
-	if hi <= last {
-		f[l.slot(dst, i, last)] = f[l.slot(src, j, last)]
+	if m1 < k1 {
+		f[l.slot(dst, i, k1-1)] = f[l.slot(src, j, k1-1)]
 	}
 }
 
@@ -287,6 +287,16 @@ func (l *Lattice) PeriodicAxis(axis int) {
 // layers (FaceLine numbering: allocated y on the x and z axes, allocated x
 // on y). Each line pair touches only its own allocated y-plane on the x
 // and z axes.
+func (l *Lattice) PeriodicLines(axis, j0, j1 int) {
+	lo := l.FaceLine(Face(2*axis), 0, 0)
+	l.PeriodicRange(axis, j0, j1, 0, lo.Len)
+}
+
+// PeriodicRange is PeriodicLines on cells k0 ≤ k < k1 of each line
+// (allocated z on the x and y axes, allocated x on z): the z wrap of one
+// y-plane splits into x-ranges that can run as soon as the cells they
+// read and write are final (psolve's rank step wraps the inner x-range
+// from its inner sweep and the rest from its strips).
 //
 // Each iteration wraps one line pair, i.e. per cell pair 2 × (19 reads +
 // 19 writes of float64, priced in copyPop) plus the flag bytes here. The
@@ -295,16 +305,19 @@ func (l *Lattice) PeriodicAxis(axis int) {
 // no faster on the 48×192×96 grid, and slower on the x and z wraps.)
 //
 //lbm:hot traffic budget=616 assume q=19
-func (l *Lattice) PeriodicLines(axis, j0, j1 int) {
+func (l *Lattice) PeriodicRange(axis, j0, j1, k0, k1 int) {
+	if k0 >= k1 {
+		return
+	}
 	lo, hi := Face(2*axis), Face(2*axis+1)
 	for j := j0; j < j1; j++ {
 		loHalo, loIn := l.FaceLine(lo, 1, j), l.FaceLine(lo, 0, j)
 		hiHalo, hiIn := l.FaceLine(hi, 1, j), l.FaceLine(hi, 0, j)
 		for i := 0; i < l.Desc.Q; i++ {
-			l.copyPop(&loHalo, i, &hiIn, i)
-			l.copyPop(&hiHalo, i, &loIn, i)
+			l.copyPop(&loHalo, i, &hiIn, i, k0, k1)
+			l.copyPop(&hiHalo, i, &loIn, i, k0, k1)
 		}
-		for k := 0; k < loHalo.Len; k++ {
+		for k := k0; k < k1; k++ {
 			if f := l.Flags[hiIn.Cell(k)]; f != Ghost {
 				l.Flags[loHalo.Cell(k)] = f
 			}

@@ -26,14 +26,20 @@ func (l *Lattice) StepFused() {
 // The unrolled D3Q19 row kernel runs where it applies (AA storage, no LES,
 // no body force); everything else — and every mixed row inside it — is the
 // one descriptor-generic sweep.
-func (l *Lattice) StepRegion(x0, x1, y0, y1 int) { l.sweepRows(x0, x1, y0, y1, nil) }
+func (l *Lattice) StepRegion(x0, x1, y0, y1 int) { l.SweepRows(x0, x1, y0, y1, nil) }
 
-// sweepRows is StepRegion that calls a non-nil rowDone(y) once row y of
-// the region has been swept for every x, in increasing y (Pool.StepFaces
-// fills the next step's halo from it). The generic sweep runs a row at a
-// time; no cell reads another's writes within a step, so the row order is
-// the block order.
-func (l *Lattice) sweepRows(x0, x1, y0, y1 int, rowDone func(y int)) {
+// SweepRows is StepRegion that calls a non-nil rowDone(y) once row y of
+// the region has been swept for every x, in increasing y. The generic
+// sweep runs a row at a time; no cell reads another's writes within a
+// step, so the row order is the block order.
+//
+// The hook is where a sweep fills the next step's halo while the lines
+// are still in cache (Pool.StepFaces, psolve's rank step): in AA storage
+// allocated y-plane y (row y−1) of the view Ahead returns is final on the
+// x-range whose every neighbour's rows y−2…y this and earlier sweeps of
+// the step have covered, and a condition may then read and write that
+// range through the view.
+func (l *Lattice) SweepRows(x0, x1, y0, y1 int, rowDone func(y int)) {
 	if l.useFastPath() {
 		l.stepAAD3Q19(x0, x1, y0, y1, rowDone)
 		return
@@ -44,6 +50,18 @@ func (l *Lattice) sweepRows(x0, x1, y0, y1 int, rowDone func(y int)) {
 			rowDone(y)
 		}
 	}
+}
+
+// Ahead returns a view of an AA lattice one step ahead: it shares l's
+// arrays, flags and wall velocities, and its storage phase is the next
+// step's. Conditions applied through it during a sweep fill the halo the
+// next step reads — slots the running sweep never touches, because in AA
+// storage every slot belongs to exactly one (cell, population) at each
+// parity.
+func (l *Lattice) Ahead() Lattice {
+	v := *l
+	v.step++
+	return v
 }
 
 // CompleteStep swaps the A–B buffers after a set of StepRegion calls that

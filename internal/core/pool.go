@@ -141,7 +141,7 @@ func (p *Pool) worker(w int, start <-chan struct{}, y0, y1 int) {
 			if p.faces != nil {
 				rd = rowDone
 			}
-			p.l.sweepRows(0, p.l.NX, y0, y1, rd)
+			p.l.SweepRows(0, p.l.NX, y0, y1, rd)
 			p.done <- struct{}{}
 		}
 	}
@@ -200,8 +200,7 @@ func (p *Pool) StepFaces(f Faces) {
 	if f != p.prepared || f.Len() != p.preparedLen || l.step != p.preparedAt {
 		f.Apply(l)
 	}
-	p.faces, p.next = f, *l
-	p.next.step++
+	p.faces, p.next = f, l.Ahead()
 	p.faceTime += time.Since(t)
 
 	p.release()

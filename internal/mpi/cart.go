@@ -47,19 +47,6 @@ func (g *Cart2D) Neighbor(dx, dy int) int {
 	return g.RankAt(x+dx, y+dy)
 }
 
-// Neighbors8 lists the up-to-8 surrounding ranks (paper §IV-C-1: "each MPI
-// process needs to communicate with up to 8 neighbors"). Missing
-// neighbours (non-periodic edges) are −1. Order: W, E, S, N, SW, SE, NW,
-// NE in (dx,dy) terms.
-func (g *Cart2D) Neighbors8() [8]int {
-	return [8]int{
-		g.Neighbor(-1, 0), g.Neighbor(1, 0),
-		g.Neighbor(0, -1), g.Neighbor(0, 1),
-		g.Neighbor(-1, -1), g.Neighbor(1, -1),
-		g.Neighbor(-1, 1), g.Neighbor(1, 1),
-	}
-}
-
 // FactorGrid chooses px, py with px·py = n minimising the halo surface for
 // a global nx×ny domain (the perimeter-to-area heuristic used when the
 // user does not specify a process grid).

@@ -201,7 +201,6 @@ const (
 	tagBcast
 	tagGather
 	tagAllgather
-	tagAlltoall
 )
 
 // NewWorld creates a world with the given number of ranks.
@@ -448,15 +447,6 @@ func (c *Comm) Irecv(src, tag int) *Request {
 	return r
 }
 
-// WaitAll waits for every request.
-func WaitAll(reqs ...*Request) {
-	for _, r := range reqs {
-		if r != nil {
-			r.Wait()
-		}
-	}
-}
-
 // Barrier blocks until every rank has entered it, aborting the rank if
 // the world fails or a rank becomes unreachable (a barrier with a dead
 // member can never complete). Use BarrierE for an explicit error.
@@ -498,26 +488,6 @@ func (c *Comm) AllreduceSum(v float64) float64 {
 	return c.allreduce(v, func(a, b float64) float64 { return a + b })
 }
 
-// AllreduceMax returns the maximum of v over all ranks, on every rank.
-func (c *Comm) AllreduceMax(v float64) float64 {
-	return c.allreduce(v, func(a, b float64) float64 {
-		if a > b {
-			return a
-		}
-		return b
-	})
-}
-
-// AllreduceMin returns the minimum of v over all ranks, on every rank.
-func (c *Comm) AllreduceMin(v float64) float64 {
-	return c.allreduce(v, func(a, b float64) float64 {
-		if a < b {
-			return a
-		}
-		return b
-	})
-}
-
 func (c *Comm) allreduce(v float64, op func(a, b float64) float64) float64 {
 	defer c.tr.Scope(trace.TrackMPI, "allreduce")()
 	w := c.world
@@ -538,24 +508,6 @@ func (c *Comm) allreduce(v float64, op func(a, b float64) float64) float64 {
 	w.deliver(c.rank, 0, tagReduce, Message{Data: []float64{v}})
 	m := c.recvInternal(0, tagBcast)
 	return m.Data[0]
-}
-
-// Bcast distributes root's message to every rank and returns it.
-func (c *Comm) Bcast(root int, m Message) Message {
-	defer c.tr.Scope(trace.TrackMPI, "bcast")()
-	w := c.world
-	if w.size == 1 {
-		return m
-	}
-	if c.rank == root {
-		for r := 0; r < w.size; r++ {
-			if r != root {
-				w.deliver(root, r, tagBcast, m)
-			}
-		}
-		return m
-	}
-	return c.recvInternal(root, tagBcast)
 }
 
 // Gather collects one message from every rank at root; non-root ranks get
@@ -594,29 +546,6 @@ func (c *Comm) Allgather(m Message) []Message {
 			continue
 		}
 		out[r] = c.recvInternal(r, tagAllgather)
-	}
-	return out
-}
-
-// Alltoall exchanges one message per rank pair: msgs[r] is sent to rank r
-// and the result's slot r holds the message received from rank r (own slot
-// passes through locally).
-func (c *Comm) Alltoall(msgs []Message) []Message {
-	w := c.world
-	if len(msgs) != w.size {
-		panic(fmt.Sprintf("mpi: Alltoall needs %d messages, got %d", w.size, len(msgs)))
-	}
-	out := make([]Message, w.size)
-	out[c.rank] = msgs[c.rank]
-	for r := 0; r < w.size; r++ {
-		if r != c.rank {
-			w.deliver(c.rank, r, tagAlltoall, msgs[r])
-		}
-	}
-	for r := 0; r < w.size; r++ {
-		if r != c.rank {
-			out[r] = c.recvInternal(r, tagAlltoall)
-		}
 	}
 	return out
 }

@@ -84,7 +84,9 @@ func TestIsendIrecv(t *testing.T) {
 			for i := 0; i < 100; i++ {
 				reqs = append(reqs, c.Isend(1, 3, Message{Data: []float64{float64(i)}}))
 			}
-			WaitAll(reqs...)
+			for _, r := range reqs {
+				r.Wait()
+			}
 			return nil
 		}
 		var reqs []*Request
@@ -131,12 +133,6 @@ func TestAllreduce(t *testing.T) {
 		if got := c.AllreduceSum(v); got != 21 {
 			return fmt.Errorf("sum = %v, want 21", got)
 		}
-		if got := c.AllreduceMax(v); got != 6 {
-			return fmt.Errorf("max = %v, want 6", got)
-		}
-		if got := c.AllreduceMin(v); got != 1 {
-			return fmt.Errorf("min = %v, want 1", got)
-		}
 		return nil
 	})
 	if err != nil {
@@ -156,17 +152,9 @@ func TestAllreduceSingleRank(t *testing.T) {
 	}
 }
 
-func TestBcastGatherAllgather(t *testing.T) {
+func TestGatherAllgather(t *testing.T) {
 	const ranks = 5
 	err := Run(ranks, func(c *Comm) error {
-		var m Message
-		if c.Rank() == 2 {
-			m = Message{Data: []float64{42}}
-		}
-		got := c.Bcast(2, m)
-		if got.Data[0] != 42 {
-			return fmt.Errorf("bcast got %v", got.Data)
-		}
 		all := c.Gather(1, Message{Data: []float64{float64(c.Rank() * 10)}})
 		if c.Rank() == 1 {
 			for r := 0; r < ranks; r++ {
@@ -265,10 +253,11 @@ func TestCart2DPeriodic(t *testing.T) {
 			if got := g.Neighbor(0, -1); got != 2 {
 				return fmt.Errorf("periodic south of 0 = %d, want 2", got)
 			}
-			n8 := g.Neighbors8()
-			for i, r := range n8 {
-				if r < 0 {
-					return fmt.Errorf("periodic neighbour %d missing", i)
+			for dx := -1; dx <= 1; dx++ {
+				for dy := -1; dy <= 1; dy++ {
+					if r := g.Neighbor(dx, dy); r < 0 {
+						return fmt.Errorf("periodic neighbour (%d,%d) missing", dx, dy)
+					}
 				}
 			}
 		}
@@ -332,40 +321,4 @@ func BenchmarkSendRecvLatency(b *testing.B) {
 		c0.Send(1, 0, msg)
 	}
 	<-done
-}
-
-func TestAlltoall(t *testing.T) {
-	const ranks = 4
-	err := Run(ranks, func(c *Comm) error {
-		msgs := make([]Message, ranks)
-		for r := range msgs {
-			msgs[r] = Message{Data: []float64{float64(c.Rank()*10 + r)}}
-		}
-		got := c.Alltoall(msgs)
-		for r := range got {
-			want := float64(r*10 + c.Rank())
-			if got[r].Data[0] != want {
-				return fmt.Errorf("alltoall[%d] = %v, want %v", r, got[r].Data[0], want)
-			}
-		}
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestAlltoallValidatesLength(t *testing.T) {
-	_ = Run(2, func(c *Comm) error {
-		if c.Rank() != 0 {
-			return nil
-		}
-		defer func() {
-			if recover() == nil {
-				panic("expected panic")
-			}
-		}()
-		c.Alltoall(make([]Message, 1))
-		return nil
-	})
 }

@@ -21,9 +21,8 @@ import (
 // rank world.
 type Local struct {
 	rankWorld
-	lat      *core.Lattice
-	kernel   string
-	faceTime time.Duration
+	lat    *core.Lattice
+	kernel string
 }
 
 // NewLocal lays opts' lattice on one rank.
@@ -59,10 +58,6 @@ func (w *Local) Lattice() *core.Lattice { return w.lat }
 // "aa avx512 d3q19 pool×2".
 func (w *Local) Kernel() string { return w.kernel }
 
-// FaceTime is the time every attempt's pool spent on the boundary
-// conditions (core.Pool.FaceTime).
-func (w *Local) FaceTime() time.Duration { return w.faceTime }
-
 // HaloSet orders the halo fill of a one-rank lattice as Solver.Step does:
 // the periodic z wrap, the face conditions conds, then the periodic x and
 // y wraps that stand in for the halo exchange.
@@ -90,6 +85,10 @@ type localRank struct {
 	bcs  *boundary.Set
 }
 
+// FaceTime is the time the rank's pool has spent on the boundary
+// conditions (core.Pool.FaceTime).
+func (r *localRank) FaceTime() time.Duration { return r.pool.FaceTime() }
+
 // Step advances the lattice one time step under the halo set.
 func (r *localRank) Step() {
 	defer r.tr.Scope(trace.TrackStep, "step")()
@@ -104,6 +103,5 @@ func (r *localRank) GatherMacro(int) *core.MacroField { return nil }
 func (r *localRank) Close() error {
 	r.pool.Close()
 	r.w.lat, r.w.kernel = r.Lat, r.pool.Kernel()
-	r.w.faceTime += r.pool.FaceTime()
 	return nil
 }

@@ -7,7 +7,9 @@
 // reads no x/y halo) while they travel, collect them, exchange the y faces
 // (whose corners carry the x halo just received), then finish the boundary
 // strips. Each rank's lattice uses the in-place AA storage of the
-// single-rank path, so a case gives the same bits on one rank and on many.
+// single-rank path, so a case gives the same bits on one rank and on many,
+// and, like the single rank's pool, fills its own next halo (the periodic
+// z wrap and its face conditions) from those sweeps (Solver.Step).
 //
 // A custom Options.Stepper (the simulated Sunway core group, the GPU node
 // model) is a whole-lattice device model that owns its double-buffer
@@ -19,6 +21,8 @@ package psolve
 
 import (
 	"fmt"
+	"slices"
+	"time"
 
 	"sunwaylb/internal/boundary"
 	"sunwaylb/internal/core"
@@ -106,6 +110,23 @@ type Solver struct {
 	Lat   *core.Lattice
 
 	bcs []boundary.Condition
+	// fill is the rank's own halo fill — the periodic z wrap, then bcs —
+	// and conds the set of bcs alone, whose x- and z-face conditions the
+	// strips run one y-plane at a time. filled says the halo already holds
+	// the fill for the coming step; next is the view one step ahead that
+	// the sweep fills it through. tail lists the allocated y-planes no
+	// sweep hook finishes, and wrapLo ≤ ax < wrapHi the allocated x-range
+	// of the z wrap the inner sweep finishes.
+	fill, conds    *boundary.Set
+	filled         bool
+	next           core.Lattice
+	tail           []int
+	wrapLo, wrapHi int
+	// innerDone (nil without a periodic z) and stripDone are the sweeps'
+	// row hooks, bound once so a step allocates nothing.
+	innerDone, stripDone func(y int)
+	// faceTime is the time the rank has spent on its own halo fill.
+	faceTime time.Duration
 
 	stepper      Stepper
 	stepperFresh bool
@@ -190,6 +211,8 @@ func New(c *mpi.Comm, opts Options) (*Solver, error) {
 	}
 	s.bcs = FaceConds(blk, opts.GNX, opts.GNY, opts.GNZ,
 		[3]bool{opts.PeriodicX, opts.PeriodicY, opts.PeriodicZ}, opts.FaceBC)
+	s.fill = HaloSet(false, false, opts.PeriodicZ, s.bcs)
+	s.conds = HaloSet(false, false, false, s.bcs)
 	s.axes[0] = s.planAxis(core.FaceXMin, core.FaceXMax, tagXMinus, tagXPlus,
 		cart.Neighbor(-1, 0), cart.Neighbor(1, 0))
 	s.axes[1] = s.planAxis(core.FaceYMin, core.FaceYMax, tagYMinus, tagYPlus,
@@ -210,8 +233,19 @@ func New(c *mpi.Comm, opts Options) (*Solver, error) {
 		// y extent, then the south and north rows between them.
 		s.inner = region{1, nx - 1, 1, ny - 1}
 		s.strips = []region{{0, 1, 0, ny}, {nx - 1, nx, 0, ny}, {1, nx - 1, 0, 1}, {1, nx - 1, ny - 1, ny}}
+		// The hooks finish allocated planes 3…NY−2; the inner sweep wraps
+		// z on every inner column, interior x ∈ [1, NX−2].
+		s.tail = slices.Compact([]int{0, 1, 2, ny - 1, ny, ny + 1})
+		s.wrapLo, s.wrapHi = 2, nx
+		s.stripDone = s.fillStrip
+		if opts.PeriodicZ {
+			s.innerDone = s.fillInner
+		}
 	} else {
 		s.strips = []region{{0, nx, 0, ny}}
+		for ay := 0; ay < lat.AY; ay++ {
+			s.tail = append(s.tail, ay)
+		}
 	}
 	return s, nil
 }
@@ -262,18 +296,59 @@ func (s *Solver) planAxis(minusFace, plusFace core.Face, tagMinus, tagPlus, dm, 
 	}
 }
 
-// applyLocalBCs fills halos that do not come from neighbours: the z axis
-// (periodic or face conditions) and the global-face conditions of edge
-// ranks.
+// applyLocalBCs fills the halos that do not come from neighbours, whole:
+// the z axis (periodic or face conditions) and the global-face conditions
+// of edge ranks. An AA rank runs it on its first step only; later steps
+// fill the halo from their sweeps. A custom stepper runs it every step.
 func (s *Solver) applyLocalBCs() {
 	defer s.tr.Scope(trace.TrackStep, "bc")()
-	if s.Opts.PeriodicZ {
-		s.Lat.PeriodicAxis(2)
-	}
-	for _, bc := range s.bcs {
-		boundary.ApplyWhole(bc, s.Lat)
-	}
+	t := time.Now()
+	s.fill.Apply(s.Lat)
+	s.faceTime += time.Since(t)
 }
+
+// fillInner is the inner sweep's row hook: once rows y−2…y of the inner
+// region are swept, the next step's z wrap runs on allocated plane y for
+// every inner column, interior x ∈ [1, NX−2]. Those columns' cells are
+// swept, and in AA storage a cell's next-step populations are written by
+// its own update alone. The halo slots the wrap writes are slots only the
+// halo cell itself would read (no swept cell touches them), and they
+// alias no slot the rest of the step packs or unpacks: the x faces are
+// packed already, the x halo is unpacked at x = −1 and NX, and the y
+// exchange touches planes 0, 1, NY and NY+1. The flags the wrap writes
+// are the ones the previous fill left, so the strips still to be swept
+// classify their rows as before.
+func (s *Solver) fillInner(y int) {
+	if y < 3 {
+		return
+	}
+	t := time.Now()
+	s.next.PeriodicRange(2, y, y+1, s.wrapLo, s.wrapHi)
+	s.faceTime += time.Since(t)
+}
+
+// fillStrip is the hook of the west and east columns, swept together in
+// y order after the inner region: once their rows y−2…y are swept,
+// allocated plane y (3 ≤ y ≤ NY−2) is final, so the rest of its z wrap
+// (x ∈ {−1, 0, NX−1, NX}) runs and then its x- and z-face conditions, in
+// fill order.
+func (s *Solver) fillStrip(y int) {
+	if y < 3 || y > s.Lat.NY-2 {
+		return
+	}
+	t := time.Now()
+	v := &s.next
+	if s.Opts.PeriodicZ {
+		v.PeriodicRange(2, y, y+1, 0, s.wrapLo)
+		v.PeriodicRange(2, y, y+1, s.wrapHi, v.AX)
+	}
+	s.conds.ApplyPlane(v, y)
+	s.faceTime += time.Since(t)
+}
+
+// FaceTime is the time the rank has spent on its own halo fill: the whole
+// fills, the planes its sweeps fill and the tails.
+func (s *Solver) FaceTime() time.Duration { return s.faceTime }
 
 // post packs one axis' two faces straight into their links' send slots
 // and hands them to the transport (sends are eager and never block),
@@ -316,8 +391,21 @@ func (s *Solver) collect(axis int, span string) {
 }
 
 // Step advances the distributed simulation by one time step:
-// bc → post x → inner region → collect x → post y, collect y → boundary
+// post x → inner region → collect x → post y, collect y → boundary
 // strips (or the custom stepper's whole-lattice step).
+//
+// The rank's own halo — the periodic z wrap and its face conditions — is
+// filled for the next step inside this step's sweeps, as
+// core.Pool.StepFaces fills the single rank's: the inner sweep wraps z on
+// each plane its rows have left final, the west and east columns, swept
+// together in y order, finish each plane's wrap and run its x- and z-face
+// conditions, and a tail runs every condition in order on the planes no
+// hook finished (the two y-halo planes and the planes the south and north
+// strips reach) and the y-face conditions whole. That equals filling the
+// halo whole at the start of the next step, bit for bit, as long as
+// nothing else writes the lattice between steps. Every attempt builds its
+// ranks through New and nothing does, so the contract is: the first Step
+// fills the halo whole. A custom stepper fills it whole every step.
 //
 // With tracing on, each step records a wall-clock "step" span plus a
 // modelled Sim-clock "step" span: the stepper-reported device time when
@@ -345,11 +433,14 @@ func (s *Solver) Step() {
 		}()
 	}
 	l := s.Lat
-	s.applyLocalBCs()
+	if s.stepper != nil || !s.filled {
+		s.applyLocalBCs()
+	}
+	s.next = l.Ahead()
 	s.post(0, "halo-x")
 	if r := s.inner; r.x1 > r.x0 {
 		end := s.tr.Scope(trace.TrackStep, "compute-inner")
-		l.StepRegion(r.x0, r.x1, r.y0, r.y1)
+		l.SweepRows(r.x0, r.x1, r.y0, r.y1, s.innerDone)
 		end()
 	}
 	s.collect(0, "halo-x-wait")
@@ -359,13 +450,45 @@ func (s *Solver) Step() {
 	end := s.tr.Scope(trace.TrackStep, "compute-boundary")
 	if s.stepper != nil {
 		s.stepCustom()
-	} else {
+		end()
+		return
+	}
+	s.sweepStrips()
+	end()
+	s.fillTail()
+	l.CompleteStep()
+	s.filled = true
+}
+
+// sweepStrips sweeps the boundary strips: with an inner region, the west
+// and east columns together row by row under fillStrip, then the south
+// and north rows; without one, the whole block.
+func (s *Solver) sweepStrips() {
+	l := s.Lat
+	if s.stripDone == nil {
 		for _, r := range s.strips {
 			l.StepRegion(r.x0, r.x1, r.y0, r.y1)
 		}
-		l.CompleteStep()
+		return
 	}
-	end()
+	w, e := s.strips[0], s.strips[1]
+	for y := 0; y < l.NY; y++ {
+		l.StepRegion(w.x0, w.x1, y, y+1)
+		l.StepRegion(e.x0, e.x1, y, y+1)
+		s.stripDone(y)
+	}
+	for _, r := range s.strips[2:] {
+		l.StepRegion(r.x0, r.x1, r.y0, r.y1)
+	}
+}
+
+// fillTail runs, after every sweep, every condition of the fill in order
+// on the planes no hook finished, and the y-face conditions whole.
+func (s *Solver) fillTail() {
+	defer s.tr.Scope(trace.TrackStep, "bc")()
+	t := time.Now()
+	s.fill.ApplyTail(&s.next, s.tail)
+	s.faceTime += time.Since(t)
 }
 
 // stepCustom runs the custom kernel driver over the whole lattice.

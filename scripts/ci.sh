@@ -145,10 +145,11 @@ bench() {
 
 perf() {
     echo "== perf: AA kernel conformance + pool soak + static budgets =="
-    # AA backends (serial, worker pool) must stay bit-identical
-    # (MaxULP=0) to the serial reference at every storage parity, and the
-    # parity metamorphic property must hold.
-    go run ./cmd/conform -seed 1 -cases 10 -run 'core/aa|core/pool|psolve/2x2|prop/aa-parity'
+    # AA backends (serial, worker pool, ranks that fill their halo in
+    # their sweeps: a 2x2 grid, a y split and an x-interior rank) must
+    # stay bit-identical (MaxULP=0) to the serial reference at every
+    # storage parity, and the parity metamorphic property must hold.
+    go run ./cmd/conform -seed 1 -cases 10 -run 'core/aa|core/pool|psolve/2x2|psolve/1x2|psolve/4x1|prop/aa-parity'
     # No silent slow path, no path-dependent answer: single rank, ranks
     # and patches all report the AA kernel and write identical images; a
     # checkpoint of any of them resumes on the others to the same bytes;
@@ -167,11 +168,17 @@ perf() {
         -run 'TestBuildMatchesDefinition|TestRelaxMatchesDefinition|TestUnrolledKernelBitIdentical|TestForRowsMatchesDefinition|TestGenericRows|TestAA|TestPool|TestPack|TestPeriodic' ./internal/core
     # Boundary handling on AA storage: every condition on every face
     # against its per-cell definition at both phases, seeded condition
-    # sets between the steps of a two-worker pool and inside the sweep of
-    # a three-worker one, and the pool's in-sweep conditions bitwise
-    # against Apply-then-Step at 1-3 workers (the lid regime included).
+    # sets between the steps of a two-worker pool, inside the sweep of a
+    # three-worker one and on rank grids, and the pool's in-sweep
+    # conditions bitwise against Apply-then-Step at 1-3 workers (the lid
+    # regime included).
     go test -race -count=1 -timeout 600s \
         -run 'TestFacePlans|TestPoolFaces|FuzzAAStepConditions' ./internal/boundary
+    # Ranks fill their next halo inside their sweeps: every rank's state
+    # bitwise against the whole fill before each step, on edge and
+    # x-interior ranks, at 1, 2, 7 and 8 steps.
+    go test -race -count=1 -timeout 600s \
+        -run 'TestRankFacesMatchApplyThenStep' ./internal/psolve
     # The lattice and macro arrays are advised onto transparent huge pages
     # before their first write (skipped where THP is absent or off).
     go test -count=1 -v -run 'TestLargeArraysOnHugePages' ./internal/core
