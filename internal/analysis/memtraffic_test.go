@@ -45,15 +45,19 @@ func TestTrafficEstimatesRepo(t *testing.T) {
 			// cells, priced where the populations move, the same at either
 			// storage phase: gatherPop/scatterPop/copyPop move one
 			// population of the line per call, a read and a write per cell.
-			// The drivers call them 19 times per line (304 of PackFace's
-			// 320 per cell, 608 of a periodic wrap pair's 616) and only
-			// carry the flag bytes themselves.
+			// A periodic wrap calls them 19 times per line (608 of a wrap
+			// pair's 616 per cell) and carries the flag bytes itself. The
+			// face paths call them once per crossing population, 5 of
+			// D3Q19's 19 (80 of the 96 per cell); the model prices their
+			// walk over the crossing list, one int per population of a
+			// line, above the flag bytes.
 			"gatherPop":     {Bytes: 16, Budget: 16},
 			"scatterPop":    {Bytes: 16, Budget: 16},
 			"copyPop":       {Bytes: 16, Budget: 16},
 			"PeriodicRange": {Bytes: 2, Budget: 616},
-			"PackFace":      {Bytes: 2, Budget: 320},
-			"UnpackFace":    {Bytes: 1, Budget: 320},
+			"PackFace":      {Bytes: 8, Budget: 96},
+			"UnpackFace":    {Bytes: 8, Budget: 96},
+			"CopyFace":      {Bytes: 8, Budget: 96},
 			// Macro extraction, row-wise and population-outer: the model
 			// prices one pass of a population over a cell at the dearest
 			// velocity (a population read, the density and three momentum

@@ -391,38 +391,52 @@ func TestMovingWallTransfersMomentum(t *testing.T) {
 	}
 }
 
+// TestPackUnpackFaceRoundTrip transfers a's x+ boundary layer into b's x-
+// halo, as neighbouring ranks would, on every storage (double buffer, AA at
+// either parity): every halo cell of the layer, tangential halo included,
+// must hold the facing cell's crossing populations (c_x > 0) bitwise and
+// its own prior value in every other population, and the wall on a's
+// boundary layer must cross with its flag.
 func TestPackUnpackFaceRoundTrip(t *testing.T) {
-	a := newTestLattice(t, 6, 5, 4, 0.8)
-	b := newTestLattice(t, 6, 5, 4, 0.8)
-	for y := 0; y < a.NY; y++ {
-		for x := 0; x < a.NX; x++ {
-			for z := 0; z < a.NZ; z++ {
-				a.SetCell(x, y, z, 1.0, 0.01*float64(x), 0.01*float64(y), 0.01*float64(z))
-			}
+	for _, storage := range []string{"db", "even", "odd"} {
+		a, b := phaseLattice(t, storage, 0), phaseLattice(t, storage, 1000)
+		prior := phaseLattice(t, storage, 1000)
+		cross := a.Crossing(FaceXMax)
+		if len(cross) != 5 {
+			t.Fatalf("D3Q19 x+ face carries %d populations, want 5", len(cross))
 		}
-	}
-	a.SetWall(5, 2, 2) // wall on the x+ boundary layer
-	// Transfer a's x+ boundary into b's x- halo (as neighbouring ranks
-	// would).
-	nc := a.FaceCells(FaceXMax)
-	buf := make([]float64, a.Desc.Q*nc)
-	flags := make([]CellType, nc)
-	a.PackFace(FaceXMax, buf, flags)
-	b.UnpackFace(FaceXMin, buf, flags)
-	// Check: b's halo at x=-1 matches a's boundary at x=NX-1.
-	for y := 0; y < a.NY; y++ {
-		for z := 0; z < a.NZ; z++ {
-			fa := a.Populations(a.NX-1, y, z, nil)
-			ib := b.Idx(-1, y, z)
-			for q := 0; q < b.Desc.Q; q++ {
-				if fb := b.Src()[q*b.N+ib]; fb != fa[q] {
-					t.Fatalf("halo mismatch at y=%d z=%d q=%d", y, z, q)
+		moved := make([]bool, a.Desc.Q)
+		for _, i := range cross {
+			if a.Desc.C[i][0] != 1 {
+				t.Fatalf("population %d (c = %v) does not cross the x+ face", i, a.Desc.C[i])
+			}
+			moved[i] = true
+		}
+		nc := a.FaceCells(FaceXMax)
+		buf := make([]float64, len(cross)*nc)
+		flags := make([]CellType, nc)
+		a.PackFace(FaceXMax, buf, flags)
+		b.UnpackFace(FaceXMin, buf, flags)
+		var fa, fb, fp []float64
+		for y := -1; y <= a.NY; y++ {
+			for z := -1; z <= a.NZ; z++ {
+				fa = a.Populations(a.NX-1, y, z, fa)
+				fb = b.Populations(-1, y, z, fb)
+				fp = prior.Populations(-1, y, z, fp)
+				for i := range fb {
+					want := fp[i]
+					if moved[i] {
+						want = fa[i]
+					}
+					if math.Float64bits(fb[i]) != math.Float64bits(want) {
+						t.Fatalf("%s: halo (-1,%d,%d) pop %d = %v, want %v (moved %v)", storage, y, z, i, fb[i], want, moved[i])
+					}
 				}
 			}
 		}
-	}
-	if b.Flags[b.Idx(-1, 2, 2)] != Wall {
-		t.Error("wall flag must propagate through pack/unpack")
+		if b.CellTypeAt(-1, 2, 0) != Wall {
+			t.Errorf("%s: the wall flag must cross with the face", storage)
+		}
 	}
 }
 

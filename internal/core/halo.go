@@ -219,36 +219,37 @@ func (l *Lattice) CopyLine(dst, src Line, perm []int) {
 		if perm != nil {
 			j = perm[i]
 		}
-		l.copyPop(&dst, i, &src, j, 0, dst.Len)
+		l.copyPop(&dst, i, l, &src, j, 0, dst.Len)
 	}
 }
 
-// copyPop sets population i of cells k0 ≤ k < k1 of dst to population j
-// of the facing cells of src.
+// copyPop sets population i of cells k0 ≤ k < k1 of l's line dst to
+// population j of the facing cells of sl's line src, in the current
+// buffers (sl is l itself for a copy within one lattice).
 //
 //lbm:hot traffic budget=16
-func (l *Lattice) copyPop(dst *Line, i int, src *Line, j, k0, k1 int) {
-	f := l.F[l.src]
+func (l *Lattice) copyPop(dst *Line, i int, sl *Lattice, src *Line, j, k0, k1 int) {
+	df, sf := l.F[l.src], sl.F[sl.src]
 	db, dlo, dhi := l.lineBase(dst, i)
-	sb, slo, shi := l.lineBase(src, j)
+	sb, slo, shi := sl.lineBase(src, j)
 	m0, m1 := max(dlo, slo, k0), min(dhi, shi, k1)
 	if dst.Stride == 1 && src.Stride == 1 {
-		copy(f[db+dst.Idx+m0:db+dst.Idx+m1], f[sb+src.Idx+m0:])
+		copy(df[db+dst.Idx+m0:db+dst.Idx+m1], sf[sb+src.Idx+m0:])
 	} else {
 		d, ds := db+dst.Cell(m0), dst.Stride
 		s, ss := sb+src.Cell(m0), src.Stride
 		for k := m0; k < m1; k++ {
-			f[d] = f[s]
+			df[d] = sf[s]
 			d, s = d+ds, s+ss
 		}
 	}
 	// The end cells where either side parks in its natural slot: only the
 	// line's first and last cells ever do.
 	if k0 < m0 {
-		f[l.slot(dst, i, k0)] = f[l.slot(src, j, k0)]
+		df[l.slot(dst, i, k0)] = sf[sl.slot(src, j, k0)]
 	}
 	if m1 < k1 {
-		f[l.slot(dst, i, k1-1)] = f[l.slot(src, j, k1-1)]
+		df[l.slot(dst, i, k1-1)] = sf[sl.slot(src, j, k1-1)]
 	}
 }
 
@@ -314,8 +315,8 @@ func (l *Lattice) PeriodicRange(axis, j0, j1, k0, k1 int) {
 		loHalo, loIn := l.FaceLine(lo, 1, j), l.FaceLine(lo, 0, j)
 		hiHalo, hiIn := l.FaceLine(hi, 1, j), l.FaceLine(hi, 0, j)
 		for i := 0; i < l.Desc.Q; i++ {
-			l.copyPop(&loHalo, i, &hiIn, i, k0, k1)
-			l.copyPop(&hiHalo, i, &loIn, i, k0, k1)
+			l.copyPop(&loHalo, i, l, &hiIn, i, k0, k1)
+			l.copyPop(&hiHalo, i, l, &loIn, i, k0, k1)
 		}
 		for k := k0; k < k1; k++ {
 			if f := l.Flags[hiIn.Cell(k)]; f != Ghost {
@@ -328,20 +329,37 @@ func (l *Lattice) PeriodicRange(axis, j0, j1, k0, k1 int) {
 	}
 }
 
-// PackFace serialises the populations (and flags) of the interior boundary
-// layer at face f from the current buffer into buf, which must have length
-// ≥ Q*FaceCells(f) float64s. It returns the packed flags alongside so the
-// receiver can mirror obstacle cells that touch the subdomain boundary.
-// The wire format — one GatherLine block per line of the layer — is the
-// same at either storage phase, so pack/unpack pairs compose across ranks
-// at different parities.
+// Crossing lists, ascending, the populations whose velocity leaves the
+// block through face f (c_i·n_f > 0): the ones the neighbour beyond f
+// streams in from its halo, and so the only ones a face carries — 3 of
+// D2Q9's 9 on an x or y face (none on a z face), 5 of D3Q15's and
+// D3Q19's, 9 of D3Q27's. A face's wire buffer holds
+// len(Crossing(f))·FaceCells(f) words. The set is the descriptor's
+// (lattice.Descriptor.Leaving); callers must not modify the slice.
+func (l *Lattice) Crossing(f Face) []int { return l.Desc.Leaving(int(f)) }
+
+// PackFace serialises the crossing populations (Crossing(f)) of the
+// interior boundary layer at face f from the current buffer into buf,
+// which must have length ≥ m*FaceCells(f) float64s, m = len(Crossing(f)).
+// Line j of the layer is one block of m runs of the line's length: the
+// r-th crossing population of the line's cell k at buf[(j*m+r)*Len+k].
+// It returns the packed flags alongside, one per cell of the layer, so
+// the receiver can mirror obstacle cells that touch the subdomain
+// boundary. The wire format is the same at either storage phase, so
+// pack/unpack pairs compose across ranks at different parities.
 //
-//lbm:hot traffic budget=320 assume q=19
+// Per cell it moves the 5 crossing populations of D3Q19 (80 B, priced in
+// gatherPop) plus the flag bytes here.
+//
+//lbm:hot traffic budget=96
 func (l *Lattice) PackFace(f Face, buf []float64, flags []CellType) {
-	q := l.Desc.Q
+	cross := l.Crossing(f)
 	for j, n := 0, l.FaceLines(f); j < n; j++ {
 		ln := l.FaceLine(f, 0, j)
-		l.GatherLine(ln, 0, ln.Len, buf[j*ln.Len*q:], ln.Len)
+		blk := buf[j*ln.Len*len(cross):]
+		for r, i := range cross {
+			l.gatherPop(&ln, i, 0, ln.Len, blk[r*ln.Len:])
+		}
 		if flags != nil {
 			for k := 0; k < ln.Len; k++ {
 				flags[j*ln.Len+k] = l.Flags[ln.Cell(k)]
@@ -350,23 +368,56 @@ func (l *Lattice) PackFace(f Face, buf []float64, flags []CellType) {
 	}
 }
 
-// UnpackFace writes a packed face buffer into the halo layer at face f of
-// the current buffer. Flags, if non-nil, update the halo cell
-// classification (so walls spanning subdomain boundaries bounce correctly);
-// Ghost flags in the packed data are preserved as Ghost. At odd AA phase
-// populations whose shifted home leaves the allocation park in place and
-// feed the next odd-parity pack or capture, never the kernel.
+// UnpackFace writes a face packed by a neighbour's PackFace(f.Opposite())
+// into the halo layer at face f of the current buffer: the populations
+// whose velocity points from the halo into the block (c_i·n_f < 0, i.e.
+// Crossing(f.Opposite())), the only ones the sweep reads there. Every
+// other population of the halo keeps its value. Flags, if non-nil, update
+// the halo cell classification (so walls spanning subdomain boundaries
+// bounce correctly); Ghost flags in the packed data are preserved as
+// Ghost. At odd AA phase populations whose shifted home leaves the
+// allocation park in place and feed the next odd-parity pack or capture,
+// never the kernel.
 //
-//lbm:hot traffic budget=320 assume q=19
+//lbm:hot traffic budget=96
 func (l *Lattice) UnpackFace(f Face, buf []float64, flags []CellType) {
-	q := l.Desc.Q
+	cross := l.Crossing(f.Opposite())
 	for j, n := 0, l.FaceLines(f); j < n; j++ {
 		ln := l.FaceLine(f, 1, j)
-		l.ScatterLine(ln, 0, ln.Len, buf[j*ln.Len*q:], ln.Len)
+		blk := buf[j*ln.Len*len(cross):]
+		for r, i := range cross {
+			l.scatterPop(&ln, i, 0, ln.Len, blk[r*ln.Len:])
+		}
 		if flags != nil {
 			for k := 0; k < ln.Len; k++ {
 				if fl := flags[j*ln.Len+k]; fl != Ghost {
 					l.Flags[ln.Cell(k)] = fl
+				}
+			}
+		}
+	}
+}
+
+// CopyFace is PackFace(f) on l followed by UnpackFace(f.Opposite()) on
+// dst, without the buffer: line by line, the crossing populations of l's
+// interior boundary layer at f move straight into dst's halo layer at the
+// opposite face, and with flags set the cells' flags follow (Ghost flags
+// preserved, as UnpackFace does). The two lattices are neighbours across
+// f, so their face layers have the same lines; they may differ in storage
+// phase.
+//
+//lbm:hot traffic budget=96
+func (l *Lattice) CopyFace(f Face, dst *Lattice, flags bool) {
+	cross := l.Crossing(f)
+	for j, n := 0, l.FaceLines(f); j < n; j++ {
+		src, halo := l.FaceLine(f, 0, j), dst.FaceLine(f.Opposite(), 1, j)
+		for _, i := range cross {
+			dst.copyPop(&halo, i, l, &src, i, 0, halo.Len)
+		}
+		if flags {
+			for k := 0; k < src.Len; k++ {
+				if fl := l.Flags[src.Cell(k)]; fl != Ghost {
+					dst.Flags[halo.Cell(k)] = fl
 				}
 			}
 		}

@@ -2,6 +2,7 @@ package core
 
 import (
 	"math"
+	"slices"
 	"testing"
 	"time"
 
@@ -10,12 +11,15 @@ import (
 
 // TestPackFaceWireFormatPhaseIndependent packs every face of an AA
 // lattice and its bit-identical double-buffer twin after each of the
-// first two steps (even and odd storage parity) and requires the wire
-// buffers to match bit-exactly on fluid cells: the packed format is the
-// logical population order regardless of the sender's storage phase, so
-// pack/unpack pairs compose across ranks at different phases.
+// first two steps (even and odd storage parity) into buffers of exactly
+// the face's wire size, and requires both to hold, on fluid cells, every
+// crossing population of the layer's cells bitwise at its wire position:
+// the packed format is the logical population order regardless of the
+// sender's storage phase, so pack/unpack pairs compose across ranks at
+// different phases.
 func TestPackFaceWireFormatPhaseIndependent(t *testing.T) {
 	ref, aa := buildPair(t, 6, 5, 7, 0.8, false)
+	var fr []float64
 	for step := 1; step <= 2; step++ {
 		ref.PeriodicAll()
 		aa.PeriodicAll()
@@ -29,13 +33,15 @@ func TestPackFaceWireFormatPhaseIndependent(t *testing.T) {
 		parity := []string{"even", "odd"}[step%2]
 		for f := FaceXMin; f < numFaces; f++ {
 			nc := ref.FaceCells(f)
-			q := ref.Desc.Q
-			bufR := make([]float64, q*nc)
-			bufA := make([]float64, q*nc)
+			cross := ref.Crossing(f)
+			m := len(cross)
+			bufR := make([]float64, m*nc)
+			bufA := make([]float64, m*nc)
 			flagsR := make([]CellType, nc)
 			flagsA := make([]CellType, nc)
 			ref.PackFace(f, bufR, flagsR)
 			aa.PackFace(f, bufA, flagsA)
+			n := ref.FaceLine(f, 0, 0).Len // cell k = line k/n, position k%n
 			for k := 0; k < nc; k++ {
 				if flagsR[k] != flagsA[k] {
 					t.Fatalf("step %d (%s parity) face %v cell %d: flag %v (ref) != %v (aa)",
@@ -44,13 +50,14 @@ func TestPackFaceWireFormatPhaseIndependent(t *testing.T) {
 				if flagsR[k] != Fluid {
 					continue // non-fluid populations are undefined
 				}
-				n := ref.FaceLine(f, 0, 0).Len // cell k = line k/n, position k%n
-				for i := 0; i < q; i++ {
-					o := k/n*n*q + i*n + k%n
-					r, a := bufR[o], bufA[o]
-					if math.Float64bits(r) != math.Float64bits(a) {
-						t.Fatalf("step %d (%s parity) face %v cell %d pop %d: %v (ref) != %v (aa)",
-							step, parity, f, k, i, r, a)
+				x, y, z := ref.Coords(ref.FaceLine(f, 0, k/n).Cell(k % n))
+				fr = ref.Populations(x, y, z, fr)
+				for r, i := range cross {
+					o := (k/n*m+r)*n + k%n
+					w, a := bufR[o], bufA[o]
+					if math.Float64bits(w) != math.Float64bits(fr[i]) || math.Float64bits(a) != math.Float64bits(fr[i]) {
+						t.Fatalf("step %d (%s parity) face %v cell %d pop %d: %v (ref), %v (aa), cell holds %v",
+							step, parity, f, k, i, w, a, fr[i])
 					}
 				}
 			}
@@ -94,26 +101,107 @@ func phaseLattice(t testing.TB, storage string, seed float64) *Lattice {
 // TestPackUnpackAcrossPhases sends every face of a sender into the
 // opposite halo of a receiver for every pairing of storage schemes and
 // phases, and requires the receiver to end up — in every allocated cell,
-// populations and flags — exactly like a double-buffer receiver fed by a
-// double-buffer sender. This covers the shifted bases, the natural-slot
-// fallback on the line ends and the edge lines, and the phase-independent
-// wire format.
+// populations and flags — exactly as the definition says: the halo layer
+// takes the facing cells' populations that cross the face (c_i·n < 0 for
+// the halo face's outward normal n) and their non-Ghost flags, and every
+// other slot keeps its value. This covers the shifted bases, the
+// natural-slot fallback on the line ends and the edge lines, and the
+// phase-independent wire format. CopyFace, the same move without the
+// buffer, must leave the same receiver.
 func TestPackUnpackAcrossPhases(t *testing.T) {
 	storages := []string{"db", "even", "odd"}
 	for f := FaceXMin; f < numFaces; f++ {
 		opp := f ^ 1
-		want := phaseLattice(t, "db", 1000)
+		want := unpackedByDefinition(phaseLattice(t, "db", 0), phaseLattice(t, "db", 1000), opp)
 		snd := phaseLattice(t, "db", 0)
-		buf := make([]float64, snd.Desc.Q*snd.FaceCells(f))
+		buf := make([]float64, len(snd.Crossing(f))*snd.FaceCells(f))
 		flags := make([]CellType, snd.FaceCells(f))
-		snd.PackFace(f, buf, flags)
-		want.UnpackFace(opp, buf, flags)
 		for _, ss := range storages {
 			for _, rs := range storages {
 				snd, rcv := phaseLattice(t, ss, 0), phaseLattice(t, rs, 1000)
 				snd.PackFace(f, buf, flags)
 				rcv.UnpackFace(opp, buf, flags)
 				requireSameCells(t, want, rcv, f.String()+" "+ss+"→"+rs)
+				rcv = phaseLattice(t, rs, 1000)
+				snd.CopyFace(f, rcv, true)
+				requireSameCells(t, want, rcv, "copy "+f.String()+" "+ss+"→"+rs)
+			}
+		}
+	}
+}
+
+// unpackedByDefinition writes into rcv what UnpackFace(f) of snd's
+// PackFace(f.Opposite()) must: in every cell of rcv's halo layer at f
+// (tangential halo included), the populations whose velocity points into
+// the block take the value of the facing cell of snd's interior boundary
+// layer, and so does the flag unless it is Ghost. The two lattices have
+// the same extents. It returns rcv.
+func unpackedByDefinition(snd, rcv *Lattice, f Face) *Lattice {
+	a := int(f) / 2
+	n := [3]int{rcv.NX, rcv.NY, rcv.NZ}
+	halo, from, in := -1, n[a]-1, 1 // a min face: inward is +axis
+	if f%2 == 1 {
+		halo, from, in = n[a], 0, -1
+	}
+	var fs, fr []float64
+	for y := -1; y <= rcv.NY; y++ {
+		for x := -1; x <= rcv.NX; x++ {
+			for z := -1; z <= rcv.NZ; z++ {
+				c := [3]int{x, y, z}
+				if c[a] != halo {
+					continue
+				}
+				s := c
+				s[a] = from
+				fs = snd.Populations(s[0], s[1], s[2], fs)
+				fr = rcv.Populations(x, y, z, fr)
+				for i := range fr {
+					if rcv.Desc.C[i][a] == in {
+						fr[i] = fs[i]
+					}
+				}
+				rcv.SetPopulations(x, y, z, fr)
+				if fl := snd.CellTypeAt(s[0], s[1], s[2]); fl != Ghost {
+					rcv.Flags[rcv.Idx(x, y, z)] = fl
+				}
+			}
+		}
+	}
+	return rcv
+}
+
+// TestCrossingSets pins each descriptor's face wire format: on every face
+// the populations whose velocity leaves through it, ascending — 3/5/5/9 on
+// an x or y face of D2Q9/D3Q15/D3Q19/D3Q27, none on a z face of D2Q9 —
+// and the opposite face carries exactly their opposites.
+func TestCrossingSets(t *testing.T) {
+	for _, c := range []struct {
+		desc       *lattice.Descriptor
+		side, zend int
+	}{{&lattice.D2Q9, 3, 0}, {&lattice.D3Q15, 5, 5}, {&lattice.D3Q19, 5, 5}, {&lattice.D3Q27, 9, 9}} {
+		l, err := NewLattice(c.desc, 3, 3, 3, 0.8)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for f := FaceXMin; f < numFaces; f++ {
+			a, out := int(f)/2, 2*(int(f)%2)-1
+			var want []int
+			for i, ci := range c.desc.C {
+				if ci[a]*out > 0 {
+					want = append(want, i)
+				}
+			}
+			got := l.Crossing(f)
+			if n := map[bool]int{true: c.zend, false: c.side}[a == 2]; len(got) != n || !slices.Equal(got, want) {
+				t.Fatalf("%s face %v: crossing %v, want %v (%d populations)", c.desc.Name, f, got, want, n)
+			}
+			var opp []int
+			for _, i := range got {
+				opp = append(opp, c.desc.Opp[i])
+			}
+			slices.Sort(opp)
+			if !slices.Equal(opp, l.Crossing(f.Opposite())) {
+				t.Fatalf("%s face %v: opposites %v, the opposite face carries %v", c.desc.Name, f, opp, l.Crossing(f.Opposite()))
 			}
 		}
 	}

@@ -50,6 +50,20 @@ func NewMacroField(nx, ny, nz int) *MacroField {
 	return MacroFieldOver(makeFloats(4*nx*ny*nz), nx, ny, nz)
 }
 
+// NonFinite counts, in one pass over the field, the cells whose density
+// or velocity is NaN or infinite. Solid cells hold zeros, so every cell it
+// counts is a fluid cell.
+func (m *MacroField) NonFinite() int {
+	n := 0
+	for i, r := range m.Rho {
+		// v−v is 0 for every finite v and NaN for NaN and ±Inf.
+		if r-r != 0 || m.Ux[i]-m.Ux[i] != 0 || m.Uy[i]-m.Uy[i] != 0 || m.Uz[i]-m.Uz[i] != 0 {
+			n++
+		}
+	}
+	return n
+}
+
 // MacroFieldOver lays an nx×ny×nz field over d, which holds the four
 // channels Rho, Ux, Uy, Uz back to back (a gather payload, say).
 func MacroFieldOver(d []float64, nx, ny, nz int) *MacroField {

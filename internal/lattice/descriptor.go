@@ -33,6 +33,9 @@ type Descriptor struct {
 	// cf is C converted to float64 once, for the moment and equilibrium
 	// loops.
 	cf [][3]float64
+	// out[2a] lists, ascending, the velocities with c[a] < 0 and out[2a+1]
+	// those with c[a] > 0 (see Leaving).
+	out [6][]int
 }
 
 // CS2 is the squared lattice speed of sound, c_s² = 1/3, shared by all
@@ -80,8 +83,23 @@ func buildOpp(name string, c [][3]int, w []float64) Descriptor {
 	for i, ci := range c {
 		cf[i] = [3]float64{float64(ci[0]), float64(ci[1]), float64(ci[2])}
 	}
-	return Descriptor{Name: name, D: d, Q: q, C: c, W: w, Opp: opp, cf: cf}
+	var out [6][]int
+	for f := range out {
+		axis, sign := f/2, 2*(f%2)-1
+		for i, ci := range c {
+			if ci[axis]*sign > 0 {
+				out[f] = append(out[f], i)
+			}
+		}
+	}
+	return Descriptor{Name: name, D: d, Q: q, C: c, W: w, Opp: opp, cf: cf, out: out}
 }
+
+// Leaving returns, ascending, the velocities that leave a block through
+// its face number face: 2·a is the minus side of axis a (c[a] < 0), 2·a+1
+// the plus side (c[a] > 0), in the order of core.Face. The slice is the
+// descriptor's own; callers must not modify it.
+func (d *Descriptor) Leaving(face int) []int { return d.out[face] }
 
 // D3Q19 is the three-dimensional 19-velocity descriptor used throughout the
 // paper: the rest velocity, the 6 face neighbours and the 12 edge

@@ -58,6 +58,7 @@ func (n *node) migrate(newOwner []int) error {
 	copy(n.owner, newOwner)
 	n.rebuildMine()
 	clear(n.links) // rebuilt towards the new owners, flags on their first message
+	n.flagsDue = true
 	if n.me == 0 {
 		n.w.stats.Rebalances++
 		n.w.stats.Migrations += moves

@@ -118,10 +118,10 @@ type node struct {
 	straggle float64   // straggler-model multiplier for this worker's samples
 	names    []string  // precomputed per-patch counter names
 
-	// Face scratch sized for the largest face over all patches, for the
-	// copies between two owned patches.
-	buf []float64
-	flg []core.CellType
+	// flagsDue says the coming step's exchanges carry cell flags, as a
+	// link's first message does: true for the first step of the node and
+	// after a migration, when every link is rebuilt.
+	flagsDue bool
 
 	// links[6p+f] is owned patch p's halo link at face f to a neighbour on
 	// another worker, built at the first exchange that needs it. A
@@ -157,28 +157,18 @@ func newNode(w *World, c *mpi.Comm, restore *core.Lattice, steps int, straggle f
 		strs:  make(map[int]psolve.Stepper),
 		fresh: make(map[int]bool),
 		cost:  make([]float64, w.til.P()),
+
+		flagsDue: true,
 	}
 	n.straggle = w.opt.Workers[n.me].Straggle
 	if straggle > 1 {
 		n.straggle = max(n.straggle, 1) * straggle
 	}
-	maxFace := 0
 	for _, p := range n.til.Patches {
-		fx := (p.NY + 2) * (p.NZ + 2)
-		fy := (p.NX + 2) * (p.NZ + 2)
-		fz := (p.NX + 2) * (p.NY + 2)
-		for _, f := range [3]int{fx, fy, fz} {
-			if f > maxFace {
-				maxFace = f
-			}
-		}
 		n.names = append(n.names, fmt.Sprintf("patch%d", p.ID))
 		n.conds = append(n.conds, psolve.FaceConds(p.Block, w.opt.GNX, w.opt.GNY, w.opt.GNZ,
 			[3]bool{w.opt.PeriodicX, w.opt.PeriodicY, w.opt.PeriodicZ}, w.opt.FaceBC))
 	}
-	q := lattice.D3Q19.Q
-	n.buf = make([]float64, maxFace*q)
-	n.flg = make([]core.CellType, maxFace)
 	n.links = make([]*psolve.Link, 6*w.til.P())
 	n.own = make([]*resil.Snapshot, w.til.P())
 	if restore != nil {
@@ -253,7 +243,7 @@ func (n *node) adopt(id int, l *core.Lattice) error {
 // installPatch rebuilds a patch from a verified snapshot — the receive
 // half of a migration and the restore half of a recovery. Only the
 // interior is restored; every halo cell the kernel reads is rewritten
-// from current interior state by the z→BC→x→y exchange sequence before
+// from current interior state by the BC→z→x→y exchange sequence before
 // the next kernel application, so an installed patch is bit-identical
 // to one that never moved.
 func (n *node) installPatch(id int, s *resil.Snapshot) error {
@@ -290,23 +280,30 @@ func (n *node) periodic(axis int) bool {
 	}
 }
 
-// stepOnce advances every patch one time step: z halos, global-face
-// conditions, x halos, y halos, then each owned patch's kernel — the
-// same phase order as psolve, so halo corners resolve identically
-// regardless of how patches are distributed.
+// stepOnce advances every patch one time step: global-face conditions,
+// z halos, x halos, y halos, then each owned patch's kernel. A face
+// carries only the populations that cross it, so a halo cell an exchange
+// fills holds no whole state, and a condition must not read one: the
+// conditions run first, before this step's exchanges. The corners a
+// condition still computes from a halo cell (the z ends of an x face's
+// lines) are overwritten where the sweep reads them: the z exchange then
+// brings in the populations that stream into the patch there, computed by
+// the neighbour's own condition from its interior. Halo values are
+// therefore the same however the patches are distributed.
 func (n *node) stepOnce() {
 	if n.tr != nil {
 		n.tr.Begin(trace.Wall, trace.TrackStep, "step", n.tr.Now())
 		defer func() { n.tr.End(trace.Wall, trace.TrackStep, n.tr.Now()) }()
 	}
-	n.exchange(2)
 	for _, p := range n.mine {
 		for _, bc := range n.conds[p] {
 			boundary.ApplyWhole(bc, n.lats[p])
 		}
 	}
+	n.exchange(2)
 	n.exchange(0)
 	n.exchange(1)
+	n.flagsDue = false
 	n.compute()
 }
 
@@ -367,11 +364,12 @@ func (n *node) eachPair(axis int, fn func(a, b int)) {
 }
 
 // exchange runs one axis phase of the halo protocol. Same-owner pairs
-// copy locally; cross-owner pairs ship packed faces over mpi. All sends
-// are posted before any receive (the transport's sends never block), so
-// the phase is deadlock-free for every owner map. Pack reads the
-// interior boundary layer and Unpack writes the halo layer, so transfers
-// within one phase never alias.
+// copy locally; cross-owner pairs ship packed faces over mpi. Either way
+// a face moves its crossing populations only. All sends are posted
+// before any receive (the transport's sends never block), so the phase
+// is deadlock-free for every owner map. A face is read from the interior
+// boundary layer and written to the halo layer, so transfers within one
+// phase never alias.
 func (n *node) exchange(axis int) {
 	parts := n.til.parts(axis)
 	var minFace, maxFace core.Face
@@ -401,8 +399,9 @@ func (n *node) exchange(axis int) {
 	})
 }
 
-// ship packs face of patch src for patch dst: a local unpack when both
-// are owned here, a post on src's link otherwise.
+// ship sends face of patch src to patch dst: line by line straight into
+// dst's halo when both are owned here (flags too when links would carry
+// them), a post on src's link otherwise.
 //
 //lbm:hot
 func (n *node) ship(src, dst int, face core.Face) {
@@ -414,10 +413,7 @@ func (n *node) ship(src, dst int, face core.Face) {
 		n.link(src, face, dst).Post(n.c, ls)
 		return
 	}
-	cells := ls.FaceCells(face)
-	q := ls.Desc.Q
-	ls.PackFace(face, n.buf[:cells*q], n.flg[:cells])
-	n.lats[dst].UnpackFace(face.Opposite(), n.buf[:cells*q], n.flg[:cells])
+	ls.CopyFace(face, n.lats[dst], n.flagsDue)
 }
 
 // absorb collects the face of patch src into patch dst's halo when dst is

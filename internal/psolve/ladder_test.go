@@ -113,6 +113,65 @@ func TestSupervisorHealthGate(t *testing.T) {
 	}
 }
 
+// strongShear is a shear far from rest: ρ 1 ± 0.5 and |u| up to 0.3.
+func strongShear(gx, gy, gz int) (rho, ux, uy, uz float64) {
+	return 1 + 0.5*math.Sin(2*math.Pi*float64(gx)/16),
+		0.2 * math.Sin(2*math.Pi*float64(gy)/16),
+		0.2 * math.Cos(2*math.Pi*float64(gz)/8),
+		0.1 * math.Sin(2*math.Pi*float64(gx+gy)/16)
+}
+
+// TestDivergedRunFailsTyped: the 16×16×8 periodic box at τ 0.50001 from
+// a strong shear goes non-finite well inside 2000 steps. A run of it must
+// fail with ErrDiverged, at once — instability is not a lost worker, so
+// the restart budget stays unspent — and return no field. Before the
+// final-field check it returned err == nil with every ρ NaN. The one-rank
+// world keeps its lattice instead of gathering a field, so its check is
+// the sweep's own health row (ROADMAP item 17).
+func TestDivergedRunFailsTyped(t *testing.T) {
+	opts := psolve.Options{
+		GNX: 16, GNY: 16, GNZ: 8,
+		Tau:       0.50001,
+		PeriodicX: true, PeriodicY: true, PeriodicZ: true,
+		Init: strongShear,
+	}
+	o := psolve.SupervisorOptions{Steps: 2000, MaxRestarts: 2}
+	for _, decomp := range []string{"2x1", "patch2"} {
+		t.Run(decomp, func(t *testing.T) {
+			var field *core.MacroField
+			var stats perf.RecoveryStats
+			var err error
+			if decomp == "2x1" {
+				o.Opts = opts
+				o.Opts.PX, o.Opts.PY = 2, 1
+				field, stats, err = psolve.Supervise(o)
+			} else {
+				w, werr := patch.NewWorld(patch.Options{
+					GNX: opts.GNX, GNY: opts.GNY, GNZ: opts.GNZ, TX: 2,
+					Tau:       opts.Tau,
+					PeriodicX: true, PeriodicY: true, PeriodicZ: true,
+					Init:    opts.Init,
+					Workers: make([]patch.Worker, 2),
+				})
+				if werr != nil {
+					t.Fatal(werr)
+				}
+				o.Opts = psolve.Options{}
+				field, stats, err = psolve.SuperviseOn(w, o)
+			}
+			if !errors.Is(err, psolve.ErrDiverged) {
+				t.Fatalf("diverging run returned %v, want ErrDiverged", err)
+			}
+			if field != nil {
+				t.Error("a diverged run returned a field")
+			}
+			if stats.Restarts != 0 {
+				t.Errorf("a diverged run was retried: %s", stats)
+			}
+		})
+	}
+}
+
 // TestSupervisorCancelDrains: cancelling the run's context mid-flight
 // must stop the run with ErrCanceled — not a restart, not a hang — and
 // drain the newest recoverable state into the L4 checkpoint file so the

@@ -25,10 +25,12 @@ const linkTrailer = 3
 // Link is one neighbour side of a block's halo exchange, the one wire
 // path of psolve ranks and patch-world workers: the face this block packs
 // for the peer and unpacks the peer's face into, and the tags of the two
-// directions. It owns two send slots of Q·FaceCells + trailer words, so
-// posting a face packs straight into memory the transport hands over and
-// the receiver unpacks straight from the message: a step allocates and
-// clones nothing. Cell flags travel on the link's first message only;
+// directions. A face carries only the populations that cross it
+// (core.Lattice.Crossing: 5 of D3Q19's 19), the only ones the receiver's
+// sweep reads from its halo. The link owns two send slots of
+// len(Crossing)·FaceCells + trailer words, so posting a face packs
+// straight into memory the transport hands over and the receiver unpacks
+// straight from the message: a step allocates and clones nothing. Cell flags travel on the link's first message only;
 // they do not change after set-up, and halo flags persist in between.
 type Link struct {
 	face             core.Face
@@ -43,7 +45,7 @@ type Link struct {
 // NewLink builds the side of l at face whose neighbour is rank peer.
 func NewLink(l *core.Lattice, face core.Face, peer, sendTag, recvTag int) *Link {
 	cells := l.FaceCells(face)
-	n := l.Desc.Q*cells + linkTrailer
+	n := len(l.Crossing(face))*cells + linkTrailer
 	return &Link{
 		face: face, peer: peer, sendTag: sendTag, recvTag: recvTag,
 		slots: [2][]float64{make([]float64, n), make([]float64, n)},

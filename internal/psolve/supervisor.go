@@ -54,6 +54,12 @@ import (
 // resumed later via Opts.Restore. Callers test with errors.Is.
 var ErrCanceled = errors.New("psolve: run canceled")
 
+// ErrDiverged reports a run that finished with a non-finite density or
+// velocity on a fluid cell of its final field: the solver went unstable.
+// That is a property of the case, not of the ranks, so the ladder returns
+// it at once instead of retrying, and a service fails the job with it.
+var ErrDiverged = errors.New("psolve: run diverged")
+
 // SupervisorOptions configures a supervised distributed run. The zero
 // value of every policy field is the default of both decompositions.
 type SupervisorOptions struct {
@@ -434,6 +440,14 @@ func SuperviseOn(d Decomposition, o SupervisorOptions) (field *core.MacroField, 
 			close(watchDone)
 		}
 		if runErr == nil {
+			// One pass over the gathered field; the one-rank world
+			// gathers none.
+			if result != nil {
+				if n := result.NonFinite(); n > 0 {
+					return nil, stats, fmt.Errorf("psolve: %d of %d cells of the final field at step %d hold a non-finite density or velocity: %w",
+						n, len(result.Rho), o.Steps, ErrDiverged)
+				}
+			}
 			return result, stats, nil
 		}
 		if o.Ctx != nil && o.Ctx.Err() != nil {

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"hash/fnv"
 	"math"
+	"runtime"
 	"time"
 
 	"sunwaylb/internal/core"
@@ -118,6 +119,11 @@ func (s *Server) runJob(sh *shard, j *Job) {
 	s.ctl.Counter(trace.Wall, trace.TrackServe, "running", s.ctl.Now(), float64(running))
 
 	field, stats, err := s.superviseJob(ctx, j)
+	// The job's lattices and snapshot records are garbage now. Collect them
+	// before this worker takes its next job: left to the pacer, they stand
+	// until the next job's allocations reach twice the heap they were live
+	// in, and the daemon holds two jobs' state per worker instead of one.
+	runtime.GC()
 
 	switch {
 	case err == nil:

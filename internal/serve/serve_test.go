@@ -272,6 +272,42 @@ func TestTenantPanicContained(t *testing.T) {
 	requireSolo(t, jg, good, "neighbour of a failing job")
 }
 
+// TestDivergedJobFails: a job whose case blows up must end failed with the
+// divergence as its cause, on the rank and the patch world, never done
+// with a NaN digest, and is not retried as worker loss. The service's
+// mild shear on the 16×16×8 box at τ 0.50001 is finite but ~1e221 at step
+// 2000 and NaN everywhere from step ~2150.
+func TestDivergedJobFails(t *testing.T) {
+	s := testServer(t, Config{Workers: 2})
+	defer s.Drain(context.Background())
+	decomps := []string{"2x1", "patch2"}
+	jobs := make([]*Job, len(decomps))
+	for i, decomp := range decomps {
+		j, err := s.Submit(JobSpec{
+			Case:    config.Case{Name: "blowup", NX: 16, NY: 16, NZ: 8, Tau: 0.50001, Steps: 2600},
+			Decomp:  decomp,
+			Retries: 2,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		jobs[i] = j
+	}
+	for i, j := range jobs {
+		decomp := decomps[i]
+		st := waitJob(t, j)
+		if st.State != StateFailed || !strings.Contains(st.Error, psolve.ErrDiverged.Error()) {
+			t.Errorf("%s: job ended %s (%q), want failed with the divergence", decomp, st.State, st.Error)
+		}
+		if st.Attempts != 1 {
+			t.Errorf("%s: a diverged job ran %d times, want 1", decomp, st.Attempts)
+		}
+		if d := j.Result(); d.Checksum != "" {
+			t.Errorf("%s: a diverged job has a digest %q", decomp, d.Checksum)
+		}
+	}
+}
+
 // TestWorkerLossRetry: a job that keeps losing its workers is re-queued
 // with backoff until its retry budget runs out, then fails with the
 // worker-loss cause; the attempt count is 1 + retries.

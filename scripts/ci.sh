@@ -57,8 +57,10 @@
 #             with mid-run migrations, and the hotalloc/spanpair static
 #             rules over the patch code and the supervisor driving it
 #   perf    — AA-kernel performance-critical contracts: the AA conform
-#             slice (serial/pool backends and AA ranks MaxULP=0
-#             against the reference at both storage parities), the CLI
+#             slice (serial/pool backends, AA ranks, the 3-D and mixed
+#             patch tilings and the halo-flip property, MaxULP=0 against
+#             the reference at both storage parities), the race-checked
+#             face wire format on core and the link, the CLI
 #             pins (every default path names the AA kernel and writes
 #             the same bytes, resumes any other path's checkpoint to the
 #             same bytes, and refuses foreign checkpoints and
@@ -148,8 +150,11 @@ perf() {
     # AA backends (serial, worker pool, ranks that fill their halo in
     # their sweeps: a 2x2 grid, a y split and an x-interior rank) must
     # stay bit-identical (MaxULP=0) to the serial reference at every
-    # storage parity, and the parity metamorphic property must hold.
-    go run ./cmd/conform -seed 1 -cases 10 -run 'core/aa|core/pool|psolve/2x2|psolve/1x2|psolve/4x1|prop/aa-parity'
+    # storage parity, and the parity metamorphic property must hold. The
+    # 3-D patch tilings, the mixed rosters and the halo-flip property are
+    # where a face wire-format or step-order mistake shows: a face carries
+    # only the populations that cross it.
+    go run ./cmd/conform -seed 1 -cases 10 -run 'core/aa|core/pool|psolve/2x2|psolve/1x2|psolve/4x1|prop/aa-parity|patch/1x1x2|patch/1x2x2|patch/2x2x2|patch/mixed|prop/halo-flip'
     # No silent slow path, no path-dependent answer: single rank, ranks
     # and patches all report the AA kernel and write identical images; a
     # checkpoint of any of them resumes on the others to the same bytes;
@@ -162,10 +167,15 @@ perf() {
     # (walls in the halo, lattices wider than the flag window), the
     # sweep's row classification against its definition, pool soak,
     # step/pool bit-identity on every descriptor, parity-aware halo
-    # pack/unpack, and (on capable hardware) the AVX-512 row kernel's
-    # bitwise equivalence to the scalar canon.
+    # pack/unpack of the crossing populations on every descriptor, and
+    # (on capable hardware) the AVX-512 row kernel's bitwise equivalence
+    # to the scalar canon.
     go test -race -count=1 -timeout 600s \
-        -run 'TestBuildMatchesDefinition|TestRelaxMatchesDefinition|TestUnrolledKernelBitIdentical|TestForRowsMatchesDefinition|TestGenericRows|TestAA|TestPool|TestPack|TestPeriodic' ./internal/core
+        -run 'TestBuildMatchesDefinition|TestRelaxMatchesDefinition|TestUnrolledKernelBitIdentical|TestForRowsMatchesDefinition|TestGenericRows|TestAA|TestPool|TestPack|TestCrossing|TestPeriodic' ./internal/core
+    # The face wire format on the link: slots of crossing·FaceCells + 3
+    # words, and a receiver's halo holding exactly the peer's crossing
+    # populations at both AA parities, on every descriptor.
+    go test -race -count=1 -run 'TestLinkSlotIsCrossingFace|TestLinkCarriesCrossingOnly' ./internal/psolve
     # Boundary handling on AA storage: every condition on every face
     # against its per-cell definition at both phases, seeded condition
     # sets between the steps of a two-worker pool, inside the sweep of a
