@@ -65,6 +65,11 @@ var errInterrupted = errors.New("interrupted by signal")
 // steps its block on a simulated core group.
 var errSunway = errors.New("-sunway needs -decomp PXxPY: it runs each rank's kernel on a simulated SW26010 core group")
 
+// errNoWaves refuses in-memory checkpoint levels without a wave cadence:
+// only snapshot waves fill them, so the run would hold nothing to recover
+// from.
+var errNoWaves = errors.New("-ckpt-levels 1, 2 or 3 needs -snapshot-every N > 0: only snapshot waves fill the in-memory levels")
+
 // signalContext returns a context canceled by the first SIGINT/SIGTERM.
 // The first signal asks the run to checkpoint and exit (code 3); a
 // second signal hard-exits immediately with the conventional 130.
@@ -112,9 +117,9 @@ func main() {
 	flag.IntVar(&o.maxRestarts, "max-restarts", 0, "recovery budget of the self-healing supervisor")
 	flag.BoolVar(&o.allowShrink, "allow-shrink", false, "re-decompose onto fewer ranks after a rank death")
 	flag.IntVar(&o.spareRanks, "spare-ranks", 0, "hot-swap budget of a -decomp PXxPY world — dead ranks replaced from in-memory snapshots without shrinking (a patch world re-homes onto its survivors instead)")
-	flag.StringVar(&o.ckptLevels, "ckpt-levels", "", "active checkpoint levels, e.g. '123' or '1234' (1=local 2=buddy 3=parity 4=disk; empty = disk only)")
+	flag.StringVar(&o.ckptLevels, "ckpt-levels", "", "active checkpoint levels, e.g. '123' or '1234' (1=local 2=buddy 3=parity 4=disk; empty = disk only); levels 1-3 need -snapshot-every")
 	flag.IntVar(&o.ckptGroup, "ckpt-group", 0, "parity-group size for L2/L3 snapshots (default 4)")
-	flag.IntVar(&o.snapEvery, "snapshot-every", 0, "in-memory snapshot wave interval in steps (0 = off)")
+	flag.IntVar(&o.snapEvery, "snapshot-every", 0, "in-memory snapshot wave interval in steps (0 = off; required by -ckpt-levels 1, 2 or 3)")
 	flag.StringVar(&o.detector, "detector", "", "failure detector, 'deadline' (fixed timeout) or 'phi' (accrual heartbeats)")
 
 	// Output and observability.
@@ -416,6 +421,9 @@ type world struct {
 // newWorld lays the case over the world -decomp names and prints what
 // the run is.
 func newWorld(cs *caseSetup, o runOpts) (*world, error) {
+	if l, err := resil.ParseLevels(o.ckptLevels); err == nil && l.Memory() && o.snapEvery <= 0 {
+		return nil, errNoWaves
+	}
 	c := cs.cfg
 	w := &world{
 		cs:     cs,

@@ -269,19 +269,51 @@ func TestCLIPathsAgree(t *testing.T) {
 
 // TestCLISnapshotLine pins the snapshot accounting a supervised run
 // prints after its "completed" line: 7 steps with a wave every 2 is three
-// waves (never one at the final step), and a 2-rank L1+L2+L3 store ends up
-// holding own+buddy+parity of both generations (12 × 118 KB).
+// waves (never one at the final step), and the store's residency split by
+// level. A 2-rank L1+L2+L3 store holds own and buddy records of both
+// generations (8 × 118 KB) and no parity: each rank keeps both members of
+// its pair. In a group of three each replica folds the one member its
+// rank keeps neither as own record nor as buddy copy; the received
+// parity messages leave their transport buffers with the store.
 func TestCLISnapshotLine(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builds and runs the binary")
 	}
-	out, err := exec.Command(buildCLI(t), "-preset", "channel", "-nx", "16", "-ny", "12", "-nz", "8",
-		"-steps", "7", "-decomp", "2x1", "-snapshot-every", "2", "-ckpt-levels", "123", "-ckpt-group", "2").CombinedOutput()
-	if err != nil {
-		t.Fatalf("%v\n%s", err, out)
+	bin := buildCLI(t)
+	for _, tc := range []struct{ decomp, group, resident string }{
+		{"2x1", "2", `1 MB resident in store \(L1 0\.5, L2 0\.5, L3 0\.0 MB\)`},
+		{"3x1", "3", `2 MB resident in store \(L1 0\.5, L2 0\.5, L3 0\.5 MB\)`},
+	} {
+		out, err := exec.Command(bin, "-preset", "channel", "-nx", "16", "-ny", "12", "-nz", "8",
+			"-steps", "7", "-decomp", tc.decomp, "-snapshot-every", "2", "-ckpt-levels", "123", "-ckpt-group", tc.group).CombinedOutput()
+		if err != nil {
+			t.Fatalf("%v\n%s", err, out)
+		}
+		if !regexp.MustCompile(`completed 7 steps in .*\nsnapshots: 3 waves, [0-9.]+ ms/wave, [0-9.]+ GB/s, ` + tc.resident + `\n`).Match(out) {
+			t.Errorf("%s, groups of %s: summary lacks the expected snapshot line:\n%s", tc.decomp, tc.group, out)
+		}
 	}
-	if !regexp.MustCompile(`completed 7 steps in .*\nsnapshots: 3 waves, [0-9.]+ ms/wave, [0-9.]+ GB/s, 1 MB resident in store\n`).Match(out) {
-		t.Errorf("summary lacks the expected snapshot line:\n%s", out)
+}
+
+// TestCLIMemoryLevelsNeedWaves: in-memory checkpoint levels without a
+// wave cadence would fill nothing, so every world refuses them before
+// the run; disk-only levels need no cadence.
+func TestCLIMemoryLevelsNeedWaves(t *testing.T) {
+	if testing.Short() {
+		t.Skip("builds and runs the binary")
+	}
+	bin := buildCLI(t)
+	base := []string{"-preset", "channel", "-nx", "16", "-ny", "16", "-nz", "16", "-steps", "2"}
+	for _, world := range [][]string{nil, {"-decomp", "2x1"}, {"-decomp", "patch"}} {
+		for _, levels := range []string{"1", "123", "34"} {
+			out, err := exec.Command(bin, append(append(base, world...), "-ckpt-levels", levels)...).CombinedOutput()
+			if err == nil || !strings.Contains(string(out), errNoWaves.Error()) {
+				t.Errorf("%v -ckpt-levels %s without -snapshot-every: want %q, got %v:\n%s", world, levels, errNoWaves, err, out)
+			}
+		}
+	}
+	if out, err := exec.Command(bin, append(base, "-decomp", "2x1", "-ckpt-levels", "4")...).CombinedOutput(); err != nil {
+		t.Errorf("-ckpt-levels 4 needs no waves, got %v:\n%s", err, out)
 	}
 }
 

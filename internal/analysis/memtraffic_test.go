@@ -63,6 +63,9 @@ func TestTrafficEstimatesRepo(t *testing.T) {
 			// velocity (a population read, the density and three momentum
 			// accumulators updated in the row's L1-resident runs).
 			"MacroInto": {Bytes: 72, Budget: 72},
+			// Its D3Q19 row sums each cell in registers: 19 population
+			// loads, the flag byte and the four outputs written once.
+			"macroRowD3Q19": {Bytes: 185, Budget: 185},
 		},
 		// The rank and patch data paths: the exchange drivers walk links
 		// and snapshot records only (no per-cell loop: Budget -1 or the

@@ -1,6 +1,10 @@
 package core
 
-import "math"
+import (
+	"math"
+
+	"sunwaylb/internal/lattice"
+)
 
 // Macro holds the macroscopic fields of one cell.
 type Macro struct {
@@ -107,6 +111,9 @@ func (l *Lattice) Interior() Box { return Box{NX: l.NX, NY: l.NY, NZ: l.NZ} }
 // populations in ascending order, and the terms skipped are exact zeros,
 // so for finite populations the values are bitwise those of MacroAt.
 //
+// D3Q19 lattices take the unrolled row instead (macroD3Q19), which is
+// bitwise MacroAt for every input.
+//
 // Per cell a population's pass reads it once and updates at most four
 // accumulators, which stay in L1 for the row; the budget prices the
 // dearest pass.
@@ -114,6 +121,10 @@ func (l *Lattice) Interior() Box { return Box{NX: l.NX, NY: l.NY, NZ: l.NZ} }
 //lbm:hot traffic budget=72
 func (l *Lattice) MacroInto(m *MacroField, x0, y0, z0 int, b Box) {
 	d := l.Desc
+	if d == &lattice.D3Q19 {
+		l.macroD3Q19(m, x0, y0, z0, b)
+		return
+	}
 	src := l.F[l.src]
 	var baseArr [MaxQ]int
 	base := baseArr[:d.Q]
@@ -188,6 +199,133 @@ func (l *Lattice) MacroInto(m *MacroField, x0, y0, z0 int, b Box) {
 			}
 		}
 	}
+}
+
+// macroD3Q19 is MacroInto for D3Q19, one z-row at a time through
+// macroRowD3Q19. A row holding a non-finite density (a NaN or infinite
+// population, or an overflowing sum) has those cells redone by MacroAt,
+// whose zero-velocity terms turn an infinity into NaN.
+func (l *Lattice) macroD3Q19(m *MacroField, x0, y0, z0 int, b Box) {
+	src := l.F[l.src]
+	var base [19]int
+	for i := range base {
+		base[i] = l.PopBase(i)
+	}
+	nz := b.NZ
+	f := [3]float64{0.5 * l.Force[0], 0.5 * l.Force[1], 0.5 * l.Force[2]}
+	var g [19][]float64
+	for y := 0; y < b.NY; y++ {
+		for x := 0; x < b.NX; x++ {
+			idx, mi := l.Idx(b.X0+x, b.Y0+y, b.Z0), m.Idx(x0+x, y0+y, z0)
+			for i := range g {
+				g[i] = src[base[i]+idx : base[i]+idx+nz]
+			}
+			rho := m.Rho[mi : mi+nz]
+			if !macroRowD3Q19(&g, l.Flags[idx:idx+nz], rho, m.Ux[mi:mi+nz], m.Uy[mi:mi+nz], m.Uz[mi:mi+nz], f) {
+				continue
+			}
+			for z, r := range rho {
+				if r-r != 0 {
+					a := l.MacroAt(b.X0+x, b.Y0+y, b.Z0+z)
+					rho[z], m.Ux[mi+z], m.Uy[mi+z], m.Uz[mi+z] = a.Rho, a.Ux, a.Uy, a.Uz
+				}
+			}
+		}
+	}
+}
+
+// macroRowD3Q19 writes the density and velocity of one z-row of cells
+// from its 19 population runs g, each cell's moments summed in registers
+// from +0 in MacroAt's ascending population order; a velocity term of
+// MacroAt the row skips is f·0, which for finite f leaves a sum that
+// started at +0 bitwise unchanged. Solid cells yield zeros. It reports
+// whether a fluid cell's density came out non-finite, for the caller to
+// redo.
+//
+// Per cell: 19 population loads, a flag byte and four stores, 185 B.
+//
+//lbm:hot traffic budget=185
+func macroRowD3Q19(g *[19][]float64, flags []CellType, rho, ux, uy, uz []float64, f [3]float64) (nonFinite bool) {
+	n := len(rho)
+	flags, ux, uy, uz = flags[:n], ux[:n], uy[:n], uz[:n]
+	g0, g1, g2, g3, g4 := g[0][:n], g[1][:n], g[2][:n], g[3][:n], g[4][:n]
+	g5, g6, g7, g8, g9 := g[5][:n], g[6][:n], g[7][:n], g[8][:n], g[9][:n]
+	g10, g11, g12, g13, g14 := g[10][:n], g[11][:n], g[12][:n], g[13][:n], g[14][:n]
+	g15, g16, g17, g18 := g[15][:n], g[16][:n], g[17][:n], g[18][:n]
+	for z := 0; z < n; z++ {
+		if flags[z] != Fluid {
+			rho[z], ux[z], uy[z], uz[z] = 0, 0, 0, 0
+			continue
+		}
+		f0, f1, f2, f3, f4 := g0[z], g1[z], g2[z], g3[z], g4[z]
+		f5, f6, f7, f8, f9 := g5[z], g6[z], g7[z], g8[z], g9[z]
+		f10, f11, f12, f13, f14 := g10[z], g11[z], g12[z], g13[z], g14[z]
+		f15, f16, f17, f18 := g15[z], g16[z], g17[z], g18[z]
+		r := 0.0
+		r += f0
+		r += f1
+		r += f2
+		r += f3
+		r += f4
+		r += f5
+		r += f6
+		r += f7
+		r += f8
+		r += f9
+		r += f10
+		r += f11
+		r += f12
+		r += f13
+		r += f14
+		r += f15
+		r += f16
+		r += f17
+		r += f18
+		jx := 0.0
+		jx += f1
+		jx -= f2
+		jx += f7
+		jx -= f8
+		jx += f9
+		jx -= f10
+		jx += f11
+		jx -= f12
+		jx += f13
+		jx -= f14
+		jy := 0.0
+		jy += f3
+		jy -= f4
+		jy += f7
+		jy -= f8
+		jy -= f9
+		jy += f10
+		jy += f15
+		jy -= f16
+		jy += f17
+		jy -= f18
+		jz := 0.0
+		jz += f5
+		jz -= f6
+		jz += f11
+		jz -= f12
+		jz -= f13
+		jz += f14
+		jz += f15
+		jz -= f16
+		jz -= f17
+		jz += f18
+		switch {
+		case r == 0:
+			rho[z], ux[z], uy[z], uz[z] = 0, 0, 0, 0
+		case r-r != 0:
+			rho[z] = r
+			nonFinite = true
+		default:
+			// With Guo forcing the physical velocity is (j + F/2)/ρ.
+			rho[z], ux[z], uy[z], uz[z] = r, (jx+f[0])/r, (jy+f[1])/r, (jz+f[2])/r
+		}
+	}
+	return nonFinite
 }
 
 // TotalMass sums the density over all interior fluid cells. The LBGK

@@ -2,7 +2,10 @@ package core
 
 import (
 	"math"
+	"math/rand"
 	"testing"
+
+	"sunwaylb/internal/lattice"
 )
 
 // TestMacroIntoMatchesMacroAt: the row-wise, population-outer MacroInto
@@ -52,6 +55,86 @@ func TestMacroIntoMatchesMacroAt(t *testing.T) {
 						for c := range got {
 							if math.Float64bits(got[c]) != math.Float64bits(want[c]) {
 								t.Fatalf("%s %+v: cell (%d,%d,%d) channel %d = %v, MacroAt %v", storage, b, lx, ly, lz, c, got[c], want[c])
+							}
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestMacroRowD3Q19Adversarial: the unrolled D3Q19 row writes bitwise
+// what MacroAt computes (NaN for NaN: its sign and payload mean nothing)
+// for populations drawn from ±0, subnormals, values whose sum cancels to
+// ρ = 0, overflowing magnitudes, NaN and ±Inf, on solid and fluid cells,
+// without a body force, with one of −0 (which keeps a momentum sum's
+// signed zero visible) and with a real one, on the double buffer and at both AA
+// parities, on rows shorter than eight cells.
+func TestMacroRowD3Q19Adversarial(t *testing.T) {
+	pool := []float64{0, math.Copysign(0, -1), 5e-324, -5e-324, 2.5e-308, -1e-310,
+		1, -1, 0.5, 1.0 / 3, 1e308, -1e308, 1e-300, math.NaN(), math.Inf(1), math.Inf(-1)}
+	rng := rand.New(rand.NewSource(7))
+	for _, storage := range []string{"db", "even", "odd"} {
+		nz := math.Copysign(0, -1)
+		for _, force := range [][3]float64{{}, {nz, nz, nz}, {1e-5, -2e-5, 3e-5}} {
+			l := phaseLattice(t, storage, 0.25)
+			if l.Desc != &lattice.D3Q19 || l.NZ >= 8 {
+				t.Fatalf("fixture is %s with NZ %d, want D3Q19 rows under 8 cells", l.Desc.Name, l.NZ)
+			}
+			l.Force = force
+			f := make([]float64, l.Desc.Q)
+			for y := 0; y < l.NY; y++ {
+				for x := 0; x < l.NX; x++ {
+					for z := 0; z < l.NZ; z++ {
+						switch k := rng.Intn(7); k {
+						case 0: // all signed zeros: ρ = +0
+							for i := range f {
+								f[i] = pool[rng.Intn(2)]
+							}
+						case 1: // opposite pairs cancel: ρ = 0, j ≠ 0
+							clear(f)
+							f[1], f[2], f[11] = 1, -1.5, 0.5
+						case 3: // ρ = 1, every term of one momentum sum −0
+							a := rng.Intn(3)
+							for i, c := range l.Desc.C {
+								f[i] = 0
+								if c[a] > 0 {
+									f[i] = math.Copysign(0, -1)
+								}
+							}
+							f[0] = 1
+						default: // specials, non-finite ones in about a third of the cells
+							n := len(pool) - 3
+							if k == 2 {
+								n = len(pool)
+							}
+							for i := range f {
+								f[i] = pool[rng.Intn(n)]
+								if rng.Intn(3) == 0 {
+									f[i] = rng.NormFloat64()
+								}
+							}
+						}
+						l.SetPopulations(x, y, z, f)
+					}
+				}
+			}
+			m := NewMacroField(l.NX, l.NY, l.NZ)
+			l.MacroInto(m, 0, 0, 0, l.Interior())
+			for y := 0; y < l.NY; y++ {
+				for x := 0; x < l.NX; x++ {
+					for z := 0; z < l.NZ; z++ {
+						var want Macro
+						if l.CellTypeAt(x, y, z) == Fluid {
+							want = l.MacroAt(x, y, z)
+						}
+						i := m.Idx(x, y, z)
+						got := [4]float64{m.Rho[i], m.Ux[i], m.Uy[i], m.Uz[i]}
+						for c, w := range [4]float64{want.Rho, want.Ux, want.Uy, want.Uz} {
+							if math.Float64bits(got[c]) != math.Float64bits(w) && !(math.IsNaN(got[c]) && math.IsNaN(w)) {
+								t.Fatalf("%s force %v: cell (%d,%d,%d) channel %d = %v (%#x), MacroAt %v (%#x)",
+									storage, force, x, y, z, c, got[c], math.Float64bits(got[c]), w, math.Float64bits(w))
 							}
 						}
 					}

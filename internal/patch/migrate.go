@@ -69,10 +69,10 @@ func (n *node) migrate(newOwner []int) error {
 // wave runs one snapshot wave over the owned patches: each patch is
 // captured once, straight into its L1 record, and that record feeds the
 // other levels — L2 places a copy with the patch's ring buddy, L3 folds
-// the XOR parity of each patch's group. The store is keyed by patch ID —
-// a record "held by" patch p lives in p's current owner's memory, so the
-// supervisor invalidates exactly the patches a dead worker owned at the
-// wave (see supervise.go).
+// the XOR parity of the group members each owner does not keep. The
+// store is keyed by patch ID — a record "held by" patch p lives in p's
+// current owner's memory, so the supervisor invalidates exactly the
+// patches a dead worker owned at the wave (see supervise.go).
 //
 // Per owned patch the loop itself moves record headers only; the payload
 // passes are priced in resil and core.
@@ -95,7 +95,7 @@ func (n *node) wave(done int, st *resil.Store, levels resil.Levels) error {
 	}
 	var err error
 	if levels.Has(resil.L3) && st.GroupSize() >= 2 {
-		err = n.parityWave(done, st)
+		err = n.parityWave(done, st, levels)
 	}
 	if !levels.Has(resil.L1) {
 		for _, p := range n.mine {
@@ -105,18 +105,19 @@ func (n *node) wave(done int, st *resil.Store, levels resil.Levels) error {
 	return err
 }
 
-// parityWave computes the L3 group XOR for every parity group this
-// worker owns patches in, from the records wave just captured. Group
-// members owned by other workers are exchanged over mpi: each owner
-// sends its members once to every other distinct owner of the group,
-// folds the full group into the parity record of its first member and
-// copies that record for its other members, so every member patch holds
-// the identical parity. Groups are processed in ascending order on every
-// rank and sends always precede receives, which keeps the wave
-// deadlock-free.
+// parityWave computes, for every parity group this worker owns patches
+// in, the L3 replica of the group members its memory does not keep (see
+// keeps), from the records wave just captured. Members owned by other
+// workers are exchanged over mpi: each owner sends its members once to
+// every other distinct owner of the group that folds them, folds its
+// share into the parity record of its first member and copies that
+// record for its other members, so every member patch of one owner holds
+// the identical replica. An owner that keeps every member stores no
+// replica. Groups are processed in ascending order on every rank and
+// sends always precede receives, which keeps the wave deadlock-free.
 //
 //lbm:hot traffic budget=16
-func (n *node) parityWave(done int, st *resil.Store) error {
+func (n *node) parityWave(done int, st *resil.Store, levels resil.Levels) error {
 	P := n.til.P()
 	gs := st.GroupSize()
 	for lo := 0; lo < P; lo += gs {
@@ -130,49 +131,79 @@ func (n *node) parityWave(done int, st *resil.Store) error {
 		if hi-lo < 2 || first < 0 {
 			continue // singleton group (no parity algebra), or none of mine
 		}
-		// Ship my members once to each other distinct owner of the group.
+		// Ship my members once to each other distinct owner that folds them.
 		for q := lo; q < hi; q++ {
 			if n.owner[q] != n.me {
 				continue
 			}
 			for r := lo; r < hi; r++ {
 				t := n.owner[r]
-				if t == n.me || slices.Contains(n.owner[lo:r], t) {
+				if t == n.me || slices.Contains(n.owner[lo:r], t) || n.keeps(t, q, st, levels) {
 					continue
 				}
 				st.Send(n.c, n.own[q], t, n.til.parityTag(q))
 			}
 		}
-		// Fold the full group: my records plus one receive per remote
-		// member, the first two operands XORed straight into the record.
+		// Fold the members I do not keep: my own records plus one receive
+		// per remote member. The first waits for the second, and the two
+		// are XORed straight into the freshly reset replica.
 		par := st.Slot(resil.L3, first, done)
-		resil.ParityReset(par, first, -1, len(n.own[first].Pops), len(n.own[first].Flags))
-		pending := n.own[first]
+		var pending *resil.Snapshot
+		started := false
 		for r := lo; r < hi; r++ {
-			if r == first {
+			if n.keeps(n.me, r, st, levels) {
 				continue
 			}
 			m := n.own[r]
 			if n.owner[r] != n.me {
 				m = &n.in
+				if pending == nil && !started {
+					m = &n.held
+				}
 				if err := st.Recv(n.c, m, n.owner[r], n.til.parityTag(r), done); err != nil {
+					st.Recycle(&n.held)
 					return err
 				}
 			}
-			if pending != nil {
+			switch {
+			case pending == nil && !started:
+				pending = m
+				continue
+			case !started:
+				resil.ParityReset(par, first, -1, len(n.own[first].Pops), len(n.own[first].Flags))
 				resil.ParityAdd(par, pending, m)
-				pending = nil
-			} else {
+				started = true
+			default:
 				resil.ParityAdd(par, m)
 			}
 			st.Recycle(&n.in)
 		}
-		st.Commit(resil.L3, par, done)
+		if pending != nil && !started { // one member alone
+			resil.ParityReset(par, first, -1, len(n.own[first].Pops), len(n.own[first].Flags))
+			resil.ParityAdd(par, pending)
+			started = true
+		}
+		st.Recycle(&n.held)
+		if started {
+			st.Commit(resil.L3, par, done)
+		}
 		for p := first + 1; p < hi; p++ {
-			if n.owner[p] == n.me {
+			switch {
+			case n.owner[p] != n.me:
+			case !started:
+				st.Slot(resil.L3, p, done) // left unfilled: no replica
+			default:
 				st.DepositParity(p, par)
 			}
 		}
 	}
 	return nil
+}
+
+// keeps reports whether worker w's memory holds patch q's record of the
+// wave without a replica: q's own record when L1 is on and w owns q, q's
+// buddy copy when L2 is on and w owns the patch holding it.
+func (n *node) keeps(w, q int, st *resil.Store, levels resil.Levels) bool {
+	return levels.Has(resil.L1) && n.owner[q] == w ||
+		levels.Has(resil.L2) && n.owner[st.Buddy(q)] == w
 }

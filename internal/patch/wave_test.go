@@ -33,6 +33,12 @@ func (h *parityHook) OnSend(src, dst, tag int, data []float64, aux []byte) int {
 // but the last, and returns the store.
 func runWaves(t *testing.T, steps int, onSend func(n, src int, data []float64) int) *resil.Store {
 	t.Helper()
+	return runWavesAt(t, steps, resil.L1|resil.L3, onSend)
+}
+
+// runWavesAt is runWaves with waves of the given levels.
+func runWavesAt(t *testing.T, steps int, levels resil.Levels, onSend func(n, src int, data []float64) int) *resil.Store {
+	t.Helper()
 	opt := Options{
 		GNX: 12, GNY: 10, GNZ: 8, TX: 3,
 		Tau:       0.7,
@@ -54,7 +60,7 @@ func runWaves(t *testing.T, steps int, onSend func(n, src int, data []float64) i
 	if onSend != nil {
 		hook = &parityHook{first: w.til.parityTag(0), onSend: onSend}
 	}
-	if _, err := stepWorld(w, steps, hook, store, resil.L1|resil.L3); err != nil {
+	if _, err := stepWorld(w, steps, hook, store, levels); err != nil {
 		t.Fatal(err)
 	}
 	return store
@@ -115,5 +121,29 @@ func TestWaveReusesRecords(t *testing.T) {
 	payload := three.Bytes()[0] / 3 // L1 ledger of three waves = one payload of every patch each
 	if got, max := three.Resident(), 2*2*payload+2*payload; got > max {
 		t.Fatalf("store holds %d bytes, want at most own+parity of two generations plus the transport buffers (%d)", got, max)
+	}
+}
+
+// TestPairWaveSendsNoParity: with L1 and L2 each worker of the cross-worker
+// pair {0, 1} keeps its own patch and the buddy copy of the other, so the
+// wave sends no parity message and stores no replica, and the loss of
+// either patch is repaired from its buddy copy.
+func TestPairWaveSendsNoParity(t *testing.T) {
+	sent := 0
+	st := runWavesAt(t, 3, resil.L1|resil.L2|resil.L3, func(n, src int, data []float64) int {
+		sent++
+		return 1
+	})
+	if sent != 0 {
+		t.Fatalf("%d parity messages sent, want none", sent)
+	}
+	lv, _ := st.ResidentByLevel()
+	if b := st.Bytes(); b[2] != 0 || lv[2] != 0 || b[1] == 0 {
+		t.Fatalf("ledger %v, resident by level %v: want L2 copies and no L3 bytes or memory", b, lv)
+	}
+	for _, p := range []int{0, 1} {
+		if rec, ok := st.RecoveryPlan([]int{p}); !ok || rec.BuddyRestores != 1 {
+			t.Fatalf("loss of patch %d must be repaired from its buddy copy", p)
+		}
 	}
 }

@@ -132,10 +132,12 @@ type node struct {
 
 	// Snapshot state: the migration buffer (handed to the receiver with
 	// every move), this wave's L1 records of the owned patches by patch
-	// ID, and the view a received parity member is unpacked into.
+	// ID, the view a received parity member is unpacked into, and the one
+	// a group's first received member waits in for the second.
 	snap resil.Snapshot
 	own  []*resil.Snapshot
 	in   resil.Snapshot
+	held resil.Snapshot
 }
 
 // newNode builds worker c's share of an attempt of w: its patches under

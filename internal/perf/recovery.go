@@ -64,6 +64,9 @@ type RecoveryStats struct {
 	// the end of the run (its high-water mark: records are reused, never
 	// released).
 	SnapshotResident int64 `json:"snapshot_resident_bytes"`
+	// SnapshotResidentLevels splits SnapshotResident's records by level
+	// (L1 own, L2 buddy, L3 parity); the rest are transport buffers.
+	SnapshotResidentLevels [3]int64 `json:"snapshot_resident_level_bytes"`
 }
 
 // Merge accumulates another run's recovery scorecard into r — the
@@ -90,11 +93,15 @@ func (r *RecoveryStats) Merge(o RecoveryStats) {
 	r.SnapshotWaves += o.SnapshotWaves
 	r.SnapshotTime += o.SnapshotTime
 	r.SnapshotResident = max(r.SnapshotResident, o.SnapshotResident)
+	for i := range r.SnapshotResidentLevels {
+		r.SnapshotResidentLevels[i] = max(r.SnapshotResidentLevels[i], o.SnapshotResidentLevels[i])
+	}
 }
 
 // SnapshotLine renders the snapshot-wave accounting as the one-line
 // summary the CLI prints: wave count, mean wave time, the rate at which
-// the L1–L3 ledger bytes were produced, and the store's resident size.
+// the L1–L3 ledger bytes were produced, and the store's resident size,
+// split by level.
 func (r RecoveryStats) SnapshotLine() string {
 	bytes := r.SnapshotBytes[0] + r.SnapshotBytes[1] + r.SnapshotBytes[2]
 	sec := r.SnapshotTime.Seconds()
@@ -102,8 +109,10 @@ func (r RecoveryStats) SnapshotLine() string {
 	if sec > 0 {
 		gbps = float64(bytes) / sec / 1e9
 	}
-	return fmt.Sprintf("snapshots: %d waves, %.1f ms/wave, %.2f GB/s, %.0f MB resident in store",
-		r.SnapshotWaves, 1e3*sec/float64(max(r.SnapshotWaves, 1)), gbps, float64(r.SnapshotResident)/1e6)
+	lv := r.SnapshotResidentLevels
+	return fmt.Sprintf("snapshots: %d waves, %.1f ms/wave, %.2f GB/s, %.0f MB resident in store (L1 %.1f, L2 %.1f, L3 %.1f MB)",
+		r.SnapshotWaves, 1e3*sec/float64(max(r.SnapshotWaves, 1)), gbps, float64(r.SnapshotResident)/1e6,
+		float64(lv[0])/1e6, float64(lv[1])/1e6, float64(lv[2])/1e6)
 }
 
 // Clean reports whether the run needed no recovery at all.

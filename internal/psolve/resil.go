@@ -3,14 +3,15 @@ package psolve
 // In-memory snapshot collective: the rank-side half of the multi-level
 // checkpoint hierarchy in internal/resil. Every SnapshotEvery steps each
 // rank captures its interior block (L1), pushes a copy to its ring buddy
-// (L2) and exchanges snapshots within its parity group to compute the
-// group XOR (L3). The supervisor's Store plays the role of every rank's
-// local memory and owns every record: a wave fills the records in place,
-// so the payload leaves the lattice once, is packed once per peer into a
-// recycled transport buffer, and costs the receiver nothing for L2 (the
-// record adopts the buffer) and one XOR pass for L3. After a failure the
-// supervisor decides from those records whether the loss is repairable
-// without touching the L4 disk checkpoint.
+// (L2) and exchanges snapshots within its parity group to XOR the
+// members it does not keep into its parity replica (L3). The
+// supervisor's Store plays the role of every rank's local memory and
+// owns every record: a wave fills the records in place, so the payload
+// leaves the lattice once, is packed once per peer into a recycled
+// transport buffer, and costs the receiver nothing for L2 (the record
+// adopts the buffer) and one XOR pass per folded member for L3. After a
+// failure the supervisor decides from those records whether the loss is
+// repairable without touching the L4 disk checkpoint.
 
 import (
 	"sunwaylb/internal/resil"
@@ -81,20 +82,23 @@ func (s *Solver) groupExchange(st *resil.Store, levels resil.Levels, own *resil.
 		st.Commit(resil.L2, buddy, step)
 	}
 	if levels.Has(resil.L3) {
-		return s.parityExchange(st, own, buddy, step, lo, hi)
+		return s.parityExchange(st, own, buddy, levels.Has(resil.L1), step, lo, hi)
 	}
 	return nil
 }
 
-// parityExchange is the L3 wave: every member XORs own ⊕ every other
-// member straight into its own parity replica (every member computes the
-// same XOR, so any single survivor can serve the reconstruction). The
-// ring neighbours already hold each other's payload when L2 ran (buddy
-// != nil): one pack serves both levels. The loops here walk group
-// members; the payload passes are priced in resil.
+// parityExchange is the L3 wave: every member XORs the group members
+// whose records it does not keep straight into its own parity replica —
+// every other member but its ring predecessor when L2 left that one's
+// copy here (buddy != nil), plus its own record when L1 does not keep
+// it. Sends are the same either way: a member ships to every other
+// member but its buddy when L2 ran (one pack serves both levels). A
+// member with nothing to fold — a group of two with L1 and L2 — computes
+// and stores no replica. The loops here walk group members; the payload
+// passes are priced in resil.
 //
 //lbm:hot traffic budget=0
-func (s *Solver) parityExchange(st *resil.Store, own, buddy *resil.Snapshot, step, lo, hi int) error {
+func (s *Solver) parityExchange(st *resil.Store, own, buddy *resil.Snapshot, keepOwn bool, step, lo, hi int) error {
 	defer s.tr.Scope(trace.TrackCkpt, "snap-l3")()
 	me := s.Comm.Rank()
 	for r := lo; r < hi; r++ {
@@ -102,27 +106,49 @@ func (s *Solver) parityExchange(st *resil.Store, own, buddy *resil.Snapshot, ste
 			st.Send(s.Comm, own, r, tagSnapParity)
 		}
 	}
+	// Fold the members kept nowhere here: the own record when L1 does not
+	// keep it, then what arrives. The first waits for the second, and the
+	// two are XORed straight into the freshly reset replica.
 	p := st.Slot(resil.L3, me, step)
-	resil.ParityReset(p, me, -1, len(own.Pops), len(own.Flags))
-	first := own // folded together with the first other member
+	var in, held resil.Snapshot // a received member; the first one, while it waits
+	var pending *resil.Snapshot
+	if !keepOwn {
+		pending = own
+	}
+	started := false
 	for r := lo; r < hi; r++ {
-		if r == me {
-			continue
+		if r == me || buddy != nil && r == st.BuddySource(me) {
+			continue // the own record is pending or kept by L1, the buddy copy kept by L2
 		}
-		var in resil.Snapshot
 		m := &in
-		if buddy != nil && r == st.BuddySource(me) {
-			m = buddy
-		} else if err := st.Recv(s.Comm, m, r, tagSnapParity, step); err != nil {
+		if pending == nil && !started {
+			m = &held
+		}
+		if err := st.Recv(s.Comm, m, r, tagSnapParity, step); err != nil {
+			st.Recycle(&held)
 			return err
 		}
-		if first != nil {
-			resil.ParityAdd(p, first, m)
-			first = nil
-		} else {
+		switch {
+		case pending == nil && !started:
+			pending = m
+			continue
+		case !started:
+			resil.ParityReset(p, me, -1, len(own.Pops), len(own.Flags))
+			resil.ParityAdd(p, pending, m)
+			started = true
+		default:
 			resil.ParityAdd(p, m)
 		}
 		st.Recycle(&in)
+	}
+	if pending != nil && !started { // one member alone
+		resil.ParityReset(p, me, -1, len(own.Pops), len(own.Flags))
+		resil.ParityAdd(p, pending)
+		started = true
+	}
+	st.Recycle(&held)
+	if !started {
+		return nil // the slot stays torn: no replica this wave
 	}
 	st.Commit(resil.L3, p, step)
 	return nil

@@ -72,9 +72,11 @@ func TestSupervisorHotSwapBuddy(t *testing.T) {
 	if stats.MTTR() <= 0 {
 		t.Errorf("MTTR = %v, want > 0 after a repair", stats.MTTR())
 	}
+	// Pairs with L1 and L2 keep both members' records: no replica. L1
+	// also holds the reseeded recovery.
 	b := stats.SnapshotBytes
-	if b[0] == 0 || b[1] == 0 || b[2] == 0 {
-		t.Errorf("snapshot byte ledger missing levels: %v", b)
+	if b[1] == 0 || b[0] <= b[1] || b[2] != 0 {
+		t.Errorf("snapshot byte ledger %v: want L1 beyond L2 > 0 and no L3 in groups of two", b)
 	}
 	if b[3] != 0 {
 		t.Errorf("disk bytes = %d, want 0 (no L4 in this run)", b[3])
@@ -360,31 +362,39 @@ func TestChaosMatrix(t *testing.T) {
 }
 
 // TestSupervisorSnapshotCadence: the byte ledger must grow linearly with
-// the wave count — the overhead story of the hierarchy (L1+L2+L3 deposit
-// per wave, nothing on disk unless L4 fires).
+// the wave count — the overhead story of the hierarchy (L1+L2 deposit per
+// wave, L3 one block per replica folding g − 2 members, nothing on disk
+// unless L4 fires). In groups of two a replica would fold nothing, so
+// there is none; in a group of four each folds two equal blocks.
 func TestSupervisorSnapshotCadence(t *testing.T) {
 	opts := chaosBase()
 	opts.PX, opts.PY = 2, 2
 	const steps = 12
-	_, stats, err := Supervise(SupervisorOptions{
-		Opts:          opts,
-		Steps:         steps,
-		SnapshotEvery: 2,
-		Levels:        resil.L1 | resil.L2 | resil.L3,
-		GroupSize:     2,
-		MaxRestarts:   0,
-		Logf:          t.Logf,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Waves at steps 2,4,6,8,10 (never at the final step): 5 waves × 4
-	// ranks deposit the same payload at every level.
-	b := stats.SnapshotBytes
-	if b[0] == 0 || b[0] != b[1] || b[0] != b[2] {
-		t.Errorf("L1/L2/L3 ledgers should match for equal blocks: %v", b)
-	}
-	if b[3] != 0 {
-		t.Errorf("no disk writes expected, ledger says %d", b[3])
+	for _, group := range []int{2, 4} {
+		_, stats, err := Supervise(SupervisorOptions{
+			Opts:          opts,
+			Steps:         steps,
+			SnapshotEvery: 2,
+			Levels:        resil.L1 | resil.L2 | resil.L3,
+			GroupSize:     group,
+			MaxRestarts:   0,
+			Logf:          t.Logf,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		// Waves at steps 2,4,6,8,10 (never at the final step): 5 waves × 4
+		// ranks deposit the same payload at L1 and L2, and at L3 beyond a pair.
+		b := stats.SnapshotBytes
+		wantL3 := b[0]
+		if group == 2 {
+			wantL3 = 0
+		}
+		if b[0] != 5*4*9*7*8*19*8+5*4*9*7*8 || b[1] != b[0] || b[2] != wantL3 {
+			t.Errorf("group of %d: ledger %v, want L1 = L2 = 5 waves × 4 ranks × one 9×7×8 block, L3 %d", group, b, wantL3)
+		}
+		if b[3] != 0 {
+			t.Errorf("group of %d: no disk writes expected, ledger says %d", group, b[3])
+		}
 	}
 }

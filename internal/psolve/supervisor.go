@@ -302,6 +302,7 @@ func SuperviseOn(d Decomposition, o SupervisorOptions) (field *core.MacroField, 
 	defer func() {
 		if store != nil {
 			stats.SnapshotBytes = store.Bytes()
+			stats.SnapshotResidentLevels, _ = store.ResidentByLevel()
 			stats.SnapshotResident = store.Resident()
 		}
 	}()

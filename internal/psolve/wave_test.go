@@ -34,13 +34,19 @@ func (h *snapHook) OnSend(src, dst, tag int, data []float64, aux []byte) int {
 // each of the first `waves` steps; each hook sees what its name says.
 func runWaves(t *testing.T, hook mpi.FaultHook, levels resil.Levels, waves int, beforeWave, afterWave func(w int, s *Solver, st *resil.Store)) *resil.Store {
 	t.Helper()
+	return runWavesOn(t, 2, 1, 2, hook, levels, waves, beforeWave, afterWave)
+}
+
+// runWavesOn is runWaves on a px×py world in parity groups of group.
+func runWavesOn(t *testing.T, px, py, group int, hook mpi.FaultHook, levels resil.Levels, waves int, beforeWave, afterWave func(w int, s *Solver, st *resil.Store)) *resil.Store {
+	t.Helper()
 	opts := chaosBase()
-	opts.PX, opts.PY = 2, 1
-	st, err := (&rankWorld{opts}).NewStore(2)
+	opts.PX, opts.PY = px, py
+	st, err := (&rankWorld{opts}).NewStore(group)
 	if err != nil {
 		t.Fatal(err)
 	}
-	world, err := mpi.NewWorld(2)
+	world, err := mpi.NewWorld(px * py)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -105,34 +111,101 @@ func TestWaveSteadyStateAllocFree(t *testing.T) {
 		t.Errorf("store residency per wave %v: want one generation after wave 1, two after wave 2, then flat", resident)
 	}
 	payload := st.Bytes()[0] / 4 / 2 // four waves, two ranks
-	if want := 2 * 2 * 3 * (payload + 8*11); resident[3] < want || resident[3] > want+want/100 {
-		t.Errorf("resident %d bytes, want own+buddy+parity of two generations on two ranks = %d and no spare transport buffer", resident[3], want)
+	if want := 2 * 2 * 2 * (payload + 8*11); resident[3] < want || resident[3] > want+want/100 {
+		t.Errorf("resident %d bytes, want own+buddy of two generations on two ranks = %d and no spare transport buffer", resident[3], want)
+	}
+	if l3 := st.Bytes()[2]; l3 != 0 {
+		t.Errorf("L3 ledger %d bytes, want 0: a pair with L1 and L2 keeps both members and folds none", l3)
+	}
+}
+
+// TestWaveSteadyStateAllocFreeGroupOfFour: in a group of four every
+// replica folds the two members its rank does not keep — the first
+// received waits for the second — and from the third wave on that
+// allocates nothing either. Unlike a pair's, the transport pool's peak
+// here depends on how the ranks interleave: a wave may still allocate
+// the buffers that raise it, and then the store's residency grows by
+// them. The 2x2 world's blocks are equal, so four replicas of two blocks
+// weigh as much as the four own records.
+func TestWaveSteadyStateAllocFreeGroupOfFour(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	var before, after runtime.MemStats
+	var resident int64
+	st := runWavesOn(t, 2, 2, 4, nil, resil.L1|resil.L2|resil.L3, 6, nil,
+		func(w int, s *Solver, st *resil.Store) {
+			if s.Comm.Rank() != 0 {
+				return
+			}
+			// Every rank is past the wave: no buffer is in flight, and from
+			// one wave's end to the next lie a step and the wave.
+			runtime.ReadMemStats(&after)
+			n, got := after.Mallocs-before.Mallocs, after.TotalAlloc-before.TotalAlloc
+			if grew := st.Resident() - resident; w >= 3 && n != 0 && grew == 0 {
+				t.Errorf("wave %d allocated %d times (%d bytes) and the store did not grow, want 0", w, n, got)
+			}
+			resident = st.Resident()
+			runtime.ReadMemStats(&before)
+		})
+	if b := st.Bytes(); b[2] == 0 || b[2] != b[0] {
+		t.Errorf("L3 ledger %d bytes, want the L1 ledger's %d: each replica folds two of four equal blocks", b[2], b[0])
+	}
+}
+
+// TestPairStoresNoParity: in a group of two with L1 and L2 every rank
+// already keeps both members' records, so the wave computes no replica —
+// no parity ledger bytes, no L3 memory — and either loss is still
+// repaired, from the buddy copy. With L2 off the replica is the other
+// member's record alone, and the loss is repaired from it.
+func TestPairStoresNoParity(t *testing.T) {
+	st := runWaves(t, nil, resil.L1|resil.L2|resil.L3, 2, nil, nil)
+	lv, _ := st.ResidentByLevel()
+	if b := st.Bytes(); b[2] != 0 || lv[2] != 0 || b[0] == 0 || b[1] != b[0] {
+		t.Fatalf("ledger %v, resident by level %v: want L1 = L2 and no L3 bytes or memory", b, lv)
+	}
+	for d := 0; d < 2; d++ {
+		if rec, ok := st.RecoveryPlan([]int{d}); !ok || rec.BuddyRestores != 1 || rec.Reconstructions != 0 {
+			t.Fatalf("loss of rank %d must be repaired from its buddy copy", d)
+		}
+	}
+	st = runWaves(t, nil, resil.L1|resil.L3, 2, nil, nil)
+	if b := st.Bytes(); b[2] != b[0] {
+		t.Fatalf("ledger %v: with L2 off each replica folds the other member, one block", b)
+	}
+	if rec, ok := st.RecoveryPlan([]int{1}); !ok || rec.Reconstructions != 1 {
+		t.Fatal("with L2 off the loss of rank 1 must be rebuilt from rank 0's replica")
 	}
 }
 
 // TestWaveInFlightCorruptionSparesOwnRecord: a bit flipped in a snapshot
 // message reaches neither the sender's own L1 record (what travels is a
-// packed copy) nor a recovery: the buddy copy fails its checksum and the
+// packed copy) nor a recovery: the buddy copy fails its checksum and a
 // parity reconstruction fails the checksum the owner sent along, so the
-// plan is refused instead of restoring a silently wrong block.
+// plan is refused instead of restoring a silently wrong block. A pair
+// has no replica to poison; in a group of three rank 2's replica folds
+// rank 0 from the corrupted parity message.
 func TestWaveInFlightCorruptionSparesOwnRecord(t *testing.T) {
-	hook := &snapHook{onSnap: func(n, src, dst int, data []float64) int {
-		if src == 0 {
-			data[len(data)/2] = math.Float64frombits(math.Float64bits(data[len(data)/2]) ^ 1<<17)
+	for _, group := range []int{2, 3} {
+		hook := &snapHook{onSnap: func(n, src, dst int, data []float64) int {
+			if src == 0 {
+				data[len(data)/2] = math.Float64frombits(math.Float64bits(data[len(data)/2]) ^ 1<<17)
+			}
+			return 1
+		}}
+		st := runWavesOn(t, group, 1, group, hook, resil.L1|resil.L2|resil.L3, 1, nil, nil)
+		rec, ok := st.LatestWave()
+		if !ok || !rec.Blocks[0].Verify() || !rec.Blocks[1].Verify() {
+			t.Fatalf("group of %d: own records must survive a corrupted transfer", group)
 		}
-		return 1
-	}}
-	st := runWaves(t, hook, resil.L1|resil.L2|resil.L3, 1, nil, nil)
-	rec, ok := st.LatestWave()
-	if !ok || !rec.Blocks[0].Verify() || !rec.Blocks[1].Verify() {
-		t.Fatal("own records must survive a corrupted transfer")
-	}
-	if rec, ok := st.RecoveryPlan([]int{1}); !ok || rec.BuddyRestores != 1 {
-		t.Fatal("the uncorrupted direction must still restore rank 1 from its buddy copy")
-	}
-	if rec, ok := st.RecoveryPlan([]int{0}); ok {
-		t.Fatalf("rank 0's copies were corrupted in flight, yet a plan was made (%d buddy, %d parity restores)",
-			rec.BuddyRestores, rec.Reconstructions)
+		if rec, ok := st.RecoveryPlan([]int{1}); !ok || rec.BuddyRestores != 1 {
+			t.Fatalf("group of %d: the uncorrupted direction must still restore rank 1 from its buddy copy", group)
+		}
+		if l3 := st.Bytes()[2]; (l3 != 0) != (group > 2) {
+			t.Fatalf("group of %d: L3 ledger %d bytes: want a replica folding rank 0 only beyond a pair", group, l3)
+		}
+		if rec, ok := st.RecoveryPlan([]int{0}); ok {
+			t.Fatalf("group of %d: rank 0's copies were corrupted in flight, yet a plan was made (%d buddy, %d parity restores)",
+				group, rec.BuddyRestores, rec.Reconstructions)
+		}
 	}
 }
 

@@ -3,34 +3,38 @@ package resil
 import (
 	"fmt"
 	"math"
+	"slices"
 
 	"sunwaylb/internal/decomp"
 )
 
-// Parity algebra. A parity record is the bitwise XOR of every group
-// member's snapshot payload, padded to the longest member (uneven
-// decompositions give uneven blocks). XOR is associative and its own
-// inverse, so the missing member equals the parity XORed with every
-// surviving member — one unknown per group, exactly the RAID-5
-// guarantee.
+// Parity algebra. A parity record is the bitwise XOR of the member
+// snapshots folded into it, padded to the longest one (uneven
+// decompositions give uneven blocks), and lists the members it folds.
+// XOR is associative and its own inverse, so a folded member equals the
+// parity XORed with every other folded member — one unknown per record,
+// the RAID-5 guarantee. A holder's replica folds only the group members
+// whose records the holder does not keep already (see Store): the XOR
+// of the whole group is that replica XORed with the kept records, which
+// live and die with it — and which it does not cover when they rot.
 
 // ParityReset initialises p as an empty parity record for the given
 // computing rank and step, with capacity for payloads up to n
 // populations and m flags. The payload memory is not touched: the first
 // members folded in overwrite it.
 func ParityReset(p *Snapshot, rank, step, n, m int) {
-	pops, flags := p.Pops, p.Flags
-	*p = Snapshot{Rank: rank, Step: step, Pops: pops, Flags: flags}
+	pops, flags, folds := p.Pops, p.Flags, p.folds
+	*p = Snapshot{Rank: rank, Step: step, Pops: pops, Flags: flags, folds: folds[:0]}
 	p.ensure(n, m)
 	p.Pops, p.Flags = p.Pops[:0], p.Flags[:0]
 }
 
 // ParityAdd folds member snapshots into the parity record, growing the
-// record to the longest payload seen, and stamps the record's checksum
-// in the same pass — a record is sealed after every call. Into a freshly
-// reset record the first two members are XORed directly (two reads and
-// one write of the payload for a group of two); every further member
-// costs one more such pass.
+// record to the longest payload seen, appends each member's Rank to the
+// record's fold list, and stamps the record's checksum in the same pass
+// — a record is sealed after every call. Into a freshly reset record the
+// first two members are XORed directly (two reads and one write of the
+// payload); every further member costs one more such pass.
 func ParityAdd(p *Snapshot, members ...*Snapshot) {
 	for len(members) > 0 {
 		a := p
@@ -41,8 +45,11 @@ func ParityAdd(p *Snapshot, members ...*Snapshot) {
 		members = members[1:]
 		if a != p {
 			p.members ^= a.Sum
+			p.folds = append(p.folds, a.Rank)
 		}
 		p.members ^= b.Sum
+		p.folds = append(p.folds, b.Rank)
+		p.Q = b.Q
 		// a may be p itself: keep its payload reachable across the resize.
 		aPops, aFlags := a.Pops, a.Flags
 		p.ensure(max(len(aPops), len(b.Pops)), max(len(aFlags), len(b.Flags)))
@@ -87,13 +94,18 @@ func xorPaddedBytes(h *lanes, dst, a, b []byte) {
 func Seal(p *Snapshot) { p.Sum = Checksum(p.Pops, p.Flags) }
 
 // Reconstruct recovers the snapshot of the missing rank from a sealed
-// parity record and the snapshots of every other group member. The
-// missing block's geometry comes from the decomposition table (the
-// payload stores no geometry for a dead rank). dst is reused.
+// parity record that folds it and the snapshots of every other member
+// the record folds, in any order. The missing block's geometry comes
+// from the decomposition table (the payload stores no geometry for a
+// dead rank). dst is reused.
 func Reconstruct(dst *Snapshot, parity *Snapshot, survivors []*Snapshot,
 	missing int, b decomp.Block, q, step int) error {
 	if !parity.Verify() {
 		return fmt.Errorf("resil: parity record from rank %d fails checksum", parity.Rank)
+	}
+	if !slices.Contains(parity.folds, missing) || len(survivors) != len(parity.folds)-1 {
+		return fmt.Errorf("resil: parity record from rank %d folds ranks %v, not rank %d plus %d survivors",
+			parity.Rank, parity.folds, missing, len(survivors))
 	}
 	cells := b.NX * b.NY * b.NZ
 	n := cells * q
@@ -102,6 +114,9 @@ func Reconstruct(dst *Snapshot, parity *Snapshot, survivors []*Snapshot,
 			len(parity.Pops), n)
 	}
 	for _, s := range survivors {
+		if s.Rank == missing || !slices.Contains(parity.folds, s.Rank) {
+			return fmt.Errorf("resil: survivor rank %d is not folded into the parity record from rank %d", s.Rank, parity.Rank)
+		}
 		if s.Step != step {
 			return fmt.Errorf("resil: survivor rank %d snapshot at step %d, want %d", s.Rank, s.Step, step)
 		}
@@ -126,6 +141,7 @@ func Reconstruct(dst *Snapshot, parity *Snapshot, survivors []*Snapshot,
 	}
 	dst.Pops = dst.Pops[:n]
 	dst.Flags = dst.Flags[:cells]
+	dst.members, dst.folds = 0, dst.folds[:0] // a block, no longer a parity record
 	dst.Rank, dst.Step = missing, step
 	dst.X0, dst.Y0, dst.Z0 = b.X0, b.Y0, b.Z0
 	dst.NX, dst.NY, dst.NZ = b.NX, b.NY, b.NZ

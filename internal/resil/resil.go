@@ -14,18 +14,23 @@
 //	    inside the rank's parity group over internal/mpi (survives the
 //	    owner's death as long as the buddy lives)
 //	L3  XOR parity: every member of a parity group holds the bitwise
-//	    XOR of the whole group's snapshots, so any single loss per
+//	    XOR of the group's snapshots it does not already keep as its
+//	    own L1 record or its L2 buddy copy, so any single loss per
 //	    group is reconstructible from the survivors (RAID-5 style,
 //	    with the parity replicated instead of rotated — in simulation
 //	    the memory is cheap and it removes the "parity holder died"
-//	    special case)
+//	    special case); a group of two with L1 and L2 keeps every
+//	    member already and holds no parity
 //	L4  the CRC-verified swio disk checkpoint — the last resort,
 //	    owned by the supervisor, not by this package
 //
 // The Store is the supervisor-side ledger of who holds what: it is
 // "each rank's local memory" in the simulated machine, so when a rank
 // dies every entry that rank held (its own L1, the buddy copies it
-// stored for its partner, its parity replica) becomes unavailable.
+// stored for its partner, its parity replica) becomes unavailable —
+// together, which is why a replica need not repeat what the other two
+// hold.
+//
 // RecoveryPlan walks the generations newest-first and decides whether
 // the dead set is repairable purely from memory — L2 first, then L3,
 // resolving buddy chains and cross-feeding L2-recovered blocks into the
@@ -53,7 +58,8 @@ const (
 	L1 Levels = 1 << iota
 	// L2 pushes a copy of the snapshot to the ring-next buddy rank.
 	L2
-	// L3 replicates the parity-group XOR on every group member.
+	// L3 keeps on every group member the XOR parity of the members it
+	// does not keep at L1 or L2.
 	L3
 	// L4 is the supervisor's CRC-verified disk checkpoint path.
 	L4

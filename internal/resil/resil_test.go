@@ -191,6 +191,13 @@ func TestParityReconstructUnevenBlocks(t *testing.T) {
 // of 2 and returns the store plus the per-rank snapshots.
 func storeFixture(t *testing.T) (*Store, []*Snapshot, []decomp.Block) {
 	t.Helper()
+	return groupFixture(t, 2)
+}
+
+// groupFixture deposits a complete generation for 4 ranks in parity
+// groups of the given size.
+func groupFixture(t *testing.T, group int) (*Store, []*Snapshot, []decomp.Block) {
+	t.Helper()
 	l := testLattice(t, 8, 4, 3)
 	blocks := []decomp.Block{
 		{X0: 0, NX: 2, NY: 4, NZ: 3},
@@ -199,7 +206,7 @@ func storeFixture(t *testing.T) (*Store, []*Snapshot, []decomp.Block) {
 		{X0: 6, NX: 2, NY: 4, NZ: 3},
 	}
 	snaps := groupSnapshots(t, l, blocks)
-	st, err := NewStore(4, 2, blocks)
+	st, err := NewStore(4, group, blocks)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -207,7 +214,10 @@ func storeFixture(t *testing.T) (*Store, []*Snapshot, []decomp.Block) {
 	return st, snaps, blocks
 }
 
-// depositAll deposits a full L1+L2+L3 generation from the snapshots.
+// depositAll deposits a full L1+L2+L3 generation from the snapshots, as
+// a wave would: each holder's replica folds the members of its group
+// other than itself (kept by L1) and the one whose buddy copy it holds
+// (kept by L2), and a holder with none left stores no replica.
 func depositAll(st *Store, snaps []*Snapshot) {
 	for _, s := range snaps {
 		st.DepositOwn(s)
@@ -222,10 +232,13 @@ func depositAll(st *Store, snaps []*Snapshot) {
 		var p Snapshot
 		ParityReset(&p, r, snaps[r].Step, 0, 0)
 		for m := lo; m < hi; m++ {
-			ParityAdd(&p, snaps[m])
+			if m != r && m != st.BuddySource(r) {
+				ParityAdd(&p, snaps[m])
+			}
 		}
-		Seal(&p)
-		st.DepositParity(r, &p)
+		if len(p.folds) > 0 {
+			st.DepositParity(r, &p)
+		}
 	}
 }
 
@@ -244,12 +257,13 @@ func TestStoreBuddyRecovery(t *testing.T) {
 }
 
 func TestStoreParityRecoveryWhenBuddyCorrupt(t *testing.T) {
-	st, snaps, _ := storeFixture(t)
-	// Corrupt the buddy copy of rank 1 (held by rank 0): the plan must
-	// detect the checksum failure and fall through to parity.
+	st, snaps, _ := groupFixture(t, 4)
+	// Corrupt the buddy copy of rank 1 (held by rank 2): the plan must
+	// detect the checksum failure and fall through to parity — rank 0's
+	// replica folds ranks 1 and 2, rank 3's ranks 0 and 1.
 	st.mu.Lock()
 	g := &st.gen[0]
-	g.recs[1][0].Pops[0] = math.Float64frombits(math.Float64bits(g.recs[1][0].Pops[0]) ^ 4)
+	g.recs[1][2].Pops[0] = math.Float64frombits(math.Float64bits(g.recs[1][2].Pops[0]) ^ 4)
 	st.mu.Unlock()
 
 	rec, ok := st.RecoveryPlan([]int{1})
@@ -261,6 +275,24 @@ func TestStoreParityRecoveryWhenBuddyCorrupt(t *testing.T) {
 	}
 	if rec.Blocks[1].Sum != snaps[1].Sum {
 		t.Fatal("parity-reconstructed block differs from the original")
+	}
+}
+
+// A pair with L1 and L2 keeps both members and stores no replica, so a
+// buddy copy that rots in its holder's memory has no parity behind it:
+// the death of the rank it copies escalates. A full-group replica folded
+// from the clean copy would have repaired it.
+func TestStorePairRottedBuddyCopyEscalates(t *testing.T) {
+	st, _, _ := storeFixture(t)
+	st.mu.Lock()
+	g := &st.gen[0]
+	g.recs[1][0].Pops[0] = math.Float64frombits(math.Float64bits(g.recs[1][0].Pops[0]) ^ 4)
+	st.mu.Unlock()
+	if _, ok := st.RecoveryPlan([]int{1}); ok {
+		t.Fatal("a pair with a rotted buddy copy has no replica to repair the copied rank from")
+	}
+	if _, ok := st.RecoveryPlan([]int{3}); !ok {
+		t.Fatal("group {2,3} must still be recoverable")
 	}
 }
 
@@ -315,19 +347,7 @@ func TestStoreTornGenerationFallsBack(t *testing.T) {
 func TestStoreBuddyChainInGroup(t *testing.T) {
 	// One group of 4: ring buddies 0→1→2→3→0. Kill 1 and 3 (not a
 	// buddy pair): 1's copy is on 2 (alive), 3's copy is on 0 (alive).
-	l := testLattice(t, 8, 4, 3)
-	blocks := []decomp.Block{
-		{X0: 0, NX: 2, NY: 4, NZ: 3},
-		{X0: 2, NX: 2, NY: 4, NZ: 3},
-		{X0: 4, NX: 2, NY: 4, NZ: 3},
-		{X0: 6, NX: 2, NY: 4, NZ: 3},
-	}
-	snaps := groupSnapshots(t, l, blocks)
-	st, err := NewStore(4, 4, blocks)
-	if err != nil {
-		t.Fatal(err)
-	}
-	depositAll(st, snaps)
+	st, snaps, _ := groupFixture(t, 4)
 	rec, ok := st.RecoveryPlan([]int{1, 3})
 	if !ok {
 		t.Fatal("two non-adjacent deaths in a 4-group with L2 must be recoverable")
@@ -336,7 +356,8 @@ func TestStoreBuddyChainInGroup(t *testing.T) {
 		t.Fatalf("buddy restores = %d, want 2", rec.BuddyRestores)
 	}
 	// Kill a buddy pair (2,3): 3's copy on 0 survives; 2's copy died
-	// with 3 — parity has one unknown left after the L2 restore.
+	// with 3 — rank 0's replica, which folds ranks 1 and 2, has one
+	// unknown left after the L2 restore.
 	rec2, ok := st.RecoveryPlan([]int{2, 3})
 	if !ok {
 		t.Fatal("buddy-chain + parity must recover an adjacent pair in a 4-group")
@@ -355,11 +376,8 @@ func TestStoreInvalidate(t *testing.T) {
 	st, _, _ := storeFixture(t)
 	st.Invalidate([]int{0})
 	// Rank 0's memory is gone: rank 1's buddy copy (held by 0) and
-	// rank 0's own snapshot are unavailable. A death of rank 1 must now
-	// lean on parity (held by rank 0's partner... rank 0 held group
-	// {0,1}'s parity too, but rank 1's replica survives on rank 1 —
-	// which is the dead one). With both parity replicas out of reach
-	// (rank 0 invalidated, rank 1 dead) the loss must escalate.
+	// rank 0's own snapshot are unavailable. The pair keeps both members
+	// and stores no replica, so a death of rank 1 must escalate.
 	if _, ok := st.RecoveryPlan([]int{1}); ok {
 		t.Fatal("death of rank 1 after rank 0's memory loss must escalate")
 	}
@@ -412,11 +430,17 @@ func TestStoreBytesLedger(t *testing.T) {
 	if b[1] != 4*per {
 		t.Errorf("L2 bytes = %d, want %d", b[1], 4*per)
 	}
-	if b[2] == 0 || b[3] != 0 {
-		t.Errorf("L3/L4 bytes = %d/%d, want >0/0", b[2], b[3])
+	if b[2] != 0 || b[3] != 0 {
+		t.Errorf("L3/L4 bytes = %d/%d, want 0/0: pairs keep both members and store no replica", b[2], b[3])
 	}
 	st.AccountDisk(123)
 	if st.Bytes()[3] != 123 {
 		t.Error("AccountDisk not reflected in ledger")
+	}
+	// In a group of four every replica folds the two members its holder
+	// does not keep: four replicas of two equal blocks weigh as much as L1.
+	st4, _, _ := groupFixture(t, 4)
+	if b := st4.Bytes(); b[2] != 4*per {
+		t.Errorf("group of 4: L3 bytes = %d, want %d", b[2], 4*per)
 	}
 }

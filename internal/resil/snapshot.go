@@ -44,6 +44,9 @@ type Snapshot struct {
 	// members carried: a reconstruction must hash to what is left after
 	// XORing out the survivors', or a member was corrupted in flight.
 	members uint64
+	// folds lists, on a parity record, the Rank of every member folded
+	// in: the members a reconstruction must XOR back out.
+	folds []int
 }
 
 // PayloadBytes returns the in-memory size of the snapshot payload.
@@ -70,9 +73,9 @@ func (s *Snapshot) ensure(n, m int) {
 
 // CopyFrom makes s a deep copy of src, reusing s's buffers.
 func (s *Snapshot) CopyFrom(src *Snapshot) {
-	pops, flags := s.Pops, s.Flags
+	pops, flags, folds := s.Pops, s.Flags, s.folds
 	*s = *src
-	s.Pops, s.Flags = pops, flags
+	s.Pops, s.Flags, s.folds = pops, flags, append(folds[:0], src.folds...)
 	s.ensure(len(src.Pops), len(src.Flags))
 	copy(s.Pops, src.Pops)
 	copy(s.Flags, src.Flags)

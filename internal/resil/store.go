@@ -3,6 +3,7 @@ package resil
 import (
 	"fmt"
 	"math/bits"
+	"slices"
 	"sync"
 
 	"sunwaylb/internal/decomp"
@@ -18,6 +19,19 @@ import (
 // repairable from memory or must escalate to the disk path. Two
 // generations are double-buffered so a failure mid-capture still finds
 // the previous complete generation.
+//
+// A holder's L3 replica folds only the members of its group whose
+// records the holder's owner does not keep already: its own record when
+// L1 is on, the buddy copy it holds when L2 is on (in the patch world,
+// those of every patch the same worker owns). The whole group's XOR is
+// the replica XORed with those kept records, which live and die with the
+// replica, so a surviving owner holds what a full-group replica would
+// give it — while its kept records stay sound. A kept record that rots in
+// memory after the wave (fails Verify while its holder lives) is covered
+// only by other members' replicas that fold it: a full-group replica of
+// its own holder, folded from the clean copy, no longer exists. A group
+// of two with L1 and L2 keeps both members and has no replica at all, so
+// there a rotted buddy copy leaves the rank it copies without L3 cover.
 //
 // All methods are safe for concurrent use by rank goroutines. The mutex
 // covers record lookup and the ledger, not the payloads: between Slot
@@ -43,8 +57,8 @@ type Store struct {
 // generation is one snapshot wave at a single step boundary. Every
 // holder has one record per in-memory level: recs[0] is L1 (rank → its own
 // snapshot), recs[1] L2 (holder → copy of ring-prev's snapshot), recs[2]
-// L3 (holder → group parity replica). A record whose Step differs from
-// the generation's is empty, stale or torn.
+// L3 (holder → parity replica of the members it does not keep). A record
+// whose Step differs from the generation's is empty, stale or torn.
 type generation struct {
 	step int // -1 = empty
 	recs [3][]Snapshot
@@ -133,7 +147,9 @@ func (st *Store) genFor(step int) *generation {
 // Slot returns holder's record at one in-memory level (L1, L2 or L3) in
 // the generation receiving step, marked torn (Step −1) until Commit. The
 // caller fills the record's payload in place, outside the store's lock:
-// a rank that dies mid-fill leaves a record no recovery plan accepts.
+// a rank that dies mid-fill leaves a record no recovery plan accepts. A
+// holder with nothing to record at a level takes its slot and leaves it
+// unfilled, so no record of an earlier run at the same step survives.
 func (st *Store) Slot(lv Levels, holder, step int) *Snapshot {
 	st.mu.Lock()
 	defer st.mu.Unlock()
@@ -221,20 +237,26 @@ func (st *Store) Recycle(s *Snapshot) {
 // both generations plus the free transport buffers. Nothing is released
 // before the store itself, so this is also its high-water mark.
 func (st *Store) Resident() int64 {
+	lv, wire := st.ResidentByLevel()
+	return lv[0] + lv[1] + lv[2] + wire
+}
+
+// ResidentByLevel splits Resident into the records of each in-memory
+// level (L1, L2, L3) and the free transport buffers.
+func (st *Store) ResidentByLevel() (levels [3]int64, wire int64) {
 	st.mu.Lock()
 	defer st.mu.Unlock()
-	var n int64
 	for i := range st.gen {
-		for _, recs := range st.gen[i].recs {
+		for lv, recs := range st.gen[i].recs {
 			for j := range recs {
-				n += int64(8*cap(recs[j].Pops) + cap(recs[j].Flags))
+				levels[lv] += int64(8*cap(recs[j].Pops) + cap(recs[j].Flags))
 			}
 		}
 	}
 	for _, w := range st.wire {
-		n += int64(8*cap(w.data) + cap(w.aux))
+		wire += int64(8*cap(w.data) + cap(w.aux))
 	}
-	return n
+	return levels, wire
 }
 
 // AccountDisk adds an L4 (disk) checkpoint write to the byte ledger.
@@ -393,31 +415,32 @@ func (st *Store) planFromGen(g *generation, isDead map[int]bool) (*Recovery, boo
 	return rec, true
 }
 
-// reconstructLocked tries to rebuild dead rank d's block from a parity
-// replica plus every other member's known block. Callers hold st.mu.
+// reconstructLocked tries to rebuild rank d's block from a live
+// member's parity replica that folds d, once every other member that
+// replica folds is known. A live d whose own record is torn or fails its
+// checksum may use its own replica: that replica folds d when L1 kept no
+// record of it. Callers hold st.mu.
 func (st *Store) reconstructLocked(g *generation, blocks map[int]*Snapshot,
 	isDead map[int]bool, d, step int, rec *Recovery) bool {
 	lo, hi := st.Group(d)
-	// Every other member's block must already be known.
-	survivors := make([]*Snapshot, 0, hi-lo-1)
 	for r := lo; r < hi; r++ {
-		if r == d {
+		p := &g.recs[2][r]
+		if isDead[r] || p.Step != step || !slices.Contains(p.folds, d) {
 			continue
 		}
-		s, ok := blocks[r]
-		if !ok {
-			return false // another unknown in the group
+		survivors := make([]*Snapshot, 0, len(p.folds))
+		for _, m := range p.folds {
+			if s, ok := blocks[m]; ok {
+				survivors = append(survivors, s)
+			} else if m != d {
+				break // another unknown in this replica
+			}
 		}
-		survivors = append(survivors, s)
-	}
-	// Any live member's parity replica will do (Reconstruct verifies it).
-	for r := lo; r < hi && len(survivors) > 0; r++ {
-		p := &g.recs[2][r]
-		if r == d || isDead[r] || p.Step != step {
+		if len(survivors) != len(p.folds)-1 {
 			continue
 		}
 		out := &Snapshot{}
-		if Reconstruct(out, p, survivors, d, st.blocks[d], survivors[0].Q, step) == nil {
+		if Reconstruct(out, p, survivors, d, st.blocks[d], p.Q, step) == nil {
 			blocks[d] = out
 			rec.Reconstructions++
 			return true

@@ -36,7 +36,11 @@
 #             waves and rank steps allocation-free, a stale duplicate
 #             never taken for a wave's payload or a step's face, a bit
 #             flipped in flight reaching neither a recovery nor a halo:
-#             it fails typed or the restart ends bit-exact), and the
+#             it fails typed or the restart ends bit-exact), the
+#             recoverability oracle (every dead set after one wave of
+#             every world, group size and level set, never worse than
+#             full-group parity's recorded verdicts, a rotted kept
+#             record held to them without its owner's replica), and the
 #             goroutine/lock/channel rules over the ladder's code
 #   trace   — observability smoke: a traced distributed chaos run must
 #             export a Chrome trace that round-trips through
@@ -72,6 +76,7 @@
 #             and phases (with a two-worker pool stepping in between),
 #             the lattice's arrays on transparent huge pages,
 #             the allocation-free rank/patch steps and snapshot waves,
+#             the unrolled D3Q19 macro row bitwise against MacroAt,
 #             and the memtraffic/hotalloc/goleak static budgets over the
 #             kernel, boundary, resilience and rank data-path code
 #   bench   — refresh BENCH_results.json from the measured benchmark
@@ -194,12 +199,13 @@ perf() {
     go test -count=1 -v -run 'TestLargeArraysOnHugePages' ./internal/core
     # The rank data paths allocate nothing in steady state: a 2x1 rank
     # step, a patch2 step and a snapshot wave, plus the row-wise macro
-    # extraction bitwise against the per-cell definition.
-    go test -count=1 -run 'AllocFree|TestMacroInto' \
+    # extraction and its unrolled D3Q19 row bitwise against the per-cell
+    # definition (the row on ±0, subnormal, NaN/Inf and cancelling input).
+    go test -count=1 -run 'AllocFree|TestMacroInto|TestMacroRowD3Q19' \
         ./internal/psolve ./internal/patch ./internal/core
     # Static budgets over the performance-critical code: per-cell memory
-    # traffic of every //lbm:hot kernel, no hot-loop allocations, no
-    # leaked worker goroutines.
+    # traffic of every //lbm:hot kernel (the D3Q19 macro row held to its
+    # 185 B), no hot-loop allocations, no leaked worker goroutines.
     go run ./cmd/lbmvet -rules memtraffic,hotalloc,goleak \
         ./internal/core ./internal/resil
     go run ./cmd/lbmvet -rules memtraffic,hotalloc \
@@ -239,9 +245,13 @@ chaos() {
     # of an earlier wave or step is discarded, in-flight corruption of a
     # snapshot reaches neither the sender's own record nor a recovery
     # plan, and a flipped halo face fails typed (ErrHaloCorrupt) while the
-    # supervised restart ends bit-exact. -count=3: the tests exercise
-    # rank interleavings.
-    go test -race -count=3 -timeout 300s -run 'Halo|AllocFree|Wave' \
+    # supervised restart ends bit-exact. The recoverability oracle tries
+    # every dead set after one wave of every world, group size and level
+    # set, with and without a torn, corrupted or rotted record, against
+    # the verdicts of full-group parity, and a pair with L1 and L2 stores
+    # no parity.
+    # -count=3: the tests exercise rank interleavings.
+    go test -race -count=3 -timeout 300s -run 'Halo|AllocFree|Wave|TestRecoverabilityOracle|TestPairStoresNoParity' \
         ./internal/psolve ./internal/patch
     go run ./cmd/conform -seed 1 -cases 10 -run 'prop/halo-flip'
     go test -race -timeout 120s -run \
