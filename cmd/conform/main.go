@@ -1,7 +1,8 @@
 // Command conform runs the differential + metamorphic conformance suite:
 // seeded random scenarios through every backend of the matrix (serial
-// core, swlb optimization stages, gpu node model, multi-rank
-// decompositions), the physics/metamorphic properties, and the mutation
+// core, swlb optimization stages, multi-rank decompositions, patch worlds
+// whose swlb and gpu workers price their steps), the physics/metamorphic
+// properties, and the mutation
 // self-test that proves the oracles can catch injected numerical bugs.
 //
 // Usage:

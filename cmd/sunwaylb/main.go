@@ -31,6 +31,7 @@ import (
 	"log"
 	"os"
 	"os/signal"
+	"slices"
 	"strings"
 	"sync"
 	"syscall"
@@ -61,9 +62,9 @@ const exitInterrupted = 3
 // checkpoint.
 var errInterrupted = errors.New("interrupted by signal")
 
-// errSunway refuses -sunway on a world without a rank grid: only a rank
-// steps its block on a simulated core group.
-var errSunway = errors.New("-sunway needs -decomp PXxPY: it runs each rank's kernel on a simulated SW26010 core group")
+// errSunwayPatch refuses -sunway on the patch world, whose roster names
+// each worker's device.
+var errSunwayPatch = errors.New("-sunway does not apply to -decomp patch: put 'sunway' workers in -patch-workers instead")
 
 // errNoWaves refuses in-memory checkpoint levels without a wave cadence:
 // only snapshot waves fill them, so the run would hold nothing to recover
@@ -103,7 +104,7 @@ func main() {
 	// Execution model.
 	var o runOpts
 	flag.StringVar(&o.decomp, "decomp", "", "run distributed as PXxPY simulated MPI ranks (e.g. 2x2), or 'patch' for patch decomposition (default: one rank)")
-	flag.BoolVar(&o.useSunway, "sunway", false, "with -decomp PXxPY: run each rank's kernel on a simulated SW26010 core group")
+	flag.BoolVar(&o.useSunway, "sunway", false, "price each rank's step on a simulated SW26010 core group (one rank or -decomp PXxPY)")
 	flag.StringVar(&o.patchTiles, "patch-tiles", "2x2x1", "with -decomp=patch: TXxTYxTZ patch tiling of the domain")
 	flag.StringVar(&o.patchWorkers, "patch-workers", "core,core", "with -decomp=patch: worker roster, e.g. 'core,core*4,sunway,gpu' (*F = straggle factor)")
 	flag.IntVar(&o.rebalanceEvery, "rebalance-every", 0, "with -decomp=patch: balance-check interval in steps (0 = never rebalance)")
@@ -399,8 +400,10 @@ type world struct {
 	// local is the one-rank world (nil on ranks and patches): the run
 	// checkpoints and draws from its final lattice.
 	local *psolve.Local
-	// path is the summary line naming the code path the run took.
-	path func() string
+	// path is the summary line naming the code path the run took, and
+	// device names the modelled device that prices rank r's steps.
+	path   func() string
+	device func(r int) string
 
 	report time.Duration
 	mon    *perf.Monitor
@@ -412,10 +415,12 @@ type world struct {
 	last    time.Time   // of the last progress line
 
 	// faceTime is each rank's time on its boundary conditions over every
-	// attempt, added as the rank's body ends (the ranks that account it:
-	// one-rank and rank-world ranks).
-	faceMu   sync.Mutex
+	// attempt and sim its modelled time on a device, added as the rank's
+	// body ends (the ranks that account them: faceTime on one-rank and
+	// rank-world ranks, sim on every priced rank or worker).
+	mu       sync.Mutex
 	faceTime map[int]time.Duration
+	sim      map[int]float64
 }
 
 // newWorld lays the case over the world -decomp names and prints what
@@ -426,9 +431,11 @@ func newWorld(cs *caseSetup, o runOpts) (*world, error) {
 	}
 	c := cs.cfg
 	w := &world{
-		cs:     cs,
-		report: time.Duration(o.reportSecs * float64(time.Second)),
-		mon:    perf.NewMonitor(int64(c.NX) * int64(c.NY) * int64(c.NZ)),
+		cs:       cs,
+		report:   time.Duration(o.reportSecs * float64(time.Second)),
+		mon:      perf.NewMonitor(int64(c.NX) * int64(c.NY) * int64(c.NZ)),
+		faceTime: map[int]time.Duration{},
+		sim:      map[int]float64{},
 	}
 	opts := psolve.Options{
 		GNX: c.NX, GNY: c.NY, GNZ: c.NZ,
@@ -442,22 +449,28 @@ func newWorld(cs *caseSetup, o runOpts) (*world, error) {
 		Init:        cs.init,
 		Trace:       o.tracer,
 	}
-	var layout string // what the run is, for its first line
-	switch d := strings.ToLower(o.decomp); d {
-	case "":
-		if o.useSunway {
-			return nil, errSunway
+	d, priced := strings.ToLower(o.decomp), ""
+	if o.useSunway {
+		if d == "patch" {
+			return nil, errSunwayPatch
 		}
+		opts.Device = func(lat *core.Lattice) (psolve.Device, error) {
+			return swlb.New(lat, sunway.SW26010, swlb.DefaultOptions())
+		}
+		dev := "swlb " + strings.ToLower(sunway.SW26010.Name)
+		w.device = func(int) string { return dev }
+		priced = ", priced on " + dev
+	}
+	var layout string // what the run is, for its first line
+	switch d {
+	case "":
 		w.local = psolve.NewLocal(opts)
 		w.Decomposition = w.local
 		w.path = func() string {
-			return w.split() + w.local.Kernel() + genericShare(w.local.Lattice())
+			return w.split() + w.local.Kernel() + genericShare(w.local.Lattice()) + priced
 		}
 		layout = fmt.Sprintf("on one rank, tau=%.4f", c.Tau)
 	case "patch":
-		if o.useSunway {
-			return nil, fmt.Errorf("%w; with -decomp patch put 'sunway' workers in -patch-workers instead", errSunway)
-		}
 		var err error
 		if layout, err = w.patches(opts, o); err != nil {
 			return nil, err
@@ -466,25 +479,31 @@ func newWorld(cs *caseSetup, o runOpts) (*world, error) {
 		if _, err := fmt.Sscanf(d, "%dx%d", &opts.PX, &opts.PY); err != nil || opts.PX < 1 || opts.PY < 1 {
 			return nil, fmt.Errorf("bad -decomp %q, want e.g. 2x2 or patch", o.decomp)
 		}
-		kernel := ""
 		layout = fmt.Sprintf("over %d×%d simulated MPI ranks", opts.PX, opts.PY)
-		if o.useSunway {
-			opts.Stepper = func(lat *core.Lattice) (psolve.Stepper, error) {
-				return swlb.New(lat, sunway.SW26010, swlb.DefaultOptions())
-			}
-			layout += " × simulated SW26010 CGs"
-			kernel = "swlb " + strings.ToLower(sunway.SW26010.Name)
-		}
 		w.Decomposition = psolve.NewRanks(opts)
 		w.path = func() string {
-			if kernel == "" {
-				kernel = w.rank0.(*psolve.Solver).Lat.KernelPath()
-			}
-			return fmt.Sprintf("%s%s ranks×%d", w.split(), kernel, w.Ranks())
+			return fmt.Sprintf("%s%s ranks×%d%s", w.split(), w.rank0.(*psolve.Solver).Lat.KernelPath(), w.Ranks(), priced)
 		}
 	}
 	fmt.Printf("%s: %d×%d×%d cells %s, %d steps\n", c.Name, c.NX, c.NY, c.NZ, layout, c.Steps)
 	return w, nil
+}
+
+// modelled is the summary line of a run with priced ranks or workers: the
+// slowest one's modelled time per step and its device; empty when no
+// device priced a step.
+func (w *world) modelled() string {
+	slow := 0
+	for r, t := range w.sim {
+		if t > w.sim[slow] || t == w.sim[slow] && r < slow {
+			slow = r
+		}
+	}
+	if w.sim[slow] == 0 {
+		return ""
+	}
+	return fmt.Sprintf("  modelled %.3f ms/step (slowest: rank %d, %s)\n",
+		w.sim[slow]*1e3/float64(max(w.mon.Steps(), 1)), slow, w.device(slow))
 }
 
 // split opens the path line of a world whose ranks account their
@@ -531,10 +550,21 @@ func (w *world) patches(opts psolve.Options, o runOpts) (string, error) {
 		return "", err
 	}
 	w.Decomposition = pw
+	w.device = func(r int) string { return workers[r].Backend.String() }
+	var devs []string // the roster's modelled devices, each once
+	for _, wk := range workers {
+		if b := wk.Backend.String(); wk.Backend != patch.BackendCore && !slices.Contains(devs, b) {
+			devs = append(devs, b)
+		}
+	}
+	priced := ""
+	if devs != nil {
+		priced = ", priced on " + strings.Join(devs, ",")
+	}
 	w.path = func() string {
 		st := pw.Stats()
-		line := fmt.Sprintf("  path: %s patches×%d on %d workers\npatches: %d over %d workers, %d migrations in %d rebalances",
-			st.Kernel, st.Patches, st.Workers, st.Patches, st.Workers, st.Migrations, st.Rebalances)
+		line := fmt.Sprintf("  path: %s patches×%d on %d workers%s\npatches: %d over %d workers, %d migrations in %d rebalances",
+			st.Kernel, st.Patches, st.Workers, priced, st.Patches, st.Workers, st.Migrations, st.Rebalances)
 		if st.ImbalancePre > 0 {
 			line += fmt.Sprintf(", imbalance %.2f → %.2f", st.ImbalancePre, st.ImbalancePost)
 		}
@@ -588,9 +618,9 @@ func hugePagesMB() (mb float64, ok bool) {
 }
 
 // talliedRank is one rank of an attempt. When its body ends it adds the
-// rank's condition time (FaceTime, where the rank accounts one) to the
-// world's tally and closes a rank that holds resources (the one-rank
-// world's pool).
+// rank's condition time (FaceTime, where the rank accounts one) and its
+// modelled time (SimTime) to the world's tallies and closes a rank that
+// holds resources (the one-rank world's pool).
 type talliedRank struct {
 	psolve.Rank
 	w    *world
@@ -598,15 +628,15 @@ type talliedRank struct {
 }
 
 func (r *talliedRank) Close() error {
+	w := r.w
+	w.mu.Lock()
 	if f, ok := r.Rank.(interface{ FaceTime() time.Duration }); ok {
-		w := r.w
-		w.faceMu.Lock()
-		if w.faceTime == nil {
-			w.faceTime = map[int]time.Duration{}
-		}
 		w.faceTime[r.rank] += f.FaceTime()
-		w.faceMu.Unlock()
 	}
+	if s, ok := r.Rank.(interface{ SimTime() float64 }); ok {
+		w.sim[r.rank] += s.SimTime()
+	}
+	w.mu.Unlock()
 	if c, ok := r.Rank.(io.Closer); ok {
 		return c.Close()
 	}
@@ -669,6 +699,7 @@ func run(ctx context.Context, w *world, o runOpts) error {
 		fmt.Println(stats.SnapshotLine())
 	}
 	fmt.Println(w.path())
+	fmt.Print(w.modelled())
 
 	outStart := time.Now()
 	z, y := m, m

@@ -145,13 +145,14 @@ func TestCLISmoke(t *testing.T) {
 	}
 }
 
-// TestCLIKernelPath is the "no silent slow path" oracle: on every default
-// path the channel preset must report the in-place AA kernel through the
-// D3Q19 fast path (the row kernel is whichever the host supports) — on a
-// one-worker pool, on ranks (with snapshot waves too) and on patches — and
-// a custom stepper must
-// name itself, so a dispatch regression fails here instead of showing up
-// as a quiet slowdown. The obstacle-free channel's rows all take the
+// TestCLIKernelPath is the "no silent slow path" oracle: on every path
+// the channel preset must report the in-place AA kernel through the D3Q19
+// fast path (the row kernel is whichever the host supports) — on a
+// one-worker pool, on ranks (with snapshot waves too) and on patches, and
+// where a modelled device prices the steps — so a dispatch regression
+// fails here instead of showing up as a quiet slowdown. A priced run names
+// its devices, the whole roster's on patches, and the slowest priced rank
+// or worker's modelled time per step. The obstacle-free channel's rows all take the
 // unrolled kernel, so its line ends at the pool; the cylinder's rows by the
 // obstacle step the generic sweep, and the line says how many. A
 // single-rank run then says what building the lattice and writing its
@@ -169,6 +170,7 @@ func TestCLIKernelPath(t *testing.T) {
 		setup = `setup: build [0-9.]+ ms \(huge pages [0-9]+ MB\), output [0-9.]+ ms\n`
 	}
 	channel := []string{"-preset", "channel", "-nx", "16", "-ny", "12", "-nz", "8", "-steps", "4"}
+	const modelled = `  modelled [0-9.]+ ms/step \(slowest: rank `
 	for _, tc := range []struct {
 		args []string
 		want string
@@ -177,7 +179,10 @@ func TestCLIKernelPath(t *testing.T) {
 		{append(channel, "-decomp", "2x1"), split + aa + `ranks×2\n`},
 		{append(channel, "-decomp", "2x1", "-snapshot-every", "2", "-ckpt-levels", "123"), split + aa + `ranks×2\n`},
 		{append(channel, "-decomp", "patch"), aa + `patches×4 on 2 workers\n`},
-		{append(channel, "-decomp", "2x1", "-sunway"), `path: swlb sw26010 ranks×2\n`},
+		{append(channel, "-decomp", "2x1", "-sunway"), split + aa + `ranks×2, priced on swlb sw26010\n` + modelled + `[01], swlb sw26010\)\n`},
+		{append(channel, "-sunway"), split + aa + `pool×1, priced on swlb sw26010\n` + modelled + `0, swlb sw26010\)\n` + setup},
+		{append(channel, "-decomp", "patch", "-patch-workers", "core,sunway,gpu"),
+			aa + `patches×4 on 3 workers, priced on sunway,gpu\npatches: [^\n]*\n` + modelled + `(1, sunway|2, gpu)\)\n`},
 		{[]string{"-preset", "cylinder", "-nx", "64", "-ny", "48", "-steps", "4"}, aa + `pool×1, [0-9.]*[1-9][0-9.]*% of rows generic\n` + setup},
 	} {
 		cmd := exec.Command(bin, tc.args...)
@@ -192,17 +197,18 @@ func TestCLIKernelPath(t *testing.T) {
 	}
 }
 
-// TestCLIPathsAgree: the same case writes the same bytes on every default
-// path. Each preset, and a bare -case file (a periodic box with an LES
+// TestCLIPathsAgree: the same case writes the same bytes on every path.
+// Each preset, and a bare -case file (a periodic box with an LES
 // constant), stopped at an odd and at an even step, must produce
-// byte-identical PPM sets on one rank, on a 2×2 rank grid and on the patch
-// world, and every path must name the same collision kernel. The one-rank
-// run steps a two-worker pool whatever the host, so the conditions its
-// pool runs inside the sweep also go through a band edge. (Cropped to
-// 24 cells in x, urban's buildings are cut by the x-max face, so its
-// PressureOutlet extrapolates from solid cells — whose populations differ
-// between storage schemes; one storage on every default path is what makes
-// this hold.)
+// byte-identical PPM sets on one rank, on a 2×2 rank grid, on 2×2 ranks
+// priced on simulated Sunway core groups, on the patch world and on a
+// patch roster with sunway and gpu workers, and every path must name the
+// same collision kernel. The one-rank run steps a two-worker pool whatever
+// the host, so the conditions its pool runs inside the sweep also go
+// through a band edge. (Cropped to 24 cells in x, urban's buildings are
+// cut by the x-max face, so its PressureOutlet extrapolates from solid
+// cells — whose populations differ between storage schemes; one storage
+// on every path, priced ones included, is what makes this hold.)
 func TestCLIPathsAgree(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builds and runs the binary")
@@ -224,7 +230,9 @@ func TestCLIPathsAgree(t *testing.T) {
 	}{
 		{"single", nil, []string{"GOMAXPROCS=2"}},
 		{"2x2", []string{"-decomp", "2x2"}, nil},
+		{"2x2-sunway", []string{"-decomp", "2x2", "-sunway"}, nil},
 		{"patch", []string{"-decomp", "patch"}, nil},
+		{"patch-priced", []string{"-decomp", "patch", "-patch-workers", "core,sunway,gpu"}, nil},
 	}
 	kernel := regexp.MustCompile(`path: (\S+ \S+ \S+)`)
 	for ci, c := range cases {

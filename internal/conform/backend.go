@@ -5,7 +5,6 @@ import (
 
 	"sunwaylb/internal/boundary"
 	"sunwaylb/internal/core"
-	"sunwaylb/internal/gpu"
 	"sunwaylb/internal/lattice"
 	"sunwaylb/internal/psolve"
 	"sunwaylb/internal/sunway"
@@ -192,22 +191,29 @@ func (c *Case) RunSerialAA(workers int) (*core.MacroField, error) {
 	return l.ComputeMacro(), nil
 }
 
-// funcStepper adapts a plain kernel function to psolve.Stepper.
-type funcStepper func()
-
-func (f funcStepper) Step() float64 { f(); return 0 }
-func (f funcStepper) Rebuild()      {}
-
 // testChip returns the small simulated core group every swlb conformance
 // backend runs on: 4 CPEs with SW26010-sized 64 KiB LDM, so CPE blocking,
 // sharing and DMA paths are all exercised without the cost of 64 cores.
 func testChip() sunway.ChipSpec { return sunway.TestChip(4, 64*1024) }
 
-// swlbStage builds a psolve stepper factory for one optimization stage.
-func swlbStage(opt swlb.Options) func(l *core.Lattice) (psolve.Stepper, error) {
-	return func(l *core.Lattice) (psolve.Stepper, error) {
-		return swlb.New(l, testChip(), opt)
-	}
+// swlbBackend runs the case through the serial driver with one swlb
+// optimization stage as the kernel: the engine's functional Step moves
+// the populations through the simulated core group. The engine is built
+// at the first step, after the first condition pass has set the halo's
+// flags, so its column partition sees them.
+func swlbBackend(name string, opt swlb.Options) Backend {
+	return Backend{Name: name, Run: func(c *Case) (*core.MacroField, error) {
+		var e *swlb.Engine
+		return c.RunSerial(func(l *core.Lattice) {
+			if e == nil {
+				var err error
+				if e, err = swlb.New(l, testChip(), opt); err != nil {
+					panic(err) // the test chip holds every stage's footprint
+				}
+			}
+			e.Step()
+		})
+	}}
 }
 
 // swlbStages is the Fig. 8 ablation ladder: each entry switches on one
@@ -240,16 +246,6 @@ func psolveBackend(px, py int) Backend {
 	}}
 }
 
-// stepperBackend runs the case single-rank through psolve with a custom
-// kernel driver (swlb stage, gpu node model, or plain kernel adapter).
-func stepperBackend(name string, stepper func(l *core.Lattice) (psolve.Stepper, error)) Backend {
-	return Backend{Name: name, Run: func(c *Case) (*core.MacroField, error) {
-		opts := c.Options(1, 1)
-		opts.Stepper = stepper
-		return psolve.Run(opts, c.Steps)
-	}}
-}
-
 // Backends returns the full conformance matrix (every entry must match
 // the serial reference bit-for-bit):
 //
@@ -258,8 +254,8 @@ func stepperBackend(name string, stepper func(l *core.Lattice) (psolve.Stepper, 
 //   - the in-place AA-pattern kernel: serial, and through a three-worker
 //     pool whose row bands come out uneven,
 //   - the single-rank distributed solver (validates the mpi plumbing),
-//   - every swlb optimization stage on a simulated Sunway core group,
-//   - the GPU node model,
+//   - every swlb optimization stage's functional step on a simulated
+//     Sunway core group, through the serial driver,
 //   - multi-rank 1-D and 2-D decompositions at 2, 4 and 8 ranks (AA
 //     ranks, overlapped exchange),
 //   - the patch-decomposed world, which is the 3-D oracle: homogeneous
@@ -267,8 +263,9 @@ func stepperBackend(name string, stepper func(l *core.Lattice) (psolve.Stepper, 
 //     two workers: every z face, the wrap included, is a link; 1x2x2
 //     over two: z faces are same-owner copies, y faces links; 2x2x2
 //     over one: every face is a same-owner copy), mixed core/swlb/gpu
-//     owners, and mixed owners with a forced migration after every
-//     step, so patches change storage at both parities.
+//     owners (each device prices its patches' steps), and mixed owners
+//     with a forced migration after every step, so patches move at both
+//     parities.
 func Backends() []Backend {
 	bs := []Backend{
 		{Name: "core/unfused", Run: func(c *Case) (*core.MacroField, error) {
@@ -290,12 +287,9 @@ func Backends() []Backend {
 		psolveBackend(2, 2),
 		psolveBackend(8, 1),
 		psolveBackend(4, 2),
-		stepperBackend("gpu/node", func(l *core.Lattice) (psolve.Stepper, error) {
-			return gpu.NewEngine(l, gpu.RTX3090Cluster, gpu.Fig11Final())
-		}),
 	}
 	for _, st := range swlbStages() {
-		bs = append(bs, stepperBackend(st.Name, swlbStage(st.Opt)))
+		bs = append(bs, swlbBackend(st.Name, st.Opt))
 	}
 	bs = append(bs,
 		patchBackend("patch/2x2x1", 2, 2, 1, 0, coreWorkers(2)),

@@ -108,7 +108,10 @@ func TestFailureStringCarriesReplay(t *testing.T) {
 
 // TestBackendNamesCoverIssueMatrix pins the acceptance matrix: the rank
 // counts {1,2,4,8} across 1-D/2-D decompositions, the 3-D patch tilings,
-// every swlb stage, and the gpu path must all be present.
+// every swlb stage, and the mixed rosters whose swlb and gpu workers price
+// their patches must all be present. The GPU node model has no backend of
+// its own: it only prices a step, so it would run the reference kernel
+// against itself.
 func TestBackendNamesCoverIssueMatrix(t *testing.T) {
 	have := map[string]bool{}
 	for _, n := range BackendNames() {
@@ -119,7 +122,7 @@ func TestBackendNamesCoverIssueMatrix(t *testing.T) {
 		"psolve/1x1", "psolve/2x1", "psolve/1x2", "psolve/4x1",
 		"psolve/2x2", "psolve/8x1", "psolve/4x2",
 		"patch/1x1x2", "patch/1x2x2", "patch/2x2x2",
-		"gpu/node",
+		"patch/mixed", "patch/mixed-migrate",
 		"swlb/mpe-baseline", "swlb/cpe-unfused", "swlb/cpe-fused",
 		"swlb/fused-ysharing", "swlb/full",
 	} {

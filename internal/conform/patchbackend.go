@@ -3,8 +3,6 @@ package conform
 import (
 	"sunwaylb/internal/core"
 	"sunwaylb/internal/patch"
-	"sunwaylb/internal/psolve"
-	"sunwaylb/internal/swlb"
 )
 
 // patchOptions converts the case into a patch-world configuration. The
@@ -33,15 +31,13 @@ func coreWorkers(n int) func() []patch.Worker {
 	return func() []patch.Worker { return make([]patch.Worker, n) }
 }
 
-// patchMixedWorkers stitches all three executor families into one world:
-// a plain core worker, an swlb worker on the small conformance chip (the
-// same 4-CPE group the swlb backends use), and the GPU node model.
+// patchMixedWorkers stitches all three device families into one world: a
+// core worker, a worker priced on the simulated SW26010 and one on the GPU
+// node model.
 func patchMixedWorkers() []patch.Worker {
 	return []patch.Worker{
 		{Backend: patch.BackendCore},
-		{Backend: patch.BackendSunway, Stepper: func(l *core.Lattice) (psolve.Stepper, error) {
-			return swlb.New(l, testChip(), swlb.DefaultOptions())
-		}},
+		{Backend: patch.BackendSunway},
 		{Backend: patch.BackendGPU},
 	}
 }

@@ -8,11 +8,11 @@ import (
 	"sunwaylb/internal/trace"
 )
 
-// Engine drives a lattice functionally (the same fused kernel validated in
-// internal/core — the CUDA port computes the identical update) while
-// charging the GPU node's data-path timing. It implements the
-// psolve.Stepper contract, so a distributed run can model a multi-node GPU
-// cluster the same way swlb.Engine models Sunway core groups.
+// Engine prices a lattice's steps on the GPU node model: the CUDA port
+// computes the same update as the core kernel, so a rank or patch steps
+// its lattice on the host and the engine charges the node's data-path
+// timing. It is a psolve.Device, so a distributed run models a multi-node
+// GPU cluster the same way swlb.Engine models Sunway core groups.
 type Engine struct {
 	Lat  *core.Lattice
 	Spec Spec
@@ -38,19 +38,19 @@ func NewEngine(lat *core.Lattice, spec Spec, opt Options) (*Engine, error) {
 	return &Engine{Lat: lat, Spec: spec, Opt: opt}, nil
 }
 
-// SetTrace binds the engine to a rank's trace handle (psolve calls it
-// through the traceSetter interface); nil disables recording. The Sim
-// cursor resumes at the rank's watermark so supervised restarts extend
-// the modelled timeline instead of overlapping it.
+// SetTrace binds the engine to a rank's trace handle (psolve.Device);
+// nil disables recording. The Sim cursor resumes at the rank's watermark
+// so supervised restarts extend the modelled timeline instead of
+// overlapping it.
 func (e *Engine) SetTrace(tr *trace.RankTracer) {
 	e.tr = tr
 	e.simCursor = tr.SimWatermark()
 }
 
-// Step advances the lattice one time step (halos must be prepared by the
-// caller) and returns the modelled GPU-node step time.
-func (e *Engine) Step() float64 {
-	e.Lat.StepFused()
+// Price returns the modelled GPU-node time of one step of the lattice
+// (NodeStepTime), adds it to TotalTime and lays its phases (StepPhases)
+// on the Sim clock.
+func (e *Engine) Price() float64 {
 	e.LastTime = e.Spec.NodeStepTime(e.Lat.NX, e.Lat.NY, e.Lat.NZ, e.Opt)
 	e.TotalTime += e.LastTime
 	e.traceStep()
@@ -85,7 +85,3 @@ func (e *Engine) traceStep() {
 	}
 	e.simCursor = math.Max(t0+e.LastTime, math.Max(kCur, cCur))
 }
-
-// Rebuild implements the psolve.Stepper contract; the GPU timing model has
-// no geometry-derived state.
-func (e *Engine) Rebuild() {}

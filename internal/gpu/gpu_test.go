@@ -7,6 +7,7 @@ import (
 	"sunwaylb/internal/core"
 	"sunwaylb/internal/lattice"
 	"sunwaylb/internal/network"
+	"sunwaylb/internal/trace"
 )
 
 // TestFig11Ablation: the optimization staircase is monotone and each stage
@@ -145,30 +146,63 @@ func TestPinnedBeatsPageable(t *testing.T) {
 	}
 }
 
-// TestEngineFunctional: the functional GPU engine steps the lattice and
-// reports modelled node time (the psolve.Stepper contract used by the
-// cluster full-stack tests).
-func TestEngineFunctional(t *testing.T) {
+// TestEnginePrice: the engine prices a step at the node model — Price
+// returns NodeStepTime, TotalTime sums the prices, the lattice is not
+// touched, and each step lays StepPhases on the Sim clock: kernel phases
+// on the gpu-kernel track, the halo path on gpu-comm, back to back.
+func TestEnginePrice(t *testing.T) {
 	l, err := core.NewLattice(&lattice.D3Q19, 12, 8, 4, 0.8)
 	if err != nil {
 		t.Fatal(err)
 	}
-	l.InitEquilibrium(1, 0.03, 0, 0)
-	eng, err := NewEngine(l, RTX3090Cluster, Fig11Final())
-	if err != nil {
-		t.Fatal(err)
+	before := append([]float64(nil), l.Src()...)
+	for _, opt := range []Options{Fig11Final(), {Offload: true, KernelFusion: true}, {}} {
+		eng, err := NewEngine(l, RTX3090Cluster, opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		tr := trace.New(trace.Options{})
+		eng.SetTrace(tr.ForRank(0))
+		want := RTX3090Cluster.NodeStepTime(12, 8, 4, opt)
+		phases := RTX3090Cluster.StepPhases(12, 8, 4, opt)
+		var total float64
+		for s := 0; s < 3; s++ {
+			p := eng.Price()
+			if p != want {
+				t.Fatalf("%+v: step %d price %v, want NodeStepTime %v", opt, s, p, want)
+			}
+			total += p
+		}
+		if eng.TotalTime != total {
+			t.Errorf("%+v: TotalTime = %v, sum of prices = %v", opt, eng.TotalTime, total)
+		}
+		var spans []PhaseTime
+		open := map[string]trace.Event{}
+		for _, e := range tr.Events() {
+			switch e.Kind {
+			case trace.KindBegin:
+				open[e.Track] = e
+			case trace.KindEnd:
+				b := open[e.Track]
+				spans = append(spans, PhaseTime{b.Name, e.TS - b.TS})
+			}
+		}
+		if len(spans) != 3*len(phases) {
+			t.Fatalf("%+v: %d Sim spans, want 3 steps × %d phases", opt, len(spans), len(phases))
+		}
+		for i, sp := range spans {
+			if ph := phases[i%len(phases)]; sp.Name != ph.Name || math.Abs(sp.Sec-ph.Sec) > 1e-12*want {
+				t.Errorf("%+v: span %d = %+v, want phase %+v", opt, i, sp, ph)
+			}
+		}
 	}
-	eng.Rebuild() // no-op, part of the contract
-	var total float64
-	for s := 0; s < 3; s++ {
-		l.PeriodicAll()
-		total += eng.Step()
+	for i, v := range l.Src() {
+		if v != before[i] {
+			t.Fatalf("pricing changed population %d", i)
+		}
 	}
-	if eng.TotalTime != total || total <= 0 {
-		t.Errorf("TotalTime = %v, sum = %v", eng.TotalTime, total)
-	}
-	if l.Step() != 3 {
-		t.Errorf("lattice stepped %d times", l.Step())
+	if l.Step() != 0 {
+		t.Errorf("pricing stepped the lattice to %d", l.Step())
 	}
 	// Rate helper agrees with step time.
 	r := RTX3090Cluster.NodeRate(12, 8, 4, Fig11Final())

@@ -10,18 +10,19 @@ import (
 	"sunwaylb/internal/psolve"
 	"sunwaylb/internal/sunway"
 	"sunwaylb/internal/swlb"
-	"sunwaylb/internal/trace"
 )
 
-// Backend selects the executor a worker uses to advance its patches.
+// Backend selects the device a worker models. Every worker steps its
+// patches with the in-place (AA) core kernel; a modelled device prices
+// those steps.
 type Backend uint8
 
 const (
-	// BackendCore steps patches with the in-place (AA) core kernel.
+	// BackendCore is the host itself: its cost is the wall clock.
 	BackendCore Backend = iota
-	// BackendSunway steps patches with the internal/swlb CPE-group engine.
+	// BackendSunway prices steps on the internal/swlb CPE-group engine.
 	BackendSunway
-	// BackendGPU steps patches with the internal/gpu engine.
+	// BackendGPU prices steps on the internal/gpu node model.
 	BackendGPU
 )
 
@@ -37,9 +38,9 @@ func (b Backend) String() string {
 	return fmt.Sprintf("backend(%d)", uint8(b))
 }
 
-// Worker describes one owner slot of the patch world: which executor it
-// runs and how the straggler model scales its measured cost. The zero
-// value is a clean core-kernel worker.
+// Worker describes one owner slot of the patch world: which device it
+// models and how the straggler model scales its cost. The zero value is a
+// clean core worker.
 type Worker struct {
 	Backend Backend
 	// Straggle inflates this worker's per-patch cost samples (the
@@ -47,41 +48,18 @@ type Worker struct {
 	// balancer only — wall-clock execution is untouched, so results stay
 	// bit-identical.
 	Straggle float64
-	// Stepper overrides the backend's default executor factory; nil uses
-	// the factory implied by Backend.
-	Stepper func(*core.Lattice) (psolve.Stepper, error)
 }
 
-// coreKernel reports whether the worker steps its patches with the
-// default core kernel — the case whose patch lattices use AA storage.
-func (w Worker) coreKernel() bool { return w.Stepper == nil && w.Backend == BackendCore }
-
-// coreStepper adapts the core kernel to the psolve.Stepper contract (zero
-// sim-time: the wall clock is the measurement).
-type coreStepper struct{ l *core.Lattice }
-
-func (s coreStepper) Step() float64 { s.l.StepFused(); return 0 }
-func (s coreStepper) Rebuild()      {}
-
-// newStepper builds the executor for one patch lattice on this worker.
-func (w Worker) newStepper(l *core.Lattice) (psolve.Stepper, error) {
-	if w.Stepper != nil {
-		return w.Stepper(l)
-	}
+// device builds the price model of one patch lattice on this worker: nil
+// for a core worker, whose steps cost what the wall clock says.
+func (w Worker) device(l *core.Lattice) (psolve.Device, error) {
 	switch w.Backend {
 	case BackendSunway:
 		return swlb.New(l, sunway.SW26010, swlb.DefaultOptions())
 	case BackendGPU:
 		return gpu.NewEngine(l, gpu.RTX3090Cluster, gpu.Fig11Final())
-	default:
-		return coreStepper{l: l}, nil
 	}
-}
-
-// traceSetter mirrors psolve's: steppers that can record their internal
-// phases accept the rank's trace handle.
-type traceSetter interface {
-	SetTrace(tr *trace.RankTracer)
+	return nil, nil
 }
 
 // ParseWorkers parses a worker roster like "core,core*8,sunway,gpu":

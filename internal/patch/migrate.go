@@ -34,8 +34,7 @@ func (n *node) migrate(newOwner []int) error {
 		n.snap = resil.Snapshot{}
 		n.c.Send(newOwner[p], n.til.migTag(p), mpi.Message{Data: data, Aux: aux})
 		delete(n.lats, p)
-		delete(n.strs, p)
-		delete(n.fresh, p)
+		delete(n.devs, p)
 		if n.tr != nil {
 			n.tr.InstantV(trace.Wall, trace.TrackPatch, "migrate-out", n.tr.Now(), float64(p))
 		}

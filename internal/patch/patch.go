@@ -3,11 +3,13 @@
 // Patch-Based Lattice Boltzmann Parallelization for Heterogeneous
 // GPU–CPU Clusters"): the global lattice is tiled into uniform patches —
 // the unit of ownership — and an owner map assigns each patch to a
-// worker backed by a heterogeneous executor (in-place AA core kernel,
-// internal/swlb, internal/gpu). A balancer samples per-patch step cost
-// through internal/trace counters and migrates patches between workers
-// when measurements (or the straggler model) skew step times beyond a
-// threshold, so a slow backend no longer drags every BSP step.
+// worker. Every worker steps its patches with the in-place AA core
+// kernel; a worker may model a heterogeneous device (internal/swlb,
+// internal/gpu) that prices those steps. A balancer samples per-patch
+// step cost (wall time, or the device's price) through internal/trace
+// counters and migrates patches between workers when measurements (or
+// the straggler model) skew step times beyond a threshold, so a slow
+// backend no longer drags every BSP step.
 //
 // Unlike the static 1-D/2-D/3-D splits of internal/decomp, where a rank
 // owns a fixed slab forever, patches outnumber workers and move: the

@@ -301,7 +301,7 @@ func TestBalancerRebalancesStraggler(t *testing.T) {
 	}
 }
 
-// TestMixedBackendsMatchSerial: core, swlb and gpu executors stitched in
+// TestMixedBackendsMatchSerial: core, swlb and gpu workers stitched in
 // one world must agree bitwise with the serial kernel, migrations
 // included. (The conform matrix covers this across random cases; this is
 // the fast in-package guard.)

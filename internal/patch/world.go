@@ -94,8 +94,9 @@ func (t *Tiling) migTag(p int) int    { return 1 + 6*t.P() + p }
 func (t *Tiling) parityTag(p int) int { return 1 + 7*t.P() + p }
 
 // node is the per-rank state of the patch world: the patches this worker
-// currently owns, their executors, and the scratch the exchange and
-// snapshot paths reuse. It is the patch world's psolve.Rank.
+// currently owns, their price models on a modelled device, and the
+// scratch the exchange and snapshot paths reuse. It is the patch world's
+// psolve.Rank.
 type node struct {
 	w     *World
 	opt   *Options
@@ -110,9 +111,11 @@ type node struct {
 	mine  []int // owned patch IDs, ascending (derived from owner)
 
 	lats  map[int]*core.Lattice
-	strs  map[int]psolve.Stepper
-	fresh map[int]bool
+	devs  map[int]psolve.Device  // per owned patch on a modelled device
 	conds [][]boundary.Condition // per patch, static
+	// sim is the modelled time of the worker's steps: the sum of its
+	// patches' prices.
+	sim float64
 
 	cost     []float64 // EWMA step-cost per patch (meaningful for owned entries)
 	straggle float64   // straggler-model multiplier for this worker's samples
@@ -156,8 +159,7 @@ func newNode(w *World, c *mpi.Comm, restore *core.Lattice, steps int, straggle f
 		steps: steps,
 		owner: append([]int(nil), w.owner...),
 		lats:  make(map[int]*core.Lattice),
-		strs:  make(map[int]psolve.Stepper),
-		fresh: make(map[int]bool),
+		devs:  make(map[int]psolve.Device),
 		cost:  make([]float64, w.til.P()),
 
 		flagsDue: true,
@@ -195,13 +197,11 @@ func newNode(w *World, c *mpi.Comm, restore *core.Lattice, steps int, straggle f
 	return n, nil
 }
 
-// newLattice builds patch p's lattice on this worker at the given step,
-// from walls and init (nil for a patch a snapshot will fill). A worker on
-// the default core kernel stores it in place (AA) from birth — before any
-// restore, so the phase-aware writes land in the layout the kernel reads;
-// swlb, gpu and custom executors own their double-buffer layout. A
-// migrating patch therefore changes storage with its owner: it travels as
-// a phase-independent snapshot.
+// newLattice builds patch p's lattice at the given step, from walls and
+// init (nil for a patch a snapshot will fill), in place (AA) from birth —
+// before any restore, so the phase-aware writes land in the layout the
+// kernel reads. Every worker steps the same storage, so a migrating patch
+// keeps its layout.
 func (n *node) newLattice(p Patch, step int, walls core.WallsFunc, init core.InitFunc) (*core.Lattice, error) {
 	opt := n.opt
 	l, err := core.BuildLattice(&lattice.D3Q19, core.Box(p.Block), opt.Tau, walls, init)
@@ -210,9 +210,7 @@ func (n *node) newLattice(p Patch, step int, walls core.WallsFunc, init core.Ini
 	}
 	l.Smagorinsky = opt.Smagorinsky
 	l.Force = opt.Force
-	if opt.Workers[n.me].coreKernel() {
-		l.EnableAA()
-	}
+	l.EnableAA()
 	l.SetStep(step)
 	return l, nil
 }
@@ -227,18 +225,18 @@ func (n *node) buildFresh(p Patch) error {
 	return n.adopt(p.ID, l)
 }
 
-// adopt registers a lattice as an owned patch and builds its executor.
+// adopt registers a lattice as an owned patch, with its price model on a
+// modelled device.
 func (n *node) adopt(id int, l *core.Lattice) error {
-	st, err := n.opt.Workers[n.me].newStepper(l)
+	d, err := n.opt.Workers[n.me].device(l)
 	if err != nil {
-		return fmt.Errorf("patch: worker %d executor for patch %d: %w", n.me, id, err)
+		return fmt.Errorf("patch: worker %d device for patch %d: %w", n.me, id, err)
 	}
-	if ts, ok := st.(traceSetter); ok {
-		ts.SetTrace(n.tr)
+	if d != nil {
+		d.SetTrace(n.tr)
+		n.devs[id] = d
 	}
 	n.lats[id] = l
-	n.strs[id] = st
-	n.fresh[id] = true
 	return nil
 }
 
@@ -310,21 +308,19 @@ func (n *node) stepOnce() {
 }
 
 // compute steps the owned patches in ID order, sampling per-patch cost
-// into the EWMA the balancer reads and onto the trace's patch track.
+// into the EWMA the balancer reads and onto the trace's patch track: the
+// wall time of the step, or its price on a modelled device. A patch's
+// first price comes after its first exchanges, which bring in its halo's
+// flags.
 func (n *node) compute() {
 	opt := n.opt
 	for _, p := range n.mine {
-		st := n.strs[p]
-		if n.fresh[p] {
-			// The first exchange may have imported wall flags from the
-			// neighbours; refresh the executor's geometry-derived state.
-			st.Rebuild()
-			n.fresh[p] = false
-		}
 		t0 := time.Now()
-		dt := st.Step()
-		if dt <= 0 {
-			dt = time.Since(t0).Seconds()
+		n.lats[p].StepFused()
+		dt := time.Since(t0).Seconds()
+		if d := n.devs[p]; d != nil {
+			dt = d.Price()
+			n.sim += dt
 		}
 		if opt.CostModel != nil {
 			dt = opt.CostModel(n.me, n.til.Patches[p])
@@ -451,6 +447,10 @@ func (n *node) Step() {
 		}
 	}
 }
+
+// SimTime is the modelled time of the worker's steps so far: the sum of
+// its patches' prices; 0 on a core worker.
+func (n *node) SimTime() float64 { return n.sim }
 
 // ResilCapture runs this worker's share of a snapshot wave, after noting
 // which worker holds which patch at it.

@@ -48,8 +48,10 @@ type Store struct {
 	gen [2]generation // double-buffered: a new step overwrites the older
 
 	// wire holds transport buffers between waves: what one receiver
-	// hands back is what the next sender packs into.
-	wire []wireBuf
+	// hands back is what the next sender packs into. Each is made for the
+	// largest block (maxCells cells), so any buffer serves any record.
+	wire     []wireBuf
+	maxCells int
 
 	bytes [4]int64 // cumulative deposited bytes per level (L1..L4)
 }
@@ -92,6 +94,9 @@ func NewStore(ranks, groupSize int, blocks []decomp.Block) (*Store, error) {
 	// allocate.
 	st := &Store{ranks: ranks, groupSize: groupSize, blocks: blocks,
 		wire: make([]wireBuf, 0, ranks*groupSize)}
+	for _, b := range blocks {
+		st.maxCells = max(st.maxCells, b.Cells())
+	}
 	for i := range st.gen {
 		st.gen[i].step = -1
 		for lv := range st.gen[i].recs {
@@ -189,14 +194,28 @@ func (st *Store) DepositParity(holder int, p *Snapshot) { st.deposit(L3, holder,
 
 // Send ships a packed copy of s to dst. The transport passes references
 // and the fault hook may flip bits in place, so what travels is never the
-// record itself but a recycled transport buffer.
+// record itself but a recycled transport buffer: the newest free one that
+// holds the packed record, or else a new one made for the largest block.
+// On uneven blocks records come in several sizes; a buffer too small for
+// one stays free for the records it fits, and since every buffer made
+// here fits every record, the pool stops growing once it covers a wave's
+// peak, as it does on equal blocks.
 func (st *Store) Send(c *mpi.Comm, s *Snapshot, dst, tag int) {
 	st.mu.Lock()
 	var w wireBuf
-	if n := len(st.wire) - 1; n >= 0 {
-		w, st.wire = st.wire[n], st.wire[:n]
+	i := len(st.wire) - 1
+	for ; i >= 0; i-- {
+		if b := st.wire[i]; cap(b.data) >= len(s.Pops)+packTrailer && cap(b.aux) >= len(s.Flags) {
+			w = b
+			st.wire = slices.Delete(st.wire, i, i+1)
+			break
+		}
 	}
 	st.mu.Unlock()
+	if i < 0 {
+		cells := max(st.maxCells, len(s.Flags))
+		w = wireBuf{make([]float64, 0, cells*s.Q+packTrailer), make([]byte, 0, cells)}
+	}
 	data, aux := s.Pack(w.data, w.aux)
 	c.Send(dst, tag, mpi.Message{Data: data, Aux: aux})
 }

@@ -21,8 +21,8 @@ type Counters struct {
 	GlobalLoadBytes int64
 }
 
-// add accumulates other into c.
-func (c *Counters) add(o Counters) {
+// Add accumulates o into c.
+func (c *Counters) Add(o Counters) {
 	c.DMABytes += o.DMABytes
 	c.DMADescriptors += o.DMADescriptors
 	c.Flops += o.Flops
@@ -207,7 +207,7 @@ func (cg *CoreGroup) Run(kernel func(p *CPE)) float64 {
 		if p.clock > elapsed {
 			elapsed = p.clock
 		}
-		cg.Counters.add(p.counters)
+		cg.Counters.Add(p.counters)
 	}
 	cg.TotalTime += elapsed
 	return elapsed
