@@ -325,6 +325,25 @@ func TestCLIMemoryLevelsNeedWaves(t *testing.T) {
 	}
 }
 
+// TestCLIOneRankDivergedFails: a 12³ cavity at τ 0.50001 goes non-finite
+// within 400 steps. On one rank, which keeps its lattice instead of
+// gathering a field, the run must still fail: a non-zero exit whose
+// message says the run diverged, never "completed" over a NaN field.
+func TestCLIOneRankDivergedFails(t *testing.T) {
+	if testing.Short() {
+		t.Skip("builds and runs the binary")
+	}
+	bin := buildCLI(t)
+	cf := filepath.Join(t.TempDir(), "diverging.json")
+	if err := os.WriteFile(cf, []byte(`{"name":"diverging cavity","nx":12,"ny":12,"nz":12,"tau":0.50001,"steps":1000}`), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	out, err := exec.Command(bin, "-preset", "cavity", "-case", cf).CombinedOutput()
+	if err == nil || !strings.Contains(string(out), "run diverged") || strings.Contains(string(out), "completed") {
+		t.Fatalf("a diverging one-rank run must exit non-zero with \"run diverged\", got %v:\n%s", err, out)
+	}
+}
+
 // stepBudget is a context that reports cancellation from its n-th Err
 // poll on. The recovery ladder polls once per step, so the interrupt
 // lands on a chosen step boundary.

@@ -73,19 +73,14 @@ func TestTrafficEstimatesRepo(t *testing.T) {
 		// first message, its payload is priced in PackFace/UnpackFace and
 		// the checksum's write.
 		"../psolve": {
-			"post":           {Bytes: 0, Budget: -1},
-			"collect":        {Bytes: 0, Budget: -1},
-			"Post":           {Bytes: 2, Budget: 2},
-			"Collect":        {Bytes: 2, Budget: 2},
-			"ResilCapture":   {Bytes: 0, Budget: -1},
-			"groupExchange":  {Bytes: 0, Budget: -1},
-			"parityExchange": {Bytes: 0, Budget: 0},
+			"post":    {Bytes: 0, Budget: -1},
+			"collect": {Bytes: 0, Budget: -1},
+			"Post":    {Bytes: 2, Budget: 2},
+			"Collect": {Bytes: 2, Budget: 2},
 		},
 		"../patch": {
-			"ship":       {Bytes: 0, Budget: -1},
-			"absorb":     {Bytes: 0, Budget: -1},
-			"wave":       {Bytes: 80, Budget: 80},
-			"parityWave": {Bytes: 16, Budget: 16},
+			"ship":   {Bytes: 0, Budget: -1},
+			"absorb": {Bytes: 0, Budget: -1},
 		},
 		// Computed boundary conditions stage each chunk of a line through
 		// core's Gather/ScatterLine; their own loops touch stack scratch.
@@ -103,10 +98,16 @@ func TestTrafficEstimatesRepo(t *testing.T) {
 		// ScatterLine (16 B per population of a cell, priced there): the
 		// one gather and the one scatter loop carry the flag byte in and
 		// out. The hash reads a word, the fused XOR-and-hash reads two
-		// operands and writes one.
+		// operands and writes one. The one snapshot wave of both worlds
+		// walks owned blocks and group members only: per owned block one
+		// (holder, block, lattice, record) entry and an owner-map word, per
+		// group member owner-map words.
 		"../resil": {
 			"captureBox": {Bytes: 2, Budget: 320},
 			"installBox": {Bytes: 2, Budget: 320},
+			"Wave":       {Bytes: 72, Budget: 80},
+			"buddies":    {Bytes: 80, Budget: 80},
+			"parity":     {Bytes: 8, Budget: 16},
 			"write":      {Bytes: 8, Budget: 8},
 			"xor":        {Bytes: 24, Budget: 24},
 			"writeBytes": {Bytes: 1, Budget: 1},

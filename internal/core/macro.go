@@ -56,14 +56,29 @@ func NewMacroField(nx, ny, nz int) *MacroField {
 
 // NonFinite counts, in one pass over the field, the cells whose density
 // or velocity is NaN or infinite. Solid cells hold zeros, so every cell it
-// counts is a fluid cell.
+// counts is a fluid cell. A nil field has none.
 func (m *MacroField) NonFinite() int {
+	if m == nil {
+		return 0
+	}
 	n := 0
 	for i, r := range m.Rho {
 		// v−v is 0 for every finite v and NaN for NaN and ±Inf.
 		if r-r != 0 || m.Ux[i]-m.Ux[i] != 0 || m.Uy[i]-m.Uy[i] != 0 || m.Uz[i]-m.Uz[i] != 0 {
 			n++
 		}
+	}
+	return n
+}
+
+// NonFinite counts the interior fluid cells whose density or velocity is
+// NaN or infinite: MacroField.NonFinite of the field MacroInto writes,
+// computed one y-plane at a time, so the whole field is never held.
+func (l *Lattice) NonFinite() int {
+	m, n := NewMacroField(l.NX, 1, l.NZ), 0
+	for y := 0; y < l.NY; y++ {
+		l.MacroInto(m, 0, 0, 0, Box{Y0: y, NX: l.NX, NY: 1, NZ: l.NZ})
+		n += m.NonFinite()
 	}
 	return n
 }

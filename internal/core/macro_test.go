@@ -143,3 +143,40 @@ func TestMacroRowD3Q19Adversarial(t *testing.T) {
 		}
 	}
 }
+
+// TestLatticeNonFinite: the lattice's finiteness pass counts what
+// MacroField.NonFinite counts on the whole field MacroInto writes — a
+// cell with a NaN or an infinite population, never a solid cell or one of
+// zero density, where MacroInto writes zeros — on the double buffer and
+// at both AA storage phases, without holding that field.
+func TestLatticeNonFinite(t *testing.T) {
+	for _, storage := range []string{"db", "even", "odd"} {
+		l := phaseLattice(t, storage, 0.25)
+		if n := l.NonFinite(); n != 0 {
+			t.Fatalf("%s: %d non-finite cells in a finite lattice", storage, n)
+		}
+		f := make([]float64, l.Desc.Q)
+		f[3] = math.NaN()
+		l.SetPopulations(1, 2, 3, f)
+		f[3] = math.Inf(1)
+		l.SetPopulations(4, 0, 5, f)
+		l.SetPopulations(0, 1, 2, f)                         // a wall: not counted
+		l.SetPopulations(2, 3, 1, make([]float64, l.Desc.Q)) // zero density: not counted
+		if got, want := l.NonFinite(), l.ComputeMacro().NonFinite(); got != want || got != 2 {
+			t.Errorf("%s: lattice pass counts %d non-finite cells, the field %d, want 2", storage, got, want)
+		}
+	}
+}
+
+// BenchmarkLatticeNonFinite times the one-rank world's end-of-run
+// finiteness pass on one bench-grid lattice (48×192×96).
+func BenchmarkLatticeNonFinite(b *testing.B) {
+	l := newTestLattice(b, 48, 192, 96, 0.6)
+	l.EnableAA()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if l.NonFinite() != 0 {
+			b.Fatal("non-finite cells in a rest lattice")
+		}
+	}
+}

@@ -54,8 +54,8 @@ func (n *node) rebalanceDue(done int) bool {
 func (n *node) collectCosts() []float64 {
 	P := n.til.P()
 	vec := make([]float64, P)
-	for _, p := range n.mine {
-		vec[p] = n.cost[p]
+	for _, o := range n.owned {
+		vec[o.ID] = n.cost[o.ID]
 	}
 	msgs := n.c.Allgather(mpi.Message{Data: vec})
 	merged := make([]float64, P)
@@ -213,8 +213,8 @@ func (n *node) finishStats() {
 		return
 	}
 	st := n.w.stats
-	if len(n.mine) > 0 {
-		st.Kernel = n.lats[n.mine[0]].KernelPath()
+	if len(n.owned) > 0 {
+		st.Kernel = n.owned[0].Lat.KernelPath()
 	}
 	_, imbalance := n.workerLoads(merged)
 	if st.ImbalancePre == 0 {

@@ -7,6 +7,7 @@ import (
 	"runtime"
 	"testing"
 
+	"sunwaylb/internal/alloctest"
 	"sunwaylb/internal/core"
 	"sunwaylb/internal/fault"
 	"sunwaylb/internal/mpi"
@@ -177,6 +178,10 @@ func TestHaloFlipFailsTyped(t *testing.T) {
 	}
 }
 
+// TestMain records every allocation, so the allocation checks count this
+// module's own (alloctest).
+func TestMain(m *testing.M) { alloctest.Main(m) }
+
 // TestRankStepAllocFree: once every link has sent its first message, a
 // patch-world step allocates nothing. One P, for the reason psolve's
 // TestRankStepAllocFree gives.
@@ -187,33 +192,35 @@ func TestRankStepAllocFree(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var before, after runtime.MemStats
+	var mark alloctest.Mark
+	var allocs, b int64
 	err = mpi.Run(2, func(c *mpi.Comm) error {
 		n, err := newNode(w, c, nil, 16, 1)
 		if err != nil {
 			return err
 		}
-		measure := func(ms *runtime.MemStats) {
-			c.Barrier()
-			if c.Rank() == 0 {
-				runtime.ReadMemStats(ms)
-			}
-			c.Barrier()
-		}
 		for i := 0; i < 4; i++ {
 			n.stepOnce()
 		}
-		measure(&before)
+		c.Barrier()
+		if c.Rank() == 0 {
+			mark = alloctest.Take()
+		}
+		c.Barrier()
 		for i := 0; i < 10; i++ {
 			n.stepOnce()
 		}
-		measure(&after)
+		c.Barrier()
+		if c.Rank() == 0 {
+			allocs, b = mark.Since()
+		}
+		c.Barrier()
 		return nil
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if n, b := after.Mallocs-before.Mallocs, after.TotalAlloc-before.TotalAlloc; n != 0 {
+	if n := allocs; n != 0 {
 		t.Errorf("10 steps of a patch2 world allocated %d times (%d B), want 0", n, b)
 	}
 }

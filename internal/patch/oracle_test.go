@@ -127,7 +127,7 @@ func oracleVerdict(t *testing.T, sc oracleScenario) uint64 {
 	}
 	var flipped int
 	if n, _ := fmt.Sscanf(sc.tear, "l3flip:%d", &flipped); n == 1 {
-		mw.SetFaultHook(parityFlip{w.til.parityTag(flipped)})
+		mw.SetFaultHook(parityFlip{st.Tag(w.til.snapTags(), resil.L3, flipped)})
 	}
 	truth := make([]resil.Snapshot, P)
 	var mu sync.Mutex
@@ -142,8 +142,8 @@ func oracleVerdict(t *testing.T, sc oracleScenario) uint64 {
 		}
 		mu.Lock()
 		defer mu.Unlock()
-		for _, p := range n.mine {
-			resil.Capture(&truth[p], n.lats[p], n.til.Patches[p].Block, p)
+		for _, o := range n.owned {
+			resil.Capture(&truth[o.ID], o.Lat, o.Block, o.ID)
 		}
 		return nil
 	})

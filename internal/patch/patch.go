@@ -73,16 +73,7 @@ func FitTiles(t, n int) int { return max(min(t, n/2), 1) }
 func (t *Tiling) P() int { return len(t.Patches) }
 
 // parts returns the number of patches along axis (0=x, 1=y, 2=z).
-func (t *Tiling) parts(axis int) int {
-	switch axis {
-	case 0:
-		return t.TX
-	case 1:
-		return t.TY
-	default:
-		return t.TZ
-	}
-}
+func (t *Tiling) parts(axis int) int { return [3]int{t.TX, t.TY, t.TZ}[axis] }
 
 // At returns the patch ID at tile coordinate (cx, cy, cz).
 func (t *Tiling) At(cx, cy, cz int) int { return (cz*t.TY+cy)*t.TX + cx }

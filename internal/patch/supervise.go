@@ -2,6 +2,7 @@ package patch
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 
 	"sunwaylb/internal/core"
@@ -134,27 +135,24 @@ func (w *World) keep(workers []int) {
 // keyed by patch are "held by" the patch's owner at deposit time, so
 // recovery must invalidate by wave-time ownership, not by the ownership
 // at the crash. Every rank records the identical values; last write
-// wins.
+// wins. The log is a ring whose owner maps are reused, so recording a
+// wave allocates nothing once the ring is full.
 type waveLog struct {
 	mu    sync.Mutex
-	steps []int   // oldest first; the store keeps two generations, so a short tail is plenty
-	owner [][]int // owner map at each of steps
+	steps [2]int   // one wave per generation the store keeps
+	owner [2][]int // owner map at each of steps; nil: no wave there yet
+	next  int      // the slot the next new wave takes; the newest is just before it
 }
 
 func (w *waveLog) record(step int, owner []int) {
 	w.mu.Lock()
 	defer w.mu.Unlock()
-	for i, s := range w.steps {
-		if s == step {
-			copy(w.owner[i], owner)
-			return
-		}
+	i := slices.Index(w.steps[:], step)
+	if i < 0 || w.owner[i] == nil {
+		i, w.next = w.next, (w.next+1)%len(w.steps)
+		w.steps[i] = step
 	}
-	w.steps = append(w.steps, step)
-	w.owner = append(w.owner, append([]int(nil), owner...))
-	if len(w.steps) > 4 {
-		w.steps, w.owner = w.steps[1:], w.owner[1:]
-	}
+	w.owner[i] = append(w.owner[i][:0], owner...)
 }
 
 // plan walks the recorded waves newest first and returns the first one
@@ -163,7 +161,11 @@ func (w *waveLog) record(step int, owner []int) {
 func (w *waveLog) plan(st *resil.Store, dead []int) (*resil.Recovery, []int, bool) {
 	w.mu.Lock()
 	defer w.mu.Unlock()
-	for i := len(w.steps) - 1; i >= 0; i-- {
+	for k := range len(w.steps) {
+		i := (w.next + len(w.steps) - 1 - k) % len(w.steps)
+		if w.owner[i] == nil {
+			continue
+		}
 		rec, ok := st.RecoveryPlan(patchesOwnedBy(w.owner[i], dead))
 		if ok && rec.Step == w.steps[i] {
 			return rec, w.owner[i], true

@@ -1,24 +1,31 @@
 package patch
 
 import (
+	"bytes"
+	"fmt"
 	"math"
+	"runtime"
 	"sync"
 	"testing"
 
+	"sunwaylb/internal/alloctest"
 	"sunwaylb/internal/mpi"
+	"sunwaylb/internal/psolve"
 	"sunwaylb/internal/resil"
+	"sunwaylb/internal/resil/resiltest"
 )
 
-// parityHook is a fault hook that touches parity-wave messages only.
-type parityHook struct {
+// waveHook is a fault hook that touches the snapshot-wave messages of
+// one kind (buddy copies or parity members) only.
+type waveHook struct {
 	mu     sync.Mutex
-	first  int // lowest parity tag
+	lo, hi int // the kind's tags
 	sends  int
 	onSend func(n, src int, data []float64) (copies int)
 }
 
-func (h *parityHook) OnSend(src, dst, tag int, data []float64, aux []byte) int {
-	if tag < h.first {
+func (h *waveHook) OnSend(src, dst, tag int, data []float64, aux []byte) int {
+	if tag < h.lo || tag >= h.hi {
 		return 1
 	}
 	h.mu.Lock()
@@ -28,18 +35,10 @@ func (h *parityHook) OnSend(src, dst, tag int, data []float64, aux []byte) int {
 	return h.onSend(n, src, data)
 }
 
-// runWaves runs three patches on two workers (patches 0 and 1 form a
-// parity group across the workers) with an L1+L3 wave after every step
-// but the last, and returns the store.
-func runWaves(t *testing.T, steps int, onSend func(n, src int, data []float64) int) *resil.Store {
-	t.Helper()
-	return runWavesAt(t, steps, resil.L1|resil.L3, onSend)
-}
-
-// runWavesAt is runWaves with waves of the given levels.
-func runWavesAt(t *testing.T, steps int, levels resil.Levels, onSend func(n, src int, data []float64) int) *resil.Store {
-	t.Helper()
-	opt := Options{
+// waveCase is three patches along x on two workers: patches 0 and 2 on
+// worker 0, patch 1 on worker 1.
+func waveCase() Options {
+	return Options{
 		GNX: 12, GNY: 10, GNZ: 8, TX: 3,
 		Tau:       0.7,
 		PeriodicX: true, PeriodicY: true, PeriodicZ: true,
@@ -48,17 +47,33 @@ func runWavesAt(t *testing.T, steps int, levels resil.Levels, onSend func(n, src
 		},
 		Workers: make([]Worker, 2),
 	}
-	w, err := NewWorld(opt)
+}
+
+// runWaves runs waveCase (patches 0 and 1 form a parity group across the
+// workers) with an L1+L3 wave after every step but the last, and returns
+// the store; onSend sees the parity messages.
+func runWaves(t *testing.T, steps int, onSend func(n, src int, data []float64) int) *resil.Store {
+	t.Helper()
+	return runWavesAt(t, steps, 2, resil.L1|resil.L3, resil.L3, onSend)
+}
+
+// runWavesAt is runWaves in parity groups of group with waves of the
+// given levels; onSend sees the wave messages of one kind (resil.L2 or
+// resil.L3).
+func runWavesAt(t *testing.T, steps, group int, levels, kind resil.Levels, onSend func(n, src int, data []float64) int) *resil.Store {
+	t.Helper()
+	w, err := NewWorld(waveCase())
 	if err != nil {
 		t.Fatal(err)
 	}
-	store, err := w.NewStore(2)
+	store, err := w.NewStore(group)
 	if err != nil {
 		t.Fatal(err)
 	}
 	var hook mpi.FaultHook
 	if onSend != nil {
-		hook = &parityHook{first: w.til.parityTag(0), onSend: onSend}
+		base := w.til.snapTags()
+		hook = &waveHook{lo: store.Tag(base, kind, 0), hi: store.Tag(base, kind, w.til.P()), onSend: onSend}
 	}
 	if _, err := stepWorld(w, steps, hook, store, levels); err != nil {
 		t.Fatal(err)
@@ -130,7 +145,7 @@ func TestWaveReusesRecords(t *testing.T) {
 // either patch is repaired from its buddy copy.
 func TestPairWaveSendsNoParity(t *testing.T) {
 	sent := 0
-	st := runWavesAt(t, 3, resil.L1|resil.L2|resil.L3, func(n, src int, data []float64) int {
+	st := runWavesAt(t, 3, 2, resil.L1|resil.L2|resil.L3, resil.L3, func(n, src int, data []float64) int {
 		sent++
 		return 1
 	})
@@ -146,4 +161,179 @@ func TestPairWaveSendsNoParity(t *testing.T) {
 			t.Fatalf("loss of patch %d must be repaired from its buddy copy", p)
 		}
 	}
+}
+
+// TestWaveInFlightCorruptionSparesOwnRecord: a patch's buddy copy
+// travels as a rank's does, so a bit flipped in it reaches neither the
+// sender's own L1 record (what travels is a packed copy) nor a recovery:
+// the copy fails its checksum, and no plan restores patch 0 from it. In a
+// pair worker 1 keeps both members and stores no replica; in a group of
+// three worker 1's replica folds patch 2 only, which it keeps neither as
+// its own nor as a buddy copy, while worker 0 keeps every member.
+func TestWaveInFlightCorruptionSparesOwnRecord(t *testing.T) {
+	for _, group := range []int{2, 3} {
+		st := runWavesAt(t, 3, group, resil.L1|resil.L2|resil.L3, resil.L2, func(n, src int, data []float64) int {
+			if src == 0 {
+				data[len(data)/2] = math.Float64frombits(math.Float64bits(data[len(data)/2]) ^ 1<<17)
+			}
+			return 1
+		})
+		rec, ok := st.LatestWave()
+		if !ok || !rec.Blocks[0].Verify() || !rec.Blocks[1].Verify() {
+			t.Fatalf("group of %d: own records must survive a corrupted transfer", group)
+		}
+		if rec, ok := st.RecoveryPlan([]int{1}); !ok || rec.BuddyRestores != 1 {
+			t.Fatalf("group of %d: the uncorrupted direction must still restore patch 1 from its buddy copy", group)
+		}
+		if l3 := st.Bytes()[2]; (l3 != 0) != (group > 2) {
+			t.Fatalf("group of %d: L3 ledger %d bytes: want a replica folding patch 2 only beyond a pair", group, l3)
+		}
+		if rec, ok := st.RecoveryPlan([]int{0}); ok {
+			t.Fatalf("group of %d: patch 0's buddy copy was corrupted in flight, yet a plan was made (%d buddy, %d parity restores)",
+				group, rec.BuddyRestores, rec.Reconstructions)
+		}
+	}
+}
+
+// TestWaveSteadyStateAllocFree: on four patches dealt in blocks of two
+// to two workers, in one parity group, a wave copies a buddy on the same
+// worker (0 → 1, 2 → 3), sends one to the other (1 → 2, 3 → 0) and folds
+// the one member each worker keeps neither as its own nor as a buddy
+// copy. From the third wave on that allocates nothing, and the store
+// holds the same bytes after every wave. One P, for the reason
+// TestRankStepAllocFree gives.
+func TestWaveSteadyStateAllocFree(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	opt := waveCase()
+	opt.TX = 4
+	w, err := NewWorld(opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for p := range w.owner {
+		w.owner[p] = p / 2
+	}
+	st, err := w.NewStore(4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var mark alloctest.Mark
+	var resident [5]int64
+	err = mpi.Run(2, func(c *mpi.Comm) error {
+		n, err := newNode(w, c, nil, 8, 1)
+		if err != nil {
+			return err
+		}
+		for wave := range resident {
+			n.Step()
+			c.Barrier()
+			if c.Rank() == 0 {
+				mark = alloctest.Take()
+			}
+			c.Barrier()
+			if err := n.ResilCapture(st, resil.L1|resil.L2|resil.L3); err != nil {
+				return err
+			}
+			c.Barrier()
+			if c.Rank() == 0 {
+				if a, b := mark.Since(); wave >= 2 && a != 0 {
+					t.Errorf("wave %d allocated %d times (%d bytes), want 0", wave+1, a, b)
+				}
+				resident[wave] = st.Resident()
+			}
+			c.Barrier()
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if b := st.Bytes(); b[1] == 0 || b[2] == 0 {
+		t.Errorf("ledger %v: want buddy copies and replicas", b)
+	}
+	if resident[2] != resident[1] || resident[4] != resident[1] {
+		t.Errorf("store residency per wave %v: want it flat from the second wave on", resident)
+	}
+}
+
+// TestWavesAgreeAcrossWorlds: a rank is a worker that owns one block. A
+// PX×1 rank world and a patch world of PX patches along x, one per
+// worker, step the same case with a wave after each step; for every level
+// set their stores must hold bitwise the same L1, L2 and L3 records and
+// the same byte ledger, and plan every single loss alike.
+func TestWavesAgreeAcrossWorlds(t *testing.T) {
+	for _, tc := range []struct{ px, group int }{{2, 2}, {4, 4}} {
+		for _, lv := range resiltest.LevelSets {
+			opt := waveCase()
+			opt.TX, opt.Workers = tc.px, make([]Worker, tc.px)
+			opt.Walls = func(gx, gy, gz int) bool { return gx == 5 && gy == 2 && gz >= 1 }
+			w, err := NewWorld(opt)
+			if err != nil {
+				t.Fatal(err)
+			}
+			patches, err := w.NewStore(tc.group)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := stepWorld(w, 4, nil, patches, lv); err != nil {
+				t.Fatal(err)
+			}
+			ro := psolve.Options{GNX: opt.GNX, GNY: opt.GNY, GNZ: opt.GNZ, PX: tc.px, PY: 1, Tau: opt.Tau,
+				PeriodicX: true, PeriodicY: true, PeriodicZ: true, Walls: opt.Walls, Init: opt.Init}
+			ranks, err := psolve.NewRanks(ro).NewStore(tc.group)
+			if err != nil {
+				t.Fatal(err)
+			}
+			err = mpi.Run(tc.px, func(c *mpi.Comm) error {
+				s, err := psolve.New(c, ro)
+				if err != nil {
+					return err
+				}
+				for range 3 {
+					s.Step()
+					if err := s.ResilCapture(ranks, lv); err != nil {
+						return err
+					}
+				}
+				return nil
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			name := fmt.Sprintf("%dx1 g%d L%s", tc.px, tc.group, lv)
+			if a, b := ranks.Bytes(), patches.Bytes(); a != b {
+				t.Errorf("%s: rank ledger %v, patch ledger %v", name, a, b)
+			}
+			for d := range tc.px {
+				a, aok := ranks.RecoveryPlan([]int{d})
+				b, bok := patches.RecoveryPlan([]int{d})
+				if aok != bok || aok && (a.BuddyRestores != b.BuddyRestores || a.Reconstructions != b.Reconstructions) {
+					t.Errorf("%s: loss of block %d planned differently: ranks %v %+v, patches %v %+v", name, d, aok, a, bok, b)
+				}
+			}
+			// Slot hands out each record (marking it torn): the stores are
+			// spent after this.
+			for _, level := range []resil.Levels{resil.L1, resil.L2, resil.L3} {
+				for h := range tc.px {
+					a, b := ranks.Slot(level, h, 3), patches.Slot(level, h, 3)
+					if a.Rank != b.Rank || a.Sum != b.Sum || !sameBits(a.Pops, b.Pops) || !bytes.Equal(a.Flags, b.Flags) {
+						t.Errorf("%s: L%s record of block %d differs across worlds (sums %x, %x)", name, level, h, a.Sum, b.Sum)
+					}
+				}
+			}
+		}
+	}
+}
+
+// sameBits reports whether two payloads hold the same bits.
+func sameBits(a, b []float64) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		if math.Float64bits(a[i]) != math.Float64bits(b[i]) {
+			return false
+		}
+	}
+	return true
 }

@@ -85,13 +85,14 @@ func (o *Options) normalize() error {
 	return nil
 }
 
-// Message tags. Halo tags identify (destination patch, packed face);
-// migration and parity tags identify the patch being shipped. All are
-// ≥ 1 as the mpi transport requires.
+// Message tags. Halo tags identify (destination patch, packed face),
+// migration tags the patch being shipped; snapshot-wave tags start at
+// snapTags, where resil.Store.Tag lays one per patch and message kind.
+// All are ≥ 1 as the mpi transport requires.
 func haloTag(dstPatch int, face core.Face) int { return 1 + dstPatch*6 + int(face) }
 
-func (t *Tiling) migTag(p int) int    { return 1 + 6*t.P() + p }
-func (t *Tiling) parityTag(p int) int { return 1 + 7*t.P() + p }
+func (t *Tiling) migTag(p int) int { return 1 + 6*t.P() + p }
+func (t *Tiling) snapTags() int    { return 1 + 7*t.P() }
 
 // node is the per-rank state of the patch world: the patches this worker
 // currently owns, their price models on a modelled device, and the
@@ -108,7 +109,10 @@ type node struct {
 	steps int // the run's final step; nothing rebalances at or after it
 
 	owner []int // replicated owner map, updated in lockstep on every rank
-	mine  []int // owned patch IDs, ascending (derived from owner)
+	// owned lists the owned patches in ascending ID order, with their
+	// blocks and lattices (derived from owner): what the steps, the
+	// snapshot waves and the gathers walk.
+	owned []resil.Owned
 
 	lats  map[int]*core.Lattice
 	devs  map[int]psolve.Device  // per owned patch on a modelled device
@@ -133,14 +137,9 @@ type node struct {
 	// for the freshly installed lattices.
 	links []*psolve.Link
 
-	// Snapshot state: the migration buffer (handed to the receiver with
-	// every move), this wave's L1 records of the owned patches by patch
-	// ID, the view a received parity member is unpacked into, and the one
-	// a group's first received member waits in for the second.
+	// snap is the migration buffer, handed to the receiver with every
+	// move.
 	snap resil.Snapshot
-	own  []*resil.Snapshot
-	in   resil.Snapshot
-	held resil.Snapshot
 }
 
 // newNode builds worker c's share of an attempt of w: its patches under
@@ -174,7 +173,6 @@ func newNode(w *World, c *mpi.Comm, restore *core.Lattice, steps int, straggle f
 			[3]bool{w.opt.PeriodicX, w.opt.PeriodicY, w.opt.PeriodicZ}, w.opt.FaceBC))
 	}
 	n.links = make([]*psolve.Link, 6*w.til.P())
-	n.own = make([]*resil.Snapshot, w.til.P())
 	if restore != nil {
 		n.step = restore.Step()
 	}
@@ -193,7 +191,7 @@ func newNode(w *World, c *mpi.Comm, restore *core.Lattice, steps int, straggle f
 			return nil, err
 		}
 	}
-	n.rebuildMine()
+	n.rebuildOwned()
 	return n, nil
 }
 
@@ -260,24 +258,17 @@ func (n *node) installPatch(id int, s *resil.Snapshot) error {
 	return n.adopt(id, l)
 }
 
-func (n *node) rebuildMine() {
-	n.mine = n.mine[:0]
+func (n *node) rebuildOwned() {
+	n.owned = n.owned[:0]
 	for p, o := range n.owner {
 		if o == n.me {
-			n.mine = append(n.mine, p)
+			n.owned = append(n.owned, resil.Owned{ID: p, Block: n.til.Patches[p].Block, Lat: n.lats[p]})
 		}
 	}
 }
 
 func (n *node) periodic(axis int) bool {
-	switch axis {
-	case 0:
-		return n.opt.PeriodicX
-	case 1:
-		return n.opt.PeriodicY
-	default:
-		return n.opt.PeriodicZ
-	}
+	return [3]bool{n.opt.PeriodicX, n.opt.PeriodicY, n.opt.PeriodicZ}[axis]
 }
 
 // stepOnce advances every patch one time step: global-face conditions,
@@ -295,9 +286,9 @@ func (n *node) stepOnce() {
 		n.tr.Begin(trace.Wall, trace.TrackStep, "step", n.tr.Now())
 		defer func() { n.tr.End(trace.Wall, trace.TrackStep, n.tr.Now()) }()
 	}
-	for _, p := range n.mine {
-		for _, bc := range n.conds[p] {
-			boundary.ApplyWhole(bc, n.lats[p])
+	for _, o := range n.owned {
+		for _, bc := range n.conds[o.ID] {
+			boundary.ApplyWhole(bc, o.Lat)
 		}
 	}
 	n.exchange(2)
@@ -314,7 +305,8 @@ func (n *node) stepOnce() {
 // flags.
 func (n *node) compute() {
 	opt := n.opt
-	for _, p := range n.mine {
+	for _, o := range n.owned {
+		p := o.ID
 		t0 := time.Now()
 		n.lats[p].StepFused()
 		dt := time.Since(t0).Seconds()
@@ -370,19 +362,11 @@ func (n *node) eachPair(axis int, fn func(a, b int)) {
 // phase never alias.
 func (n *node) exchange(axis int) {
 	parts := n.til.parts(axis)
-	var minFace, maxFace core.Face
-	switch axis {
-	case 0:
-		minFace, maxFace = core.FaceXMin, core.FaceXMax
-	case 1:
-		minFace, maxFace = core.FaceYMin, core.FaceYMax
-	default:
-		minFace, maxFace = core.FaceZMin, core.FaceZMax
-	}
+	minFace, maxFace := core.Face(2*axis), core.Face(2*axis+1)
 	if parts == 1 {
 		if n.periodic(axis) {
-			for _, p := range n.mine {
-				n.lats[p].PeriodicAxis(axis)
+			for _, o := range n.owned {
+				o.Lat.PeriodicAxis(axis)
 			}
 		}
 		return
@@ -456,74 +440,20 @@ func (n *node) SimTime() float64 { return n.sim }
 // which worker holds which patch at it.
 func (n *node) ResilCapture(st *resil.Store, levels resil.Levels) error {
 	n.w.waves.record(n.step, n.owner)
-	return n.wave(n.step, st, levels)
+	return st.Wave(n.c, n.owner, n.owned, n.til.snapTags(), levels)
 }
 
 // GatherLattice assembles the global lattice on root (nil elsewhere) from
-// a snapshot of every owned patch — the rank world's L4 gather, with as
-// many blocks per worker as it owns patches.
+// a snapshot of every owned patch.
 func (n *node) GatherLattice(root int) (*core.Lattice, error) {
-	snaps := make([]*resil.Snapshot, len(n.mine))
-	for i, p := range n.mine {
-		snaps[i] = &resil.Snapshot{}
-		resil.Capture(snaps[i], n.lats[p], n.til.Patches[p].Block, p)
-	}
-	rec, err := resil.Gather(n.c, root, snaps...)
-	if rec == nil {
-		return nil, err
-	}
-	return n.w.Assemble(rec)
+	return psolve.GatherLattice(n.c, root, n.owned, n.w.Assemble)
 }
 
 // GatherMacro closes the run's statistics and stitches the global
 // macroscopic field on root (nil elsewhere). Every worker must call it.
 func (n *node) GatherMacro(root int) *core.MacroField {
 	n.finishStats()
-	return n.gather(root)
-}
-
-// gather stitches every patch's macroscopic field into the global field
-// on root (nil elsewhere). Root computes its own patches straight into
-// the global field; every other worker computes its patches into one
-// exact-size payload — per patch its ID, then the four channels of the
-// patch block — from which root copies z-runs.
-func (n *node) gather(root int) *core.MacroField {
-	var payload []float64
-	if n.me != root {
-		size := 0
-		for _, p := range n.mine {
-			size += 1 + 4*n.til.Patches[p].Cells()
-		}
-		payload = make([]float64, size)
-		d := payload
-		for _, p := range n.mine {
-			b := n.til.Patches[p].Block
-			d[0] = float64(p)
-			n.lats[p].MacroInto(core.MacroFieldOver(d[1:], b.NX, b.NY, b.NZ), 0, 0, 0, n.lats[p].Interior())
-			d = d[1+4*b.Cells():]
-		}
-	}
-	msgs := n.c.Gather(root, mpi.Message{Data: payload})
-	if msgs == nil {
-		return nil
-	}
-	opt := n.opt
-	out := core.NewMacroField(opt.GNX, opt.GNY, opt.GNZ)
-	for _, p := range n.mine {
-		b := n.til.Patches[p].Block
-		n.lats[p].MacroInto(out, b.X0, b.Y0, b.Z0, n.lats[p].Interior())
-	}
-	for r, m := range msgs {
-		if r == root {
-			continue
-		}
-		for d := m.Data; len(d) > 0; {
-			b := n.til.Patches[int(d[0])].Block
-			out.Place(core.MacroFieldOver(d[1:], b.NX, b.NY, b.NZ), b.X0, b.Y0, b.Z0)
-			d = d[1+4*b.Cells():]
-		}
-	}
-	return out
+	return psolve.GatherMacro(n.c, root, n.opt.GNX, n.opt.GNY, n.opt.GNZ, n.owned)
 }
 
 // Run executes a patch-mode simulation to completion on a fresh world —

@@ -126,8 +126,8 @@ func strongShear(gx, gy, gz int) (rho, ux, uy, uz float64) {
 // fail with ErrDiverged, at once — instability is not a lost worker, so
 // the restart budget stays unspent — and return no field. Before the
 // final-field check it returned err == nil with every ρ NaN. The one-rank
-// world keeps its lattice instead of gathering a field, so its check is
-// the sweep's own health row (ROADMAP item 17).
+// world keeps its lattice instead of gathering a field, and fails from one
+// pass over that lattice.
 func TestDivergedRunFailsTyped(t *testing.T) {
 	opts := psolve.Options{
 		GNX: 16, GNY: 16, GNZ: 8,
@@ -136,16 +136,20 @@ func TestDivergedRunFailsTyped(t *testing.T) {
 		Init: strongShear,
 	}
 	o := psolve.SupervisorOptions{Steps: 2000, MaxRestarts: 2}
-	for _, decomp := range []string{"2x1", "patch2"} {
+	for _, decomp := range []string{"2x1", "patch2", "local"} {
 		t.Run(decomp, func(t *testing.T) {
 			var field *core.MacroField
 			var stats perf.RecoveryStats
 			var err error
-			if decomp == "2x1" {
+			switch decomp {
+			case "2x1":
 				o.Opts = opts
 				o.Opts.PX, o.Opts.PY = 2, 1
 				field, stats, err = psolve.Supervise(o)
-			} else {
+			case "local":
+				o.Opts = psolve.Options{}
+				field, stats, err = psolve.SuperviseOn(psolve.NewLocal(opts), o)
+			default:
 				w, werr := patch.NewWorld(patch.Options{
 					GNX: opts.GNX, GNY: opts.GNY, GNZ: opts.GNZ, TX: 2,
 					Tau:       opts.Tau,

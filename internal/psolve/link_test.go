@@ -5,6 +5,7 @@ import (
 	"runtime"
 	"testing"
 
+	"sunwaylb/internal/alloctest"
 	"sunwaylb/internal/core"
 	"sunwaylb/internal/fault"
 	"sunwaylb/internal/mpi"
@@ -123,6 +124,10 @@ func lateFlip(seed int64) fault.Plan {
 	return fault.Plan{Seed: seed, Links: []fault.Link{{Src: 0, Dst: 1, Flip: 0.1, Max: 1}}}
 }
 
+// TestMain records every allocation, so the allocation checks count this
+// module's own (alloctest).
+func TestMain(m *testing.M) { alloctest.Main(m) }
+
 // TestRankStepAllocFree: once every link has sent its first message, a
 // rank step allocates nothing — the faces pack into the links' slots,
 // the receiver unpacks from the message, and the transport reuses its
@@ -132,33 +137,35 @@ func lateFlip(seed int64) fault.Plan {
 // migrate, which is not this code allocating.
 func TestRankStepAllocFree(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
-	var before, after runtime.MemStats
+	var mark alloctest.Mark
+	var n, b int64
 	err := mpi.Run(2, func(c *mpi.Comm) error {
 		s, err := New(c, haloOptions())
 		if err != nil {
 			return err
 		}
-		measure := func(ms *runtime.MemStats) {
-			c.Barrier()
-			if c.Rank() == 0 {
-				runtime.ReadMemStats(ms)
-			}
-			c.Barrier()
-		}
 		for i := 0; i < 4; i++ {
 			s.Step()
 		}
-		measure(&before)
+		c.Barrier()
+		if c.Rank() == 0 {
+			mark = alloctest.Take()
+		}
+		c.Barrier()
 		for i := 0; i < 10; i++ {
 			s.Step()
 		}
-		measure(&after)
+		c.Barrier()
+		if c.Rank() == 0 {
+			n, b = mark.Since()
+		}
+		c.Barrier()
 		return nil
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if n, b := after.Mallocs-before.Mallocs, after.TotalAlloc-before.TotalAlloc; n != 0 {
+	if n != 0 {
 		t.Errorf("10 steps of a 2x1 world allocated %d times (%d B), want 0", n, b)
 	}
 }

@@ -94,8 +94,14 @@ func (r *localRank) Step() { r.stepPriced(r.stepPool) }
 // stepPool is the pool step under the halo set.
 func (r *localRank) stepPool() { r.pool.StepFaces(r.bcs) }
 
-// GatherMacro gathers nothing: the world keeps the lattice instead.
-func (r *localRank) GatherMacro(int) *core.MacroField { return nil }
+// GatherMacro gathers nothing: the world keeps the lattice instead. A
+// lattice gone non-finite fails the run as a gathered field does.
+func (r *localRank) GatherMacro(int) *core.MacroField {
+	if n := r.Lat.NonFinite(); n > 0 {
+		r.Comm.AbortRank(diverged(n, r.Lat.NX*r.Lat.NY*r.Lat.NZ, r.Lat.Step()))
+	}
+	return nil
+}
 
 // Close stops the pool and leaves the lattice to the world; the ladder
 // calls it when the rank body ends.

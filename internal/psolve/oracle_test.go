@@ -16,12 +16,12 @@ import (
 // data, not regenerated from later builds.
 const oracleGolden = "testdata/recover_oracle.golden"
 
-// buddyFlip corrupts the one buddy message rank src sends in a wave: the
-// way an L2 record goes bad while its holder lives.
-type buddyFlip struct{ src int }
+// buddyFlip corrupts the one buddy message a rank sends in a wave, the
+// one under tag: the way an L2 record goes bad while its holder lives.
+type buddyFlip struct{ tag int }
 
 func (h buddyFlip) OnSend(src, dst, tag int, data []float64, aux []byte) int {
-	if tag == tagSnapBuddy && src == h.src {
+	if tag == h.tag {
 		resiltest.Flip(data)
 	}
 	return 1
@@ -119,7 +119,7 @@ func oracleVerdict(t *testing.T, sc oracleScenario) uint64 {
 	}
 	var flipped int
 	if n, _ := fmt.Sscanf(sc.tear, "l2flip:%d", &flipped); n == 1 {
-		world.SetFaultHook(buddyFlip{flipped})
+		world.SetFaultHook(buddyFlip{st.Tag(tagSnap, resil.L2, flipped)})
 	}
 	truth := make([]resil.Snapshot, ranks)
 	var mu sync.Mutex

@@ -29,6 +29,7 @@ import (
 	"sunwaylb/internal/decomp"
 	"sunwaylb/internal/lattice"
 	"sunwaylb/internal/mpi"
+	"sunwaylb/internal/resil"
 	"sunwaylb/internal/trace"
 )
 
@@ -122,6 +123,12 @@ type Solver struct {
 	// faceTime is the time the rank has spent on its own halo fill.
 	faceTime time.Duration
 
+	// owned is the one block the rank owns, and owner the identity map
+	// of ranks to the blocks they hold: a rank world's snapshot waves and
+	// gathers are the patch world's over them.
+	owned []resil.Owned
+	owner []int
+
 	device Device
 	// sim accumulates the device's modelled time across steps.
 	sim float64
@@ -188,7 +195,11 @@ func New(c *mpi.Comm, opts Options) (*Solver, error) {
 	// kernel will read (at step 0 the built layout is that layout).
 	lat.EnableAA()
 
-	s := &Solver{Opts: opts, Comm: c, Cart: cart, Block: blk, Lat: lat, tr: c.Trace()}
+	s := &Solver{Opts: opts, Comm: c, Cart: cart, Block: blk, Lat: lat, tr: c.Trace(),
+		owned: []resil.Owned{{ID: c.Rank(), Block: blk, Lat: lat}}, owner: make([]int, c.Size())}
+	for r := range s.owner {
+		s.owner[r] = r
+	}
 	// Resume the modelled clock where a previous attempt (before a
 	// supervised restart) left off, so attempts lay out consecutively.
 	s.simCursor = s.tr.SimWatermark()
@@ -489,40 +500,6 @@ func (s *Solver) fillTail() {
 	s.fill.ApplyTail(&s.next, s.tail)
 	s.faceTime += time.Since(t)
 }
-
-// GatherMacro assembles the global macroscopic fields on rank root;
-// other ranks return nil. Root computes its own block straight into the
-// global field; every other rank computes its block into one exact-size
-// payload, from which root copies z-runs.
-func (s *Solver) GatherMacro(root int) *core.MacroField {
-	b := s.Block
-	var payload []float64
-	if s.Comm.Rank() != root {
-		payload = make([]float64, macroHeader+4*b.Cells())
-		copy(payload, []float64{float64(b.X0), float64(b.Y0), float64(b.Z0),
-			float64(b.NX), float64(b.NY), float64(b.NZ)})
-		s.Lat.MacroInto(core.MacroFieldOver(payload[macroHeader:], b.NX, b.NY, b.NZ), 0, 0, 0, s.Lat.Interior())
-	}
-	msgs := s.Comm.Gather(root, mpi.Message{Data: payload})
-	if msgs == nil {
-		return nil
-	}
-	g := core.NewMacroField(s.Opts.GNX, s.Opts.GNY, s.Opts.GNZ)
-	s.Lat.MacroInto(g, b.X0, b.Y0, b.Z0, s.Lat.Interior())
-	for r, m := range msgs {
-		if r == root {
-			continue
-		}
-		h := m.Data[:macroHeader]
-		nx, ny, nz := int(h[3]), int(h[4]), int(h[5])
-		g.Place(core.MacroFieldOver(m.Data[macroHeader:], nx, ny, nz), int(h[0]), int(h[1]), int(h[2]))
-	}
-	return g
-}
-
-// macroHeader is the number of words ahead of a rank's block in its
-// GatherMacro payload: the block's origin and extents.
-const macroHeader = 6
 
 // GlobalMass returns the total mass across all ranks (on every rank).
 func (s *Solver) GlobalMass() float64 {

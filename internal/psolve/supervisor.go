@@ -60,6 +60,13 @@ var ErrCanceled = errors.New("psolve: run canceled")
 // it at once instead of retrying, and a service fails the job with it.
 var ErrDiverged = errors.New("psolve: run diverged")
 
+// diverged is the error of a run whose final state holds n non-finite
+// cells of cells at step.
+func diverged(n, cells, step int) error {
+	return fmt.Errorf("psolve: %d of %d cells of the final state at step %d hold a non-finite density or velocity: %w",
+		n, cells, step, ErrDiverged)
+}
+
 // SupervisorOptions configures a supervised distributed run. The zero
 // value of every policy field is the default of both decompositions.
 type SupervisorOptions struct {
@@ -441,15 +448,15 @@ func SuperviseOn(d Decomposition, o SupervisorOptions) (field *core.MacroField, 
 			close(watchDone)
 		}
 		if runErr == nil {
-			// One pass over the gathered field; the one-rank world
-			// gathers none.
-			if result != nil {
-				if n := result.NonFinite(); n > 0 {
-					return nil, stats, fmt.Errorf("psolve: %d of %d cells of the final field at step %d hold a non-finite density or velocity: %w",
-						n, len(result.Rho), o.Steps, ErrDiverged)
-				}
+			// One pass over the gathered field; the one-rank world checks
+			// the lattice it keeps instead (localRank.GatherMacro).
+			if n := result.NonFinite(); n > 0 {
+				return nil, stats, diverged(n, len(result.Rho), o.Steps)
 			}
 			return result, stats, nil
+		}
+		if errors.Is(runErr, ErrDiverged) {
+			return nil, stats, runErr
 		}
 		if o.Ctx != nil && o.Ctx.Err() != nil {
 			return nil, stats, superviseDrain(&o, d, store, lastGood, stopped, int(maxStep.Load()), &stats, ctl, logf)

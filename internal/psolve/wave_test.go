@@ -6,6 +6,7 @@ import (
 	"sync"
 	"testing"
 
+	"sunwaylb/internal/alloctest"
 	"sunwaylb/internal/mpi"
 	"sunwaylb/internal/resil"
 )
@@ -20,7 +21,7 @@ type snapHook struct {
 }
 
 func (h *snapHook) OnSend(src, dst, tag int, data []float64, aux []byte) int {
-	if tag < tagSnapBuddy {
+	if tag < tagSnap {
 		return 1
 	}
 	h.mu.Lock()
@@ -87,12 +88,12 @@ func runWavesOn(t *testing.T, px, py, group int, hook mpi.FaultHook, levels resi
 // nothing at all. One P, for the reason TestRankStepAllocFree gives.
 func TestWaveSteadyStateAllocFree(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
-	var before, after runtime.MemStats
+	var mark alloctest.Mark
 	var resident [4]int64
 	st := runWaves(t, nil, resil.L1|resil.L2|resil.L3, 4,
 		func(w int, s *Solver, _ *resil.Store) {
 			if w >= 3 && s.Comm.Rank() == 0 {
-				runtime.ReadMemStats(&before)
+				mark = alloctest.Take()
 			}
 		},
 		func(w int, s *Solver, st *resil.Store) {
@@ -100,8 +101,7 @@ func TestWaveSteadyStateAllocFree(t *testing.T) {
 				return
 			}
 			if w >= 3 {
-				runtime.ReadMemStats(&after)
-				if n, got := after.Mallocs-before.Mallocs, after.TotalAlloc-before.TotalAlloc; n != 0 {
+				if n, got := mark.Since(); n != 0 {
 					t.Errorf("wave %d allocated %d times (%d bytes), want 0", w, n, got)
 				}
 			}
@@ -127,10 +127,10 @@ func TestWaveSteadyStateAllocFree(t *testing.T) {
 // buffers that raise it (the race detector's schedules do, at wave 3 or
 // 4), and then the store's residency grows by them — every byte the wave
 // allocated, up to the allocator's 8 KiB page rounding, and nothing is
-// dropped. A wave that allocates at most 64 bytes in all passes: that is
-// the runtime's own (its timer heap grows now and then, 32 bytes at a
-// time), below one escaped snapshot header (176 bytes). The 2x2 world's blocks are equal, so four replicas of two
-// blocks weigh as much as the four own records. The 4x1 world's blocks
+// dropped. Only this module's allocations count (alloctest): the
+// runtime's own, such as its timer heap growing, are not the wave's. The
+// 2x2 world's blocks are equal, so four replicas of two blocks weigh as
+// much as the four own records. The 4x1 world's blocks
 // are 5, 5, 4 and 4 cells wide: its records come in two sizes, and a send
 // that took a free buffer too small for its record dropped it and made a
 // new one, every wave.
@@ -138,7 +138,7 @@ func TestWaveSteadyStateAllocFreeGroupOfFour(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	for _, world := range [][2]int{{2, 2}, {4, 1}} {
 		px, py := world[0], world[1]
-		var before, after runtime.MemStats
+		mark := alloctest.Take()
 		var resident int64
 		st := runWavesOn(t, px, py, 4, nil, resil.L1|resil.L2|resil.L3, 6, nil,
 			func(w int, s *Solver, st *resil.Store) {
@@ -147,15 +147,14 @@ func TestWaveSteadyStateAllocFreeGroupOfFour(t *testing.T) {
 				}
 				// Every rank is past the wave: no buffer is in flight, and
 				// from one wave's end to the next lie a step and the wave.
-				runtime.ReadMemStats(&after)
-				n, got := after.Mallocs-before.Mallocs, int64(after.TotalAlloc-before.TotalAlloc)
+				n, got := mark.Since()
 				grew := st.Resident() - resident
-				if w >= 3 && got > 64 && (grew == 0 || got > grew+int64(n)*8192) {
+				if w >= 3 && got > 0 && (grew == 0 || got > grew+n*8192) {
 					t.Errorf("%dx%d: wave %d allocated %d times (%d bytes) and the store grew %d bytes, want 0 or all of it kept",
 						px, py, w, n, got, grew)
 				}
 				resident = st.Resident()
-				runtime.ReadMemStats(&before)
+				mark = alloctest.Take()
 			})
 		b := st.Bytes()
 		if b[2] == 0 {

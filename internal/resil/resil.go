@@ -12,7 +12,9 @@
 //	    (survives everything except the rank's own death)
 //	L2  buddy copy: the snapshot is pushed to the ring-next partner
 //	    inside the rank's parity group over internal/mpi (survives the
-//	    owner's death as long as the buddy lives)
+//	    owner's death as long as the buddy lives); a patch's copy
+//	    travels the same way, and is a local copy only when one worker
+//	    owns both patches
 //	L3  XOR parity: every member of a parity group holds the bitwise
 //	    XOR of the group's snapshots it does not already keep as its
 //	    own L1 record or its L2 buddy copy, so any single loss per

@@ -220,11 +220,11 @@ func groupFixture(t *testing.T, group int) (*Store, []*Snapshot, []decomp.Block)
 // (kept by L2), and a holder with none left stores no replica.
 func depositAll(st *Store, snaps []*Snapshot) {
 	for _, s := range snaps {
-		st.DepositOwn(s)
+		st.deposit(L1, s.Rank, s)
 	}
 	for r, s := range snaps {
 		if b := st.Buddy(r); b != r {
-			st.DepositBuddy(b, s)
+			st.deposit(L2, b, s)
 		}
 	}
 	for r := range snaps {
@@ -237,7 +237,7 @@ func depositAll(st *Store, snaps []*Snapshot) {
 			}
 		}
 		if len(p.folds) > 0 {
-			st.DepositParity(r, &p)
+			st.deposit(L3, r, &p)
 		}
 	}
 }
@@ -332,8 +332,8 @@ func TestStoreTornGenerationFallsBack(t *testing.T) {
 		c.Sum = Checksum(c.Pops, c.Flags)
 		newer[r] = c
 	}
-	st.DepositOwn(newer[0])
-	st.DepositOwn(newer[1])
+	st.deposit(L1, newer[0].Rank, newer[0])
+	st.deposit(L1, newer[1].Rank, newer[1])
 
 	rec, ok := st.RecoveryPlan([]int{2})
 	if !ok {

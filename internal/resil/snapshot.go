@@ -239,20 +239,22 @@ func (s *Snapshot) Unpack(data []float64, aux []byte) error {
 	return nil
 }
 
-// Gather ships every rank's block snapshots to root, packed back to back
-// into one message, and returns them there as one recovery at the step
-// they share (nil elsewhere) — what Assemble turns into the global
-// lattice of an L4 checkpoint. A rank may hold any number of blocks,
-// including none. Every rank must call it.
-func Gather(c *mpi.Comm, root int, snaps ...*Snapshot) (*Recovery, error) {
+// Gather captures every block a worker owns and ships the snapshots to
+// root, packed back to back into one message, and returns them there as
+// one recovery at the step they share (nil elsewhere) — what Assemble
+// turns into the global lattice of an L4 checkpoint. A worker may own any
+// number of blocks, including none. Every worker must call it.
+func Gather(c *mpi.Comm, root int, owned []Owned) (*Recovery, error) {
+	snaps := make([]Snapshot, len(owned))
 	n, m := 0, 0
-	for _, s := range snaps {
-		n += len(s.Pops) + packTrailer
-		m += len(s.Flags)
+	for i, o := range owned {
+		Capture(&snaps[i], o.Lat, o.Block, o.ID)
+		n += len(snaps[i].Pops) + packTrailer
+		m += len(snaps[i].Flags)
 	}
 	data, aux := make([]float64, 0, n), make([]byte, 0, m)
-	for _, s := range snaps {
-		d, a := s.Pack(data[len(data):], aux[len(aux):])
+	for i := range snaps {
+		d, a := snaps[i].Pack(data[len(data):], aux[len(aux):])
 		data, aux = data[:len(data)+len(d)], aux[:len(aux)+len(a)]
 	}
 	msgs := c.Gather(root, mpi.Message{Data: data, Aux: aux})

@@ -110,9 +110,6 @@ func NewStore(ranks, groupSize int, blocks []decomp.Block) (*Store, error) {
 	return st, nil
 }
 
-// GroupSize returns the parity-group size.
-func (st *Store) GroupSize() int { return st.groupSize }
-
 // Group returns the rank interval [lo, hi) of the parity group
 // containing rank r.
 func (st *Store) Group(r int) (lo, hi int) {
@@ -182,15 +179,6 @@ func (st *Store) deposit(lv Levels, holder int, src *Snapshot) {
 	}
 	st.Commit(lv, dst, step)
 }
-
-// DepositOwn records a copy of rank's L1 snapshot.
-func (st *Store) DepositOwn(s *Snapshot) { st.deposit(L1, s.Rank, s) }
-
-// DepositBuddy records the L2 copy of s held by holder.
-func (st *Store) DepositBuddy(holder int, s *Snapshot) { st.deposit(L2, holder, s) }
-
-// DepositParity records a copy of the L3 parity replica held by holder.
-func (st *Store) DepositParity(holder int, p *Snapshot) { st.deposit(L3, holder, p) }
 
 // Send ships a packed copy of s to dst. The transport passes references
 // and the fault hook may flip bits in place, so what travels is never the
@@ -314,7 +302,7 @@ func (st *Store) Invalidate(ranks []int) {
 // rebuilds at the next capture (the post-swap vulnerability window).
 func (st *Store) Reseed(rec *Recovery) {
 	for _, s := range rec.Blocks {
-		st.DepositOwn(s)
+		st.deposit(L1, s.Rank, s)
 	}
 }
 

@@ -202,8 +202,9 @@ perf() {
     # The lattice and macro arrays are advised onto transparent huge pages
     # before their first write (skipped where THP is absent or off).
     go test -count=1 -v -run 'TestLargeArraysOnHugePages' ./internal/core
-    # The rank data paths allocate nothing in steady state: a 2x1 rank
-    # step, a patch2 step and a snapshot wave, plus the row-wise macro
+    # The rank data paths allocate nothing of this module's in steady
+    # state (internal/alloctest): a 2x1 rank step, a patch2 step and the
+    # snapshot wave on ranks and on patches, plus the row-wise macro
     # extraction and its unrolled D3Q19 row bitwise against the per-cell
     # definition (the row on ±0, subnormal, NaN/Inf and cancelling input).
     go test -count=1 -run 'AllocFree|TestMacroInto|TestMacroRowD3Q19' \
@@ -245,16 +246,22 @@ chaos() {
     go test -race -count=3 -timeout 600s -run \
         'TestChaosMatrix|TestSupervisor|TestMigrationChaos|TestChaosEscalatesToCheckpoint' \
         ./internal/psolve ./internal/patch
-    # Snapshot-wave and halo-link contracts on ranks and patches:
-    # steady-state waves and steps allocate nothing, a duplicated message
-    # of an earlier wave or step is discarded, in-flight corruption of a
-    # snapshot reaches neither the sender's own record nor a recovery
-    # plan, and a flipped halo face fails typed (ErrHaloCorrupt) while the
-    # supervised restart ends bit-exact. The recoverability oracle tries
-    # every dead set after one wave of every world, group size and level
-    # set, with and without a torn, corrupted or rotted record, against
-    # the verdicts of full-group parity, and a pair with L1 and L2 stores
-    # no parity.
+    # Snapshot-wave and halo-link contracts on ranks and patches. Both
+    # worlds run the one wave of internal/resil (Store.Wave), a rank being
+    # a worker that owns one block: a 2x1 and a 4x1 rank world leave
+    # bitwise the records and byte ledger of a patch world with one patch
+    # per worker (TestWavesAgreeAcrossWorlds). Steady-state waves and steps
+    # allocate nothing of this module's (a patch world with two patches
+    # per worker included, so same-worker buddy copies and remote sends
+    # both run), a duplicated message of an earlier wave or step is
+    # discarded, in-flight corruption of a buddy copy or parity member
+    # reaches neither the sender's own record nor a recovery plan on
+    # either world, and a flipped halo face fails typed (ErrHaloCorrupt)
+    # while the supervised restart ends bit-exact. The recoverability
+    # oracle tries every dead set after one wave of every world, group
+    # size and level set, with and without a torn, corrupted or rotted
+    # record, against the verdicts of full-group parity, and a pair with
+    # L1 and L2 stores no parity.
     # -count=3: the tests exercise rank interleavings.
     go test -race -count=3 -timeout 300s -run 'Halo|AllocFree|Wave|TestRecoverabilityOracle|TestPairStoresNoParity' \
         ./internal/psolve ./internal/patch
