@@ -507,15 +507,22 @@ func (w *world) modelled() string {
 }
 
 // split opens the path line of a world whose ranks account their
-// boundary conditions: rank 0's mean step split into the kernel and the
-// slowest rank's condition time per step.
+// boundary conditions: rank 0's mean step split into the kernel and rank
+// 0's own condition time per step.
 func (w *world) split() string {
-	var bc time.Duration
-	for _, d := range w.faceTime {
-		bc = max(bc, d)
-	}
-	bcMs := bc.Seconds() * 1e3 / float64(max(w.mon.Steps(), 1))
-	return fmt.Sprintf("  kernel %.2f ms/step, boundary %.2f ms/step, path: ", w.mon.Mean()*1e3-bcMs, bcMs)
+	k, bc := phaseSplit(w.mon.Mean()*1e3, w.faceTime[0], w.mon.Steps())
+	return fmt.Sprintf("  kernel %.2f ms/step, boundary %.2f ms/step, path: ", k, bc)
+}
+
+// phaseSplit splits a rank's mean step of meanMs into kernel and
+// boundary milliseconds, given the rank's time on its conditions over its
+// steps. Both figures come from the one rank, so neither is negative and
+// they sum to meanMs; a condition time past the steps' own (a step cut
+// short by a crash counts its conditions but not its wall time) is
+// capped there.
+func phaseSplit(meanMs float64, bc time.Duration, steps int) (kernelMs, bcMs float64) {
+	bcMs = min(bc.Seconds()*1e3/float64(max(steps, 1)), meanMs)
+	return meanMs - bcMs, bcMs
 }
 
 // patches makes w the patch world of -decomp=patch: the domain tiled into
@@ -706,6 +713,7 @@ func run(ctx context.Context, w *world, o runOpts) error {
 	if w.local != nil {
 		lat := w.local.Lattice()
 		if o.cpPath != "" {
+			w.local.FillHalo()
 			if err := swio.Checkpoint(o.cpPath, lat); err != nil {
 				return err
 			}

@@ -11,6 +11,7 @@ import (
 	"regexp"
 	"strings"
 	"testing"
+	"time"
 
 	"sunwaylb/internal/swio"
 )
@@ -193,6 +194,30 @@ func TestCLIKernelPath(t *testing.T) {
 		}
 		if !regexp.MustCompile(tc.want).Match(out) {
 			t.Errorf("%v: summary does not name the expected kernel path %q:\n%s", tc.args, tc.want, out)
+		}
+	}
+}
+
+// TestPhaseSplitNonNegative: the path line's kernel and boundary figures
+// come from one rank, so neither is negative and they sum to that rank's
+// mean step — also when the rank's condition time outruns its step time
+// (a step cut short by a crash), which once printed a negative kernel.
+func TestPhaseSplitNonNegative(t *testing.T) {
+	for _, tc := range []struct {
+		meanMs float64
+		bc     time.Duration
+		steps  int
+	}{
+		{10, 30 * time.Millisecond, 10},
+		{10, 150 * time.Millisecond, 10},
+		{0.8, 4 * time.Millisecond, 4},
+		{0, 0, 0},
+		{2, time.Millisecond, 0},
+	} {
+		k, bc := phaseSplit(tc.meanMs, tc.bc, tc.steps)
+		if k < 0 || bc < 0 || k+bc != tc.meanMs {
+			t.Errorf("phaseSplit(%v, %v, %d) = kernel %v, boundary %v: want both ≥ 0, summing to %v",
+				tc.meanMs, tc.bc, tc.steps, k, bc, tc.meanMs)
 		}
 	}
 }

@@ -37,22 +37,36 @@ func BenchmarkChannelApply(b *testing.B) {
 }
 
 // BenchmarkChannelStep is the stepping loop of the CLI's single-rank path
-// in process — one pool step that runs the channel conditions inside its
-// sweep — on the same grid, so a CPU profile of it (-cpu 1 -cpuprofile)
-// shows where a step's time goes without building the user binaries. The
-// pool's share on the conditions is reported as bc-ms/step.
+// in process — one pool step that runs the conditions inside its sweep —
+// on the same grid, so a CPU profile of it (-cpu 1 -cpuprofile) shows
+// where a step's time goes without building the user binaries. "channel"
+// is the channel preset in the CLI's order (psolve.HaloSet: the z wrap,
+// the face conditions, the y wrap; this package cannot import psolve),
+// "box" the fully periodic box of a bare -case file. The pool's share on
+// the conditions is reported as bc-ms/step.
 func BenchmarkChannelStep(b *testing.B) {
-	l := channelBenchLattice(b)
-	var s Set
-	s.Add(channelConditions()...)
-	pool := core.NewPool(l, 0)
-	defer pool.Close()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		pool.StepFaces(&s)
+	var channel, box Set
+	channel.Add(&Periodic{Axis: 2},
+		&VelocityInlet{Face: core.FaceXMin, U: [3]float64{0.05, 0, 0}},
+		&PressureOutlet{Face: core.FaceXMax, Rho: 1},
+		&Periodic{Axis: 1})
+	box.Add(&Periodic{Axis: 2}, &Periodic{Axis: 0}, &Periodic{Axis: 1})
+	for _, c := range []struct {
+		name string
+		set  *Set
+	}{{"channel", &channel}, {"box", &box}} {
+		b.Run(c.name, func(b *testing.B) {
+			l := channelBenchLattice(b)
+			pool := core.NewPool(l, 0)
+			defer pool.Close()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				pool.StepFaces(c.set)
+			}
+			b.ReportMetric(float64(l.NX*l.NY*l.NZ)*float64(b.N)/b.Elapsed().Seconds()/1e6, "MLUPS")
+			b.ReportMetric(pool.FaceTime().Seconds()*1e3/float64(b.N), "bc-ms/step")
+		})
 	}
-	b.ReportMetric(float64(l.NX*l.NY*l.NZ)*float64(b.N)/b.Elapsed().Seconds()/1e6, "MLUPS")
-	b.ReportMetric(pool.FaceTime().Seconds()*1e3/float64(b.N), "bc-ms/step")
 }
 
 // channelConditions are the channel preset's conditions: periodic y and

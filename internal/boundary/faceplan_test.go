@@ -237,11 +237,16 @@ type RankCase struct {
 var RankArm func(t *testing.T, c RankCase)
 
 // FuzzAAStepConditions is core's FuzzAAStep with boundary handling in the
-// loop: random small grids run a seeded condition set (one kind per axis)
-// for a random number of steps through the double-buffer kernel, through
-// AA storage on a two-worker pool, and through a three-worker pool that
-// runs the set inside its sweep (StepFaces), and every fluid cell must
-// agree bit for bit at the stopping parity. Its rank arm (RankArm) runs
+// loop: random small grids run a seeded condition set (one kind per axis,
+// inlets with or without a profile, the wraps in axis order, ahead of the
+// conditions or, as the CLI orders them, z first and x and y last) for a
+// random number of steps through the double-buffer kernel, through AA
+// storage on a two-worker pool, and through a pool of one to three workers
+// that runs the set inside its sweep (StepFaces), reading across the
+// wraps. Every fluid cell must agree bit for bit at the stopping parity;
+// the StepFaces lattice must also hold every interior cell and every halo
+// cell a condition reads as the AA pool's after a whole fill, and every
+// slot once a whole fill has run on it too. Its rank arm (RankArm) runs
 // the same case on 2x1, 1x2 and 3x1 rank grids, whose ranks fill their
 // halo inside their sweeps, against a serial reference in the rank
 // world's condition order, after the drawn step count and one more. Run
@@ -265,35 +270,71 @@ func FuzzAAStepConditions(f *testing.F) {
 		NX, NY, NZ := dim(nx), dim(ny), dim(nz)
 		nsteps := 1 + int(steps)%6
 		rng := rand.New(rand.NewSource(seed))
+		// The draws added since the corpus was recorded come from their
+		// own stream, so the recorded seeds keep their grids and kinds.
+		more := rand.New(rand.NewSource(seed + 2))
+		order, workers := more.Intn(3), 1+more.Intn(3)
+		profile := func(x, y, z int) [3]float64 {
+			return [3]float64{0.03 + 0.002*float64((x+2*y+3*z)%5), 0.01, -0.005}
+		}
 
 		var set Set
-		var solid []Condition
+		var conds, wraps, solid []Condition
 		rc := RankCase{NX: NX, NY: NY, NZ: NZ, Steps: nsteps, FaceBC: map[core.Face]Condition{}}
 		for axis := 0; axis < 3; axis++ {
 			lo, hi := core.Face(2*axis), core.Face(2*axis+1)
 			var u [3]float64
 			u[axis], u[(axis+1)%3] = 0.03, 0.01
-			var pair [2]Condition
+			// The rank arm takes the inlet without its profile: a rank
+			// hands a profile its own block's coordinates.
+			var pair, ranked [2]Condition
 			switch rng.Intn(5) {
 			case 0:
-				set.Add(&Periodic{Axis: axis})
+				wraps = append(wraps, &Periodic{Axis: axis})
 				rc.Periodic[axis] = true
 			case 1:
-				pair = [2]Condition{&VelocityInlet{Face: lo, U: u}, &PressureOutlet{Face: hi, Rho: 1}}
-				set.Add(pair[:]...)
+				in := &VelocityInlet{Face: lo, U: u}
+				pair = [2]Condition{in, &PressureOutlet{Face: hi, Rho: 1}}
+				ranked = pair
+				if more.Intn(2) == 0 {
+					pair[0] = &VelocityInlet{Face: lo, U: u, Profile: profile}
+				}
 			case 2:
 				pair = [2]Condition{&NEEInlet{Face: lo, U: u}, &Outflow{Face: hi}}
-				set.Add(pair[:]...)
 			case 3:
-				pair = [2]Condition{&NoSlip{Face: lo}, &MovingNoSlip{Face: hi, U: [3]float64{u[1], u[2], u[0]}}}
-				solid = append(solid, pair[:]...)
+				solid = append(solid, &NoSlip{Face: lo}, &MovingNoSlip{Face: hi, U: [3]float64{u[1], u[2], u[0]}})
+				ranked = [2]Condition{solid[len(solid)-2], solid[len(solid)-1]}
 			case 4:
 				pair = [2]Condition{&FreeSlip{Face: lo}, &FreeSlip{Face: hi}}
-				set.Add(pair[:]...)
 			}
-			if pair[0] != nil {
-				rc.FaceBC[lo], rc.FaceBC[hi] = pair[0], pair[1]
+			if ranked[0] == nil {
+				ranked = pair
 			}
+			if ranked[0] != nil {
+				rc.FaceBC[lo], rc.FaceBC[hi] = ranked[0], ranked[1]
+			}
+			switch {
+			case rc.Periodic[axis] && order == 0:
+				set.Add(wraps[len(wraps)-1])
+			case pair[0] != nil:
+				conds = append(conds, pair[:]...)
+				if order == 0 {
+					set.Add(pair[:]...)
+				}
+			}
+		}
+		switch order {
+		case 1: // the wraps first, as the bench orders them
+			set.Add(wraps...)
+			set.Add(conds...)
+		case 2: // the z wrap, the conditions, the x and y wraps: the CLI's
+			last := wraps
+			if n := len(wraps); n > 0 && wraps[n-1].(*Periodic).Axis == 2 {
+				set.Add(wraps[n-1])
+				last = wraps[:n-1]
+			}
+			set.Add(conds...)
+			set.Add(last...)
 		}
 		set.Add(solid...)
 
@@ -333,7 +374,7 @@ func FuzzAAStepConditions(f *testing.F) {
 		ref, aa, faces := mk(), mk(), mk()
 		pool := core.NewPool(aa, 2)
 		defer pool.Close()
-		facePool := core.NewPool(faces, 3)
+		facePool := core.NewPool(faces, workers)
 		defer facePool.Close()
 		for s := 0; s < nsteps; s++ {
 			set.Apply(ref)
@@ -365,6 +406,11 @@ func FuzzAAStepConditions(f *testing.F) {
 				}
 			}
 		}
+		want := cloneLattice(aa)
+		set.Apply(want)
+		requireSameRead(t, &set, want, faces, "AA StepFaces")
+		set.Apply(faces)
+		requireSameArrays(t, want, faces, "AA StepFaces, filled whole")
 		if RankArm != nil {
 			RankArm(t, rc)
 		}

@@ -73,7 +73,7 @@ func faceSets() map[string]*Set {
 			}
 		}
 	}
-	// All three wraps, the lid regime and the CLI's channel, in their
+	// All three wraps, the lid regime and the bench's channel, in their
 	// own orders.
 	var wraps, lid, channel Set
 	wraps.Add(&Periodic{Axis: 0}, &Periodic{Axis: 1}, &Periodic{Axis: 2})
@@ -82,6 +82,53 @@ func faceSets() map[string]*Set {
 		&NoSlip{Face: core.FaceZMin}, &MovingNoSlip{Face: core.FaceZMax, U: [3]float64{0.05, 0, 0}})
 	channel.Add(channelConditions()...)
 	sets["wraps"], sets["lid"], sets["channel"] = &wraps, &lid, &channel
+	for name, s := range wrapSets() {
+		sets[name] = s
+	}
+	return sets
+}
+
+// wrapSets wrap y, z, yz and xyz, with conditions that read the wrapped
+// halo on the other axes (an x inlet with a profile and an outlet, z
+// NEE inlet and outflow, y free-slip planes), each in the CLI's order
+// (psolve.HaloSet: the z wrap, the conditions in face order, the x and
+// y wraps) and in the bench's (the wraps first, y before z). In the
+// CLI's order the inlet's profile comes after the z wrap, so the z ends
+// of its halo are its own, not the wrap's.
+func wrapSets() map[string]*Set {
+	profile := func(x, y, z int) [3]float64 {
+		return [3]float64{0.03 * (1 + 0.1*float64((x+2*y+3*z)%5)), 0.01, 0}
+	}
+	inout := []Condition{&VelocityInlet{Face: core.FaceXMin, Rho: 1.01, Profile: profile},
+		&PressureOutlet{Face: core.FaceXMax, Rho: 1}}
+	faces := map[string][]Condition{
+		"y":   append(inout[:2:2], &NEEInlet{Face: core.FaceZMin, U: [3]float64{0, 0.01, 0.02}}, &Outflow{Face: core.FaceZMax}),
+		"z":   append(inout[:2:2], &FreeSlip{Face: core.FaceYMin}, &FreeSlip{Face: core.FaceYMax}),
+		"yz":  inout,
+		"xyz": nil,
+	}
+	sets := map[string]*Set{}
+	for axes, conds := range faces {
+		var cli, bench Set
+		wraps := map[byte]*Periodic{}
+		for i := range axes {
+			wraps[axes[i]] = &Periodic{Axis: int(axes[i] - 'x')}
+		}
+		add := func(s *Set, a byte) {
+			if p := wraps[a]; p != nil {
+				s.Add(p)
+			}
+		}
+		add(&cli, 'z')
+		cli.Add(conds...)
+		add(&cli, 'x')
+		add(&cli, 'y')
+		add(&bench, 'x')
+		add(&bench, 'y')
+		add(&bench, 'z')
+		bench.Add(conds...)
+		sets["wrap "+axes+" cli order"], sets["wrap "+axes+" bench order"] = &cli, &bench
+	}
 	return sets
 }
 
@@ -158,6 +205,49 @@ func requireSameFlags(t *testing.T, want, got *core.Lattice, what string) {
 	}
 }
 
+// requireSameRead is the check for a set that wraps an axis: the sweep
+// reads across the wrap, so StepFaces leaves the halo cells no step and
+// no condition reads as they are. It fails unless got holds want's
+// populations on every interior cell and on every halo cell on the inner
+// line of a condition of set that reads one (an outlet, an NEE inlet, an
+// outflow, a free-slip plane: the lines run into the wrapped axes' halo,
+// z ends and y-halo rows included), and every cell's flag and wall
+// velocity.
+func requireSameRead(t *testing.T, set *Set, want, got *core.Lattice, what string) {
+	t.Helper()
+	var fw, fg []float64
+	same := func(x, y, z int) {
+		t.Helper()
+		fw = want.Populations(x, y, z, fw)
+		fg = got.Populations(x, y, z, fg)
+		for i := range fw {
+			if math.Float64bits(fw[i]) != math.Float64bits(fg[i]) {
+				t.Fatalf("%s: cell (%d,%d,%d) population %d = %v, want %v", what, x, y, z, i, fg[i], fw[i])
+			}
+		}
+	}
+	for y := 0; y < want.NY; y++ {
+		for x := 0; x < want.NX; x++ {
+			for z := 0; z < want.NZ; z++ {
+				same(x, y, z)
+			}
+		}
+	}
+	for _, c := range set.conds {
+		switch c.(type) {
+		case *PressureOutlet, *NEEInlet, *Outflow, *FreeSlip:
+			f := c.HaloFace()
+			for j := 0; j < want.FaceLines(f); j++ {
+				ln := want.FaceLine(f, 0, j)
+				for k := 0; k < ln.Len; k++ {
+					same(want.Coords(ln.Cell(k)))
+				}
+			}
+		}
+	}
+	requireSameFlags(t, want, got, what)
+}
+
 // requireSameFlow fails unless every allocated cell that is not a wall
 // holds the same logical populations in got as in want, and every cell
 // the same flag and wall velocity: the state a step reads.
@@ -191,7 +281,11 @@ func requireSameFlow(t *testing.T, want, got *core.Lattice, what string) {
 // 1, 2 and 3 workers (so band edges go through the tail), on a lattice
 // wider than the sweep's 64-cell x chunk, and on one with interior
 // walls. Midway the run also takes a plain Step (the caller filling the
-// halo itself), after which the pool fills the halo whole again.
+// halo itself), after which the pool fills the halo whole again. A set
+// that wraps an axis is held to requireSameRead instead: its sweep reads
+// across the wrap, so the halo cells nothing reads are not filled. Its
+// lattice must still match every slot once a whole fill has run on it
+// (what a checkpoint of the one-rank world writes).
 //
 // At the end the run switches to a second set for one step and back. The
 // halo the pool had prepared for the first set then stays in the cells
@@ -232,12 +326,25 @@ func TestPoolFacesMatchApplyThenStep(t *testing.T) {
 					cur.Apply(ref)
 					ref.StepFused()
 					pool.StepFaces(cur)
+					wraps := set.Wrap() != (core.Wrap{})
 					check := requireSameArrays
 					switch {
-					case s == 10 && !g.walls:
-						check = requireSameFlow
-					case s != 1 && s != 2 && s != 7 && s != 8:
+					case s == 10 && g.walls, s != 1 && s != 2 && s != 7 && s != 8 && s != 10:
 						continue
+					case wraps && s == 10:
+						check = func(t *testing.T, want, got *core.Lattice, what string) {
+							requireSameRead(t, set, want, got, what)
+						}
+					case wraps:
+						check = func(t *testing.T, want, got *core.Lattice, what string) {
+							t.Helper()
+							requireSameRead(t, set, want, got, what)
+							filled := cloneLattice(got)
+							set.Apply(filled)
+							requireSameArrays(t, want, filled, what+", filled whole")
+						}
+					case s == 10:
+						check = requireSameFlow
 					}
 					want := cloneLattice(ref)
 					set.Apply(want)

@@ -177,11 +177,13 @@ perf() {
     # (walls in the halo, lattices wider than the flag window), the
     # sweep's row classification against its definition, pool soak,
     # step/pool bit-identity on every descriptor, parity-aware halo
-    # pack/unpack of the crossing populations on every descriptor, and
+    # pack/unpack of the crossing populations on every descriptor, the
+    # sweep that reads across its wrapped axes against whole wraps (the
+    # unrolled row and the generic one, every combination of axes), and
     # (on capable hardware) the AVX-512 row kernel's bitwise equivalence
     # to the scalar canon.
     go test -race -count=1 -timeout 600s \
-        -run 'TestBuildMatchesDefinition|TestRelaxMatchesDefinition|TestUnrolledKernelBitIdentical|TestForRowsMatchesDefinition|TestGenericRows|TestAA|TestPool|TestPack|TestCrossing|TestPeriodic' ./internal/core
+        -run 'TestBuildMatchesDefinition|TestRelaxMatchesDefinition|TestUnrolledKernelBitIdentical|TestForRowsMatchesDefinition|TestGenericRows|TestAA|TestPool|TestPack|TestCrossing|TestPeriodic|TestSweepAcrossWrap' ./internal/core
     # The face wire format on the link: slots of crossing·FaceCells + 3
     # words, and a receiver's halo holding exactly the peer's crossing
     # populations at both AA parities, on every descriptor.
@@ -189,15 +191,18 @@ perf() {
     # Boundary handling on AA storage: every condition on every face
     # against its per-cell definition at both phases, seeded condition
     # sets between the steps of a two-worker pool, inside the sweep of a
-    # three-worker one and on rank grids, and the pool's in-sweep
+    # pool of one to three and on rank grids, and the pool's in-sweep
     # conditions bitwise against Apply-then-Step at 1-3 workers (the lid
-    # regime included).
-    go test -race -count=1 -timeout 600s \
+    # regime, and the wrapped y, z, yz and xyz sets in the CLI's and the
+    # bench's orders, included). Two Ps, so a row that reads across the
+    # y wrap into another worker's band runs beside that worker.
+    GOMAXPROCS=2 go test -race -count=1 -timeout 600s \
         -run 'TestFacePlans|TestPoolFaces|FuzzAAStepConditions' ./internal/boundary
-    # Ranks fill their next halo inside their sweeps: every rank's state
-    # bitwise against the whole fill before each step, on edge and
-    # x-interior ranks, at 1, 2, 7 and 8 steps.
-    go test -race -count=1 -timeout 600s \
+    # Ranks fill their next halo inside their sweeps and read across the
+    # axes they wrap themselves: every rank's state bitwise against the
+    # whole fill before each step, on edge and x-interior ranks, at 1, 2,
+    # 7 and 8 steps.
+    GOMAXPROCS=2 go test -race -count=1 -timeout 600s \
         -run 'TestRankFacesMatchApplyThenStep' ./internal/psolve
     # The lattice and macro arrays are advised onto transparent huge pages
     # before their first write (skipped where THP is absent or off).
