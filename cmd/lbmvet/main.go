@@ -1,17 +1,16 @@
 // Lbmvet is SunwayLB's domain-specific static-analysis suite: a
 // multichecker that enforces the simulator's correctness contracts across
-// the module — LDM budgets on CPE kernels, mpi error discipline, trace
-// span pairing and nil-safety, hot-loop allocation freedom, float
-// determinism, goroutine lifecycle hygiene, lock pairing, channel
-// protocol safety, and per-cell memory-traffic budgets. See DESIGN.md
-// "Static-analysis contracts" for the rule-to-paper mapping and README
-// "Static analysis" for usage.
+// the module — LDM budgets on CPE kernels, trace span pairing and
+// nil-safety, hot-loop allocation freedom, float determinism, and
+// per-cell memory-traffic budgets. See DESIGN.md "Static-analysis
+// contracts" for the rule-to-paper mapping and README "Static analysis"
+// for usage.
 //
 // Usage:
 //
 //	go run ./cmd/lbmvet ./...            # whole module
 //	go run ./cmd/lbmvet internal/swlb    # one package directory
-//	go run ./cmd/lbmvet -rules mpierr,detfloat ./...
+//	go run ./cmd/lbmvet -rules hotalloc,detfloat ./...
 //	go run ./cmd/lbmvet -json ./...      # machine-readable findings
 //	go run ./cmd/lbmvet -list -json      # machine-readable rule inventory
 //

@@ -1,28 +1,21 @@
 // Package analysis is lbmvet's stdlib-only static-analysis framework: a
 // package loader built on go/parser + go/types (no golang.org/x/tools
 // dependency — the repo stays offline-buildable), a finding/diagnostic
-// model with file:line positions and //lint:ignore suppressions, an
-// intra-procedural CFG + forward-dataflow engine (cfg.go, dataflow.go),
-// and the nine domain analyzers that enforce SunwayLB's correctness
-// contracts:
+// model with file:line positions and //lint:ignore suppressions, and the
+// five domain analyzers that enforce SunwayLB's correctness contracts:
 //
 //	ldmbudget  — CPE kernels must fit the chip's LDM byte budget
-//	mpierr     — blocking mpi ops must not drop or mis-compare errors
 //	spanpair   — trace spans must pair Begin/End; nil-safe types must guard
 //	hotalloc   — //lbm:hot functions must not allocate, box, or call fmt
 //	detfloat   — physics paths must stay bit-deterministic
-//	goleak     — goroutines in serve/patch/psolve must have a cancellation path
-//	locksafe   — Lock/Unlock must pair on every path; no lock copies
-//	chanproto  — channel protocols must not drop sends, double-close, or leak consumers
 //	memtraffic — //lbm:hot kernels must meet their per-cell traffic budget
 //
 // The contracts come from the paper's hardware model (§III-B LDM
 // capacities and ~380 B/cell traffic budget, §IV-C kernel structure),
-// from the failure model of internal/mpi (typed errors instead of
-// hangs), from the goroutine lifecycle discipline of the serve/patch
-// supervisors, and from the checkpoint/replay determinism requirement
-// (DESIGN.md §7). See DESIGN.md "Static-analysis contracts" for the
-// rule-to-contract mapping.
+// from the zero-cost tracing-off contract of internal/trace, and from the
+// checkpoint/replay determinism requirement (DESIGN.md §7). See DESIGN.md
+// "Static-analysis contracts" for the rule-to-contract mapping and the
+// ledger of what each rule caught.
 package analysis
 
 import (

@@ -142,13 +142,32 @@ func TestByName(t *testing.T) {
 	if got, unknown := ByName(nil); len(got) != len(All()) || len(unknown) != 0 {
 		t.Fatalf("ByName(nil) = %d analyzers (unknown %v), want %d", len(got), unknown, len(All()))
 	}
-	got, unknown := ByName([]string{"detfloat", "mpierr"})
-	if len(got) != 2 || got[0].Name != "detfloat" || got[1].Name != "mpierr" || len(unknown) != 0 {
+	got, unknown := ByName([]string{"detfloat", "hotalloc"})
+	if len(got) != 2 || got[0].Name != "detfloat" || got[1].Name != "hotalloc" || len(unknown) != 0 {
 		t.Fatalf("ByName subset = %v, unknown %v", got, unknown)
 	}
 	got, unknown = ByName([]string{"detfloat", "nosuch"})
 	if len(got) != 1 || len(unknown) != 1 || unknown[0] != "nosuch" {
 		t.Fatalf("ByName(detfloat,nosuch) = %v, unknown %v; want the typo surfaced", got, unknown)
+	}
+}
+
+// TestCIRuleListsKnown: every -rules list scripts/ci.sh passes to lbmvet
+// names only registered rules, so a rule removed from the suite fails
+// here, in tier 1, and not only in the rarely run tier that names it.
+func TestCIRuleListsKnown(t *testing.T) {
+	data, err := os.ReadFile(filepath.Join("..", "..", "scripts", "ci.sh"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	lists := regexp.MustCompile(`-rules[ =]+([^\s]+)`).FindAllStringSubmatch(string(data), -1)
+	if len(lists) == 0 {
+		t.Fatal("scripts/ci.sh passes no -rules list")
+	}
+	for _, m := range lists {
+		if _, unknown := ByName(strings.Split(m[1], ",")); len(unknown) > 0 {
+			t.Errorf("scripts/ci.sh: -rules %s names unknown rule(s) %v", m[1], unknown)
+		}
 	}
 }
 

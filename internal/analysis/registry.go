@@ -4,13 +4,9 @@ package analysis
 func All() []*Analyzer {
 	return []*Analyzer{
 		AnalyzerLDMBudget,
-		AnalyzerMPIErr,
 		AnalyzerSpanPair,
 		AnalyzerHotAlloc,
 		AnalyzerDetFloat,
-		AnalyzerGoLeak,
-		AnalyzerLockSafe,
-		AnalyzerChanProto,
 		AnalyzerMemTraffic,
 	}
 }

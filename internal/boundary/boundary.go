@@ -215,8 +215,10 @@ type VelocityInlet struct {
 	Rho  float64
 	U    [3]float64
 	// Profile, if non-nil, overrides U per halo cell; it receives the
-	// interior-facing coordinates of the halo cell. A core.Pool calls it
-	// from its workers, so it must be safe for concurrent calls.
+	// interior-facing coordinates of the halo cell in the lattice it
+	// fills (psolve.FaceConds shifts a block's to global ones). A
+	// core.Pool calls it from its workers, so it must be safe for
+	// concurrent calls.
 	Profile func(x, y, z int) [3]float64
 }
 

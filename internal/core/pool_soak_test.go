@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"sunwaylb/internal/lattice"
+	"sunwaylb/internal/leaktest"
 )
 
 // TestPoolSoak drives a worker pool for many steps against a serial AA
@@ -79,6 +80,26 @@ func TestPoolSoak(t *testing.T) {
 	}
 	if mass := par.TotalMass(); math.Abs(mass-mass0) > 1e-9*mass0 {
 		t.Fatalf("mass drifted: %v -> %v", mass0, mass)
+	}
+}
+
+// TestPoolCloseLeavesNoGoroutines: Close stops every worker the pool
+// started, so a run that builds and closes pools does not accumulate
+// goroutines.
+func TestPoolCloseLeavesNoGoroutines(t *testing.T) {
+	l, err := NewLattice(&lattice.D3Q19, 8, 12, 6, 0.8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	l.InitEquilibrium(1, 0.02, 0.01, 0)
+	defer leaktest.Check(t)()
+	for _, workers := range []int{1, 3, 4} {
+		p := NewPool(l, workers)
+		for s := 0; s < 3; s++ {
+			l.PeriodicAll()
+			p.Step()
+		}
+		p.Close()
 	}
 }
 

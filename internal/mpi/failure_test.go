@@ -5,6 +5,8 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"sunwaylb/internal/leaktest"
 )
 
 // watchdog fails the test if fn has not returned within d — the
@@ -72,6 +74,40 @@ func TestRecvFromCrashedRank(t *testing.T) {
 		}
 		if got := w.FailureCause(); !errors.Is(got, cause) {
 			t.Errorf("failure cause = %v, want the crash cause", got)
+		}
+	})
+}
+
+// TestRankDeathLeavesNoGoroutines: a world torn down by a rank's death
+// ends every goroutine it started — the rank goroutines, whatever each
+// was blocked in, and the helper of a non-blocking receive its rank
+// posted and never waited for.
+func TestRankDeathLeavesNoGoroutines(t *testing.T) {
+	defer leaktest.Check(t)()
+	cause := errors.New("simulated node loss")
+	watchdog(t, 5*time.Second, func() {
+		w, err := NewWorld(4)
+		if err != nil {
+			t.Fatal(err)
+		}
+		err = RunWorld(w, func(c *Comm) error {
+			switch c.Rank() {
+			case 0:
+				c.Irecv(3, 0) // abandoned: only the death ends its helper
+			case 1:
+				_, err := c.Irecv(3, 1).WaitE()
+				return err
+			case 2:
+				return c.BarrierE()
+			case 3:
+				time.Sleep(10 * time.Millisecond)
+				c.Crash(cause)
+				return cause
+			}
+			return nil
+		})
+		if !errors.Is(err, ErrRankDead) && !errors.Is(err, cause) {
+			t.Errorf("run error %v should carry the death", err)
 		}
 	})
 }

@@ -236,6 +236,48 @@ func TestPeriodicAxisFaceBCMatchesRanks(t *testing.T) {
 	}
 }
 
+// TestZProfileInletMatchesRanks: the urban preset's shape — an inlet
+// whose profile varies along z, an outlet, a no-slip floor, a free-slip
+// lid, y periodic — on patches cut along z matches one rank bitwise: each
+// patch's inlet hands its profile global coordinates, not the patch's.
+func TestZProfileInletMatchesRanks(t *testing.T) {
+	const steps = 5
+	profile := func(x, y, z int) [3]float64 {
+		return [3]float64{0.08 * float64(z+1) / 8, 0, 0}
+	}
+	faceBC := map[core.Face]boundary.Condition{
+		core.FaceXMin: &boundary.VelocityInlet{Face: core.FaceXMin, Profile: profile},
+		core.FaceXMax: &boundary.PressureOutlet{Face: core.FaceXMax, Rho: 1},
+		core.FaceZMin: &boundary.NoSlip{Face: core.FaceZMin},
+		core.FaceZMax: &boundary.FreeSlip{Face: core.FaceZMax},
+	}
+	ref, err := psolve.Run(psolve.Options{
+		GNX: 8, GNY: 6, GNZ: 8, PX: 1, PY: 1,
+		Tau:       0.7,
+		PeriodicY: true,
+		FaceBC:    faceBC,
+		Init:      shearInit,
+	}, steps)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, _, err := patch.Run(patch.Options{
+		GNX: 8, GNY: 6, GNZ: 8,
+		TX: 1, TY: 1, TZ: 2,
+		Tau:       0.7,
+		PeriodicY: true,
+		FaceBC:    faceBC,
+		Init:      shearInit,
+		Workers:   workers(2),
+	}, steps)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := conform.Compare(ref, got, conform.Exact); err != nil {
+		t.Errorf("patch world diverged from one rank: %v", err)
+	}
+}
+
 // TestFitTiles: a fitted tiling is one NewTiling accepts, and a count
 // that already fits passes through.
 func TestFitTiles(t *testing.T) {

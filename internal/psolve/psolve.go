@@ -249,7 +249,8 @@ func New(c *mpi.Comm, opts Options) (*Solver, error) {
 // touches, in the fixed face order (XMin, XMax, YMin, YMax, ZMin, ZMax)
 // every world applies them in, so halo corners resolve identically
 // however the lattice is cut. A face of a periodic axis takes no
-// condition: its halo is the wrap.
+// condition: its halo is the wrap. A profiled inlet reads global
+// coordinates on every block (atOrigin), so it is the same on every cut.
 func FaceConds(b decomp.Block, gnx, gny, gnz int, periodic [3]bool, faceBC map[core.Face]boundary.Condition) []boundary.Condition {
 	lo := [3]int{b.X0, b.Y0, b.Z0}
 	hi := [3]int{b.X0 + b.NX, b.Y0 + b.NY, b.Z0 + b.NZ}
@@ -261,13 +262,40 @@ func FaceConds(b decomp.Block, gnx, gny, gnz int, periodic [3]bool, faceBC map[c
 		}
 		minF, maxF := core.Face(2*axis), core.Face(2*axis+1)
 		if cond := faceBC[minF]; lo[axis] == 0 && cond != nil {
-			out = append(out, cond)
+			out = append(out, atOrigin(cond, lo))
 		}
 		if cond := faceBC[maxF]; hi[axis] == n[axis] && cond != nil {
-			out = append(out, cond)
+			out = append(out, atOrigin(cond, lo))
 		}
 	}
 	return out
+}
+
+// atOrigin returns c for a block at origin o of the global lattice: a
+// profiled inlet off the origin becomes a copy whose profile adds o to
+// the block coordinates ApplyLines hands it; anything else is c itself.
+func atOrigin(c boundary.Condition, o [3]int) boundary.Condition {
+	if o == [3]int{} {
+		return c
+	}
+	shift := func(p func(x, y, z int) [3]float64) func(x, y, z int) [3]float64 {
+		return func(x, y, z int) [3]float64 { return p(x+o[0], y+o[1], z+o[2]) }
+	}
+	switch v := c.(type) {
+	case *boundary.VelocityInlet:
+		if v.Profile != nil {
+			in := *v
+			in.Profile = shift(v.Profile)
+			return &in
+		}
+	case *boundary.NEEInlet:
+		if v.Profile != nil {
+			in := *v
+			in.Profile = shift(v.Profile)
+			return &in
+		}
+	}
+	return c
 }
 
 // planAxis derives one axis' exchange: a message sent towards plus carries

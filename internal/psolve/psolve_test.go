@@ -273,6 +273,29 @@ func TestFaceConds(t *testing.T) {
 		[]core.Face{core.FaceXMax, core.FaceYMin, core.FaceZMax}) {
 		t.Errorf("corner block: %v", got)
 	}
+
+	// A profiled inlet off the origin is a copy reading global
+	// coordinates; an unprofiled one, or one at the origin, is the
+	// condition itself.
+	plain := &boundary.VelocityInlet{Face: core.FaceYMin}
+	profiled := &boundary.NEEInlet{Face: core.FaceYMin, Profile: func(x, y, z int) [3]float64 {
+		return [3]float64{float64(x), float64(y), float64(z)}
+	}}
+	for _, c := range []boundary.Condition{plain, profiled} {
+		in := map[core.Face]boundary.Condition{core.FaceYMin: c}
+		if got := FaceConds(whole, 8, 6, 4, [3]bool{}, in)[0]; got != c {
+			t.Errorf("%s at the origin: a copy", c.Name())
+		}
+		got := FaceConds(corner, 8, 6, 4, [3]bool{}, in)[0]
+		if c == plain && got != c {
+			t.Errorf("unprofiled inlet off the origin: a copy")
+		}
+		if c == profiled {
+			if u := got.(*boundary.NEEInlet).Profile(1, 0, 1); u != [3]float64{5, 0, 3} {
+				t.Errorf("profiled inlet at (4,0,2): block cell (1,0,1) reads %v, want global (5,0,3)", u)
+			}
+		}
+	}
 }
 
 // TestUnevenDecomposition: global sizes that do not divide evenly still

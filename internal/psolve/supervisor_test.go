@@ -5,10 +5,13 @@ import (
 	"errors"
 	"path/filepath"
 	"testing"
+	"time"
 
 	"sunwaylb/internal/core"
 	"sunwaylb/internal/fault"
+	"sunwaylb/internal/leaktest"
 	"sunwaylb/internal/mpi"
+	"sunwaylb/internal/resil"
 	"sunwaylb/internal/swio"
 )
 
@@ -119,6 +122,43 @@ func TestSupervisorShrinkingRecovery(t *testing.T) {
 	if n, worst := fieldsEqual(ref, got); n != 0 {
 		t.Fatalf("shrunk recovery differs from reference in %d values (worst %g)", n, worst)
 	}
+}
+
+// TestSupervisorCancelLeavesNoGoroutines: the ladder's cancel watcher
+// ends with its run, whether the run completes under a context that
+// stays live or is cancelled mid-run (the watcher tears the world down,
+// the supervisor drains), and so does every other goroutine the run
+// started.
+func TestSupervisorCancelLeavesNoGoroutines(t *testing.T) {
+	opts := chaosBase()
+	opts.PX, opts.PY = 2, 1
+	check := leaktest.Check(t)
+	supervise := func(ctx context.Context, steps int) error {
+		_, _, err := Supervise(SupervisorOptions{
+			Ctx:            ctx,
+			Opts:           opts,
+			Steps:          steps,
+			CheckpointPath: filepath.Join(t.TempDir(), "drain.cpk"),
+			SnapshotEvery:  2,
+			Levels:         resil.L1 | resil.L2 | resil.L4,
+			Detector:       "phi",
+			MaxRestarts:    1,
+			Logf:           t.Logf,
+		})
+		return err
+	}
+	live, stop := context.WithCancel(context.Background())
+	defer stop()
+	if err := supervise(live, 4); err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	time.AfterFunc(50*time.Millisecond, cancel)
+	if err := supervise(ctx, 1<<30); !errors.Is(err, ErrCanceled) {
+		t.Fatalf("cancelled run returned %v, want ErrCanceled", err)
+	}
+	check() // before stop: a watcher of the live context would outlive its run
 }
 
 // TestSupervisorCancelBeforeStart: a context that is already dead must

@@ -9,6 +9,7 @@ import (
 
 	"sunwaylb/internal/config"
 	"sunwaylb/internal/core"
+	"sunwaylb/internal/leaktest"
 	"sunwaylb/internal/mpi"
 	"sunwaylb/internal/psolve"
 )
@@ -377,6 +378,43 @@ func TestCancelQueuedAndRunning(t *testing.T) {
 	}
 	if st := waitJob(t, jRun); st.State != StateCanceled {
 		t.Errorf("running job finished %s, want canceled", st.State)
+	}
+}
+
+// TestDrainLeavesNoGoroutines: Drain after jobs have run — rank and
+// patch worlds, a recovered crash among them, and one job still running
+// when the drain cancels it — ends every goroutine the server started:
+// shard loops, job workers, worlds and the drain's own waiter.
+func TestDrainLeavesNoGoroutines(t *testing.T) {
+	defer leaktest.Check(t)()
+	s := testServer(t, Config{Workers: 2, Shards: 2})
+	for i, spec := range []JobSpec{
+		{Tenant: "a", Case: smallCase("ranks", 8), Decomp: "2x1"},
+		{Tenant: "b", Case: smallCase("patches", 8), Decomp: "patch3"},
+		{Tenant: "a", Case: smallCase("crash", 12), Decomp: "2x1", SnapshotEvery: 2,
+			FaultPlan: "seed=3;crash@rank=1,step=5"},
+	} {
+		j, err := s.Submit(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if st := waitJob(t, j); st.State != StateDone {
+			t.Fatalf("job %d finished %s: %s", i, st.State, st.Error)
+		}
+	}
+	long, err := s.Submit(JobSpec{Tenant: "b", Case: smallCase("long", 100000), Decomp: "2x1", SnapshotEvery: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	deadline := time.Now().Add(10 * time.Second)
+	for long.State() != StateRunning {
+		if time.Now().After(deadline) {
+			t.Fatalf("long job never started (state %s)", long.State())
+		}
+		time.Sleep(time.Millisecond)
+	}
+	if err := s.Drain(context.Background()); err != nil {
+		t.Fatal(err)
 	}
 }
 

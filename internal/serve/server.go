@@ -477,9 +477,8 @@ func (s *Server) Drain(ctx context.Context) error {
 	s.rootCancel(errDrainStop)
 	waitDone := make(chan struct{})
 	// The waiter is bounded: rootCancel above stops every worker the wg
-	// counts, and if one wedges anyway the goroutine is the process's
-	// last — Drain returns via ctx.Done and the daemon exits.
-	//lint:ignore goleak wg.Wait is bounded by rootCancel stopping all counted workers
+	// counts, so wg.Wait returns; if one wedges anyway the goroutine is
+	// the process's last — Drain returns via ctx.Done and the daemon exits.
 	go func() { s.wg.Wait(); close(waitDone) }()
 	select {
 	case <-waitDone:

@@ -25,10 +25,9 @@
 #             numerical bugs; any violation exits non-zero with a
 #             minimal replay string
 #   analyze — lbmvet, the domain-specific static-analysis suite: the
-#             whole module must be free of LDM-budget, mpi-error,
-#             span-pairing, hot-allocation, float-determinism,
-#             goroutine-leak, lock-safety, channel-protocol and
-#             memory-traffic findings, and go vet must be clean
+#             whole module must be free of LDM-budget, span-pairing,
+#             hot-allocation, float-determinism and memory-traffic
+#             findings, and go vet must be clean
 #   chaos   — race-checked chaos matrix: the one recovery ladder, on
 #             rank grids, patch worlds and the single rank, must survive
 #             deterministic rank kills (single and per-group), link
@@ -45,7 +44,9 @@
 #             every world, group size and level set, never worse than
 #             full-group parity's recorded verdicts, a rotted kept
 #             record held to them without its owner's replica), and the
-#             goroutine/lock/channel rules over the ladder's code
+#             run-time leak checks: a closed pool, a cancelled supervised
+#             run and a world torn down by a rank death leave no
+#             goroutine behind
 #   trace   — observability smoke: a traced distributed chaos run must
 #             export a Chrome trace that round-trips through
 #             postproc -tracestat (ReadChrome + Validate + Analyze)
@@ -54,16 +55,18 @@
 #             tenants bit-identical to solo runs, journal-replay restart,
 #             HTTP API, admission/backpressure, cancellation/deadlines)
 #             including the load soak (hundreds of queued jobs, mixed
-#             fault plans, bounded trace ring and heap), the daemon
-#             SIGTERM-drain smoke, and the spanpair/hotalloc static
-#             rules over the service code
+#             fault plans, bounded trace ring and heap) and a drain that
+#             leaves no goroutine behind, the daemon SIGTERM-drain smoke,
+#             and the spanpair/hotalloc static rules over the service
+#             code
 #   patch   — patch-decomposition tier: the internal/patch suite under
 #             the race detector (tiling fuzz seeds, bit-identity across
 #             tilings/backends/forced migrations, the balancer's
 #             straggler response, and the migration chaos tests that
 #             kill owners mid-run), the mixed-backend conformance slice
-#             with mid-run migrations, and the hotalloc/spanpair static
-#             rules over the patch code and the supervisor driving it
+#             with mid-run migrations, the hotalloc/spanpair static
+#             rules over the patch code, and the supervisor driving it
+#             leaving no goroutine behind when cancelled
 #   perf    — AA-kernel performance-critical contracts: the AA conform
 #             slice (serial/pool backends, AA ranks, the 3-D and mixed
 #             patch tilings and the halo-flip property, MaxULP=0 against
@@ -81,7 +84,7 @@
 #             the lattice's arrays on transparent huge pages,
 #             the allocation-free rank/patch steps and snapshot waves,
 #             the unrolled D3Q19 macro row bitwise against MacroAt,
-#             and the memtraffic/hotalloc/goleak static budgets over the
+#             and the memtraffic/hotalloc static budgets over the
 #             kernel, boundary, resilience and rank data-path code
 #   bench   — refresh BENCH_results.json from the measured benchmark
 #             cases so every CI run extends the perf trajectory; when a
@@ -175,8 +178,8 @@ perf() {
     # construction, the collision operator against its
     # per-direction definition, the unrolled row against the operator
     # (walls in the halo, lattices wider than the flag window), the
-    # sweep's row classification against its definition, pool soak,
-    # step/pool bit-identity on every descriptor, parity-aware halo
+    # sweep's row classification against its definition, pool soak and
+    # close (no worker left running), step/pool bit-identity on every descriptor, parity-aware halo
     # pack/unpack of the crossing populations on every descriptor, the
     # sweep that reads across its wrapped axes against whole wraps (the
     # unrolled row and the generic one, every combination of axes), and
@@ -216,17 +219,16 @@ perf() {
         ./internal/psolve ./internal/patch ./internal/core
     # Static budgets over the performance-critical code: per-cell memory
     # traffic of every //lbm:hot kernel (the D3Q19 macro row held to its
-    # 185 B), no hot-loop allocations, no leaked worker goroutines.
-    go run ./cmd/lbmvet -rules memtraffic,hotalloc,goleak \
-        ./internal/core ./internal/resil
+    # 185 B) and no hot-loop allocations.
     go run ./cmd/lbmvet -rules memtraffic,hotalloc \
-        ./internal/boundary ./internal/psolve ./internal/patch
+        ./internal/core ./internal/resil ./internal/boundary \
+        ./internal/psolve ./internal/patch
 }
 
 analyze() {
     echo "== analyze: lbmvet static-analysis suite =="
     go vet ./...
-    # The command and library trees carry the full nine-rule contract:
+    # The command and library trees carry the full five-rule contract:
     # every //lbm:hot kernel inside them must also meet its declared
     # //lbm:traffic per-cell byte budget.
     go run ./cmd/lbmvet ./cmd/... ./internal/...
@@ -286,8 +288,12 @@ chaos() {
         -spare-ranks 2 -detector phi -max-restarts 2 \
         -fault-plan 'seed=7;crash@group=0,count=1,step=5' 2>&1)
     echo "$swap" | grep -q 'hot-swaps=1, disk=0'
-    # The ladder's cancel watcher and world setup live in psolve.
-    go run ./cmd/lbmvet -rules goleak,locksafe,chanproto ./internal/psolve
+    # Lifecycles leave no goroutine behind: a closed pool, the ladder's
+    # cancel watcher (a run completed and a run cancelled mid-run) and a
+    # world torn down by a rank death, each back to its goroutine count
+    # within a bounded poll. -count=3: the teardowns race their ranks.
+    go test -race -count=3 -timeout 300s -run 'LeavesNoGoroutines' \
+        ./internal/core ./internal/psolve ./internal/mpi
 }
 
 serve() {
@@ -299,9 +305,8 @@ serve() {
     # (TestFinishedJobsRetainNoFields).
     go test -race -count=1 -timeout 600s ./internal/serve
     # Static contracts on the service code: spans paired, no hot-loop
-    # allocation regressions in the scheduler, every worker goroutine
-    # cancellable, locks released on all paths, channel protocol sound.
-    go run ./cmd/lbmvet -rules spanpair,hotalloc,goleak,locksafe,chanproto ./internal/serve
+    # allocation regressions in the scheduler.
+    go run ./cmd/lbmvet -rules spanpair,hotalloc ./internal/serve
     # Daemon smoke: SIGTERM must drain cleanly (exit 0) and leave a
     # replayable journal behind.
     out=$(mktemp -d)
@@ -334,11 +339,11 @@ patch() {
     # serial kernel across seeds.
     go run ./cmd/conform -seed 3 -cases 8 -run 'patch/'
     # Static contracts on the patch code: spans paired, no hot-loop
-    # allocation regressions in the exchange/migration paths, migration
-    # goroutines cancellable, locks and channel handoffs sound.
-    go run ./cmd/lbmvet -rules hotalloc,spanpair,goleak,locksafe,chanproto ./internal/patch
-    # The supervisor that drives patch worlds, cancel watcher included.
-    go run ./cmd/lbmvet -rules goleak,locksafe,chanproto ./internal/psolve
+    # allocation regressions in the exchange/migration paths.
+    go run ./cmd/lbmvet -rules hotalloc,spanpair ./internal/patch
+    # The supervisor that drives patch worlds leaves no goroutine behind,
+    # its cancel watcher included.
+    go test -race -count=1 -run 'LeavesNoGoroutines' ./internal/psolve
 }
 
 trace() {
