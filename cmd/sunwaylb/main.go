@@ -40,6 +40,7 @@ import (
 	"sunwaylb/internal/boundary"
 	"sunwaylb/internal/config"
 	"sunwaylb/internal/core"
+	"sunwaylb/internal/decomp"
 	"sunwaylb/internal/geometry"
 	"sunwaylb/internal/mpi"
 	"sunwaylb/internal/patch"
@@ -476,9 +477,11 @@ func newWorld(cs *caseSetup, o runOpts) (*world, error) {
 			return nil, err
 		}
 	default:
-		if _, err := fmt.Sscanf(d, "%dx%d", &opts.PX, &opts.PY); err != nil || opts.PX < 1 || opts.PY < 1 {
-			return nil, fmt.Errorf("bad -decomp %q, want e.g. 2x2 or patch", o.decomp)
+		g, err := decomp.ParseGrid(d, 2)
+		if err != nil {
+			return nil, fmt.Errorf("bad -decomp %q, want e.g. 2x2 or patch: %w", o.decomp, err)
 		}
+		opts.PX, opts.PY = g[0], g[1]
 		layout = fmt.Sprintf("over %d×%d simulated MPI ranks", opts.PX, opts.PY)
 		w.Decomposition = psolve.NewRanks(opts)
 		w.path = func() string {
@@ -530,9 +533,9 @@ func phaseSplit(meanMs float64, bc time.Duration, steps int) (kernelMs, bcMs flo
 // periodic rebalancing, under opts' physics and boundary conventions. It
 // returns the layout for the run's first line.
 func (w *world) patches(opts psolve.Options, o runOpts) (string, error) {
-	var tx, ty, tz int
-	if _, err := fmt.Sscanf(strings.ToLower(o.patchTiles), "%dx%dx%d", &tx, &ty, &tz); err != nil || tx < 1 || ty < 1 || tz < 1 {
-		return "", fmt.Errorf("bad -patch-tiles %q, want e.g. 2x2x1", o.patchTiles)
+	tiles, err := decomp.ParseGrid(o.patchTiles, 3)
+	if err != nil {
+		return "", fmt.Errorf("bad -patch-tiles %q, want e.g. 2x2x1: %w", o.patchTiles, err)
 	}
 	workers, err := patch.ParseWorkers(o.patchWorkers)
 	if err != nil {
@@ -540,7 +543,7 @@ func (w *world) patches(opts psolve.Options, o runOpts) (string, error) {
 	}
 	pw, err := patch.NewWorld(patch.Options{
 		GNX: opts.GNX, GNY: opts.GNY, GNZ: opts.GNZ,
-		TX: tx, TY: ty, TZ: tz,
+		TX: tiles[0], TY: tiles[1], TZ: tiles[2],
 		Tau:            opts.Tau,
 		Smagorinsky:    opts.Smagorinsky,
 		FaceBC:         opts.FaceBC,
@@ -577,7 +580,7 @@ func (w *world) patches(opts psolve.Options, o runOpts) (string, error) {
 		}
 		return line
 	}
-	return fmt.Sprintf("as %d×%d×%d patches over %d workers (%s)", tx, ty, tz, len(workers), o.patchWorkers), nil
+	return fmt.Sprintf("as %d×%d×%d patches over %d workers (%s)", tiles[0], tiles[1], tiles[2], len(workers), o.patchWorkers), nil
 }
 
 // NewRank builds rank c's share of an attempt; rank 0's steps are timed,

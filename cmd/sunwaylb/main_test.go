@@ -644,3 +644,34 @@ func TestSingleRankFaultRecovery(t *testing.T) {
 		}
 	}
 }
+
+// TestCLIGridFlags: -decomp and -patch-tiles take a strict grid, every
+// part an integer ≥ 1 and as many parts as the flag names, so trailing
+// text is refused instead of read as the grid before it. The worlds are
+// only laid out, never started.
+func TestCLIGridFlags(t *testing.T) {
+	for _, c := range []struct {
+		decomp, tiles string
+		ok            bool
+	}{
+		{"2x1", "", true},
+		{"8x8", "", true},
+		{"patch", "2x2x1", true},
+		{"2x1x7", "", false},
+		{"2x1junk", "", false},
+		{"0x1", "", false},
+		{"patch65", "", false},
+		{"patch", "2x2", false},
+		{"patch", "2x2x1junk", false},
+		{"patch", "2x2x1x1", false},
+	} {
+		cs, err := builtinPreset("channel")
+		if err != nil {
+			t.Fatal(err)
+		}
+		o := runOpts{decomp: c.decomp, patchTiles: c.tiles, patchWorkers: "core,core", reportSecs: 1e9}
+		if _, err := newWorld(cs, o); (err == nil) != c.ok {
+			t.Errorf("-decomp %q -patch-tiles %q: err %v, want accepted %v", c.decomp, c.tiles, err, c.ok)
+		}
+	}
+}

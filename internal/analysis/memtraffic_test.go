@@ -77,21 +77,20 @@ func TestTrafficEstimatesRepo(t *testing.T) {
 			// loads, the flag byte and the four outputs written once.
 			"macroRowD3Q19": {Bytes: 185, Budget: 185},
 		},
-		// The rank and patch data paths: the exchange drivers walk links
-		// and snapshot records only (no per-cell loop: Budget -1 or the
-		// snapshot-wave pins); a link's own loops move the flag bytes of a
-		// first message, its payload is priced in PackFace/UnpackFace and
-		// the checksum's write.
+		// The rank and patch data paths: the one exchange driver, the
+		// block step both worlds run, walks its face plan only (no
+		// per-cell loop: Budget -1); a link's own loops move the flag
+		// bytes of a first message, its payload is priced in
+		// PackFace/UnpackFace and the checksum's write. The patch world
+		// has no exchange loop of its own.
 		"../psolve": {
-			"post":    {Bytes: 0, Budget: -1},
-			"collect": {Bytes: 0, Budget: -1},
-			"Post":    {Bytes: 2, Budget: 2},
-			"Collect": {Bytes: 2, Budget: 2},
+			"postAxis":    {Bytes: 0, Budget: -1},
+			"post":        {Bytes: 0, Budget: -1},
+			"collectAxis": {Bytes: 0, Budget: -1},
+			"Post":        {Bytes: 2, Budget: 2},
+			"Collect":     {Bytes: 2, Budget: 2},
 		},
-		"../patch": {
-			"ship":   {Bytes: 0, Budget: -1},
-			"absorb": {Bytes: 0, Budget: -1},
-		},
+		"../patch": {},
 		// Computed boundary conditions stage each chunk of a line through
 		// core's Gather/ScatterLine; their own loops touch stack scratch.
 		// The D3Q19 outlet row makes two passes over a staged chunk, each

@@ -5,7 +5,11 @@
 // (exposed parallelism vs. communication surface) can be measured.
 package decomp
 
-import "fmt"
+import (
+	"fmt"
+	"strconv"
+	"strings"
+)
 
 // Block is one subdomain: a cuboid [X0,X0+NX)×[Y0,Y0+NY)×[Z0,Z0+NZ) of the
 // global lattice.
@@ -183,4 +187,23 @@ func Cover(blocks []Block, gnx, gny, gnz int) error {
 		}
 	}
 	return nil
+}
+
+// ParseGrid parses a process or patch grid such as "2x2" or "2x2x1":
+// exactly parts integers ≥ 1 joined by "x" (either case), with nothing
+// before, between or after them but surrounding space.
+func ParseGrid(s string, parts int) ([]int, error) {
+	fields := strings.Split(strings.ToLower(strings.TrimSpace(s)), "x")
+	if len(fields) != parts {
+		return nil, fmt.Errorf("decomp: grid %q has %d parts, want %d", s, len(fields), parts)
+	}
+	out := make([]int, parts)
+	for i, f := range fields {
+		n, err := strconv.Atoi(f)
+		if err != nil || n < 1 {
+			return nil, fmt.Errorf("decomp: grid %q: %q is not an integer ≥ 1", s, f)
+		}
+		out[i] = n
+	}
+	return out, nil
 }

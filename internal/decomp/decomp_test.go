@@ -1,6 +1,7 @@
 package decomp
 
 import (
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -172,5 +173,42 @@ func TestCoverDetectsOverlap(t *testing.T) {
 	}
 	if err := Cover(blocks, 2, 1, 1); err == nil {
 		t.Error("want overlap error")
+	}
+}
+
+// TestParseGrid: a grid is exactly its parts, each an integer ≥ 1;
+// trailing text, a missing or extra part and a zero are refused.
+func TestParseGrid(t *testing.T) {
+	for _, c := range []struct {
+		s     string
+		parts int
+		want  []int
+	}{
+		{"2x1", 2, []int{2, 1}},
+		{"8X8", 2, []int{8, 8}},
+		{" 4x2 ", 2, []int{4, 2}},
+		{"2x2x1", 3, []int{2, 2, 1}},
+		{"2x1x7", 2, nil},
+		{"2x1junk", 2, nil},
+		{"0x1", 2, nil},
+		{"-1x2", 2, nil},
+		{"2x", 2, nil},
+		{"x2", 2, nil},
+		{"2", 2, nil},
+		{"", 2, nil},
+		{"2x2", 3, nil},
+		{"2x2x1x1", 3, nil},
+		{"2 x2", 2, nil},
+	} {
+		got, err := ParseGrid(c.s, c.parts)
+		if c.want == nil {
+			if err == nil {
+				t.Errorf("ParseGrid(%q, %d) = %v, want an error", c.s, c.parts, got)
+			}
+			continue
+		}
+		if err != nil || !slices.Equal(got, c.want) {
+			t.Errorf("ParseGrid(%q, %d) = %v, %v, want %v", c.s, c.parts, got, err, c.want)
+		}
 	}
 }

@@ -183,45 +183,54 @@ func TestHaloFlipFailsTyped(t *testing.T) {
 func TestMain(m *testing.M) { alloctest.Main(m) }
 
 // TestRankStepAllocFree: once every link has sent its first message, a
-// patch-world step allocates nothing. One P, for the reason psolve's
-// TestRankStepAllocFree gives.
+// patch-world step allocates nothing: on patch2, where the faces between
+// the patches are links, and on one worker owning a 2x2x1 tiling, where
+// every face between patches is a same-owner copy. One P, for the reason
+// psolve's TestRankStepAllocFree gives.
 func TestRankStepAllocFree(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
-	opt, _ := patch2(t)
-	w, err := NewWorld(*opt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var mark alloctest.Mark
-	var allocs, b int64
-	err = mpi.Run(2, func(c *mpi.Comm) error {
-		n, err := newNode(w, c, nil, 16, 1)
+	links, _ := patch2(t)
+	copies := *links
+	copies.TX, copies.TY, copies.Workers = 2, 2, make([]Worker, 1)
+	for _, c := range []struct {
+		name string
+		opt  Options
+	}{{"patch2", *links}, {"2x2x1 on one worker", copies}} {
+		w, err := NewWorld(c.opt)
 		if err != nil {
-			return err
+			t.Fatal(err)
 		}
-		for i := 0; i < 4; i++ {
-			n.stepOnce()
+		var mark alloctest.Mark
+		var allocs, b int64
+		err = mpi.Run(w.Ranks(), func(comm *mpi.Comm) error {
+			n, err := newNode(w, comm, nil, 16, 1)
+			if err != nil {
+				return err
+			}
+			for i := 0; i < 4; i++ {
+				n.Step()
+			}
+			comm.Barrier()
+			if comm.Rank() == 0 {
+				mark = alloctest.Take()
+			}
+			comm.Barrier()
+			for i := 0; i < 10; i++ {
+				n.Step()
+			}
+			comm.Barrier()
+			if comm.Rank() == 0 {
+				allocs, b = mark.Since()
+			}
+			comm.Barrier()
+			return nil
+		})
+		if err != nil {
+			t.Fatal(err)
 		}
-		c.Barrier()
-		if c.Rank() == 0 {
-			mark = alloctest.Take()
+		if allocs != 0 {
+			t.Errorf("10 steps of %s allocated %d times (%d B), want 0", c.name, allocs, b)
 		}
-		c.Barrier()
-		for i := 0; i < 10; i++ {
-			n.stepOnce()
-		}
-		c.Barrier()
-		if c.Rank() == 0 {
-			allocs, b = mark.Since()
-		}
-		c.Barrier()
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if n := allocs; n != 0 {
-		t.Errorf("10 steps of a patch2 world allocated %d times (%d B), want 0", n, b)
 	}
 }
 

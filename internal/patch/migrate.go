@@ -28,11 +28,11 @@ func (n *node) migrate(newOwner []int) error {
 		}
 		// The capture buffer itself travels: ownership passes to the
 		// receiver, which keeps it for its own next send.
-		resil.Capture(&n.snap, n.lats[p], n.til.Patches[p].Block, p)
+		resil.Capture(&n.snap, n.blocks[p].Lat, n.til.Patches[p].Block, p)
 		data, aux := n.snap.Pack(n.snap.Pops, n.snap.Flags)
 		n.snap = resil.Snapshot{}
 		n.c.Send(newOwner[p], n.til.migTag(p), mpi.Message{Data: data, Aux: aux})
-		delete(n.lats, p)
+		n.blocks[p] = nil
 		delete(n.devs, p)
 		if n.tr != nil {
 			n.tr.InstantV(trace.Wall, trace.TrackPatch, "migrate-out", n.tr.Now(), float64(p))
@@ -54,9 +54,7 @@ func (n *node) migrate(newOwner []int) error {
 		}
 	}
 	copy(n.owner, newOwner)
-	n.rebuildOwned()
-	clear(n.links) // rebuilt towards the new owners, flags on their first message
-	n.flagsDue = true
+	n.rebuildOwned() // new links and copies towards the new owners, flags on their first step
 	if n.me == 0 {
 		n.w.stats.Rebalances++
 		n.w.stats.Migrations += moves

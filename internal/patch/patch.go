@@ -103,36 +103,3 @@ func (t *Tiling) Neighbor(id, axis, dir int, periodic bool) int {
 	c[axis] = n
 	return t.At(c[0], c[1], c[2])
 }
-
-// Edge is one face-adjacency of the patch graph: patches A and B share
-// a face normal to Axis, with B on A's positive side. Wrap marks edges
-// that cross the global periodic boundary.
-type Edge struct {
-	A, B int
-	Axis int
-	Wrap bool
-}
-
-// Edges enumerates the face-adjacency graph under the given per-axis
-// periodicity, in deterministic (axis, then A) order. Each physical face
-// appears once, as the edge from the lower patch to its +axis neighbour.
-func (t *Tiling) Edges(periodic [3]bool) []Edge {
-	var out []Edge
-	for axis := 0; axis < 3; axis++ {
-		parts := t.parts(axis)
-		if parts == 1 {
-			continue
-		}
-		for _, p := range t.Patches {
-			c := [3]int{}
-			c[0], c[1], c[2] = t.Coords(p.ID)
-			wrap := c[axis] == parts-1
-			if wrap && !periodic[axis] {
-				continue
-			}
-			nb := t.Neighbor(p.ID, axis, +1, periodic[axis])
-			out = append(out, Edge{A: p.ID, B: nb, Axis: axis, Wrap: wrap})
-		}
-	}
-	return out
-}

@@ -2,7 +2,6 @@ package patch
 
 import (
 	"fmt"
-	"time"
 
 	"sunwaylb/internal/boundary"
 	"sunwaylb/internal/core"
@@ -95,9 +94,10 @@ func (t *Tiling) migTag(p int) int { return 1 + 6*t.P() + p }
 func (t *Tiling) snapTags() int    { return 1 + 7*t.P() }
 
 // node is the per-rank state of the patch world: the patches this worker
-// currently owns, their price models on a modelled device, and the
-// scratch the exchange and snapshot paths reuse. It is the patch world's
-// psolve.Rank.
+// currently owns, each with its psolve.BlockStep — the step a psolve rank
+// runs on its one block — and its price model on a modelled device, and
+// the scratch the snapshot and migration paths reuse. It is the patch
+// world's psolve.Rank.
 type node struct {
 	w     *World
 	opt   *Options
@@ -114,9 +114,12 @@ type node struct {
 	// snapshot waves and the gathers walk.
 	owned []resil.Owned
 
-	lats  map[int]*core.Lattice
-	devs  map[int]psolve.Device  // per owned patch on a modelled device
-	conds [][]boundary.Condition // per patch, static
+	// blocks[p] is owned patch p's block step (nil for a patch another
+	// worker owns), its face plan built from the owner map (plan);
+	// stepping lists the owned ones in owned's order, for StepBlocks.
+	blocks   []*psolve.BlockStep
+	stepping []*psolve.BlockStep
+	devs     map[int]psolve.Device // per owned patch on a modelled device
 	// sim is the modelled time of the worker's steps: the sum of its
 	// patches' prices.
 	sim float64
@@ -124,18 +127,6 @@ type node struct {
 	cost     []float64 // EWMA step-cost per patch (meaningful for owned entries)
 	straggle float64   // straggler-model multiplier for this worker's samples
 	names    []string  // precomputed per-patch counter names
-
-	// flagsDue says the coming step's exchanges carry cell flags, as a
-	// link's first message does: true for the first step of the node and
-	// after a migration, when every link is rebuilt.
-	flagsDue bool
-
-	// links[6p+f] is owned patch p's halo link at face f to a neighbour on
-	// another worker, built at the first exchange that needs it. A
-	// migration drops them all: the next exchange rebuilds them towards
-	// the new owners, and a new link's first message carries cell flags
-	// for the freshly installed lattices.
-	links []*psolve.Link
 
 	// snap is the migration buffer, handed to the receiver with every
 	// move.
@@ -149,19 +140,17 @@ type node struct {
 // injected straggler factor.
 func newNode(w *World, c *mpi.Comm, restore *core.Lattice, steps int, straggle float64) (*node, error) {
 	n := &node{
-		w:     w,
-		opt:   &w.opt,
-		c:     c,
-		me:    c.Rank(),
-		tr:    c.Trace(),
-		til:   w.til,
-		steps: steps,
-		owner: append([]int(nil), w.owner...),
-		lats:  make(map[int]*core.Lattice),
-		devs:  make(map[int]psolve.Device),
-		cost:  make([]float64, w.til.P()),
-
-		flagsDue: true,
+		w:      w,
+		opt:    &w.opt,
+		c:      c,
+		me:     c.Rank(),
+		tr:     c.Trace(),
+		til:    w.til,
+		steps:  steps,
+		owner:  append([]int(nil), w.owner...),
+		blocks: make([]*psolve.BlockStep, w.til.P()),
+		devs:   make(map[int]psolve.Device),
+		cost:   make([]float64, w.til.P()),
 	}
 	n.straggle = w.opt.Workers[n.me].Straggle
 	if straggle > 1 {
@@ -169,10 +158,7 @@ func newNode(w *World, c *mpi.Comm, restore *core.Lattice, steps int, straggle f
 	}
 	for _, p := range n.til.Patches {
 		n.names = append(n.names, fmt.Sprintf("patch%d", p.ID))
-		n.conds = append(n.conds, psolve.FaceConds(p.Block, w.opt.GNX, w.opt.GNY, w.opt.GNZ,
-			[3]bool{w.opt.PeriodicX, w.opt.PeriodicY, w.opt.PeriodicZ}, w.opt.FaceBC))
 	}
-	n.links = make([]*psolve.Link, 6*w.til.P())
 	if restore != nil {
 		n.step = restore.Step()
 	}
@@ -223,8 +209,10 @@ func (n *node) buildFresh(p Patch) error {
 	return n.adopt(p.ID, l)
 }
 
-// adopt registers a lattice as an owned patch, with its price model on a
-// modelled device.
+// adopt registers a lattice as an owned patch: its block step, which wraps
+// the periodic axes the tiling leaves uncut and applies the conditions of
+// the global faces the patch touches, and its price model on a modelled
+// device. A new block step fills its halo whole on its first step.
 func (n *node) adopt(id int, l *core.Lattice) error {
 	d, err := n.opt.Workers[n.me].device(l)
 	if err != nil {
@@ -234,16 +222,22 @@ func (n *node) adopt(id int, l *core.Lattice) error {
 		d.SetTrace(n.tr)
 		n.devs[id] = d
 	}
-	n.lats[id] = l
+	o, per := n.opt, n.periodic()
+	var wrap [3]bool
+	for axis := range wrap {
+		wrap[axis] = per[axis] && n.til.parts(axis) == 1
+	}
+	n.blocks[id] = psolve.NewBlockStep(n.c, l, wrap,
+		psolve.FaceConds(n.til.Patches[id].Block, o.GNX, o.GNY, o.GNZ, per, o.FaceBC))
 	return nil
 }
 
 // installPatch rebuilds a patch from a verified snapshot — the receive
 // half of a migration and the restore half of a recovery. Only the
-// interior is restored; every halo cell the kernel reads is rewritten
-// from current interior state by the BC→z→x→y exchange sequence before
-// the next kernel application, so an installed patch is bit-identical
-// to one that never moved.
+// interior is restored; the new block step's first step fills the halo
+// whole from it before that step's exchanges bring in the faces, so every
+// halo cell the kernel reads is rewritten from current interior state and
+// an installed patch is bit-identical to one that never moved.
 func (n *node) installPatch(id int, s *resil.Snapshot) error {
 	if !s.Verify() {
 		return fmt.Errorf("patch: snapshot of patch %d fails checksum at install", id)
@@ -258,58 +252,70 @@ func (n *node) installPatch(id int, s *resil.Snapshot) error {
 	return n.adopt(id, l)
 }
 
+// rebuildOwned lists the owned patches under the owner map and plans
+// their faces (plan).
 func (n *node) rebuildOwned() {
-	n.owned = n.owned[:0]
+	n.owned, n.stepping = n.owned[:0], n.stepping[:0]
 	for p, o := range n.owner {
 		if o == n.me {
-			n.owned = append(n.owned, resil.Owned{ID: p, Block: n.til.Patches[p].Block, Lat: n.lats[p]})
+			n.owned = append(n.owned, resil.Owned{ID: p, Block: n.til.Patches[p].Block, Lat: n.blocks[p].Lat})
+			n.stepping = append(n.stepping, n.blocks[p])
+		}
+	}
+	n.plan()
+}
+
+// plan builds every owned patch's face plan from the tiling and the owner
+// map: nothing on a global face or an axis the patch wraps itself, a copy
+// into the halo of a neighbour this worker owns, a link to one another
+// worker owns. A link sends the patch's face under the neighbour's halo
+// tag and receives the neighbour's opposite face under the patch's. A new
+// plan carries cell flags on its first step, copies and links alike.
+func (n *node) plan() {
+	per := n.periodic()
+	for _, o := range n.owned {
+		b := n.blocks[o.ID]
+		b.ResetFaces()
+		for f := core.FaceXMin; f <= core.FaceZMax; f++ {
+			axis := int(f) / 2
+			nb := n.til.Neighbor(o.ID, axis, 2*(int(f)%2)-1, per[axis])
+			switch {
+			case nb < 0 || nb == o.ID:
+			case n.owner[nb] == n.me:
+				b.CopyTo(f, n.blocks[nb].Lat)
+			default:
+				b.Link(f, n.owner[nb], haloTag(nb, f), haloTag(o.ID, f.Opposite()))
+			}
 		}
 	}
 }
 
-func (n *node) periodic(axis int) bool {
-	return [3]bool{n.opt.PeriodicX, n.opt.PeriodicY, n.opt.PeriodicZ}[axis]
+func (n *node) periodic() [3]bool {
+	return [3]bool{n.opt.PeriodicX, n.opt.PeriodicY, n.opt.PeriodicZ}
 }
 
-// stepOnce advances every patch one time step: global-face conditions,
-// z halos, x halos, y halos, then each owned patch's kernel. A face
-// carries only the populations that cross it, so a halo cell an exchange
-// fills holds no whole state, and a condition must not read one: the
-// conditions run first, before this step's exchanges. The corners a
-// condition still computes from a halo cell (the z ends of an x face's
-// lines) are overwritten where the sweep reads them: the z exchange then
-// brings in the populations that stream into the patch there, computed by
-// the neighbour's own condition from its interior. Halo values are
-// therefore the same however the patches are distributed.
+// stepOnce advances every owned patch one time step through the block
+// step a psolve rank runs, each phase over all owned patches before the
+// next (psolve.StepBlocks), then prices it.
 func (n *node) stepOnce() {
 	if n.tr != nil {
 		n.tr.Begin(trace.Wall, trace.TrackStep, "step", n.tr.Now())
 		defer func() { n.tr.End(trace.Wall, trace.TrackStep, n.tr.Now()) }()
 	}
-	for _, o := range n.owned {
-		for _, bc := range n.conds[o.ID] {
-			boundary.ApplyWhole(bc, o.Lat)
-		}
-	}
-	n.exchange(2)
-	n.exchange(0)
-	n.exchange(1)
-	n.flagsDue = false
-	n.compute()
+	psolve.StepBlocks(n.stepping...)
+	n.price()
 }
 
-// compute steps the owned patches in ID order, sampling per-patch cost
-// into the EWMA the balancer reads and onto the trace's patch track: the
-// wall time of the step, or its price on a modelled device. A patch's
-// first price comes after its first exchanges, which bring in its halo's
-// flags.
-func (n *node) compute() {
+// price samples each owned patch's step cost into the EWMA the balancer
+// reads and onto the trace's patch track: the time its own sweeps and
+// fills took (BlockStep.Busy), or the step's price on a modelled device.
+// A patch's first price comes after its first exchanges, which bring in
+// its halo's flags.
+func (n *node) price() {
 	opt := n.opt
 	for _, o := range n.owned {
 		p := o.ID
-		t0 := time.Now()
-		n.lats[p].StepFused()
-		dt := time.Since(t0).Seconds()
+		dt := n.blocks[p].Busy().Seconds()
 		if d := n.devs[p]; d != nil {
 			dt = d.Price()
 			n.sim += dt
@@ -329,95 +335,6 @@ func (n *node) compute() {
 			n.tr.Counter(trace.Wall, trace.TrackPatch, n.names[p], n.tr.Now(), n.cost[p])
 		}
 	}
-}
-
-// eachPair enumerates the face-adjacent patch pairs of one axis in a
-// deterministic order: for every tile (plus the periodic wrap), the pair
-// (a, a's +axis neighbour).
-func (n *node) eachPair(axis int, fn func(a, b int)) {
-	t := n.til
-	parts := t.parts(axis)
-	periodic := n.periodic(axis)
-	for cz := 0; cz < t.TZ; cz++ {
-		for cy := 0; cy < t.TY; cy++ {
-			for cx := 0; cx < t.TX; cx++ {
-				coord := [3]int{cx, cy, cz}
-				if coord[axis] == parts-1 && !periodic {
-					continue
-				}
-				next := coord
-				next[axis] = (coord[axis] + 1) % parts
-				fn(t.At(coord[0], coord[1], coord[2]), t.At(next[0], next[1], next[2]))
-			}
-		}
-	}
-}
-
-// exchange runs one axis phase of the halo protocol. Same-owner pairs
-// copy locally; cross-owner pairs ship packed faces over mpi. Either way
-// a face moves its crossing populations only. All sends are posted
-// before any receive (the transport's sends never block), so the phase
-// is deadlock-free for every owner map. A face is read from the interior
-// boundary layer and written to the halo layer, so transfers within one
-// phase never alias.
-func (n *node) exchange(axis int) {
-	parts := n.til.parts(axis)
-	minFace, maxFace := core.Face(2*axis), core.Face(2*axis+1)
-	if parts == 1 {
-		if n.periodic(axis) {
-			for _, o := range n.owned {
-				o.Lat.PeriodicAxis(axis)
-			}
-		}
-		return
-	}
-	n.eachPair(axis, func(a, b int) {
-		n.ship(a, b, maxFace)
-		n.ship(b, a, minFace)
-	})
-	n.eachPair(axis, func(a, b int) {
-		n.absorb(a, b, maxFace)
-		n.absorb(b, a, minFace)
-	})
-}
-
-// ship sends face of patch src to patch dst: line by line straight into
-// dst's halo when both are owned here (flags too when links would carry
-// them), a post on src's link otherwise.
-//
-//lbm:hot
-func (n *node) ship(src, dst int, face core.Face) {
-	if n.owner[src] != n.me {
-		return
-	}
-	ls := n.lats[src]
-	if n.owner[dst] != n.me {
-		n.link(src, face, dst).Post(n.c, ls)
-		return
-	}
-	ls.CopyFace(face, n.lats[dst], n.flagsDue)
-}
-
-// absorb collects the face of patch src into patch dst's halo when dst is
-// owned here and src is remote.
-//
-//lbm:hot
-func (n *node) absorb(src, dst int, face core.Face) {
-	if n.owner[dst] != n.me || n.owner[src] == n.me {
-		return
-	}
-	n.link(dst, face.Opposite(), src).Collect(n.c, n.lats[dst])
-}
-
-// link returns owned patch p's halo link at face f, whose neighbour is
-// patch nb on another worker, building it on first use. The link sends
-// p's face under nb's halo tag and receives nb's opposite face under p's.
-func (n *node) link(p int, f core.Face, nb int) *psolve.Link {
-	k := &n.links[6*p+int(f)]
-	if *k == nil {
-		*k = psolve.NewLink(n.lats[p], f, n.owner[nb], haloTag(nb, f), haloTag(p, f.Opposite()))
-	}
-	return *k
 }
 
 // Step advances every owned patch one time step, then runs the balance

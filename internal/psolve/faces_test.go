@@ -103,16 +103,16 @@ func rankFaceSets() map[string]Options {
 // included), then the overlapped exchange of the others, and the sweeps,
 // which read the halo.
 func parentStep(s *Solver) {
-	l := s.Lat
-	s.fill.Apply(l)
-	s.post(0, "halo")
-	if r := s.inner; r.x1 > r.x0 {
+	l, b := s.Lat, s.blk
+	b.fill.Apply(l)
+	b.postAxis(0, "halo")
+	if r := b.inner; r.x1 > r.x0 {
 		l.StepRegion(r.x0, r.x1, r.y0, r.y1)
 	}
-	s.collect(0, "halo-x-wait")
-	s.post(1, "halo")
-	s.collect(1, "halo-y")
-	for _, r := range s.strips {
+	b.collectAxis(0, "halo-x-wait")
+	b.postAxis(1, "halo")
+	b.collectAxis(1, "halo-y")
+	for _, r := range b.strips {
 		l.StepRegion(r.x0, r.x1, r.y0, r.y1)
 	}
 	l.CompleteStep()
@@ -208,7 +208,8 @@ func requireSameRankRead(t *testing.T, s *Solver, want, got *core.Lattice, what 
 			}
 		}
 	}
-	for _, c := range s.bcs {
+	o := s.Opts
+	for _, c := range FaceConds(s.Block, o.GNX, o.GNY, o.GNZ, [3]bool{o.PeriodicX, o.PeriodicY, o.PeriodicZ}, o.FaceBC) {
 		switch c.(type) {
 		case *boundary.PressureOutlet, *boundary.NEEInlet, *boundary.Outflow, *boundary.FreeSlip:
 			f := c.HaloFace()
@@ -326,8 +327,8 @@ func TestRankFacesMatchApplyThenStep(t *testing.T) {
 				for r := range want[n] {
 					at := fmt.Sprintf("%s, rank %d after %d steps", what, r, n)
 					ref := copyLattice(want[n][r])
-					fills[r].fill.Apply(ref)
-					if fills[r].wrap != (core.Wrap{}) {
+					fills[r].blk.fill.Apply(ref)
+					if fills[r].blk.wrap != (core.Wrap{}) {
 						requireSameRankRead(t, fills[r], ref, copyLattice(got[n][r]), at)
 					} else {
 						requireSameRank(t, ref, got[n][r], at)

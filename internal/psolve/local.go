@@ -59,9 +59,10 @@ func (w *Local) FillHalo() { w.bcs.Apply(w.lat) }
 // "aa avx512 d3q19 pool×2".
 func (w *Local) Kernel() string { return w.kernel }
 
-// HaloSet orders the halo fill of a one-rank lattice as Solver.Step does:
-// the periodic z wrap, the face conditions conds, then the periodic x and
-// y wraps that stand in for the halo exchange.
+// HaloSet orders a block's own halo fill, the one-rank lattice's and
+// every BlockStep's: the periodic z wrap, the face conditions conds, then
+// the periodic x and y wraps that stand in for the halo exchange of an
+// axis with one block along it.
 func HaloSet(perX, perY, perZ bool, conds []boundary.Condition) *boundary.Set {
 	var s boundary.Set
 	if perZ {
@@ -95,7 +96,7 @@ func (r *localRank) FaceTime() time.Duration { return r.pool.FaceTime() }
 func (r *localRank) Step() { r.stepPriced(r.stepPool) }
 
 // stepPool is the pool step under the halo set.
-func (r *localRank) stepPool() { r.pool.StepFaces(r.fill) }
+func (r *localRank) stepPool() { r.pool.StepFaces(r.blk.fill) }
 
 // GatherMacro gathers nothing: the world keeps the lattice instead. A
 // lattice gone non-finite fails the run as a gathered field does.
@@ -110,6 +111,6 @@ func (r *localRank) GatherMacro(int) *core.MacroField {
 // calls it when the rank body ends.
 func (r *localRank) Close() error {
 	r.pool.Close()
-	r.w.lat, r.w.bcs, r.w.kernel = r.Lat, r.fill, r.pool.Kernel()
+	r.w.lat, r.w.bcs, r.w.kernel = r.Lat, r.blk.fill, r.pool.Kernel()
 	return nil
 }

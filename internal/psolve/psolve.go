@@ -22,7 +22,6 @@ package psolve
 
 import (
 	"fmt"
-	"slices"
 	"time"
 
 	"sunwaylb/internal/boundary"
@@ -105,25 +104,9 @@ type Solver struct {
 	Block decomp.Block
 	Lat   *core.Lattice
 
-	bcs []boundary.Condition
-	// fill is the rank's own halo fill in the one-rank order (HaloSet):
-	// the periodic z wrap, bcs, then the x and y wraps of an axis with
-	// one rank along it. The strips run its x- and z-face members one
-	// y-plane at a time. filled says the halo already holds the fill for
-	// the coming step; next is the view one step ahead that the sweep
-	// fills it through. tail lists the allocated y-planes no sweep hook
-	// finishes. wrap marks the axes the fill wraps (fill.Wrap), which the
-	// sweeps read across.
-	fill   *boundary.Set
-	filled bool
-	next   core.Lattice
-	tail   []int
-	wrap   core.Wrap
-	// stripDone is the strips' row hook, bound once so a step allocates
-	// nothing.
-	stripDone func(y int)
-	// faceTime is the time the rank has spent on its own halo fill.
-	faceTime time.Duration
+	// blk is the rank's block step: its own halo fill and its face
+	// plan, links to the x and y neighbours of the process grid.
+	blk *BlockStep
 
 	// owned is the one block the rank owns, and owner the identity map
 	// of ranks to the blocks they hold: a rank world's snapshot waves and
@@ -146,26 +129,6 @@ type Solver struct {
 	// off); simCursor is the rank's position on the modelled Sim clock.
 	tr        *trace.RankTracer
 	simCursor float64
-
-	// The step's fixed shape, derived once in New: the halo plan of the
-	// two decomposed axes, the inner region computed while the x faces
-	// travel (empty for blocks too thin to have one) and the boundary
-	// strips that finish the interior.
-	axes   [2]axisPlan
-	inner  region
-	strips []region
-}
-
-// region is an x/y sub-block of the interior, x0 ≤ x < x1, y0 ≤ y < y1.
-type region struct{ x0, x1, y0, y1 int }
-
-// axisPlan is the halo exchange of one decomposed axis: the links to the
-// minus and plus neighbours (nil at a non-periodic edge). wrap marks a
-// periodic axis with a single rank along it: the neighbour is this rank,
-// so the exchange is a local periodic wrap.
-type axisPlan struct {
-	wrap        bool
-	minus, plus *Link
 }
 
 // New builds the per-rank solver: decomposes the domain and builds the
@@ -210,14 +173,22 @@ func New(c *mpi.Comm, opts Options) (*Solver, error) {
 			return nil, err
 		}
 	}
-	s.bcs = FaceConds(blk, opts.GNX, opts.GNY, opts.GNZ,
+	conds := FaceConds(blk, opts.GNX, opts.GNY, opts.GNZ,
 		[3]bool{opts.PeriodicX, opts.PeriodicY, opts.PeriodicZ}, opts.FaceBC)
-	s.axes[0] = s.planAxis(core.FaceXMin, core.FaceXMax, tagXMinus, tagXPlus,
-		cart.Neighbor(-1, 0), cart.Neighbor(1, 0))
-	s.axes[1] = s.planAxis(core.FaceYMin, core.FaceYMax, tagYMinus, tagYPlus,
-		cart.Neighbor(0, -1), cart.Neighbor(0, 1))
-	s.fill = HaloSet(s.axes[0].wrap, s.axes[1].wrap, opts.PeriodicZ, s.bcs)
-	s.wrap = s.fill.Wrap()
+	wrap := [3]bool{opts.PeriodicX && opts.PX == 1, opts.PeriodicY && opts.PY == 1, opts.PeriodicZ}
+	s.blk = NewBlockStep(c, lat, wrap, conds)
+	// A message sent towards plus carries the axis' plus tag, so the minus
+	// neighbour's face arrives under it and the plus neighbour's under the
+	// minus tag. An axis the rank wraps itself has no links.
+	link := func(f core.Face, peer, sendTag, recvTag int) {
+		if peer >= 0 && !wrap[f/2] {
+			s.blk.Link(f, peer, sendTag, recvTag)
+		}
+	}
+	link(core.FaceXMin, cart.Neighbor(-1, 0), tagXMinus, tagXPlus)
+	link(core.FaceXMax, cart.Neighbor(1, 0), tagXPlus, tagXMinus)
+	link(core.FaceYMin, cart.Neighbor(0, -1), tagYMinus, tagYPlus)
+	link(core.FaceYMax, cart.Neighbor(0, 1), tagYPlus, tagYMinus)
 	if opts.Device != nil {
 		d, err := opts.Device(lat)
 		if err != nil {
@@ -225,21 +196,6 @@ func New(c *mpi.Comm, opts Options) (*Solver, error) {
 		}
 		d.SetTrace(s.tr)
 		s.device = d
-	}
-	if nx, ny := lat.NX, lat.NY; nx > 2 && ny > 2 {
-		// Inner cells are those whose 1-neighbourhood stays inside the
-		// interior; the strips are the west and east columns over the full
-		// y extent, then the south and north rows between them.
-		s.inner = region{1, nx - 1, 1, ny - 1}
-		s.strips = []region{{0, 1, 0, ny}, {nx - 1, nx, 0, ny}, {1, nx - 1, 0, 1}, {1, nx - 1, ny - 1, ny}}
-		// The hook finishes allocated planes 3…NY−2.
-		s.tail = slices.Compact([]int{0, 1, 2, ny - 1, ny, ny + 1})
-		s.stripDone = s.fillStrip
-	} else {
-		s.strips = []region{{0, nx, 0, ny}}
-		for ay := 0; ay < lat.AY; ay++ {
-			s.tail = append(s.tail, ay)
-		}
 	}
 	return s, nil
 }
@@ -298,102 +254,17 @@ func atOrigin(c boundary.Condition, o [3]int) boundary.Condition {
 	return c
 }
 
-// planAxis derives one axis' exchange: a message sent towards plus carries
-// tagPlus, so the minus neighbour's face arrives under tagPlus and the
-// plus neighbour's under tagMinus.
-func (s *Solver) planAxis(minusFace, plusFace core.Face, tagMinus, tagPlus, dm, dp int) axisPlan {
-	me := s.Comm.Rank()
-	if dm == me && dp == me {
-		return axisPlan{wrap: true}
-	}
-	side := func(face core.Face, peer, sendTag, recvTag int) *Link {
-		if peer < 0 {
-			return nil
-		}
-		return NewLink(s.Lat, face, peer, sendTag, recvTag)
-	}
-	return axisPlan{
-		minus: side(minusFace, dm, tagMinus, tagPlus),
-		plus:  side(plusFace, dp, tagPlus, tagMinus),
-	}
-}
-
-// applyLocalBCs fills the halos that do not come from neighbours, whole:
-// the z axis (periodic or face conditions), the global-face conditions
-// of edge ranks and the wraps of axes with one rank along them. A rank runs it on its first step only; later steps fill
-// the halo from their sweeps.
-func (s *Solver) applyLocalBCs() {
-	defer s.tr.Scope(trace.TrackStep, "bc")()
-	t := time.Now()
-	s.fill.Apply(s.Lat)
-	s.faceTime += time.Since(t)
-}
-
-// fillStrip is the hook of the west and east columns, swept together in
-// y order after the inner region: once their rows y−2…y are swept,
-// allocated plane y (3 ≤ y ≤ NY−2) is final, so its fill runs: its x-
-// and z-face conditions in fill order, a wrap filling its edge cells
-// alone (core.Lattice.PeriodicEdges).
-func (s *Solver) fillStrip(y int) {
-	if y < 3 || y > s.Lat.NY-2 {
-		return
-	}
-	t := time.Now()
-	s.fill.ApplyPlane(&s.next, y)
-	s.faceTime += time.Since(t)
-}
-
 // SimTime is the device's modelled time of the rank's steps so far; 0
 // without a device.
 func (s *Solver) SimTime() float64 { return s.sim }
 
 // FaceTime is the time the rank has spent on its own halo fill: the whole
 // fills, the planes its sweeps fill and the tails.
-func (s *Solver) FaceTime() time.Duration { return s.faceTime }
+func (s *Solver) FaceTime() time.Duration { return s.blk.FaceTime() }
 
-// post packs one axis' two faces straight into their links' send slots
-// and hands them to the transport (sends are eager and never block),
-// under the given MPI-track span. An axis the rank wraps itself has no
-// links: its wrap is part of the rank's fill.
-//
-//lbm:hot
-func (s *Solver) post(axis int, span string) {
-	p := &s.axes[axis]
-	if p.wrap {
-		return
-	}
-	defer s.tr.Scope(trace.TrackMPI, span)()
-	if p.plus != nil {
-		p.plus.Post(s.Comm, s.Lat)
-	}
-	if p.minus != nil {
-		p.minus.Post(s.Comm, s.Lat)
-	}
-}
-
-// collect receives the two faces the neighbours posted on this axis and
-// unpacks them into the halo. The span is closed by defer so a rank
-// aborted inside Recv (a peer died, a face failed its checksum) still
-// nests.
-//
-//lbm:hot
-func (s *Solver) collect(axis int, span string) {
-	p := &s.axes[axis]
-	if p.wrap {
-		return
-	}
-	defer s.tr.Scope(trace.TrackMPI, span)()
-	if p.minus != nil {
-		p.minus.Collect(s.Comm, s.Lat)
-	}
-	if p.plus != nil {
-		p.plus.Collect(s.Comm, s.Lat)
-	}
-}
-
-// Step advances the distributed simulation by one time step:
-// post x → inner region → collect x → post y, collect y → boundary
-// strips.
+// Step advances the distributed simulation by one time step, the rank's
+// block step (StepBlocks): post x → inner region → collect x → post y,
+// collect y → boundary strips.
 //
 // The sweeps read across the axes the rank wraps itself (z, and x or y
 // with one rank along them), so no step copies their halo: only the edge
@@ -417,29 +288,7 @@ func (s *Solver) collect(axis int, span string) {
 func (s *Solver) Step() { s.stepPriced(s.advance) }
 
 // advance is Step without its price and its spans.
-func (s *Solver) advance() {
-	l := s.Lat
-	if !s.filled {
-		s.applyLocalBCs()
-	}
-	s.next = l.Ahead()
-	s.post(0, "halo-x")
-	if r := s.inner; r.x1 > r.x0 {
-		end := s.tr.Scope(trace.TrackStep, "compute-inner")
-		l.SweepRows(r.x0, r.x1, r.y0, r.y1, s.wrap, nil)
-		end()
-	}
-	s.collect(0, "halo-x-wait")
-	// The y faces pack their corners from the x halo just received.
-	s.post(1, "halo-y")
-	s.collect(1, "halo-y")
-	end := s.tr.Scope(trace.TrackStep, "compute-boundary")
-	s.sweepStrips()
-	end()
-	s.fillTail()
-	l.CompleteStep()
-	s.filled = true
-}
+func (s *Solver) advance() { StepBlocks(s.blk) }
 
 // stepPriced runs step; a rank with a device then prices it and adds the
 // price to its SimTime. With tracing on, each step records a wall-clock
@@ -473,37 +322,6 @@ func (s *Solver) stepPriced(step func()) {
 		price = s.device.Price()
 		s.sim += price
 	}
-}
-
-// sweepStrips sweeps the boundary strips: with an inner region, the west
-// and east columns together row by row under fillStrip, then the south
-// and north rows; without one, the whole block.
-func (s *Solver) sweepStrips() {
-	l := s.Lat
-	if s.stripDone == nil {
-		for _, r := range s.strips {
-			l.SweepRows(r.x0, r.x1, r.y0, r.y1, s.wrap, nil)
-		}
-		return
-	}
-	w, e := s.strips[0], s.strips[1]
-	for y := 0; y < l.NY; y++ {
-		l.SweepRows(w.x0, w.x1, y, y+1, s.wrap, nil)
-		l.SweepRows(e.x0, e.x1, y, y+1, s.wrap, nil)
-		s.stripDone(y)
-	}
-	for _, r := range s.strips[2:] {
-		l.SweepRows(r.x0, r.x1, r.y0, r.y1, s.wrap, nil)
-	}
-}
-
-// fillTail runs, after every sweep, every condition of the fill in order
-// on the planes no hook finished, and the y-face conditions whole.
-func (s *Solver) fillTail() {
-	defer s.tr.Scope(trace.TrackStep, "bc")()
-	t := time.Now()
-	s.fill.ApplyTail(&s.next, s.tail)
-	s.faceTime += time.Since(t)
 }
 
 // GlobalMass returns the total mass across all ranks (on every rank).

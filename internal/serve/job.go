@@ -25,6 +25,7 @@ import (
 	"time"
 
 	"sunwaylb/internal/config"
+	"sunwaylb/internal/decomp"
 	"sunwaylb/internal/perf"
 	"sunwaylb/internal/psolve"
 )
@@ -74,6 +75,10 @@ type JobSpec struct {
 	Retries int `json:"retries,omitempty"`
 }
 
+// maxJobRanks caps a job's world: the workers of a patch job and the
+// ranks of a grid job.
+const maxJobRanks = 64
+
 // patchWorkerCount reports the worker count of a "patch"/"patchN"
 // decomp spec: 0 when the spec is not patch-decomposed, -1 when it is
 // malformed ("patchx", "patch0").
@@ -105,12 +110,14 @@ func (sp *JobSpec) normalize() (px, py int, err error) {
 		sp.Decomp = "2x1"
 	}
 	if n := patchWorkerCount(sp.Decomp); n != 0 {
-		if n < 0 || n > 64 {
-			return 0, 0, fmt.Errorf("serve: bad decomp %q, want patch or patchN with N in [1,64]", sp.Decomp)
+		if n < 0 || n > maxJobRanks {
+			return 0, 0, fmt.Errorf("serve: bad decomp %q, want patch or patchN with N in [1,%d]", sp.Decomp, maxJobRanks)
 		}
 		px, py = n, 1
-	} else if _, err := fmt.Sscanf(strings.ToLower(sp.Decomp), "%dx%d", &px, &py); err != nil || px < 1 || py < 1 {
-		return 0, 0, fmt.Errorf("serve: bad decomp %q, want e.g. 2x2 or patchN", sp.Decomp)
+	} else if g, err := decomp.ParseGrid(sp.Decomp, 2); err != nil {
+		return 0, 0, fmt.Errorf("serve: bad decomp %q, want e.g. 2x2 or patchN: %w", sp.Decomp, err)
+	} else if px, py = g[0], g[1]; px > maxJobRanks || py > maxJobRanks || px*py > maxJobRanks {
+		return 0, 0, fmt.Errorf("serve: decomp %q has more than %d ranks", sp.Decomp, maxJobRanks)
 	}
 	if err := sp.Case.Validate(); err != nil {
 		return 0, 0, err
