@@ -322,7 +322,7 @@ func TestCLISnapshotLine(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%v\n%s", err, out)
 		}
-		if !regexp.MustCompile(`completed 7 steps in .*\nsnapshots: 3 waves, [0-9.]+ ms/wave, [0-9.]+ GB/s, ` + tc.resident + `\n`).Match(out) {
+		if !regexp.MustCompile(`completed 7 steps in .*\nsnapshots: 3 waves, first [0-9.]+ ms, [0-9.]+ ms/wave, [0-9.]+ GB/s, ` + tc.resident + `\n`).Match(out) {
 			t.Errorf("%s, groups of %s: summary lacks the expected snapshot line:\n%s", tc.decomp, tc.group, out)
 		}
 	}

@@ -3,7 +3,10 @@ package core
 import (
 	"fmt"
 	"math"
+	"math/rand"
 	"testing"
+
+	"sunwaylb/internal/lattice"
 )
 
 // wrapTestLattice is a random near-equilibrium AA lattice with walls on
@@ -115,5 +118,95 @@ func TestSweepAcrossWrapMatchesWholeWrap(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// TestPeriodicEdgesFillsMarkedCellsOnly: on every axis, at both parities
+// and for random edge sets, PeriodicEdges leaves each cell of the axis's
+// halo layers that its line or its place on the line marks with the whole
+// wrap's populations and flag, bitwise, and every other cell as it was.
+func TestPeriodicEdgesFillsMarkedCellsOnly(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	mk := func(parity, s int) *Lattice {
+		l := wrapTestLattice(t, 5, 4, 6)
+		l.SetStep(parity)
+		fillUnwrapped(l, Wrap{}, s)
+		return l
+	}
+	for axis := 0; axis < 3; axis++ {
+		fixed, run := 1, 2 // FaceLine's numbering, as in PeriodicEdges
+		switch axis {
+		case 1:
+			fixed = 0
+		case 2:
+			run = 0
+		}
+		for parity := 0; parity < 2; parity++ {
+			for trial := 0; trial < 40; trial++ {
+				var e EdgeCells
+				for f := range e.Halo {
+					e.Halo[f], e.Layer[f] = rng.Intn(2) == 0, rng.Intn(2) == 0
+				}
+				before, whole, got := mk(parity, trial), mk(parity, trial), mk(parity, trial)
+				whole.PeriodicAxis(axis)
+				got.PeriodicEdges(axis, 0, got.FaceLines(Face(2*axis)), e)
+				alloc := [3]int{got.AX, got.AY, got.AZ}
+				marked := func(a, v int) bool {
+					switch n := alloc[a]; {
+					case v == 0:
+						return e.Halo[2*a]
+					case v == n-1:
+						return e.Halo[2*a+1]
+					}
+					return v == 1 && e.Layer[2*a] || v == alloc[a]-2 && e.Layer[2*a+1]
+				}
+				var fw, fg []float64
+				for ay := 0; ay < got.AY; ay++ {
+					for ax := 0; ax < got.AX; ax++ {
+						for az := 0; az < got.AZ; az++ {
+							c := [3]int{ax, ay, az}
+							want := before
+							if (c[axis] == 0 || c[axis] == alloc[axis]-1) && (marked(fixed, c[fixed]) || marked(run, c[run])) {
+								want = whole
+							}
+							fw = want.Populations(ax-1, ay-1, az-1, fw)
+							fg = got.Populations(ax-1, ay-1, az-1, fg)
+							k := got.Idx(ax-1, ay-1, az-1)
+							for i := range fw {
+								if math.Float64bits(fw[i]) != math.Float64bits(fg[i]) || want.Flags[k] != got.Flags[k] {
+									t.Fatalf("axis %d parity %d edges %+v: allocated cell %v population %d = %v flag %v, want %v flag %v",
+										axis, parity, e, c, i, fg[i], got.Flags[k], fw[i], want.Flags[k])
+								}
+							}
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
+// BenchmarkPeriodicEdges times the z wrap's edge fill on a 16×16×32 AA
+// patch cut along x and y — the serve-jobs patch2 shape, z wrapped by
+// the patch itself — called one y-plane at a time as a sweep's fill
+// calls it, at both parities. The figure is ns per whole fill (every
+// plane once).
+func BenchmarkPeriodicEdges(b *testing.B) {
+	l, err := NewLattice(&lattice.D3Q19, 16, 16, 32, 0.7)
+	if err != nil {
+		b.Fatal(err)
+	}
+	l.EnableAA()
+	e := AllEdges(Wrap{false, false, true})
+	n := l.FaceLines(FaceZMin)
+	for _, parity := range []string{"even", "odd"} {
+		b.Run(parity, func(b *testing.B) {
+			l.SetStep(len(parity) - 4) // 0 even, 1 odd
+			for i := 0; i < b.N; i++ {
+				for j := 0; j < n; j++ {
+					l.PeriodicEdges(2, j, j+1, e)
+				}
+			}
+		})
 	}
 }

@@ -60,6 +60,9 @@ type RecoveryStats struct {
 	// counters, live with the tracer off.
 	SnapshotWaves int           `json:"snapshot_waves"`
 	SnapshotTime  time.Duration `json:"snapshot_time_ns"`
+	// SnapshotFirst is the first of those waves, taken apart: the one
+	// that faults the store's memory in.
+	SnapshotFirst time.Duration `json:"snapshot_first_ns"`
 	// SnapshotResident is the payload memory the snapshot store held at
 	// the end of the run (its high-water mark: records are reused, never
 	// released).
@@ -73,7 +76,7 @@ type RecoveryStats struct {
 // service-level aggregation: the lbmserve /metrics endpoint sums every
 // job's stats into one fleet view. Counters and byte ledgers add;
 // durations add (MTTR stays consistent because Downtime and Restarts
-// both accumulate).
+// both accumulate), except the first wave, which keeps the slowest run's.
 func (r *RecoveryStats) Merge(o RecoveryStats) {
 	r.Restarts += o.Restarts
 	r.LostSteps += o.LostSteps
@@ -92,6 +95,7 @@ func (r *RecoveryStats) Merge(o RecoveryStats) {
 	r.Downtime += o.Downtime
 	r.SnapshotWaves += o.SnapshotWaves
 	r.SnapshotTime += o.SnapshotTime
+	r.SnapshotFirst = max(r.SnapshotFirst, o.SnapshotFirst)
 	r.SnapshotResident = max(r.SnapshotResident, o.SnapshotResident)
 	for i := range r.SnapshotResidentLevels {
 		r.SnapshotResidentLevels[i] = max(r.SnapshotResidentLevels[i], o.SnapshotResidentLevels[i])
@@ -99,9 +103,9 @@ func (r *RecoveryStats) Merge(o RecoveryStats) {
 }
 
 // SnapshotLine renders the snapshot-wave accounting as the one-line
-// summary the CLI prints: wave count, mean wave time, the rate at which
-// the L1–L3 ledger bytes were produced, and the store's resident size,
-// split by level.
+// summary the CLI prints: wave count, first and mean wave time, the rate
+// at which the L1–L3 ledger bytes were produced, and the store's resident
+// size, split by level.
 func (r RecoveryStats) SnapshotLine() string {
 	bytes := r.SnapshotBytes[0] + r.SnapshotBytes[1] + r.SnapshotBytes[2]
 	sec := r.SnapshotTime.Seconds()
@@ -110,8 +114,8 @@ func (r RecoveryStats) SnapshotLine() string {
 		gbps = float64(bytes) / sec / 1e9
 	}
 	lv := r.SnapshotResidentLevels
-	return fmt.Sprintf("snapshots: %d waves, %.1f ms/wave, %.2f GB/s, %.0f MB resident in store (L1 %.1f, L2 %.1f, L3 %.1f MB)",
-		r.SnapshotWaves, 1e3*sec/float64(max(r.SnapshotWaves, 1)), gbps, float64(r.SnapshotResident)/1e6,
+	return fmt.Sprintf("snapshots: %d waves, first %.1f ms, %.1f ms/wave, %.2f GB/s, %.0f MB resident in store (L1 %.1f, L2 %.1f, L3 %.1f MB)",
+		r.SnapshotWaves, 1e3*r.SnapshotFirst.Seconds(), 1e3*sec/float64(max(r.SnapshotWaves, 1)), gbps, float64(r.SnapshotResident)/1e6,
 		float64(lv[0])/1e6, float64(lv[1])/1e6, float64(lv[2])/1e6)
 }
 

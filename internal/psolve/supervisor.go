@@ -397,8 +397,12 @@ func SuperviseOn(d Decomposition, o SupervisorOptions) (field *core.MacroField, 
 						return serr
 					}
 					if c.Rank() == 0 {
+						d := time.Since(t0)
+						if stats.SnapshotWaves == 0 {
+							stats.SnapshotFirst = d
+						}
 						stats.SnapshotWaves++
-						stats.SnapshotTime += time.Since(t0)
+						stats.SnapshotTime += d
 					}
 				}
 				if levels.Has(resil.L4) && o.CheckpointEvery > 0 &&

@@ -5,6 +5,7 @@ import (
 	"runtime"
 	"sync"
 	"testing"
+	"time"
 
 	"sunwaylb/internal/alloctest"
 	"sunwaylb/internal/mpi"
@@ -252,5 +253,68 @@ func TestWaveDiscardsStaleDuplicate(t *testing.T) {
 			t.Fatalf("levels %s: recovered step %d (%d buddy, %d parity restores), sum match %v: want the newest generation, step 3",
 				levels, rec.Step, rec.BuddyRestores, rec.Reconstructions, rec.Blocks[1].Sum == want.Sum)
 		}
+	}
+}
+
+// BenchmarkWave times one L1+L2+L3 snapshot wave on a fixed 24×96×48
+// block per rank, from the third wave on (every buffer recycled): pair is
+// a 2×1 world in one parity group of two, which keeps both members and
+// sends buddy copies only; group3 a 3×1 world in a group of three, where
+// every rank also sends a parity member and XORs one into its replica.
+// ms/wave is rank 0's mean wave time.
+func BenchmarkWave(b *testing.B) {
+	for _, bc := range []struct {
+		name      string
+		px, group int
+	}{{"pair", 2, 2}, {"group3", 3, 3}} {
+		b.Run(bc.name, func(b *testing.B) {
+			opts := chaosBase()
+			opts.PX, opts.PY = bc.px, 1
+			opts.GNX, opts.GNY, opts.GNZ = 24*bc.px, 96, 48
+			opts.Walls = nil
+			st, err := (&rankWorld{opts}).NewStore(bc.group)
+			if err != nil {
+				b.Fatal(err)
+			}
+			world, err := mpi.NewWorld(bc.px)
+			if err != nil {
+				b.Fatal(err)
+			}
+			levels := resil.L1 | resil.L2 | resil.L3
+			var spent time.Duration
+			b.ReportAllocs()
+			err = mpi.RunWorld(world, func(c *mpi.Comm) error {
+				s, err := New(c, opts)
+				if err != nil {
+					return err
+				}
+				for w := 0; w < 2; w++ { // fill both generations
+					s.Step()
+					if err := s.ResilCapture(st, levels); err != nil {
+						return err
+					}
+				}
+				s.Step()
+				c.Barrier()
+				if c.Rank() == 0 {
+					b.ResetTimer()
+				}
+				for i := 0; i < b.N; i++ {
+					t0 := time.Now()
+					if err := s.ResilCapture(st, levels); err != nil {
+						return err
+					}
+					if c.Rank() == 0 {
+						spent += time.Since(t0)
+					}
+					c.Barrier()
+				}
+				return nil
+			})
+			if err != nil {
+				b.Fatal(err)
+			}
+			b.ReportMetric(float64(spent.Microseconds())/1e3/float64(b.N), "ms/wave")
+		})
 	}
 }

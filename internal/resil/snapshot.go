@@ -58,24 +58,33 @@ func (s *Snapshot) PayloadBytes() int64 {
 func (s *Snapshot) Verify() bool { return Checksum(s.Pops, s.Flags) == s.Sum }
 
 // ensure sizes the payload for n populations and m flags, reusing the
-// buffers when they are large enough. Contents are not preserved and
-// fresh memory is not touched.
+// buffers when they are large enough. Contents are not preserved; fresh
+// memory is faulted in (core.Prefault), as whoever asked for it is about
+// to write all of it.
 func (s *Snapshot) ensure(n, m int) {
 	if cap(s.Pops) < n {
 		s.Pops = make([]float64, n, n+packTrailer)
+		core.Prefault(s.Pops)
 	}
 	s.Pops = s.Pops[:n]
 	if cap(s.Flags) < m {
 		s.Flags = make([]byte, m)
+		core.Prefault(s.Flags)
 	}
 	s.Flags = s.Flags[:m]
 }
 
-// CopyFrom makes s a deep copy of src, reusing s's buffers.
-func (s *Snapshot) CopyFrom(src *Snapshot) {
+// header makes s's header — every field but the payload — a copy of
+// src's, keeping s's buffers.
+func (s *Snapshot) header(src *Snapshot) {
 	pops, flags, folds := s.Pops, s.Flags, s.folds
 	*s = *src
 	s.Pops, s.Flags, s.folds = pops, flags, append(folds[:0], src.folds...)
+}
+
+// CopyFrom makes s a deep copy of src, reusing s's buffers.
+func (s *Snapshot) CopyFrom(src *Snapshot) {
+	s.header(src)
 	s.ensure(len(src.Pops), len(src.Flags))
 	copy(s.Pops, src.Pops)
 	copy(s.Flags, src.Flags)
@@ -86,27 +95,30 @@ func (s *Snapshot) CopyFrom(src *Snapshot) {
 // first capture sizes them). The lattice holds the rank's local block
 // (interior NX×NY×NZ); b locates that block globally.
 func Capture(s *Snapshot, lat *core.Lattice, b decomp.Block, rank int) {
-	captureBox(s, lat, b, rank, 0, 0, 0)
+	captureBox(s, lat, b, rank, 0, 0, 0, nil)
 }
 
 // CaptureAt is Capture for a lattice that holds more than the block:
 // b's own origin locates the block inside lat's interior (slicing a
 // global checkpoint back into per-patch snapshots).
 func CaptureAt(s *Snapshot, lat *core.Lattice, b decomp.Block, rank int) {
-	captureBox(s, lat, b, rank, b.X0, b.Y0, b.Z0)
+	captureBox(s, lat, b, rank, b.X0, b.Y0, b.Z0, nil)
 }
 
 // captureBox gathers the b-sized box at interior origin (ox, oy, oz) of
-// lat, one z-row at a time, hashing each row while it is still in cache.
-// The header is stamped last: Step and Sum describe a complete payload
-// or nothing.
+// lat, one z-row at a time, hashing each row while it is still in cache
+// and copying it, still in cache, into every copy a wave makes of the
+// record (see copyOut). The headers are stamped last: Step and Sum — and
+// a copy's header or message trailer, which carry them — describe a
+// complete payload or nothing.
 //
-// Per cell the loop itself moves the flag byte in and out; the Q
-// population moves are priced in core's gatherPop (16 B each), the hash
-// in lanes.write.
+// Per cell the loop itself moves the flag byte in and out and, per copy,
+// the cell's populations and flag once more out; the Q population moves
+// of the gather are priced in core's gatherPop (16 B each), the hash in
+// lanes.write.
 //
 //lbm:hot traffic budget=320 assume q=19
-func captureBox(s *Snapshot, lat *core.Lattice, b decomp.Block, rank, ox, oy, oz int) {
+func captureBox(s *Snapshot, lat *core.Lattice, b decomp.Block, rank, ox, oy, oz int, copies []copyOut) {
 	q, nz := lat.Desc.Q, b.NZ
 	s.Rank = rank
 	s.X0, s.Y0, s.Z0 = b.X0, b.Y0, b.Z0
@@ -124,8 +136,19 @@ func captureBox(s *Snapshot, lat *core.Lattice, b decomp.Block, rank, ox, oy, oz
 			flags[z] = byte(lat.Flags[ln.Cell(oz+1+z)])
 		}
 		d.flags.writeBytes(flags)
+		for _, c := range copies {
+			copy(c.pops[row*q*nz:(row+1)*q*nz], pops)
+			copy(c.flags[row*nz:(row+1)*nz], flags)
+		}
 	}
 	s.Step, s.Sum = lat.Step(), d.sum(len(s.Pops), len(s.Flags))
+	for _, c := range copies {
+		if c.rec != nil {
+			c.rec.header(s)
+		} else {
+			s.trailer(c.pops[len(s.Pops) : len(s.Pops)+packTrailer])
+		}
+	}
 }
 
 // ErrPhaseMismatch is returned by RestoreInto when a snapshot's step
@@ -212,13 +235,19 @@ func (s *Snapshot) Pack(data []float64, aux []byte) ([]float64, []byte) {
 	}
 	data = data[:n+packTrailer]
 	copy(data, s.Pops)
-	copy(data[n:], []float64{
+	s.trailer(data[n:])
+	return data, append(aux[:0], s.Flags...)
+}
+
+// trailer writes the header words a packed snapshot carries after its
+// populations into h, packTrailer words long.
+func (s *Snapshot) trailer(h []float64) {
+	copy(h, []float64{
 		float64(s.Rank), float64(s.Step),
 		float64(s.X0), float64(s.Y0), float64(s.Z0),
 		float64(s.NX), float64(s.NY), float64(s.NZ),
 		float64(s.Q),
 		float64(s.Sum >> 32), float64(s.Sum & 0xffffffff)})
-	return data, append(aux[:0], s.Flags...)
 }
 
 // Unpack decodes a packed snapshot into s without copying: s adopts
