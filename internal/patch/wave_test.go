@@ -195,64 +195,98 @@ func TestWaveInFlightCorruptionSparesOwnRecord(t *testing.T) {
 	}
 }
 
-// TestWaveSteadyStateAllocFree: on four patches dealt in blocks of two
-// to two workers, in one parity group, a wave copies a buddy on the same
-// worker (0 → 1, 2 → 3), sends one to the other (1 → 2, 3 → 0) and folds
-// the one member each worker keeps neither as its own nor as a buddy
-// copy. From the third wave on that allocates nothing, and the store
-// holds the same bytes after every wave. One P, for the reason
-// TestRankStepAllocFree gives.
+// TestWaveSteadyStateAllocFree: from the third wave on a wave allocates
+// nothing, and from the second the store holds the same bytes. Two
+// worlds. Four patches dealt in blocks of two to two workers, in one
+// parity group: a wave copies a buddy on the same worker (0 → 1, 2 → 3),
+// sends one to the other (1 → 2, 3 → 0) and folds the one member each
+// worker keeps neither as its own nor as a buddy copy. Six patches dealt
+// cyclically to three workers, in two groups of three, so every worker
+// sends members of both: the capture writes every message of a wave, so
+// a worker takes all their transport buffers before it receives any, and
+// the pool may hold one buffer per message of a wave, each sized for the
+// largest patch — never more. One P, for the reason TestRankStepAllocFree
+// gives.
 func TestWaveSteadyStateAllocFree(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
-	opt := waveCase()
-	opt.TX = 4
-	w, err := NewWorld(opt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for p := range w.owner {
-		w.owner[p] = p / 2
-	}
-	st, err := w.NewStore(4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var mark alloctest.Mark
-	var resident [5]int64
-	err = mpi.Run(2, func(c *mpi.Comm) error {
-		n, err := newNode(w, c, nil, 8, 1)
+	for _, tc := range []struct {
+		patches, workers, group int
+		owner                   func(p int) int
+		levels                  resil.Levels
+	}{
+		{4, 2, 4, func(p int) int { return p / 2 }, resil.L1 | resil.L2 | resil.L3},
+		{6, 3, 3, func(p int) int { return p % 3 }, resil.L1 | resil.L3},
+		{6, 3, 3, func(p int) int { return p % 3 }, resil.L1 | resil.L2 | resil.L3},
+	} {
+		name := fmt.Sprintf("%d patches on %d workers, group %d, L%s", tc.patches, tc.workers, tc.group, tc.levels)
+		opt := waveCase()
+		opt.TX, opt.Workers = tc.patches, make([]Worker, tc.workers)
+		w, err := NewWorld(opt)
 		if err != nil {
-			return err
+			t.Fatal(err)
 		}
-		for wave := range resident {
-			n.Step()
-			c.Barrier()
-			if c.Rank() == 0 {
-				mark = alloctest.Take()
-			}
-			c.Barrier()
-			if err := n.ResilCapture(st, resil.L1|resil.L2|resil.L3); err != nil {
+		for p := range w.owner {
+			w.owner[p] = tc.owner(p)
+		}
+		st, err := w.NewStore(tc.group)
+		if err != nil {
+			t.Fatal(err)
+		}
+		base := w.til.snapTags()
+		hook := &waveHook{lo: st.Tag(base, resil.L2, 0), hi: st.Tag(base, resil.L3, w.til.P()),
+			onSend: func(int, int, []float64) int { return 1 }}
+		mw, err := mpi.NewWorld(tc.workers)
+		if err != nil {
+			t.Fatal(err)
+		}
+		mw.SetFaultHook(hook)
+		var mark alloctest.Mark
+		var resident, wire [5]int64
+		err = mpi.RunWorld(mw, func(c *mpi.Comm) error {
+			n, err := newNode(w, c, nil, 8, 1)
+			if err != nil {
 				return err
 			}
-			c.Barrier()
-			if c.Rank() == 0 {
-				if a, b := mark.Since(); wave >= 2 && a != 0 {
-					t.Errorf("wave %d allocated %d times (%d bytes), want 0", wave+1, a, b)
+			for wave := range resident {
+				n.Step()
+				c.Barrier()
+				if c.Rank() == 0 {
+					mark = alloctest.Take()
 				}
-				resident[wave] = st.Resident()
+				c.Barrier()
+				if err := n.ResilCapture(st, tc.levels); err != nil {
+					return err
+				}
+				c.Barrier()
+				if c.Rank() == 0 {
+					if a, b := mark.Since(); wave >= 2 && a != 0 {
+						t.Errorf("%s: wave %d allocated %d times (%d bytes), want 0", name, wave+1, a, b)
+					}
+					resident[wave] = st.Resident()
+					_, wire[wave] = st.ResidentByLevel()
+				}
+				c.Barrier()
 			}
-			c.Barrier()
+			return nil
+		})
+		if err != nil {
+			t.Fatal(err)
 		}
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if b := st.Bytes(); b[1] == 0 || b[2] == 0 {
-		t.Errorf("ledger %v: want buddy copies and replicas", b)
-	}
-	if resident[2] != resident[1] || resident[4] != resident[1] {
-		t.Errorf("store residency per wave %v: want it flat from the second wave on", resident)
+		if b := st.Bytes(); b[2] == 0 || tc.levels.Has(resil.L2) && b[1] == 0 {
+			t.Errorf("%s: ledger %v: want buddy copies and replicas", name, b)
+		}
+		if resident[2] != resident[1] || resident[4] != resident[1] {
+			t.Errorf("%s: store residency per wave %v: want it flat from the second wave on", name, resident)
+		}
+		cells := 0
+		for _, p := range w.til.Patches {
+			cells = max(cells, p.Block.Cells())
+		}
+		perWave := int64(hook.sends / len(resident))
+		if buf := int64(8*(cells*19+11) + cells); wire[4] > perWave*buf {
+			t.Errorf("%s: %d bytes of free transport buffers, want at most one %d-byte buffer per message of a wave (%d)",
+				name, wire[4], buf, perWave)
+		}
 	}
 }
 
