@@ -706,7 +706,11 @@ func run(ctx context.Context, w *world, o runOpts) error {
 	fmt.Printf("completed %d steps in %.2f s: %s aggregate\n",
 		doneSteps, elapsed, perf.Rate(w.mon.Cells*int64(doneSteps), elapsed))
 	if stats.SnapshotWaves > 0 {
-		fmt.Println(stats.SnapshotLine())
+		line := stats.SnapshotLine()
+		if mb, ok := hugePagesMB(); ok {
+			line += fmt.Sprintf(", huge pages %.0f MB", mb)
+		}
+		fmt.Println(line)
 	}
 	fmt.Println(w.path())
 	fmt.Print(w.modelled())

@@ -307,12 +307,18 @@ func TestCLIPathsAgree(t *testing.T) {
 // generations (8 × 118 KB) and no parity: each rank keeps both members of
 // its pair. In a group of three each replica folds the one member its
 // rank keeps neither as own record nor as buddy copy; the received
-// parity messages leave their transport buffers with the store.
+// parity messages leave their transport buffers with the store. Where
+// /proc/self/smaps_rollup reads, the line ends with how much of the
+// process sits on huge pages after the run.
 func TestCLISnapshotLine(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builds and runs the binary")
 	}
 	bin := buildCLI(t)
+	backing := ""
+	if _, ok := hugePagesMB(); ok {
+		backing = `, huge pages [0-9]+ MB`
+	}
 	for _, tc := range []struct{ decomp, group, resident string }{
 		{"2x1", "2", `1 MB resident in store \(L1 0\.5, L2 0\.5, L3 0\.0 MB\)`},
 		{"3x1", "3", `2 MB resident in store \(L1 0\.5, L2 0\.5, L3 0\.5 MB\)`},
@@ -322,7 +328,7 @@ func TestCLISnapshotLine(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%v\n%s", err, out)
 		}
-		if !regexp.MustCompile(`completed 7 steps in .*\nsnapshots: 3 waves, first [0-9.]+ ms, [0-9.]+ ms/wave, [0-9.]+ GB/s, ` + tc.resident + `\n`).Match(out) {
+		if !regexp.MustCompile(`completed 7 steps in .*\nsnapshots: 3 waves, first [0-9.]+ ms, [0-9.]+ ms/wave, [0-9.]+ GB/s, ` + tc.resident + backing + `\n`).Match(out) {
 			t.Errorf("%s, groups of %s: summary lacks the expected snapshot line:\n%s", tc.decomp, tc.group, out)
 		}
 	}

@@ -7,7 +7,8 @@
 // made below a frame of this module, leaving out the runtime's own caches
 // that a module call may refill: the sudog a blocked channel operation
 // parks on (runtime.acquireSudog, 96 B), which a loaded -race run
-// allocates now and then under an mpi receive.
+// allocates now and then under an mpi receive. On Linux, OnHugePages
+// checks that an allocation's pages are advised onto huge pages.
 package alloctest
 
 import (

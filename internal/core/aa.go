@@ -94,7 +94,7 @@ func (l *Lattice) EnableAA() {
 	if l.step&1 == 1 {
 		tmp := l.F[1-l.src]
 		if tmp == nil {
-			tmp = makeFloats(len(cur))
+			tmp = Alloc[float64](len(cur), len(cur))
 		}
 		l.aa = true // PopIndex must use the odd-phase map below
 		q := l.Desc.Q

@@ -16,43 +16,42 @@ const hugePage = 2 << 20
 // syscall does not name.
 const madvPopulateWrite = 23
 
-// makeFloats returns a zeroed slice of n float64s for an array that a run
-// allocates once and then writes in full. Before anything writes it, it
-// advises the kernel (MADV_HUGEPAGE) on the whole 2 MiB pages that lie
-// inside the slice, so their first touch faults one huge page instead of
-// 512 small ones. The advice covers only the slice's own pages: an array
-// that holds no whole huge page is not advised, and the flag, which the
-// address range keeps after the collector frees the slice, never lands
-// on a neighbour's memory. The memory stays on the Go heap and the
-// garbage collector stays its only owner. The advice is a hint and its
-// error is ignored: a kernel without transparent huge pages keeps 4 KiB
-// pages, and a span the runtime reused was already touched.
-func makeFloats(n int) []float64 {
-	s := make([]float64, n)
-	b := bytesOf(s)
+// Alloc returns a zeroed slice of length n and capacity c (n ≤ c) for an
+// array that a run writes in full: the lattice's populations, a snapshot
+// record, a wave's transport buffer, a gathered payload. Before anything
+// writes it, it
+//   - advises the kernel (MADV_HUGEPAGE) on the whole 2 MiB pages that
+//     lie inside [0:c), so they fault one huge page instead of 512 small
+//     ones, and
+//   - faults [0:n) in writable, in one madvise(MADV_POPULATE_WRITE) call
+//     instead of a fault per page on first touch.
+//
+// The advice covers only the slice's own pages: an array that holds no
+// whole huge page is not advised, and the flag, which the address range
+// keeps after the collector frees the slice, never lands on a
+// neighbour's memory. The memory stays on the Go heap and the garbage
+// collector stays its only owner. Both calls are hints and their errors
+// are ignored: a kernel without transparent huge pages keeps 4 KiB
+// pages, one older than 5.14 falls back to demand faults, and a span the
+// runtime reused was already touched (and zeroed on its old pages).
+func Alloc[E any](n, c int) []E {
+	s := make([]E, n, c)
+	b := bytesOf(s[:c])
 	start := uintptr(unsafe.Pointer(unsafe.SliceData(b)))
 	lo := (start + hugePage - 1) &^ (hugePage - 1)
 	hi := (start + uintptr(len(b))) &^ (hugePage - 1)
 	if lo < hi {
 		_ = syscall.Madvise(b[lo-start:hi-start], syscall.MADV_HUGEPAGE)
 	}
+	_ = populate(bytesOf(s))
 	return s
 }
 
-// Prefault faults in the pages under s writable, in one
-// madvise(MADV_POPULATE_WRITE) call, for a buffer just allocated and
-// about to be written in full: one system call instead of a page fault
-// per 4 KiB page on first touch. It neither reads nor writes the
-// elements, so contents and length stay as they are. The pages stay
-// plain: nothing here asks for huge pages. The call is a hint and its
-// error is ignored, so a kernel older than 5.14 falls back to demand
-// faults.
-func Prefault[E any](s []E) { _ = prefault(bytesOf(s)) }
-
-// prefault is Prefault's system call on the pages that hold b, from the
-// one holding its first byte (madvise wants a page-aligned start; the
-// page is the same mapping) to the one holding its last.
-func prefault(b []byte) error {
+// populate faults in the pages that hold b writable, from the one
+// holding its first byte (madvise wants a page-aligned start; the page
+// is the same mapping) to the one holding its last. It neither reads nor
+// writes the bytes.
+func populate(b []byte) error {
 	if len(b) == 0 {
 		return nil
 	}

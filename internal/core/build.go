@@ -58,7 +58,7 @@ func BuildLattice(desc *lattice.Descriptor, b Box, tau float64, walls WallsFunc,
 		WallVel: make(map[int][3]float64),
 		Tau:     tau,
 	}
-	l.F[0] = makeFloats(desc.Q * n)
+	l.F[0] = Alloc[float64](desc.Q*n, desc.Q*n)
 	l.offs = make([]int, desc.Q)
 	for q := 0; q < desc.Q; q++ {
 		c := desc.C[q]
@@ -84,8 +84,8 @@ func (l *Lattice) Blank() *Lattice {
 		Tau:     l.Tau,
 		offs:    l.offs,
 	}
-	b.F[0] = makeFloats(len(l.F[0]))
-	b.F[1] = makeFloats(len(l.F[0]))
+	n := len(l.F[0])
+	b.F[0], b.F[1] = Alloc[float64](n, n), Alloc[float64](n, n)
 	return b
 }
 

@@ -51,7 +51,8 @@ func (m *MacroField) Idx(x, y, z int) int { return (y*m.NX+x)*m.NZ + z }
 
 // NewMacroField allocates a zeroed nx×ny×nz field.
 func NewMacroField(nx, ny, nz int) *MacroField {
-	return MacroFieldOver(makeFloats(4*nx*ny*nz), nx, ny, nz)
+	n := 4 * nx * ny * nz
+	return MacroFieldOver(Alloc[float64](n, n), nx, ny, nz)
 }
 
 // NonFinite counts, in one pass over the field, the cells whose density

@@ -55,25 +55,12 @@ func (s *Solver) GatherMacro(root int) *core.MacroField {
 // GatherMacro is the macro gather of every world: it stitches the fields
 // of every worker's owned blocks into the global gnx×gny×gnz field on
 // root (nil elsewhere). Root computes its own blocks straight into the
-// global field; every other worker computes its blocks into one
-// exact-size payload — per block its origin and extents, then its four
-// channels — from which root copies z-runs. Every worker must call it.
+// global field; every other worker sends its blocks' macroPayload, from
+// which root copies z-runs. Every worker must call it.
 func GatherMacro(c *mpi.Comm, root, gnx, gny, gnz int, owned []resil.Owned) *core.MacroField {
 	var payload []float64
 	if c.Rank() != root {
-		size := 0
-		for _, o := range owned {
-			size += macroHeader + 4*o.Block.Cells()
-		}
-		payload = make([]float64, size)
-		d := payload
-		for _, o := range owned {
-			b := o.Block
-			copy(d, []float64{float64(b.X0), float64(b.Y0), float64(b.Z0),
-				float64(b.NX), float64(b.NY), float64(b.NZ)})
-			o.Lat.MacroInto(core.MacroFieldOver(d[macroHeader:], b.NX, b.NY, b.NZ), 0, 0, 0, o.Lat.Interior())
-			d = d[macroHeader+4*b.Cells():]
-		}
+		payload = macroPayload(owned)
 	}
 	msgs := c.Gather(root, mpi.Message{Data: payload})
 	if msgs == nil {
@@ -92,6 +79,25 @@ func GatherMacro(c *mpi.Comm, root, gnx, gny, gnz int, owned []resil.Owned) *cor
 		}
 	}
 	return g
+}
+
+// macroPayload computes the fields of owned blocks into one exact-size
+// payload: per block its origin and extents, then its four channels.
+func macroPayload(owned []resil.Owned) []float64 {
+	size := 0
+	for _, o := range owned {
+		size += macroHeader + 4*o.Block.Cells()
+	}
+	payload := core.Alloc[float64](size, size)
+	d := payload
+	for _, o := range owned {
+		b := o.Block
+		copy(d, []float64{float64(b.X0), float64(b.Y0), float64(b.Z0),
+			float64(b.NX), float64(b.NY), float64(b.NZ)})
+		o.Lat.MacroInto(core.MacroFieldOver(d[macroHeader:], b.NX, b.NY, b.NZ), 0, 0, 0, o.Lat.Interior())
+		d = d[macroHeader+4*b.Cells():]
+	}
+	return payload
 }
 
 // macroHeader is the number of words ahead of a block in a GatherMacro

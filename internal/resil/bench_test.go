@@ -55,3 +55,20 @@ func BenchmarkParityPair(b *testing.B) {
 		ParityAdd(&p, &own, &other)
 	}
 }
+
+// BenchmarkChecksum hashes the payload of a 16×32×32 block, the serve-jobs
+// block size, in cache.
+func BenchmarkChecksum(b *testing.B) {
+	l, err := core.NewLattice(&lattice.D3Q19, 16, 32, 32, 0.8)
+	if err != nil {
+		b.Fatal(err)
+	}
+	l.InitEquilibrium(1, 0.03, -0.01, 0.02)
+	var s Snapshot
+	Capture(&s, l, decomp.Block{NX: 16, NY: 32, NZ: 32}, 0)
+	b.SetBytes(s.PayloadBytes())
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		s.Sum = Checksum(s.Pops, s.Flags)
+	}
+}

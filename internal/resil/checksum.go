@@ -22,7 +22,9 @@ const sumPrime = 0x9e3779b97f4a7c15
 // lanes is the running state of one stream. The lanes rotate one place
 // per element, so the state after n elements is the same however the
 // stream was cut into write calls: rows can be hashed as they are
-// gathered.
+// gathered. Four rotations are the identity, so the loops fold whole
+// groups of four elements with no rotation, each into its own lane, and
+// rotate only through the tail.
 type lanes [4]uint64
 
 // digest is the checksum state of one payload.
@@ -38,7 +40,15 @@ func newDigest() digest {
 //lbm:hot traffic budget=8
 func (h *lanes) write(w []float64) {
 	l0, l1, l2, l3 := h[0], h[1], h[2], h[3]
-	for _, v := range w {
+	n4 := len(w) &^ 3
+	for i := 0; i < n4; i += 4 {
+		v := w[i : i+4 : i+4]
+		l0 = (l0 ^ math.Float64bits(v[0])) * sumPrime
+		l1 = (l1 ^ math.Float64bits(v[1])) * sumPrime
+		l2 = (l2 ^ math.Float64bits(v[2])) * sumPrime
+		l3 = (l3 ^ math.Float64bits(v[3])) * sumPrime
+	}
+	for _, v := range w[n4:] {
 		l0, l1, l2, l3 = l1, l2, l3, (l0^math.Float64bits(v))*sumPrime
 	}
 	*h = lanes{l0, l1, l2, l3}
@@ -51,7 +61,17 @@ func (h *lanes) write(w []float64) {
 func (h *lanes) xor(dst, a, b []float64) {
 	l0, l1, l2, l3 := h[0], h[1], h[2], h[3]
 	a, b = a[:len(dst)], b[:len(dst)]
-	for i := range dst {
+	n4 := len(dst) &^ 3
+	for i := 0; i < n4; i += 4 {
+		d, x, y := dst[i:i+4:i+4], a[i:i+4:i+4], b[i:i+4:i+4]
+		x0 := math.Float64bits(x[0]) ^ math.Float64bits(y[0])
+		x1 := math.Float64bits(x[1]) ^ math.Float64bits(y[1])
+		x2 := math.Float64bits(x[2]) ^ math.Float64bits(y[2])
+		x3 := math.Float64bits(x[3]) ^ math.Float64bits(y[3])
+		d[0], d[1], d[2], d[3] = math.Float64frombits(x0), math.Float64frombits(x1), math.Float64frombits(x2), math.Float64frombits(x3)
+		l0, l1, l2, l3 = (l0^x0)*sumPrime, (l1^x1)*sumPrime, (l2^x2)*sumPrime, (l3^x3)*sumPrime
+	}
+	for i := n4; i < len(dst); i++ {
 		x := math.Float64bits(a[i]) ^ math.Float64bits(b[i])
 		dst[i] = math.Float64frombits(x)
 		l0, l1, l2, l3 = l1, l2, l3, (l0^x)*sumPrime
@@ -64,7 +84,15 @@ func (h *lanes) xor(dst, a, b []float64) {
 //lbm:hot traffic budget=1
 func (h *lanes) writeBytes(b []byte) {
 	l0, l1, l2, l3 := h[0], h[1], h[2], h[3]
-	for _, v := range b {
+	n4 := len(b) &^ 3
+	for i := 0; i < n4; i += 4 {
+		v := b[i : i+4 : i+4]
+		l0 = (l0 ^ uint64(v[0])) * sumPrime
+		l1 = (l1 ^ uint64(v[1])) * sumPrime
+		l2 = (l2 ^ uint64(v[2])) * sumPrime
+		l3 = (l3 ^ uint64(v[3])) * sumPrime
+	}
+	for _, v := range b[n4:] {
 		l0, l1, l2, l3 = l1, l2, l3, (l0^uint64(v))*sumPrime
 	}
 	*h = lanes{l0, l1, l2, l3}

@@ -59,17 +59,15 @@ func (s *Snapshot) Verify() bool { return Checksum(s.Pops, s.Flags) == s.Sum }
 
 // ensure sizes the payload for n populations and m flags, reusing the
 // buffers when they are large enough. Contents are not preserved; fresh
-// memory is faulted in (core.Prefault), as whoever asked for it is about
-// to write all of it.
+// memory comes from core.Alloc (huge pages, faulted in), as whoever
+// asked for it is about to write all of it.
 func (s *Snapshot) ensure(n, m int) {
 	if cap(s.Pops) < n {
-		s.Pops = make([]float64, n, n+packTrailer)
-		core.Prefault(s.Pops)
+		s.Pops = core.Alloc[float64](n, n+packTrailer)
 	}
 	s.Pops = s.Pops[:n]
 	if cap(s.Flags) < m {
-		s.Flags = make([]byte, m)
-		core.Prefault(s.Flags)
+		s.Flags = core.Alloc[byte](m, m)
 	}
 	s.Flags = s.Flags[:m]
 }
@@ -231,7 +229,7 @@ const packTrailer = 11
 func (s *Snapshot) Pack(data []float64, aux []byte) ([]float64, []byte) {
 	n := len(s.Pops)
 	if cap(data) < n+packTrailer {
-		data = make([]float64, n+packTrailer)
+		data = core.Alloc[float64](n+packTrailer, n+packTrailer)
 	}
 	data = data[:n+packTrailer]
 	copy(data, s.Pops)
@@ -281,7 +279,7 @@ func Gather(c *mpi.Comm, root int, owned []Owned) (*Recovery, error) {
 		n += len(snaps[i].Pops) + packTrailer
 		m += len(snaps[i].Flags)
 	}
-	data, aux := make([]float64, 0, n), make([]byte, 0, m)
+	data, aux := core.Alloc[float64](n, n)[:0], core.Alloc[byte](m, m)[:0]
 	for i := range snaps {
 		d, a := snaps[i].Pack(data[len(data):], aux[len(aux):])
 		data, aux = data[:len(data)+len(d)], aux[:len(aux)+len(a)]

@@ -183,8 +183,8 @@ func (st *Store) deposit(lv Levels, holder int, src *Snapshot) {
 
 // take hands out transport buffers for a message of n populations and m
 // flags of q per cell, sized to it: the newest free buffer that holds the
-// message, or else a new one made for the largest block, with only the
-// prefix this message fills faulted in (core.Prefault). The transport
+// message, or else a new one made for the largest block by core.Alloc,
+// with only the prefix this message fills faulted in. The transport
 // passes references and the fault hook may flip bits in place, so a
 // message never shares memory with a record. On uneven blocks records
 // come in several sizes; a buffer too small for one stays free for the
@@ -202,10 +202,7 @@ func (st *Store) take(n, m, q int) ([]float64, []byte) {
 	}
 	st.mu.Unlock()
 	cells := max(st.maxCells, m)
-	data, aux := make([]float64, n+packTrailer, cells*q+packTrailer), make([]byte, m, cells)
-	core.Prefault(data)
-	core.Prefault(aux)
-	return data, aux
+	return core.Alloc[float64](n+packTrailer, cells*q+packTrailer), core.Alloc[byte](m, cells)
 }
 
 // Recv receives src's snapshot of the wave at step into dst, which adopts

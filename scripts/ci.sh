@@ -217,11 +217,16 @@ perf() {
         -run 'TestRankFacesMatchApplyThenStep' ./internal/psolve
     GOMAXPROCS=2 go test -race -count=1 -timeout 600s \
         -run 'MatchesRanks' ./internal/patch
-    # The lattice and macro arrays are advised onto transparent huge pages
-    # before their first write (skipped where THP is absent or off), and a
-    # snapshot buffer's pre-fault keeps its contents and takes its faults
-    # up front.
-    go test -count=1 -v -run 'TestLargeArraysOnHugePages|TestPrefaultKeepsContents' ./internal/core
+    # Every array a run writes in full comes from core.Alloc: the lattice,
+    # the macro arrays, a wave's snapshot records and transport buffers
+    # and the macro gather's payload are advised onto transparent huge
+    # pages before their first write (skipped where THP is absent or
+    # off), and Alloc's slices are zeroed, sized as asked and take their
+    # faults up front. The checksum's unrolled lanes equal the rotating
+    # definition however a stream is cut.
+    go test -count=1 -v -run 'TestLargeArraysOnHugePages|TestAllocZeroedAndPopulated' \
+        ./internal/core ./internal/resil ./internal/psolve
+    go test -count=1 -run 'TestLanesMatchRotatingReference|TestChecksumDetectsEveryBitFlip' ./internal/resil
     # Ungated smoke of the wave and edge-wrap benchmarks: a pair's and a
     # group of three's steady wave (ms/wave, allocations) and the z edge
     # wrap of a patch2-shaped patch at both parities.
